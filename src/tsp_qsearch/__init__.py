@@ -40,6 +40,7 @@ from .circuits import (
     build_d2,
     build_diffusion_d1,
     build_g1,
+    build_g2,
     build_oracle_r1,
     build_two_step,
     build_uniqueness_suboracle,
@@ -50,6 +51,7 @@ from .circuits import (
 )
 from .simulator import (
     Distribution,
+    NormError,
     StateVector,
     apply_gate,
     main_distribution,
@@ -84,11 +86,11 @@ __all__ = [
     # circuits
     "Circuit", "CircuitMetrics", "Gate", "GateKind",
     "build_cost_oracle_r2", "build_d2", "build_diffusion_d1", "build_g1",
-    "build_oracle_r1", "build_two_step", "build_uniqueness_suboracle",
+    "build_g2", "build_oracle_r1", "build_two_step", "build_uniqueness_suboracle",
     "build_validity_suboracle", "circuit_to_text", "invert_circuit",
     "metrics",
     # simulator
-    "Distribution", "StateVector", "apply_gate", "main_distribution",
+    "Distribution", "NormError", "StateVector", "apply_gate", "main_distribution",
     "new_state", "run", "sample", "success_probability",
     # matrix model
     "ProbabilitySeries", "SearchSpace", "appendix_experiment",

@@ -20,6 +20,8 @@ Builder overview for an n-city layout:
 * ``build_d2`` reflects about the feasible-tour superposition prepared
   by the first stage, by conjugating a zero reflection with that
   preparation circuit.
+* ``build_g2`` is one second-stage iteration: the cost oracle, then
+  that diffusion.
 * ``build_two_step`` chains marker preparation, the Hadamard layer, q1
   first-stage iterations and q2 second-stage iterations.
 """
@@ -270,6 +272,13 @@ def build_d2(layout: HoboLayout, q1: int) -> Circuit:
     return Circuit(layout, tuple(gates))
 
 
+def build_g2(layout: HoboLayout, phases: PhaseAssignment, q1: int) -> Circuit:
+    """One second-stage iteration: cost oracle R2 then diffusion D2."""
+    return Circuit(
+        layout, build_cost_oracle_r2(layout, phases).gates + build_d2(layout, q1).gates
+    )
+
+
 def build_two_step(layout: HoboLayout, phases: PhaseAssignment, schedule: Schedule) -> Circuit:
     """Full two-stage search circuit.
 
@@ -285,7 +294,7 @@ def build_two_step(layout: HoboLayout, phases: PhaseAssignment, schedule: Schedu
     g1 = build_g1(layout).gates
     for _ in range(schedule.q1):
         gates += g1
-    g2 = build_cost_oracle_r2(layout, phases).gates + build_d2(layout, schedule.q1).gates
+    g2 = build_g2(layout, phases, schedule.q1).gates
     for _ in range(schedule.q2):
         gates += g2
     return Circuit(layout, tuple(gates))

@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .circuits import Circuit, build_cost_oracle_r2, build_d2, build_g1, build_two_step, circuit_to_text, metrics
+from .circuits import build_g1, build_g2, build_two_step, circuit_to_text, metrics
 from .core import (
     CapacityError,
     DatasetError,
@@ -237,10 +237,7 @@ def cmd_sweep(args) -> int:
         layout = HoboLayout.for_cities(args.n)
         q1 = args.q1 if args.q1 is not None else optimal_q1(args.n)
         state = _circuit_prefix_state(layout, phases, q1)
-        one_g2 = Circuit(
-            layout,
-            build_cost_oracle_r2(layout, phases).gates + build_d2(layout, q1).gates,
-        )
+        one_g2 = build_g2(layout, phases, q1)
         p_min, p_max = [], []
         for t in range(args.t_max + 1):
             if t > 0:
@@ -274,11 +271,7 @@ def cmd_inspect(args) -> int:
     schedule = Schedule(optimal_q1(args.n), optimal_q2(args.n, 2))
 
     g1 = build_g1(layout)
-    g2 = Circuit(
-        layout,
-        build_cost_oracle_r2(layout, phases).gates
-        + build_d2(layout, schedule.q1).gates,
-    )
+    g2 = build_g2(layout, phases, schedule.q1)
     total = build_two_step(layout, phases, schedule)
 
     print(f"n={layout.n} k={layout.k} width={layout.width} q1={schedule.q1} q2={schedule.q2}")

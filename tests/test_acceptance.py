@@ -22,9 +22,8 @@ from tsp_qsearch import (
     HoboLayout,
     Schedule,
     appendix_experiment,
-    build_cost_oracle_r2,
-    build_d2,
     build_g1,
+    build_g2,
     build_oracle_r1,
     build_two_step,
     builtin_phases,
@@ -41,7 +40,6 @@ from tsp_qsearch import (
     subspace,
     success_probability,
 )
-from tsp_qsearch.circuits import Circuit
 from tsp_qsearch.cli import main as cli_main
 
 from helpers import main_amplitudes, off_workspace_mass, prepare_main_basis
@@ -62,10 +60,7 @@ def second_stage_states(n: int, t_max: int):
     phases = builtin_phases(n)
     q1 = optimal_q1(n)
     state = run(build_two_step(layout, phases, Schedule(q1, 0)), new_state(layout.width))
-    one_g2 = Circuit(
-        layout,
-        build_cost_oracle_r2(layout, phases).gates + build_d2(layout, q1).gates,
-    )
+    one_g2 = build_g2(layout, phases, q1)
     distributions = []
     for t in range(t_max + 1):
         if t > 0:
@@ -299,13 +294,9 @@ class TestCriterion8DepthRegressionLock:
             layout = HoboLayout.for_cities(int(n))
             phases = builtin_phases(int(n))
             q1, q2 = optimal_q1(int(n)), optimal_q2(int(n), 2)
-            g2 = Circuit(
-                layout,
-                build_cost_oracle_r2(layout, phases).gates + build_d2(layout, q1).gates,
-            )
             built = {
                 "G1": build_g1(layout),
-                "G2": g2,
+                "G2": build_g2(layout, phases, q1),
                 "total": build_two_step(layout, phases, Schedule(q1, q2)),
             }
             for name, circuit in built.items():

@@ -14,6 +14,7 @@ from tsp_qsearch import (
     build_d2,
     build_diffusion_d1,
     build_g1,
+    build_g2,
     build_oracle_r1,
     build_two_step,
     build_uniqueness_suboracle,
@@ -342,10 +343,9 @@ class TestTwoStep:
         expected = [x(layout.marker), h(layout.marker)]
         expected += [h(q) for q in range(layout.main_qubits)]
         expected += list(build_g1(layout).gates) * schedule.q1
-        expected += (
-            list(build_cost_oracle_r2(layout, phases).gates)
-            + list(build_d2(layout, schedule.q1).gates)
-        ) * schedule.q2
+        g2 = list(build_cost_oracle_r2(layout, phases).gates) + list(build_d2(layout, schedule.q1).gates)
+        assert list(build_g2(layout, phases, schedule.q1).gates) == g2
+        expected += g2 * schedule.q2
         assert list(build_two_step(layout, phases, schedule).gates) == expected
 
 

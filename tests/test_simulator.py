@@ -1,12 +1,21 @@
+import gc
 import math
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsp_qsearch import (
     CapacityError,
     Distribution,
     HoboLayout,
+    NormError,
     Schedule,
     StateVector,
     apply_gate,
@@ -22,7 +31,7 @@ from tsp_qsearch import (
     success_probability,
 )
 from tsp_qsearch.circuits import Circuit, cx, h, mcp, mcx, x
-from tsp_qsearch.simulator import MAX_WIDTH
+from tsp_qsearch.simulator import MAX_WIDTH, _butterfly, _swap, circuit_plan
 
 from helpers import prepare_main_basis
 
@@ -116,6 +125,129 @@ class TestRun:
         layout = HoboLayout.for_cities(3)
         with pytest.raises(ValueError):
             run(Circuit(layout, ()), new_state(4))
+
+    def test_unnormalised_state_raises(self):
+        layout = HoboLayout.for_cities(3)
+        state = new_state(layout.width)
+        state.amplitudes[0] = 2.0
+        with pytest.raises(NormError):
+            run(Circuit(layout, (h(0),)), state)
+
+    def test_norm_check_survives_optimised_bytecode(self):
+        # `python -O` strips assert statements; the norm check must not be one.
+        code = (
+            "from tsp_qsearch import Circuit, HoboLayout, NormError, new_state, run\n"
+            "try:\n"
+            "    assert False\n"
+            "except AssertionError:\n"
+            "    raise SystemExit('asserts were not stripped')\n"
+            "layout = HoboLayout.for_cities(3)\n"
+            "state = new_state(layout.width)\n"
+            "state.amplitudes[0] = 2.0\n"
+            "try:\n"
+            "    run(Circuit(layout, ()), state)\n"
+            "except NormError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('run accepted a state of norm 2')\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+
+
+def _bare_layout(width: int) -> HoboLayout:
+    """A layout that is only a register of `width` qubits."""
+    return HoboLayout(
+        n=1, k=1, main_qubits=width, valid_ancillas=0, unique_ancillas=0, marker_qubits=0, width=width
+    )
+
+
+@st.composite
+def _x_dense_circuits(draw):
+    """Random gates of all five kinds, most of them wrapped in runs of X.
+
+    X gates land before and after gates on their controls and targets
+    (and before H), and the trailing X's are drawn independently of the
+    leading ones, so circuits often end with a NOT still pending.
+    """
+    width = draw(st.integers(1, 6))
+    kinds = ["H", "X", "MCP"] + (["CX", "MCX"] if width >= 2 else [])
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(kinds))
+        order = draw(st.permutations(range(width)))
+        if kind in ("H", "X"):
+            core = h(order[0]) if kind == "H" else x(order[0])
+        else:
+            n_controls = 1 if kind == "CX" else draw(st.integers(0 if kind == "MCP" else 1, width - 1))
+            controls, target = tuple(order[:n_controls]), order[n_controls]
+            if kind == "CX":
+                core = cx(controls[0], target)
+            elif kind == "MCX":
+                core = mcx(controls, target)
+            else:
+                core = mcp(controls, target, draw(st.floats(-math.pi, math.pi)))
+        involved = st.sampled_from(core.qubits())
+        gates += [x(q) for q in draw(st.lists(involved, max_size=4))]
+        gates.append(core)
+        gates += [x(q) for q in draw(st.lists(involved, max_size=4))]
+    return Circuit(_bare_layout(width), tuple(gates))
+
+
+class TestCompiledPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(circuit=_x_dense_circuits(), seed=st.integers(0, 2**32 - 1), cuts=st.lists(st.integers(0, 100), max_size=5))
+    def test_bit_identical_to_gate_by_gate_and_to_slices(self, circuit, seed, cuts):
+        width = circuit.layout.width
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
+        amps /= np.linalg.norm(amps)
+
+        one_shot = run(circuit, StateVector(width, amps.copy())).amplitudes
+
+        gate_by_gate = StateVector(width, amps.copy())
+        for gate in circuit.gates:
+            apply_gate(gate_by_gate, gate)
+        assert np.array_equal(one_shot, gate_by_gate.amplitudes)
+
+        bounds = sorted({0, len(circuit), *(c % (len(circuit) + 1) for c in cuts)})
+        sliced = StateVector(width, amps.copy())
+        for start, stop in zip(bounds, bounds[1:]):
+            run(Circuit(circuit.layout, circuit.gates[start:stop]), sliced)
+        assert np.array_equal(one_shot, sliced.amplitudes)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_two_step_plan_swaps_only_the_marker_not(self, n):
+        layout = HoboLayout.for_cities(n)
+        circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
+        plan = circuit_plan(circuit)
+
+        def fixed_axes(index):
+            return [q for q, i in enumerate(index) if isinstance(i, int)]
+
+        # Every X of the IR is folded except the marker's, which an H follows.
+        standalone = [i for i, (kernel, idx, _) in enumerate(plan) if kernel is _swap and len(fixed_axes(idx)) == 1]
+        assert standalone == [0]
+        assert fixed_axes(plan[0][1]) == [layout.marker]
+        assert plan[1][0] is _butterfly and fixed_axes(plan[1][1]) == [layout.marker]
+        non_x = sum(g.kind.value != "X" for g in circuit.gates)
+        assert len(plan) == non_x + 1
+        if n == 4:
+            assert len(plan) == 872
+
+    def test_plan_is_compiled_once_per_circuit(self):
+        layout = HoboLayout.for_cities(3)
+        circuit = build_g1(layout)
+        assert circuit_plan(circuit) is circuit_plan(circuit)
+        assert circuit_plan(Circuit(layout, circuit.gates)) is not circuit_plan(circuit)
+        # Nothing outside the circuit holds it, so its plan dies with it.
+        freed = weakref.ref(circuit)
+        del circuit
+        gc.collect()
+        assert freed() is None
 
 
 class TestLinearity:
