@@ -98,6 +98,26 @@ class TestApplyGate:
         with pytest.raises(ValueError):
             apply_gate(new_state(2), x(2))
 
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_in_place_kernels_match_fresh_array_arithmetic(self, width):
+        rng = np.random.default_rng(width)
+        amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
+        amps /= np.linalg.norm(amps)
+        for target in range(width):
+            lo = (slice(None),) * target + (0,)
+            hi = (slice(None),) * target + (1,)
+            expected = amps.reshape((2,) * width).copy()
+            a, b = expected[lo].copy(), expected[hi].copy()
+            expected[lo] = (a + b) * (1 / math.sqrt(2))
+            expected[hi] = (a - b) * (1 / math.sqrt(2))
+            got = apply_gate(StateVector(width, amps.copy()), h(target)).amplitudes
+            assert np.array_equal(got, expected.reshape(-1))
+
+            expected = amps.reshape((2,) * width).copy()
+            expected[lo], expected[hi] = expected[hi].copy(), expected[lo].copy()
+            got = apply_gate(StateVector(width, amps.copy()), x(target)).amplitudes
+            assert np.array_equal(got, expected.reshape(-1))
+
 
 class TestRun:
     def test_empty_circuit(self):
