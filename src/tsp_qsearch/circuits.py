@@ -24,6 +24,8 @@ Builder overview for an n-city layout:
   that diffusion.
 * ``build_two_step`` chains marker preparation, the Hadamard layer, q1
   first-stage iterations and q2 second-stage iterations.
+* ``assemble_two_step`` chains the same from G1 and G2 circuits that
+  were already built.
 """
 
 from __future__ import annotations
@@ -96,7 +98,9 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        for gate in self.gates:
+        # Builders repeat Gate objects (every G1 and G2 round), so each
+        # distinct object is checked once.
+        for gate in {id(g): g for g in self.gates}.values():
             if any(q >= self.layout.width or q < 0 for q in gate.qubits()):
                 raise ValueError(f"gate {gate} outside layout width {self.layout.width}")
 
@@ -132,6 +136,101 @@ def build_validity_suboracle(layout: HoboLayout) -> Circuit:
     holds exactly that code; the slot qubits are restored after each
     conjugation.  Empty when 2**k == n.
     """
+    return Circuit(layout, _validity_gates(layout))
+
+
+def build_uniqueness_suboracle(layout: HoboLayout, slot_a: int, slot_b: int) -> Circuit:
+    """Raise the pair ancilla iff slots a and b hold different codes.
+
+    A CX fan XORs slot a's bits onto slot b's, an OR over the XORed bits
+    (NOT-conjugated multi-controlled NOT plus a final NOT) lands in the
+    pair ancilla, and the fan is reapplied to restore slot b.
+    """
+    return Circuit(layout, _uniqueness_gates(layout, slot_a, slot_b))
+
+
+def build_oracle_r1(layout: HoboLayout) -> Circuit:
+    """Phase-flip feasible tour bitstrings via kickback on the marker.
+
+    Computes all validity and uniqueness ancillas, applies one
+    multi-controlled NOT onto the marker (positive controls on the pair
+    ancillas, NOT-conjugated zero controls on the validity ancillas),
+    then uncomputes the sub-oracles in reverse order so every ancilla
+    returns to zero.
+    """
+    return Circuit(layout, _r1_gates(layout))
+
+
+def build_diffusion_d1(layout: HoboLayout) -> Circuit:
+    """Reflection about the uniform superposition of the main register."""
+    return Circuit(layout, _d1_gates(layout))
+
+
+def build_g1(layout: HoboLayout) -> Circuit:
+    """One first-stage iteration: feasibility oracle then diffusion."""
+    return Circuit(layout, _g1_gates(layout))
+
+
+def build_cost_oracle_r2(layout: HoboLayout, phases: PhaseAssignment) -> Circuit:
+    """Diagonal cost oracle: phase e^{i w} on each feasible tour state.
+
+    Each tour bitstring gets one multi-controlled phase gate across the
+    main register, NOT-conjugated on the tour's zero bits so the gate
+    fires on exactly that basis state.  Infeasible states are untouched.
+    """
+    return Circuit(layout, _r2_gates(layout, phases))
+
+
+def invert_circuit(circuit: Circuit) -> Circuit:
+    """Adjoint circuit: gates reversed, phase gates negated."""
+    return Circuit(circuit.layout, _inverse(circuit.gates))
+
+
+def build_d2(layout: HoboLayout, q1: int) -> Circuit:
+    """Reflection about the first stage's output state.
+
+    With A the first-stage preparation (Hadamard layer plus q1 search
+    iterations), emits invert(A), a zero reflection on the main
+    register, then A, realizing 2|psi><psi| - I for psi = A|0> up to
+    global phase.
+    """
+    return Circuit(layout, _d2_gates(layout, q1))
+
+
+def build_g2(layout: HoboLayout, phases: PhaseAssignment, q1: int) -> Circuit:
+    """One second-stage iteration: cost oracle R2 then diffusion D2."""
+    return Circuit(layout, _g2_gates(layout, phases, q1))
+
+
+def build_two_step(layout: HoboLayout, phases: PhaseAssignment, schedule: Schedule) -> Circuit:
+    """Full two-stage search circuit.
+
+    Marker preparation (NOT then Hadamard, leaving it in the minus
+    state), Hadamard layer on the main register, q1 first-stage
+    iterations, then q2 second-stage iterations (cost oracle first,
+    then the feasible-subspace diffusion).
+    """
+    g2 = _g2_gates(layout, phases, schedule.q1)
+    return Circuit(layout, _two_step_gates(layout, _g1_gates(layout), g2, schedule))
+
+
+def assemble_two_step(g1: Circuit, g2: Circuit, schedule: Schedule) -> Circuit:
+    """The `build_two_step` circuit from its iterations already built.
+
+    `g1` is `build_g1(layout)` and `g2` is `build_g2(layout, phases,
+    schedule.q1)`; a caller that needs those blocks anyway saves
+    building them twice.
+    """
+    if g1.layout != g2.layout:
+        raise ValueError("G1 and G2 are built for different layouts")
+    return Circuit(g1.layout, _two_step_gates(g1.layout, g1.gates, g2.gates, schedule))
+
+
+# The builders above compose the gate lists below and wrap each result
+# in one `Circuit`, so every gate is range-checked once per public call.
+
+
+def _validity_gates(layout: HoboLayout) -> list[Gate]:
     gates: list[Gate] = []
     for slot in range(layout.n):
         slot_bits = layout.slot_qubits(slot)
@@ -144,16 +243,10 @@ def build_validity_suboracle(layout: HoboLayout) -> Circuit:
             gates += _x_layer(zeros)
             gates.append(mcx(slot_bits, layout.validity_ancilla(slot, code)))
             gates += _x_layer(zeros)
-    return Circuit(layout, tuple(gates))
+    return gates
 
 
-def build_uniqueness_suboracle(layout: HoboLayout, slot_a: int, slot_b: int) -> Circuit:
-    """Raise the pair ancilla iff slots a and b hold different codes.
-
-    A CX fan XORs slot a's bits onto slot b's, an OR over the XORed bits
-    (NOT-conjugated multi-controlled NOT plus a final NOT) lands in the
-    pair ancilla, and the fan is reapplied to restore slot b.
-    """
+def _uniqueness_gates(layout: HoboLayout, slot_a: int, slot_b: int) -> list[Gate]:
     fan = [
         cx(layout.main_qubit(slot_a, b), layout.main_qubit(slot_b, b))
         for b in range(layout.k)
@@ -166,22 +259,14 @@ def build_uniqueness_suboracle(layout: HoboLayout, slot_a: int, slot_b: int) -> 
         + _x_layer(slot_b_bits)
         + [x(ancilla)]
     )
-    return Circuit(layout, tuple(fan + or_into_ancilla + fan))
+    return fan + or_into_ancilla + fan
 
 
-def build_oracle_r1(layout: HoboLayout) -> Circuit:
-    """Phase-flip feasible tour bitstrings via kickback on the marker.
-
-    Computes all validity and uniqueness ancillas, applies one
-    multi-controlled NOT onto the marker (positive controls on the pair
-    ancillas, NOT-conjugated zero controls on the validity ancillas),
-    then uncomputes the sub-oracles in reverse order so every ancilla
-    returns to zero.
-    """
-    compute: list[Gate] = list(build_validity_suboracle(layout).gates)
+def _r1_gates(layout: HoboLayout) -> list[Gate]:
+    compute = _validity_gates(layout)
     for a in range(layout.n):
         for b in range(a + 1, layout.n):
-            compute += build_uniqueness_suboracle(layout, a, b).gates
+            compute += _uniqueness_gates(layout, a, b)
 
     validity = list(range(layout.main_qubits, layout.main_qubits + layout.valid_ancillas))
     pairs = list(
@@ -195,35 +280,19 @@ def build_oracle_r1(layout: HoboLayout) -> Circuit:
         + [mcx(validity + pairs, layout.marker)]
         + _x_layer(validity)
     )
-    uncompute = [_inverse_gate(g) for g in reversed(compute)]
-    return Circuit(layout, tuple(compute + mark + uncompute))
+    return compute + mark + _inverse(compute)
 
 
-def build_diffusion_d1(layout: HoboLayout) -> Circuit:
-    """Reflection about the uniform superposition of the main register."""
+def _d1_gates(layout: HoboLayout) -> list[Gate]:
     main = _main(layout)
-    gates = (
-        [h(q) for q in main]
-        + _zero_reflection(main)
-        + [h(q) for q in main]
-    )
-    return Circuit(layout, tuple(gates))
+    return [h(q) for q in main] + _zero_reflection(main) + [h(q) for q in main]
 
 
-def build_g1(layout: HoboLayout) -> Circuit:
-    """One first-stage iteration: feasibility oracle then diffusion."""
-    return Circuit(
-        layout, build_oracle_r1(layout).gates + build_diffusion_d1(layout).gates
-    )
+def _g1_gates(layout: HoboLayout) -> list[Gate]:
+    return _r1_gates(layout) + _d1_gates(layout)
 
 
-def build_cost_oracle_r2(layout: HoboLayout, phases: PhaseAssignment) -> Circuit:
-    """Diagonal cost oracle: phase e^{i w} on each feasible tour state.
-
-    Each tour bitstring gets one multi-controlled phase gate across the
-    main register, NOT-conjugated on the tour's zero bits so the gate
-    fires on exactly that basis state.  Infeasible states are untouched.
-    """
+def _r2_gates(layout: HoboLayout, phases: PhaseAssignment) -> list[Gate]:
     if phases.n != layout.n:
         raise ValueError(f"phase dataset is for n={phases.n}, layout is n={layout.n}")
     main = _main(layout)
@@ -233,7 +302,7 @@ def build_cost_oracle_r2(layout: HoboLayout, phases: PhaseAssignment) -> Circuit
         gates += _x_layer(zeros)
         gates.append(mcp(main[:-1], main[-1], w))
         gates += _x_layer(zeros)
-    return Circuit(layout, tuple(gates))
+    return gates
 
 
 def _inverse_gate(gate: Gate) -> Gate:
@@ -242,62 +311,29 @@ def _inverse_gate(gate: Gate) -> Gate:
     return gate
 
 
-def invert_circuit(circuit: Circuit) -> Circuit:
-    """Adjoint circuit: gates reversed, phase gates negated."""
-    return Circuit(circuit.layout, tuple(_inverse_gate(g) for g in reversed(circuit.gates)))
+def _inverse(gates) -> list[Gate]:
+    return [_inverse_gate(g) for g in reversed(gates)]
 
 
 def _state_prep(layout: HoboLayout, q1: int) -> list[Gate]:
     # A = (G1)^q1 * H-layer: prepares the feasible-tour superposition.
-    gates = [h(q) for q in _main(layout)]
-    g1 = build_g1(layout).gates
-    for _ in range(q1):
-        gates += g1
-    return gates
+    return [h(q) for q in _main(layout)] + _g1_gates(layout) * q1
 
 
-def build_d2(layout: HoboLayout, q1: int) -> Circuit:
-    """Reflection about the first stage's output state.
-
-    With A the first-stage preparation (Hadamard layer plus q1 search
-    iterations), emits invert(A), a zero reflection on the main
-    register, then A, realizing 2|psi><psi| - I for psi = A|0> up to
-    global phase.
-    """
+def _d2_gates(layout: HoboLayout, q1: int) -> list[Gate]:
     if q1 < 0:
         raise ValueError(f"q1 must be non-negative, got {q1}")
     prep = _state_prep(layout, q1)
-    inverse_prep = [_inverse_gate(g) for g in reversed(prep)]
-    gates = inverse_prep + _zero_reflection(_main(layout)) + prep
-    return Circuit(layout, tuple(gates))
+    return _inverse(prep) + _zero_reflection(_main(layout)) + prep
 
 
-def build_g2(layout: HoboLayout, phases: PhaseAssignment, q1: int) -> Circuit:
-    """One second-stage iteration: cost oracle R2 then diffusion D2."""
-    return Circuit(
-        layout, build_cost_oracle_r2(layout, phases).gates + build_d2(layout, q1).gates
-    )
+def _g2_gates(layout: HoboLayout, phases: PhaseAssignment, q1: int) -> list[Gate]:
+    return _r2_gates(layout, phases) + _d2_gates(layout, q1)
 
 
-def build_two_step(layout: HoboLayout, phases: PhaseAssignment, schedule: Schedule) -> Circuit:
-    """Full two-stage search circuit.
-
-    Marker preparation (NOT then Hadamard, leaving it in the minus
-    state), Hadamard layer on the main register, q1 first-stage
-    iterations, then q2 second-stage iterations (cost oracle first,
-    then the feasible-subspace diffusion).
-    """
-    if phases.n != layout.n:
-        raise ValueError(f"phase dataset is for n={phases.n}, layout is n={layout.n}")
-    gates: list[Gate] = [x(layout.marker), h(layout.marker)]
-    gates += [h(q) for q in _main(layout)]
-    g1 = build_g1(layout).gates
-    for _ in range(schedule.q1):
-        gates += g1
-    g2 = build_g2(layout, phases, schedule.q1).gates
-    for _ in range(schedule.q2):
-        gates += g2
-    return Circuit(layout, tuple(gates))
+def _two_step_gates(layout: HoboLayout, g1, g2, schedule: Schedule) -> list[Gate]:
+    prep = [x(layout.marker), h(layout.marker)] + [h(q) for q in _main(layout)]
+    return prep + list(g1) * schedule.q1 + list(g2) * schedule.q2
 
 
 def metrics(circuit: Circuit) -> CircuitMetrics:

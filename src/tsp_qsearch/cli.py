@@ -22,7 +22,14 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .circuits import build_g1, build_g2, build_two_step, circuit_to_text, metrics
+from .circuits import (
+    assemble_two_step,
+    build_g1,
+    build_g2,
+    build_two_step,
+    circuit_to_text,
+    metrics,
+)
 from .core import (
     CapacityError,
     DatasetError,
@@ -178,12 +185,6 @@ def _schedule(args) -> Schedule:
     return Schedule(q1, q2)
 
 
-def _circuit_prefix_state(layout: HoboLayout, phases: PhaseAssignment, q1: int):
-    """State after marker prep, Hadamard layer and q1 first-stage rounds."""
-    prefix = build_two_step(layout, phases, Schedule(q1, 0))
-    return run(prefix, new_state(layout.width))
-
-
 def cmd_gen(args) -> int:
     phases = gen_gaussian_phases(args.n, args.mu, args.sigma, args.seed)
     save_phases(phases, args.out)
@@ -236,8 +237,10 @@ def cmd_sweep(args) -> int:
     else:
         layout = HoboLayout.for_cities(args.n)
         q1 = args.q1 if args.q1 is not None else optimal_q1(args.n)
-        state = _circuit_prefix_state(layout, phases, q1)
         one_g2 = build_g2(layout, phases, q1)
+        # Marker prep, Hadamard layer and q1 first-stage rounds.
+        prefix = assemble_two_step(build_g1(layout), one_g2, Schedule(q1, 0))
+        state = run(prefix, new_state(layout.width))
         p_min, p_max = [], []
         for t in range(args.t_max + 1):
             if t > 0:
@@ -272,7 +275,7 @@ def cmd_inspect(args) -> int:
 
     g1 = build_g1(layout)
     g2 = build_g2(layout, phases, schedule.q1)
-    total = build_two_step(layout, phases, schedule)
+    total = assemble_two_step(g1, g2, schedule)
 
     print(f"n={layout.n} k={layout.k} width={layout.width} q1={schedule.q1} q2={schedule.q2}")
     for name, circ in (("G1", g1), ("G2", g2), ("total", total)):

@@ -3,24 +3,38 @@
 Amplitudes are stored as one complex128 array of length 2**width, in
 C order with qubit 0 as the most significant bit of the array index, so
 a printed basis index reads exactly like the layout's bitstring (visit
-slot 1 leftmost).  Gates act in place through strided views; nothing is
-ever promoted to a dense matrix.
+slot 1 leftmost).  Gates act in place through strided views and index
+arrays; nothing is ever promoted to a dense matrix.
 
-`run` compiles a circuit's gate list once into a plan of three kernels,
-swap, H butterfly and phase multiply, with the X gates folded into the
-control polarity of the gates they conjugate (see `compile_gates`).  At
-n=4 the 2048 gates become 872 kernel calls.  The plan only changes which
-amplitudes a kernel touches, never its arithmetic, so results are
-bit-identical to gate-by-gate application.  The gate IR, gate counts and
-text dump of `circuits` are unchanged; `apply_gate` is a one-gate plan
-through the same kernels.  The kernels allocate nothing: each plan
-execution keeps its temporaries in one half-state scratch buffer, so the
-kernels' working set is 1.5 states however many gates a run has.
+`run` compiles a circuit's gate list once into a plan of kernel steps
+(see `compile_gates`).  The X gates fold into the control polarity of
+the gates they conjugate, leaving swap, H butterfly and phase-multiply
+operations.  Each run of two or more swaps then becomes one permutation
+step, `flat[moved] = flat[source]` over the positions the run moves,
+and each run of two or more H becomes one layer step, which gathers
+only the groups of amplitudes that hold a nonzero value, applies the
+same butterflies to them and scatters them back.  In the two-step
+circuit every feasibility oracle R1 is a permutation (its ancillas are
+computed and uncomputed) and leaves the ancillas at zero, so at n=4 the
+2048 gates become 96 steps: one swap, 10 permutations of 512 moved
+amplitudes, 25 H layers and 60 phase multiplies.
+
+The plan only changes which amplitudes a kernel touches, never its
+arithmetic, so every nonzero amplitude is bit-identical to gate-by-gate
+application.  A zero in a group an H layer skips may keep the other
+sign of zero; `np.array_equal` does not tell them apart, and no later
+nonzero value depends on it.  The gate IR, gate counts and text dump of
+`circuits` are unchanged; `apply_gate` is a one-gate plan, which keeps
+the plain swap, butterfly and phase kernels.  The butterflies and the
+swap keep their temporaries in one half-state scratch buffer per plan
+execution; a permutation or layer step allocates arrays only as large
+as the amplitudes it moves or gathers.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -107,11 +121,40 @@ def _phase(view: np.ndarray, scratch: np.ndarray, idx: tuple, factor: complex) -
     view[idx] *= factor
 
 
-def compile_gates(gates) -> tuple:
-    """Kernel steps equal to applying `gates` one by one.
+def _permute(view: np.ndarray, scratch: np.ndarray, moved: np.ndarray, source: np.ndarray) -> None:
+    flat = view.reshape(-1)
+    flat[moved] = flat[source]
 
-    Each step is (kernel, first index tuple, second index tuple or phase
-    factor), run as ``kernel(view, scratch, first, second)``.
+
+# The halves of a (rows, 2, stride) view, for butterflies on gathered groups.
+_LOWER = (slice(None), 0, ...)
+_UPPER = (slice(None), 1, ...)
+
+
+def _layer(view: np.ndarray, scratch: np.ndarray, groups: tuple, strides: tuple) -> None:
+    # Only groups holding a nonzero amplitude are gathered, run through
+    # the run's butterflies in order and scattered back; H maps an
+    # all-zero group to zeros.  `!= 0` on the float parts counts -0.0
+    # as zero.  A gathered group is a row of 2**m amplitudes, and the
+    # butterfly on the run's j-th qubit pairs entries 2**(m-1-j) apart.
+    shape, reduce_axes, base, inner = groups
+    occupied = (view.view(np.float64) != 0).reshape(shape)
+    for axis in reduce_axes:
+        occupied = occupied.any(axis=axis)
+    index = base[np.flatnonzero(occupied)][:, None] + inner
+    flat = view.reshape(-1)
+    block = flat[index]
+    half = scratch[: block.size // 2]
+    for stride in strides:
+        _butterfly(block.reshape(-1, 2, stride), half, _LOWER, _UPPER)
+    flat[index] = block
+
+
+def compile_gates(gates, width: int) -> tuple:
+    """Kernel steps equal to applying `gates` one by one on `width` qubits.
+
+    Each step is (kernel, first, second), run as
+    ``kernel(view, scratch, first, second)``.
 
     One forward pass keeps a Pauli-X frame: the qubits whose NOT is
     still pending.  An X gate toggles the frame and emits nothing.  A
@@ -119,16 +162,16 @@ def compile_gates(gates) -> tuple:
     framed MCP target (the gate is a symmetric diagonal); a frame on a
     CX or MCX target commutes through.  An H on a framed qubit first
     emits the pending NOT as a swap, and the frame left at the end is
-    flushed the same way.  Steps only choose which amplitudes each
-    kernel touches, never its arithmetic, so the result is bit-identical
-    to gate-by-gate application.
+    flushed the same way.  The swap, H and phase operations are then
+    fused into steps by `_fuse`.
     """
     frame: set[int] = set()
-    steps: list[tuple] = []
+    # (kernel, fixed-axis assignments, target qubit or phase factor)
+    ops: list[tuple] = []
 
     def flush(qubit: int) -> None:
         frame.discard(qubit)
-        steps.append((_swap, _axis_index({qubit: 0}), _axis_index({qubit: 1})))
+        ops.append((_swap, (), qubit))
 
     for gate in gates:
         kind, target = gate.kind, gate.target
@@ -137,19 +180,81 @@ def compile_gates(gates) -> tuple:
         elif kind is GateKind.H:
             if target in frame:
                 flush(target)
-            steps.append((_butterfly, _axis_index({target: 0}), _axis_index({target: 1})))
+            ops.append((_butterfly, (), target))
         else:
-            on = {c: int(c not in frame) for c in gate.controls}
+            on = tuple((c, int(c not in frame)) for c in gate.controls)
             if kind is GateKind.MCP:
-                idx = _axis_index({**on, target: int(target not in frame)})
-                steps.append((_phase, idx, cmath.exp(1j * gate.phase)))
+                fires = (*on, (target, int(target not in frame)))
+                ops.append((_phase, fires, cmath.exp(1j * gate.phase)))
             else:  # CX and MCX
-                steps.append(
-                    (_swap, _axis_index({**on, target: 0}), _axis_index({**on, target: 1}))
-                )
+                ops.append((_swap, on, target))
     for qubit in sorted(frame):
         flush(qubit)
+    return _fuse(ops, width)
+
+
+def _step(kernel, on: tuple, last) -> tuple:
+    """The plain kernel step of one operation of `compile_gates`."""
+    if kernel is _phase:
+        return (_phase, _axis_index(dict(on)), last)
+    return (kernel, _axis_index({**dict(on), last: 0}), _axis_index({**dict(on), last: 1}))
+
+
+def _fuse(ops: list[tuple], width: int) -> tuple:
+    """Steps for `ops`: a permutation step for each run of two or more
+    swaps, a layer step for each run of two or more H, and one kernel
+    step for every other operation.
+
+    A circuit's repeated blocks give equal runs, and each distinct run
+    is built once per compile.
+    """
+    steps: list[tuple] = []
+    built: dict[tuple, tuple] = {}
+    for kernel, run in itertools.groupby(ops, key=lambda op: op[0]):
+        run = tuple(run)
+        if kernel is _phase or len(run) == 1:
+            steps += [_step(*op) for op in run]
+            continue
+        if run not in built:
+            built[run] = _permutation(run, width) if kernel is _swap else _h_layer(run, width)
+        steps.append(built[run])
     return tuple(steps)
+
+
+def _permutation(run: tuple, width: int) -> tuple:
+    # Apply the swaps to the positions themselves: afterwards position p
+    # holds the index whose amplitude the run moves to p.
+    positions = np.arange(2**width, dtype=np.int32)
+    view = positions.reshape((2,) * width)
+    scratch = np.empty(2 ** (width - 1), dtype=np.int32)
+    for op in run:
+        _, idx0, idx1 = _step(*op)
+        _swap(view, scratch, idx0, idx1)
+    moved = np.flatnonzero(positions != np.arange(2**width, dtype=np.int32)).astype(np.int32)
+    return (_permute, moved, positions[moved])
+
+
+def _h_layer(run: tuple, width: int) -> tuple:
+    # A group is the 2**m amplitudes that share every bit outside the
+    # run's m qubits; `base` holds each group's first flat index, in the
+    # C order of the other axes, and `inner` the offsets within a group.
+    qubits = sorted({target for _, _, target in run})
+    positions = np.arange(2**width, dtype=np.int32).reshape((2,) * width)
+    base = positions[tuple(0 if a in qubits else slice(None) for a in range(width))].ravel()
+    inner = positions[tuple(slice(None) if a in qubits else 0 for a in range(width))].ravel()
+    # Occupancy is reduced over the float view, whose extra last axis
+    # splits each amplitude into its real and imaginary part.  Adjacent
+    # axes are merged and reduced outermost first: numpy reduces a long
+    # outer axis quickly and a short inner one slowly.
+    blocks = [
+        (reduced, len(list(axes)))
+        for reduced, axes in itertools.groupby([a in qubits for a in range(width)] + [True])
+    ]
+    shape = tuple(2**size for _, size in blocks)
+    reduced_at = [i for i, (reduced, _) in enumerate(blocks) if reduced]
+    reduce_axes = tuple(i - done for done, i in enumerate(reduced_at))
+    strides = tuple(2 ** (len(qubits) - 1 - qubits.index(target)) for _, _, target in run)
+    return (_layer, (shape, reduce_axes, base, inner), strides)
 
 
 def circuit_plan(circuit: Circuit) -> tuple:
@@ -160,7 +265,7 @@ def circuit_plan(circuit: Circuit) -> tuple:
     """
     plan = vars(circuit).get("_plan")
     if plan is None:
-        plan = compile_gates(circuit.gates)
+        plan = compile_gates(circuit.gates, circuit.layout.width)
         object.__setattr__(circuit, "_plan", plan)  # Circuit is frozen
     return plan
 
@@ -177,7 +282,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place and return the state."""
     if any(q >= state.width for q in gate.qubits()):
         raise ValueError(f"gate {gate} outside width {state.width}")
-    return _execute(compile_gates((gate,)), state)
+    return _execute(compile_gates((gate,), state.width), state)
 
 
 def run(circuit: Circuit, state: StateVector) -> StateVector:

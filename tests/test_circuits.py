@@ -10,6 +10,7 @@ from tsp_qsearch import (
     PhaseAssignment,
     Schedule,
     apply_gate,
+    assemble_two_step,
     build_cost_oracle_r2,
     build_d2,
     build_diffusion_d1,
@@ -71,6 +72,9 @@ class TestGateValidation:
         layout = HoboLayout.for_cities(3)
         with pytest.raises(ValueError):
             Circuit(layout, (x(13),))
+        repeated = x(0)
+        with pytest.raises(ValueError, match="target=-1"):
+            Circuit(layout, (repeated, repeated, x(-1), repeated))
 
 
 class TestValiditySuboracle:
@@ -347,6 +351,14 @@ class TestTwoStep:
         assert list(build_g2(layout, phases, schedule.q1).gates) == g2
         expected += g2 * schedule.q2
         assert list(build_two_step(layout, phases, schedule).gates) == expected
+        assembled = assemble_two_step(build_g1(layout), build_g2(layout, phases, schedule.q1), schedule)
+        assert list(assembled.gates) == expected
+
+    def test_assembly_rejects_blocks_of_different_layouts(self):
+        g1 = build_g1(HoboLayout.for_cities(3))
+        g2 = build_g2(HoboLayout.for_cities(4), builtin_phases(4), 1)
+        with pytest.raises(ValueError):
+            assemble_two_step(g1, g2, Schedule(1, 1))
 
 
 class TestMetricsAndText:

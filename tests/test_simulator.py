@@ -1,9 +1,11 @@
+import cmath
 import gc
 import math
 import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +33,29 @@ from tsp_qsearch import (
     success_probability,
 )
 from tsp_qsearch.circuits import Circuit, cx, h, mcp, mcx, x
-from tsp_qsearch.simulator import MAX_WIDTH, _butterfly, _swap, circuit_plan
+from tsp_qsearch.simulator import MAX_WIDTH, _layer, _permute, _swap, circuit_plan
 
 from helpers import prepare_main_basis
+
+
+def _reference_gate(amps: np.ndarray, gate, width: int) -> np.ndarray:
+    """One gate by the textbook formula on fresh arrays, independent of the plan."""
+    out = amps.reshape((2,) * width).copy()
+    region = [slice(None)] * width
+    for c in gate.controls:
+        region[c] = 1
+    lo, hi = list(region), list(region)
+    lo[gate.target], hi[gate.target] = 0, 1
+    lo, hi = tuple(lo), tuple(hi)
+    a, b = out[lo].copy(), out[hi].copy()
+    if gate.kind.value == "H":
+        out[lo] = (a + b) * (1 / math.sqrt(2))
+        out[hi] = (a - b) * (1 / math.sqrt(2))
+    elif gate.kind.value == "MCP":
+        out[hi] = b * cmath.exp(1j * gate.phase)
+    else:  # X, CX, MCX
+        out[lo], out[hi] = b, a
+    return out.reshape(-1)
 
 
 class TestNewState:
@@ -104,19 +126,9 @@ class TestApplyGate:
         amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
         amps /= np.linalg.norm(amps)
         for target in range(width):
-            lo = (slice(None),) * target + (0,)
-            hi = (slice(None),) * target + (1,)
-            expected = amps.reshape((2,) * width).copy()
-            a, b = expected[lo].copy(), expected[hi].copy()
-            expected[lo] = (a + b) * (1 / math.sqrt(2))
-            expected[hi] = (a - b) * (1 / math.sqrt(2))
-            got = apply_gate(StateVector(width, amps.copy()), h(target)).amplitudes
-            assert np.array_equal(got, expected.reshape(-1))
-
-            expected = amps.reshape((2,) * width).copy()
-            expected[lo], expected[hi] = expected[hi].copy(), expected[lo].copy()
-            got = apply_gate(StateVector(width, amps.copy()), x(target)).amplitudes
-            assert np.array_equal(got, expected.reshape(-1))
+            for gate in (h(target), x(target)):
+                got = apply_gate(StateVector(width, amps.copy()), gate).amplitudes
+                assert np.array_equal(got, _reference_gate(amps, gate, width))
 
 
 class TestRun:
@@ -217,6 +229,13 @@ def _x_dense_circuits(draw):
     return Circuit(_bare_layout(width), tuple(gates))
 
 
+def _assert_bit_identical_where_nonzero(got: np.ndarray, expected: np.ndarray) -> None:
+    # An all-zero group the plan skips may keep a zero of the other sign.
+    assert np.array_equal(got, expected)
+    nonzero = expected != 0
+    assert np.array_equal(got[nonzero].view(np.uint64), expected[nonzero].view(np.uint64))
+
+
 class TestCompiledPlan:
     @settings(max_examples=200, deadline=None)
     @given(circuit=_x_dense_circuits(), seed=st.integers(0, 2**32 - 1), cuts=st.lists(st.integers(0, 100), max_size=5))
@@ -239,24 +258,55 @@ class TestCompiledPlan:
             run(Circuit(circuit.layout, circuit.gates[start:stop]), sliced)
         assert np.array_equal(one_shot, sliced.amplitudes)
 
+    @settings(max_examples=200, deadline=None)
+    @given(circuit=_x_dense_circuits(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_sparse_states_match_the_per_gate_formula(self, circuit, seed, data):
+        # Supports from one basis state to dense, so H layers skip groups;
+        # purely real or imaginary values check that both parts count.
+        width = circuit.layout.width
+        size = data.draw(st.integers(1, 2**width), label="support size")
+        part = data.draw(st.sampled_from([1, 1j, 1 + 1j]), label="nonzero parts")
+        rng = np.random.default_rng(seed)
+        amps = np.zeros(2**width, dtype=np.complex128)
+        amps[rng.choice(2**width, size, replace=False)] = (
+            part.real * rng.normal(size=size) + 1j * part.imag * rng.normal(size=size)
+        )
+        amps /= np.linalg.norm(amps)
+
+        expected = amps
+        for gate in circuit.gates:
+            expected = _reference_gate(expected, gate, width)
+
+        one_shot = run(circuit, StateVector(width, amps.copy())).amplitudes
+        _assert_bit_identical_where_nonzero(one_shot, expected)
+        gate_by_gate = StateVector(width, amps.copy())
+        for gate in circuit.gates:
+            apply_gate(gate_by_gate, gate)
+        _assert_bit_identical_where_nonzero(gate_by_gate.amplitudes, expected)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_two_step_plan_swaps_only_the_marker_not(self, n):
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
         plan = circuit_plan(circuit)
 
-        def fixed_axes(index):
-            return [q for q, i in enumerate(index) if isinstance(i, int)]
+        # Every X of the IR is folded except the marker's, which an H
+        # follows: it is the only lone swap, and the only step that moves
+        # every amplitude.
+        lone_swaps = [i for i, (kernel, _, _) in enumerate(plan) if kernel is _swap]
+        assert lone_swaps == [0]
+        assert [q for q, i in enumerate(plan[0][1]) if isinstance(i, int)] == [layout.marker]
+        assert plan[1][0] is _layer
 
-        # Every X of the IR is folded except the marker's, which an H follows.
-        standalone = [i for i, (kernel, idx, _) in enumerate(plan) if kernel is _swap and len(fixed_axes(idx)) == 1]
-        assert standalone == [0]
-        assert fixed_axes(plan[0][1]) == [layout.marker]
-        assert plan[1][0] is _butterfly and fixed_axes(plan[1][1]) == [layout.marker]
-        non_x = sum(g.kind.value != "X" for g in circuit.gates)
-        assert len(plan) == non_x + 1
-        if n == 4:
-            assert len(plan) == 872
+        # Each of the 10 R1 blocks is one permutation, built once; its
+        # ancillas end at zero, so it moves only the amplitudes whose
+        # marker it flips: both marker values of each main bitstring.
+        kinds = Counter(kernel.__name__ for kernel, _, _ in plan)
+        assert kinds == {"_swap": 1, "_permute": 10, "_layer": 25, "_phase": {3: 24, 4: 60}[n]}
+        permutations = [step for step in plan if step[0] is _permute]
+        assert all(step is permutations[0] for step in permutations)
+        assert len(permutations[0][1]) == 2 ** (layout.main_qubits + 1)
+        assert len(plan) == {3: 60, 4: 96}[n]
 
     def test_plan_is_compiled_once_per_circuit(self):
         layout = HoboLayout.for_cities(3)
