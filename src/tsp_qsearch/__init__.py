@@ -66,10 +66,8 @@ from .matrix_model import (
     SearchSpace,
     appendix_experiment,
     build_cost_operator,
-    build_diffusion_operator,
     evolve,
     first_peak,
-    fullspace,
     oracle_angles,
     series_to_csv,
     state_at,
@@ -95,9 +93,8 @@ __all__ = [
     "new_state", "run", "sample", "success_probability",
     # matrix model
     "ProbabilitySeries", "SearchSpace", "appendix_experiment",
-    "build_cost_operator", "build_diffusion_operator", "evolve",
-    "first_peak", "fullspace", "oracle_angles", "series_to_csv",
-    "state_at", "subspace",
+    "build_cost_operator", "evolve", "first_peak", "oracle_angles",
+    "series_to_csv", "state_at", "subspace",
 ]
 
 __version__ = "0.1.0"

@@ -11,7 +11,8 @@ Four subcommands cover the full experiment pipeline:
               list as text.
 
 Every command is deterministic given its flags.  Exit codes: 0 success,
-2 I/O failure, 3 capacity exceeded, 4 unavailable or malformed data.
+2 usage error (argparse) or I/O failure, 3 capacity exceeded, 4
+unavailable or malformed data.
 """
 
 from __future__ import annotations
@@ -248,12 +249,7 @@ def cmd_sweep(args) -> int:
             dist = main_distribution(state, layout)
             p_min.append(dist.probs[phases.min_key])
             p_max.append(dist.probs[phases.max_key])
-        series = ProbabilitySeries(
-            times=tuple(range(args.t_max + 1)),
-            p_min=tuple(p_min),
-            p_max=tuple(p_max),
-            p_combined=tuple(a + b for a, b in zip(p_min, p_max)),
-        )
+        series = ProbabilitySeries.from_extremes(p_min, p_max)
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(series_to_csv(series))
@@ -289,18 +285,36 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def _checked(convert, ok, requirement: str):
+    """argparse type: `convert` the text, then reject values failing `ok`."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsp-qsearch",
         description="Two-stage Grover tour search: datasets, runs, sweeps, circuit metrics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    count = _checked(int, lambda v: v >= 0, "non-negative")
+    shots = _checked(int, lambda v: v >= 1, "at least 1")
+    finite = _checked(float, math.isfinite, "finite")
+    positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
 
     gen = sub.add_parser("gen", help="write a seeded Gaussian cost-phase dataset (JSON)")
     gen.add_argument("--n", type=int, required=True, help="city count")
-    gen.add_argument("--mu", type=float, default=math.pi, help="Gaussian mean (default pi)")
-    gen.add_argument("--sigma", type=float, default=0.5, help="Gaussian std dev (default 0.5)")
-    gen.add_argument("--seed", type=int, default=42, help="generator seed")
+    gen.add_argument("--mu", type=finite, default=math.pi, help="Gaussian mean (default pi)")
+    gen.add_argument("--sigma", type=positive, default=0.5, help="Gaussian std dev (default 0.5)")
+    gen.add_argument("--seed", type=count, default=42, help="generator seed")
     gen.add_argument("--out", required=True, help="output JSON path")
     gen.set_defaults(func=cmd_gen)
 
@@ -327,16 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run_p = sub.add_parser("run", parents=[common], help="run one search, write a JSON report")
-    run_p.add_argument("--q1", type=int, default=None, help="first-stage iterations (default optimal)")
-    run_p.add_argument("--q2", type=int, default=None, help="second-stage iterations (default optimal, m=2)")
-    run_p.add_argument("--shots", type=int, default=1024, help="sample count (default 1024)")
-    run_p.add_argument("--seed", type=int, default=42, help="sampling seed")
+    run_p.add_argument("--q1", type=count, default=None, help="first-stage iterations (default optimal)")
+    run_p.add_argument("--q2", type=count, default=None, help="second-stage iterations (default optimal, m=2)")
+    run_p.add_argument("--shots", type=shots, default=1024, help="sample count (default 1024)")
+    run_p.add_argument("--seed", type=count, default=42, help="sampling seed")
     run_p.add_argument("--out", required=True, help="output JSON path")
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", parents=[common], help="tabulate P(t) as CSV")
-    sweep_p.add_argument("--q1", type=int, default=None, help="first-stage iterations (default optimal)")
-    sweep_p.add_argument("--t-max", type=int, default=10, dest="t_max", help="last iteration count (default 10)")
+    sweep_p.add_argument("--q1", type=count, default=None, help="first-stage iterations (default optimal)")
+    sweep_p.add_argument("--t-max", type=count, default=10, dest="t_max", help="last iteration count (default 10)")
     sweep_p.add_argument("--out", required=True, help="output CSV path")
     sweep_p.set_defaults(func=cmd_sweep)
 

@@ -387,8 +387,10 @@ def gen_gaussian_phases(n: int, mu: float, sigma: float, seed: int) -> PhaseAssi
     resampled so the pinned extremes stay unique.  Deterministic for a
     given seed.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     keys = enumerate_feasible(n)
     min_key = encode_tour(range(1, n + 1), n)
     max_key = encode_tour(range(n, 0, -1), n)

@@ -5,11 +5,10 @@ basis with the diagonal cost operator and the reflection about the
 uniform feasible superposition.  It is the cross-check oracle for the
 circuit path and the workhorse for sizes whose circuits are out of
 reach of the dense simulator (the 5-city search space is 120 tours but
-41 qubits).
-
-Two basis modes exist: `subspace` spans only the n! feasible tours;
-`fullspace` spans all 2**(n*k) bitstrings and acts trivially off the
-feasible set, which is what the circuit realizes.
+41 qubits).  The basis is the n! feasible tours.  This is the ideal
+form of the search: its diffusion reflects about the exact feasible
+superposition, while the circuit's D2 reflects about the stage-1 state,
+which keeps a small infeasible remainder.
 
 Cost values map to oracle angles in one of two conventions.  By
 default the stored value is the angle, matching the circuit's cost
@@ -24,30 +23,18 @@ the five-city reference experiment.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .core import (
-    CapacityError,
-    PhaseAssignment,
-    bits_per_city,
-    enumerate_feasible,
-    gen_gaussian_phases,
-)
+from .core import PhaseAssignment, enumerate_feasible, gen_gaussian_phases
 from .simulator import Distribution
-
-SUBSPACE = "subspace"
-FULLSPACE = "fullspace"
-
-# Fullspace operators are dense 2**(n*k) matrices; past n=4 they serve
-# no purpose the subspace model doesn't.
-MAX_FULLSPACE_CITIES = 4
 
 
 @dataclass(frozen=True)
 class SearchSpace:
-    mode: str
     basis: tuple[str, ...]
     phases: PhaseAssignment
     rescale_costs: bool = False
@@ -62,19 +49,19 @@ class ProbabilitySeries:
     p_max: tuple[float, ...]
     p_combined: tuple[float, ...]
 
+    @classmethod
+    def from_extremes(cls, p_min, p_max) -> ProbabilitySeries:
+        """Series for t = 0, 1, ... from the per-t masses of the two extremes."""
+        return cls(
+            times=tuple(range(len(p_min))),
+            p_min=tuple(p_min),
+            p_max=tuple(p_max),
+            p_combined=tuple(a + b for a, b in zip(p_min, p_max)),
+        )
+
 
 def subspace(phases: PhaseAssignment, rescale_costs: bool = False) -> SearchSpace:
-    return SearchSpace(SUBSPACE, enumerate_feasible(phases.n), phases, rescale_costs)
-
-
-def fullspace(phases: PhaseAssignment, rescale_costs: bool = False) -> SearchSpace:
-    if phases.n > MAX_FULLSPACE_CITIES:
-        raise CapacityError(
-            f"fullspace mode supports n <= {MAX_FULLSPACE_CITIES}, got {phases.n}"
-        )
-    n_bits = phases.n * bits_per_city(phases.n)
-    basis = tuple(format(i, f"0{n_bits}b") for i in range(2**n_bits))
-    return SearchSpace(FULLSPACE, basis, phases, rescale_costs)
+    return SearchSpace(enumerate_feasible(phases.n), phases, rescale_costs)
 
 
 def oracle_angles(space: SearchSpace) -> dict[str, float]:
@@ -86,54 +73,39 @@ def oracle_angles(space: SearchSpace) -> dict[str, float]:
     return {b: 2 * math.pi * (w - lo) / (hi - lo) for b, w in phases.items()}
 
 
-def _feasible_amplitudes(space: SearchSpace) -> np.ndarray:
-    """Unit vector uniform over the feasible tours of the basis."""
-    feasible = set(enumerate_feasible(space.phases.n))
-    psi = np.array([1.0 if b in feasible else 0.0 for b in space.basis], dtype=complex)
-    return psi / np.linalg.norm(psi)
-
-
 def build_cost_operator(space: SearchSpace) -> np.ndarray:
-    """Diagonal of the cost operator: e^{i w} on tours, 1 elsewhere."""
+    """Diagonal of the cost operator: e^{i w} per tour of the basis."""
     angles = oracle_angles(space)
-    return np.array(
-        [np.exp(1j * angles[b]) if b in angles else 1.0 + 0.0j for b in space.basis]
-    )
+    return np.exp(1j * np.array([angles[b] for b in space.basis]))
 
 
-def build_diffusion_operator(space: SearchSpace) -> np.ndarray:
-    """Dense reflection 2|psi0><psi0| - I about the feasible superposition."""
-    psi0 = _feasible_amplitudes(space)
-    return 2.0 * np.outer(psi0, psi0.conj()) - np.eye(len(space.basis))
+def _iterates(space: SearchSpace) -> Iterator[np.ndarray]:
+    """psi_0, psi_1, ...: the uniform tour state, then diffusion(cost(psi)) per step.
+
+    The diffusion is the rank-1 reflection D v = 2 psi0 <psi0|v> - v
+    about the uniform superposition of the basis.
+    """
+    cost_diag = build_cost_operator(space)
+    ones = np.ones(len(space.basis), dtype=complex)
+    psi0 = ones / np.linalg.norm(ones)
+    psi = psi0
+    while True:
+        yield psi
+        psi = cost_diag * psi
+        psi = 2.0 * psi0 * np.vdot(psi0, psi) - psi
 
 
 def evolve(space: SearchSpace, t_max: int) -> ProbabilitySeries:
-    """Iterate diffusion(cost(state)) and record the extreme-tour mass.
-
-    The diffusion step uses the rank-1 identity D v = 2 psi0 <psi0|v> - v
-    rather than a dense matrix; `build_diffusion_operator` exposes the
-    equivalent operator for cross-checks.
-    """
+    """Iterate diffusion(cost(state)); record the extreme-tour mass for t = 0 .. t_max."""
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
     min_idx = space.basis.index(space.phases.min_key)
     max_idx = space.basis.index(space.phases.max_key)
-    cost_diag = build_cost_operator(space)
-    psi0 = _feasible_amplitudes(space)
-
-    psi = psi0.copy()
     p_min, p_max = [], []
-    for _ in range(t_max + 1):
+    for psi in islice(_iterates(space), t_max + 1):
         p_min.append(float(np.abs(psi[min_idx]) ** 2))
         p_max.append(float(np.abs(psi[max_idx]) ** 2))
-        psi = cost_diag * psi
-        psi = 2.0 * psi0 * np.vdot(psi0, psi) - psi
-    return ProbabilitySeries(
-        times=tuple(range(t_max + 1)),
-        p_min=tuple(p_min),
-        p_max=tuple(p_max),
-        p_combined=tuple(a + b for a, b in zip(p_min, p_max)),
-    )
+    return ProbabilitySeries.from_extremes(p_min, p_max)
 
 
 def first_peak(series: ProbabilitySeries) -> int:
@@ -149,13 +121,9 @@ def first_peak(series: ProbabilitySeries) -> int:
 
 def state_at(space: SearchSpace, t: int) -> np.ndarray:
     """State vector over the basis after t search iterations."""
-    cost_diag = build_cost_operator(space)
-    psi0 = _feasible_amplitudes(space)
-    psi = psi0.copy()
-    for _ in range(t):
-        psi = cost_diag * psi
-        psi = 2.0 * psi0 * np.vdot(psi0, psi) - psi
-    return psi
+    if t < 0:
+        raise ValueError(f"t must be non-negative, got {t}")
+    return next(islice(_iterates(space), t, None))
 
 
 def appendix_experiment(

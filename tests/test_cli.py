@@ -212,6 +212,35 @@ class TestInspect:
         assert lines[2] == "H controls=[] target=12"
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--n", "3", "--q1", "abc"],
+            ["run", "--n", "3", "--q1", "-2"],
+            ["run", "--n", "3", "--q2", "-1"],
+            ["run", "--n", "3", "--shots", "0"],
+            ["run", "--n", "3", "--seed", "-1"],
+            ["sweep", "--n", "3", "--mode", "matrix", "--t-max", "-1"],
+            ["sweep", "--n", "3", "--mode", "circuit", "--t-max", "-1"],
+            ["sweep", "--n", "3", "--mode", "circuit", "--q1", "-1"],
+            ["gen", "--n", "3", "--sigma", "0"],
+            ["gen", "--n", "3", "--sigma", "nan"],
+            ["gen", "--n", "3", "--mu", "inf"],
+            ["gen", "--n", "3", "--seed", "-1"],
+        ],
+    )
+    def test_rejected_by_the_parser(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestRunReportRoundTrip:
     def test_report_json_round_trip(self, tmp_path):
         out = tmp_path / "r.json"

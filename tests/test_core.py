@@ -264,6 +264,10 @@ class TestGaussianPhases:
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             gen_gaussian_phases(3, PI, 0.0, 1)
+        # Non-finite parameters would make the rejection sampler loop forever.
+        for mu, sigma in ((PI, math.nan), (PI, math.inf), (math.nan, 0.5), (math.inf, 0.5)):
+            with pytest.raises(ValueError):
+                gen_gaussian_phases(3, mu, sigma, 1)
         with pytest.raises(CapacityError):
             gen_gaussian_phases(1, PI, 0.5, 1)
 

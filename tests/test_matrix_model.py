@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 
 from tsp_qsearch import (
-    CapacityError,
     HoboLayout,
     PhaseAssignment,
     Schedule,
     appendix_experiment,
     build_cost_operator,
-    build_cost_oracle_r2,
-    build_diffusion_operator,
     build_two_step,
     builtin_phases,
     enumerate_feasible,
     evolve,
     first_peak,
-    fullspace,
     gen_gaussian_phases,
     main_distribution,
     new_state,
@@ -31,8 +27,6 @@ from tsp_qsearch import (
 )
 from tsp_qsearch.matrix_model import ProbabilitySeries
 
-from helpers import gates_unitary
-
 PI = math.pi
 
 # Values frozen from one explicit dense 6x6 matrix-vector product:
@@ -45,16 +39,6 @@ class TestSearchSpaces:
     def test_subspace_basis_is_feasible_enumeration(self):
         space = subspace(builtin_phases(3))
         assert space.basis == enumerate_feasible(3)
-        assert space.mode == "subspace"
-
-    def test_fullspace_basis_is_every_bitstring(self):
-        space = fullspace(builtin_phases(3))
-        assert len(space.basis) == 64
-        assert space.basis[:2] == ("000000", "000001")
-
-    def test_fullspace_capacity(self):
-        with pytest.raises(CapacityError):
-            fullspace(gen_gaussian_phases(5, PI, 0.5, 1))
 
     def test_oracle_angles_default_to_stored_values(self):
         phases = builtin_phases(3)
@@ -83,31 +67,6 @@ class TestCostOperator:
         assert diag[basis.index("000110")] == pytest.approx(np.exp(1j * PI / 2))
         assert diag[basis.index("100100")] == pytest.approx(np.exp(1j * 3 * PI / 2))
 
-    def test_fullspace_matches_circuit_cost_oracle(self):
-        layout = HoboLayout.for_cities(3)
-        phases = builtin_phases(3)
-        built = gates_unitary(build_cost_oracle_r2(layout, phases).gates, layout.main_qubits)
-        diag = build_cost_operator(fullspace(phases))
-        assert np.max(np.abs(built - np.diag(diag))) < 1e-10
-
-
-class TestDiffusionOperator:
-    def test_fixes_uniform_feasible_state(self):
-        space = subspace(builtin_phases(3))
-        op = build_diffusion_operator(space)
-        psi0 = np.full(6, 1 / math.sqrt(6))
-        assert np.max(np.abs(op @ psi0 - psi0)) < 1e-12
-
-    def test_squares_to_identity(self):
-        for space in (subspace(builtin_phases(3)), fullspace(builtin_phases(3))):
-            op = build_diffusion_operator(space)
-            assert np.max(np.abs(op @ op - np.eye(len(space.basis)))) < 1e-10
-
-    def test_subspace_entries_from_outer_product(self):
-        op = build_diffusion_operator(subspace(builtin_phases(3)))
-        expected = 2 / 6 * np.ones((6, 6)) - np.eye(6)
-        assert np.max(np.abs(op - expected)) < 1e-12
-
 
 class TestEvolve:
     def test_uniform_start(self):
@@ -134,15 +93,6 @@ class TestEvolve:
         series = evolve(subspace(phases, rescale_costs=True), 10)
         assert 5 <= first_peak(series) <= 8
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_subspace_and_fullspace_agree(self, n):
-        phases = builtin_phases(n)
-        sub = evolve(subspace(phases), 10)
-        full = evolve(fullspace(phases), 10)
-        for t in range(11):
-            assert abs(sub.p_min[t] - full.p_min[t]) < 1e-10
-            assert abs(sub.p_max[t] - full.p_max[t]) < 1e-10
-
     def test_norm_preserved_at_every_step(self):
         space = subspace(builtin_phases(4))
         for t in range(11):
@@ -159,8 +109,11 @@ class TestEvolve:
         assert first_peak(a) == first_peak(b)
 
     def test_rejects_negative_horizon(self):
-        with pytest.raises(ValueError):
-            evolve(subspace(builtin_phases(3)), -1)
+        space = subspace(builtin_phases(3))
+        with pytest.raises(ValueError, match="non-negative"):
+            evolve(space, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            state_at(space, -1)
 
 
 class TestCircuitEquivalence:
