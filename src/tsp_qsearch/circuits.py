@@ -7,25 +7,27 @@ Multi-controlled gates are kept atomic; no decomposition into a basis
 gate set is performed, so the depth metric counts every gate as one
 unit.
 
+Every block has one builder, and each builder composes the builders of
+its parts with ``Circuit``'s ``+`` (run one circuit, then the other)
+and ``* times`` (repeat), following the paper's operator products.
 Builder overview for an n-city layout:
 
 * ``build_oracle_r1`` flips the phase of exactly the feasible tour
   bitstrings via phase kickback on the marker qubit (held in the minus
-  state), computing validity and uniqueness ancillas and uncomputing
-  them in reverse order.
+  state): the validity sub-oracle, the uniqueness sub-oracle of every
+  slot pair, the marking gate, then the inverse of those sub-oracles.
 * ``build_diffusion_d1`` reflects the main register about the uniform
-  superposition.
+  superposition: Hadamard layer, zero reflection, Hadamard layer.
+* ``build_g1`` is one first-stage iteration, R1 + D1.
 * ``build_cost_oracle_r2`` imprints each tour's cost phase on its basis
   state with one conjugated multi-controlled phase gate per tour.
 * ``build_d2`` reflects about the feasible-tour superposition prepared
-  by the first stage, by conjugating a zero reflection with that
-  preparation circuit.
-* ``build_g2`` is one second-stage iteration: the cost oracle, then
-  that diffusion.
-* ``build_two_step`` chains marker preparation, the Hadamard layer, q1
-  first-stage iterations and q2 second-stage iterations.
-* ``assemble_two_step`` chains the same from G1 and G2 circuits that
-  were already built.
+  by the first stage: invert(A) + zero reflection + A, with
+  A = Hadamard layer + G1 * q1.
+* ``build_g2`` is one second-stage iteration, R2 + D2.
+* ``assemble_two_step`` chains marker preparation, the Hadamard layer,
+  G1 * q1 and G2 * q2 from G1 and G2 circuits already built;
+  ``build_two_step`` builds those two and assembles them.
 """
 
 from __future__ import annotations
@@ -93,16 +95,39 @@ def mcp(controls, target: int, phase: float) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A gate sequence on one layout, every qubit checked against its width.
+
+    ``a + b`` runs ``a`` then ``b`` (both on the same layout) and
+    ``c * times`` runs ``c`` that many times.  Their operands were
+    checked already, so neither checks the gates again.
+    """
+
     layout: HoboLayout
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        # Builders repeat Gate objects (every G1 and G2 round), so each
-        # distinct object is checked once.
-        for gate in {id(g): g for g in self.gates}.values():
+        for gate in self.gates:
             if any(q >= self.layout.width or q < 0 for q in gate.qubits()):
                 raise ValueError(f"gate {gate} outside layout width {self.layout.width}")
+
+    @classmethod
+    def _of_checked(cls, layout: HoboLayout, gates: tuple[Gate, ...]) -> Circuit:
+        # For gates already checked against `layout`: skips __post_init__.
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "layout", layout)
+        object.__setattr__(circuit, "gates", gates)
+        return circuit
+
+    def __add__(self, other: Circuit) -> Circuit:
+        if self.layout != other.layout:
+            raise ValueError("cannot join circuits built for different layouts")
+        return Circuit._of_checked(self.layout, self.gates + other.gates)
+
+    def __mul__(self, times: int) -> Circuit:
+        if times < 0:
+            raise ValueError(f"repeat count must be non-negative, got {times}")
+        return Circuit._of_checked(self.layout, self.gates * times)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -123,9 +148,14 @@ def _x_layer(qubits) -> list[Gate]:
     return [x(q) for q in qubits]
 
 
-def _zero_reflection(qubits: list[int]) -> list[Gate]:
-    # NOT-conjugated MCP(pi): phase -1 on the all-zeros state of `qubits`.
-    return _x_layer(qubits) + [mcp(qubits[:-1], qubits[-1], math.pi)] + _x_layer(qubits)
+def _h_layer(layout: HoboLayout) -> Circuit:
+    return Circuit(layout, [h(q) for q in _main(layout)])
+
+
+def _zero_reflection(layout: HoboLayout) -> Circuit:
+    # NOT-conjugated MCP(pi): phase -1 on the all-zeros main register.
+    main = _main(layout)
+    return Circuit(layout, _x_layer(main) + [mcp(main[:-1], main[-1], math.pi)] + _x_layer(main))
 
 
 def build_validity_suboracle(layout: HoboLayout) -> Circuit:
@@ -136,101 +166,6 @@ def build_validity_suboracle(layout: HoboLayout) -> Circuit:
     holds exactly that code; the slot qubits are restored after each
     conjugation.  Empty when 2**k == n.
     """
-    return Circuit(layout, _validity_gates(layout))
-
-
-def build_uniqueness_suboracle(layout: HoboLayout, slot_a: int, slot_b: int) -> Circuit:
-    """Raise the pair ancilla iff slots a and b hold different codes.
-
-    A CX fan XORs slot a's bits onto slot b's, an OR over the XORed bits
-    (NOT-conjugated multi-controlled NOT plus a final NOT) lands in the
-    pair ancilla, and the fan is reapplied to restore slot b.
-    """
-    return Circuit(layout, _uniqueness_gates(layout, slot_a, slot_b))
-
-
-def build_oracle_r1(layout: HoboLayout) -> Circuit:
-    """Phase-flip feasible tour bitstrings via kickback on the marker.
-
-    Computes all validity and uniqueness ancillas, applies one
-    multi-controlled NOT onto the marker (positive controls on the pair
-    ancillas, NOT-conjugated zero controls on the validity ancillas),
-    then uncomputes the sub-oracles in reverse order so every ancilla
-    returns to zero.
-    """
-    return Circuit(layout, _r1_gates(layout))
-
-
-def build_diffusion_d1(layout: HoboLayout) -> Circuit:
-    """Reflection about the uniform superposition of the main register."""
-    return Circuit(layout, _d1_gates(layout))
-
-
-def build_g1(layout: HoboLayout) -> Circuit:
-    """One first-stage iteration: feasibility oracle then diffusion."""
-    return Circuit(layout, _g1_gates(layout))
-
-
-def build_cost_oracle_r2(layout: HoboLayout, phases: PhaseAssignment) -> Circuit:
-    """Diagonal cost oracle: phase e^{i w} on each feasible tour state.
-
-    Each tour bitstring gets one multi-controlled phase gate across the
-    main register, NOT-conjugated on the tour's zero bits so the gate
-    fires on exactly that basis state.  Infeasible states are untouched.
-    """
-    return Circuit(layout, _r2_gates(layout, phases))
-
-
-def invert_circuit(circuit: Circuit) -> Circuit:
-    """Adjoint circuit: gates reversed, phase gates negated."""
-    return Circuit(circuit.layout, _inverse(circuit.gates))
-
-
-def build_d2(layout: HoboLayout, q1: int) -> Circuit:
-    """Reflection about the first stage's output state.
-
-    With A the first-stage preparation (Hadamard layer plus q1 search
-    iterations), emits invert(A), a zero reflection on the main
-    register, then A, realizing 2|psi><psi| - I for psi = A|0> up to
-    global phase.
-    """
-    return Circuit(layout, _d2_gates(layout, q1))
-
-
-def build_g2(layout: HoboLayout, phases: PhaseAssignment, q1: int) -> Circuit:
-    """One second-stage iteration: cost oracle R2 then diffusion D2."""
-    return Circuit(layout, _g2_gates(layout, phases, q1))
-
-
-def build_two_step(layout: HoboLayout, phases: PhaseAssignment, schedule: Schedule) -> Circuit:
-    """Full two-stage search circuit.
-
-    Marker preparation (NOT then Hadamard, leaving it in the minus
-    state), Hadamard layer on the main register, q1 first-stage
-    iterations, then q2 second-stage iterations (cost oracle first,
-    then the feasible-subspace diffusion).
-    """
-    g2 = _g2_gates(layout, phases, schedule.q1)
-    return Circuit(layout, _two_step_gates(layout, _g1_gates(layout), g2, schedule))
-
-
-def assemble_two_step(g1: Circuit, g2: Circuit, schedule: Schedule) -> Circuit:
-    """The `build_two_step` circuit from its iterations already built.
-
-    `g1` is `build_g1(layout)` and `g2` is `build_g2(layout, phases,
-    schedule.q1)`; a caller that needs those blocks anyway saves
-    building them twice.
-    """
-    if g1.layout != g2.layout:
-        raise ValueError("G1 and G2 are built for different layouts")
-    return Circuit(g1.layout, _two_step_gates(g1.layout, g1.gates, g2.gates, schedule))
-
-
-# The builders above compose the gate lists below and wrap each result
-# in one `Circuit`, so every gate is range-checked once per public call.
-
-
-def _validity_gates(layout: HoboLayout) -> list[Gate]:
     gates: list[Gate] = []
     for slot in range(layout.n):
         slot_bits = layout.slot_qubits(slot)
@@ -243,10 +178,16 @@ def _validity_gates(layout: HoboLayout) -> list[Gate]:
             gates += _x_layer(zeros)
             gates.append(mcx(slot_bits, layout.validity_ancilla(slot, code)))
             gates += _x_layer(zeros)
-    return gates
+    return Circuit(layout, gates)
 
 
-def _uniqueness_gates(layout: HoboLayout, slot_a: int, slot_b: int) -> list[Gate]:
+def build_uniqueness_suboracle(layout: HoboLayout, slot_a: int, slot_b: int) -> Circuit:
+    """Raise the pair ancilla iff slots a and b hold different codes.
+
+    A CX fan XORs slot a's bits onto slot b's, an OR over the XORed bits
+    (NOT-conjugated multi-controlled NOT plus a final NOT) lands in the
+    pair ancilla, and the fan is reapplied to restore slot b.
+    """
     fan = [
         cx(layout.main_qubit(slot_a, b), layout.main_qubit(slot_b, b))
         for b in range(layout.k)
@@ -259,14 +200,22 @@ def _uniqueness_gates(layout: HoboLayout, slot_a: int, slot_b: int) -> list[Gate
         + _x_layer(slot_b_bits)
         + [x(ancilla)]
     )
-    return fan + or_into_ancilla + fan
+    return Circuit(layout, fan + or_into_ancilla + fan)
 
 
-def _r1_gates(layout: HoboLayout) -> list[Gate]:
-    compute = _validity_gates(layout)
+def build_oracle_r1(layout: HoboLayout) -> Circuit:
+    """Phase-flip feasible tour bitstrings via kickback on the marker.
+
+    Computes all validity and uniqueness ancillas, applies one
+    multi-controlled NOT onto the marker (positive controls on the pair
+    ancillas, NOT-conjugated zero controls on the validity ancillas),
+    then uncomputes the sub-oracles in reverse order so every ancilla
+    returns to zero.
+    """
+    compute = build_validity_suboracle(layout)
     for a in range(layout.n):
         for b in range(a + 1, layout.n):
-            compute += _uniqueness_gates(layout, a, b)
+            compute += build_uniqueness_suboracle(layout, a, b)
 
     validity = list(range(layout.main_qubits, layout.main_qubits + layout.valid_ancillas))
     pairs = list(
@@ -275,24 +224,31 @@ def _r1_gates(layout: HoboLayout) -> list[Gate]:
             layout.main_qubits + layout.valid_ancillas + layout.unique_ancillas,
         )
     )
-    mark = (
-        _x_layer(validity)
-        + [mcx(validity + pairs, layout.marker)]
-        + _x_layer(validity)
+    mark = Circuit(
+        layout,
+        _x_layer(validity) + [mcx(validity + pairs, layout.marker)] + _x_layer(validity),
     )
-    return compute + mark + _inverse(compute)
+    return compute + mark + invert_circuit(compute)
 
 
-def _d1_gates(layout: HoboLayout) -> list[Gate]:
-    main = _main(layout)
-    return [h(q) for q in main] + _zero_reflection(main) + [h(q) for q in main]
+def build_diffusion_d1(layout: HoboLayout) -> Circuit:
+    """Reflection about the uniform superposition of the main register."""
+    hadamards = _h_layer(layout)
+    return hadamards + _zero_reflection(layout) + hadamards
 
 
-def _g1_gates(layout: HoboLayout) -> list[Gate]:
-    return _r1_gates(layout) + _d1_gates(layout)
+def build_g1(layout: HoboLayout) -> Circuit:
+    """One first-stage iteration: feasibility oracle then diffusion."""
+    return build_oracle_r1(layout) + build_diffusion_d1(layout)
 
 
-def _r2_gates(layout: HoboLayout, phases: PhaseAssignment) -> list[Gate]:
+def build_cost_oracle_r2(layout: HoboLayout, phases: PhaseAssignment) -> Circuit:
+    """Diagonal cost oracle: phase e^{i w} on each feasible tour state.
+
+    Each tour bitstring gets one multi-controlled phase gate across the
+    main register, NOT-conjugated on the tour's zero bits so the gate
+    fires on exactly that basis state.  Infeasible states are untouched.
+    """
     if phases.n != layout.n:
         raise ValueError(f"phase dataset is for n={phases.n}, layout is n={layout.n}")
     main = _main(layout)
@@ -302,7 +258,7 @@ def _r2_gates(layout: HoboLayout, phases: PhaseAssignment) -> list[Gate]:
         gates += _x_layer(zeros)
         gates.append(mcp(main[:-1], main[-1], w))
         gates += _x_layer(zeros)
-    return gates
+    return Circuit(layout, gates)
 
 
 def _inverse_gate(gate: Gate) -> Gate:
@@ -311,29 +267,50 @@ def _inverse_gate(gate: Gate) -> Gate:
     return gate
 
 
-def _inverse(gates) -> list[Gate]:
-    return [_inverse_gate(g) for g in reversed(gates)]
+def invert_circuit(circuit: Circuit) -> Circuit:
+    """Adjoint circuit: gates reversed, phase gates negated."""
+    gates = tuple(_inverse_gate(g) for g in reversed(circuit.gates))
+    return Circuit._of_checked(circuit.layout, gates)
 
 
-def _state_prep(layout: HoboLayout, q1: int) -> list[Gate]:
-    # A = (G1)^q1 * H-layer: prepares the feasible-tour superposition.
-    return [h(q) for q in _main(layout)] + _g1_gates(layout) * q1
+def build_d2(layout: HoboLayout, q1: int) -> Circuit:
+    """Reflection about the first stage's output state.
+
+    With A the first-stage preparation (Hadamard layer plus q1 search
+    iterations), emits invert(A), a zero reflection on the main
+    register, then A, realizing 2|psi><psi| - I for psi = A|0> up to
+    global phase.
+    """
+    prepare = _h_layer(layout) + build_g1(layout) * q1
+    return invert_circuit(prepare) + _zero_reflection(layout) + prepare
 
 
-def _d2_gates(layout: HoboLayout, q1: int) -> list[Gate]:
-    if q1 < 0:
-        raise ValueError(f"q1 must be non-negative, got {q1}")
-    prep = _state_prep(layout, q1)
-    return _inverse(prep) + _zero_reflection(_main(layout)) + prep
+def build_g2(layout: HoboLayout, phases: PhaseAssignment, q1: int) -> Circuit:
+    """One second-stage iteration: cost oracle R2 then diffusion D2."""
+    return build_cost_oracle_r2(layout, phases) + build_d2(layout, q1)
 
 
-def _g2_gates(layout: HoboLayout, phases: PhaseAssignment, q1: int) -> list[Gate]:
-    return _r2_gates(layout, phases) + _d2_gates(layout, q1)
+def build_two_step(layout: HoboLayout, phases: PhaseAssignment, schedule: Schedule) -> Circuit:
+    """Full two-stage search circuit.
+
+    Marker preparation (NOT then Hadamard, leaving it in the minus
+    state), Hadamard layer on the main register, q1 first-stage
+    iterations, then q2 second-stage iterations (cost oracle first,
+    then the feasible-subspace diffusion).
+    """
+    return assemble_two_step(build_g1(layout), build_g2(layout, phases, schedule.q1), schedule)
 
 
-def _two_step_gates(layout: HoboLayout, g1, g2, schedule: Schedule) -> list[Gate]:
-    prep = [x(layout.marker), h(layout.marker)] + [h(q) for q in _main(layout)]
-    return prep + list(g1) * schedule.q1 + list(g2) * schedule.q2
+def assemble_two_step(g1: Circuit, g2: Circuit, schedule: Schedule) -> Circuit:
+    """The `build_two_step` circuit from its iterations already built.
+
+    `g1` is `build_g1(layout)` and `g2` is `build_g2(layout, phases,
+    schedule.q1)`; a caller that needs those blocks anyway saves
+    building them twice.  Raises `ValueError` when their layouts differ.
+    """
+    layout = g1.layout
+    prep = Circuit(layout, (x(layout.marker), h(layout.marker))) + _h_layer(layout)
+    return prep + g1 * schedule.q1 + g2 * schedule.q2
 
 
 def metrics(circuit: Circuit) -> CircuitMetrics:

@@ -46,11 +46,7 @@ from .core import (
     save_phases,
 )
 from .matrix_model import ProbabilitySeries, evolve, series_to_csv, state_at, subspace
-from .simulator import Distribution, main_distribution, new_state, run, sample
-
-# The dense simulator handles the 4-city layout (15 qubits); the 5-city
-# layout needs 41 and is served by the matrix model instead.
-MAX_CIRCUIT_CITIES = 4
+from .simulator import MAX_WIDTH, Distribution, main_distribution, new_state, run, sample
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -153,9 +149,11 @@ def _load_dataset(dataset: str, n: int) -> PhaseAssignment:
 
 
 def _check_mode_capacity(mode: str, n: int) -> None:
-    if mode == "circuit" and n > MAX_CIRCUIT_CITIES:
+    # The dense simulator holds the 4-city layout (15 qubits); the 5-city
+    # layout needs 41 and is served by the matrix model instead.
+    if mode == "circuit" and HoboLayout.for_cities(n).width > MAX_WIDTH:
         raise CapacityError(
-            f"circuit mode supports n <= {MAX_CIRCUIT_CITIES}; use matrix mode for n={n}"
+            f"circuit mode simulates at most {MAX_WIDTH} qubits; use matrix mode for n={n}"
         )
     if mode == "matrix" and n > MAX_ENUM_CITIES:
         raise CapacityError(f"matrix mode supports n <= {MAX_ENUM_CITIES}")
@@ -177,7 +175,7 @@ def _resolve_rescale(cost_angles: str, mode: str, n: int) -> bool:
                 "--cost-angles rescaled is matrix-mode only"
             )
         return True
-    return mode == "matrix" and n > MAX_CIRCUIT_CITIES
+    return mode == "matrix" and HoboLayout.for_cities(n).width > MAX_WIDTH
 
 
 def _schedule(args) -> Schedule:
@@ -257,11 +255,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    if args.n > MAX_CIRCUIT_CITIES:
-        raise CapacityError(
-            f"inspect builds the full circuit and supports n <= {MAX_CIRCUIT_CITIES}"
-        )
     layout = HoboLayout.for_cities(args.n)
+    if layout.width > MAX_WIDTH:
+        raise CapacityError(
+            f"inspect builds the full circuit; n={args.n} needs {layout.width} qubits, "
+            f"more than {MAX_WIDTH}"
+        )
     try:
         phases = builtin_phases(args.n)
     except DatasetError:

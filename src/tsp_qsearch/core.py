@@ -29,6 +29,8 @@ MAX_ENUM_CITIES = 6
 
 PHASE_MIN = math.pi / 2
 PHASE_MAX = 3 * math.pi / 2
+# Least Gaussian mass inside (PHASE_MIN, PHASE_MAX) that `gen_gaussian_phases` accepts.
+MIN_INTERIOR_MASS = 1e-3
 
 
 class CapacityError(ValueError):
@@ -385,12 +387,21 @@ def gen_gaussian_phases(n: int, mu: float, sigma: float, seed: int) -> PhaseAssi
     3*pi/2; every other tour draws i.i.d. from N(mu, sigma**2), with
     draws outside the open interval (pi/2, 3*pi/2) rejected and
     resampled so the pinned extremes stay unique.  Deterministic for a
-    given seed.
+    given seed.  Raises `DatasetError` when less than
+    `MIN_INTERIOR_MASS` of N(mu, sigma**2) lies inside the interval,
+    which keeps the expected draws per tour at most 1/MIN_INTERIOR_MASS.
     """
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
+    scale = sigma * math.sqrt(2.0)
+    mass = 0.5 * (math.erf((PHASE_MAX - mu) / scale) - math.erf((PHASE_MIN - mu) / scale))
+    if mass < MIN_INTERIOR_MASS:
+        raise DatasetError(
+            f"N({mu}, {sigma}**2) puts {mass:.2e} of its mass inside (pi/2, 3*pi/2), "
+            f"below {MIN_INTERIOR_MASS}; move mu toward pi"
+        )
     keys = enumerate_feasible(n)
     min_key = encode_tour(range(1, n + 1), n)
     max_key = encode_tour(range(n, 0, -1), n)

@@ -62,9 +62,6 @@ class StateVector:
     width: int
     amplitudes: np.ndarray
 
-    def copy(self) -> StateVector:
-        return StateVector(self.width, self.amplitudes.copy())
-
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 

@@ -77,6 +77,35 @@ class TestGateValidation:
             Circuit(layout, (repeated, repeated, x(-1), repeated))
 
 
+class TestJoin:
+    def test_join_rejects_different_layouts(self):
+        with pytest.raises(ValueError, match="different layouts"):
+            build_g1(HoboLayout.for_cities(3)) + build_g1(HoboLayout.for_cities(4))
+
+    def test_join_concatenates_gates(self):
+        layout = HoboLayout.for_cities(3)
+        a, b = build_oracle_r1(layout), build_diffusion_d1(layout)
+        joined = a + b
+        assert joined.layout == layout
+        assert joined.gates == a.gates + b.gates
+
+    def test_repeat(self):
+        layout = HoboLayout.for_cities(3)
+        g1 = build_g1(layout)
+        assert (g1 * 3).gates == g1.gates * 3
+        empty = g1 * 0
+        assert empty.gates == ()
+        assert empty.layout == layout
+        with pytest.raises(ValueError, match="non-negative"):
+            g1 * -1
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_joined_circuits_meet_the_range_check(self, n):
+        layout = HoboLayout.for_cities(n)
+        circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
+        assert Circuit(circuit.layout, circuit.gates) == circuit
+
+
 class TestValiditySuboracle:
     def test_three_cities_flags_only_the_spare_code(self):
         layout = HoboLayout.for_cities(3)

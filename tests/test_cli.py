@@ -56,6 +56,12 @@ class TestGen:
         out = tmp_path / "missing" / "x.json"
         assert main(["gen", "--n", "3", "--out", str(out)]) == EXIT_IO
 
+    def test_distant_mean_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["gen", "--n", "3", "--mu", "100", "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
 
 class TestRun:
     def test_three_city_circuit_report(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from itertools import permutations
 
 import numpy as np
@@ -270,6 +271,16 @@ class TestGaussianPhases:
                 gen_gaussian_phases(3, mu, sigma, 1)
         with pytest.raises(CapacityError):
             gen_gaussian_phases(1, PI, 0.5, 1)
+
+    def test_distant_mean_is_rejected_before_drawing(self):
+        # With sigma 0.5, 7.5e-4 of the mass lies inside (pi/2, 3pi/2) at mu 6.3, 1.5e-3 at mu 6.2.
+        start = time.perf_counter()
+        for mu, sigma in ((6.3, 0.5), (PI, 1e4), (100.0, 0.5), (-100.0, 0.5)):
+            with pytest.raises(DatasetError, match="of its mass inside"):
+                gen_gaussian_phases(6, mu, sigma, 1)
+        assert time.perf_counter() - start < 1.0
+        phases = gen_gaussian_phases(3, 6.2, 0.5, 1)
+        assert all(PI / 2 <= v <= 3 * PI / 2 for v in phases.phases.values())
 
 
 class TestSchedules:
