@@ -262,7 +262,8 @@ def build_cost_oracle_r2(layout: HoboLayout, phases: PhaseAssignment) -> Circuit
 
 
 def _inverse_gate(gate: Gate) -> Gate:
-    if gate.kind is GateKind.MCP:
+    # MCP(2*pi) is the identity, its own adjoint; -2*pi is outside the phase range.
+    if gate.kind is GateKind.MCP and gate.phase != 2 * math.pi:
         return replace(gate, phase=-gate.phase)
     return gate
 

@@ -131,7 +131,14 @@ class RunReport:
 
 
 def report_to_json(report: RunReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    """Serialize a run report as one line of JSON with sorted keys.
+
+    Without an indent `json` uses its C encoder.  Only whitespace
+    differs from the indented layout earlier versions wrote,
+    which `report_from_json` still reads.  ``python -m json.tool``
+    pretty-prints the text.
+    """
+    return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def report_from_json(text: str) -> RunReport:

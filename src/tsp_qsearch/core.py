@@ -31,6 +31,8 @@ PHASE_MIN = math.pi / 2
 PHASE_MAX = 3 * math.pi / 2
 # Least Gaussian mass inside (PHASE_MIN, PHASE_MAX) that `gen_gaussian_phases` accepts.
 MIN_INTERIOR_MASS = 1e-3
+# Most normal draws `gen_gaussian_phases` makes in one batch (512 KiB of float64).
+_MAX_BATCH = 1 << 16
 
 
 class CapacityError(ValueError):
@@ -384,12 +386,15 @@ def gen_gaussian_phases(n: int, mu: float, sigma: float, seed: int) -> PhaseAssi
     """Generate a phase dataset with Gaussian-distributed interior costs.
 
     The identity tour is pinned to pi/2 and the reversed tour to
-    3*pi/2; every other tour draws i.i.d. from N(mu, sigma**2), with
-    draws outside the open interval (pi/2, 3*pi/2) rejected and
-    resampled so the pinned extremes stay unique.  Deterministic for a
-    given seed.  Raises `DatasetError` when less than
-    `MIN_INTERIOR_MASS` of N(mu, sigma**2) lies inside the interval,
-    which keeps the expected draws per tour at most 1/MIN_INTERIOR_MASS.
+    3*pi/2; every other tour, in enumeration order, takes the next
+    i.i.d. draw from N(mu, sigma**2) that lies inside the open interval
+    (pi/2, 3*pi/2), so the pinned extremes stay unique.  Draws are
+    taken in batches; numpy's `Generator` yields the same values in a
+    batch as in one call per draw, so the dataset is the one the
+    draw-by-draw rejection loop gives.  Deterministic for a given seed.
+    Raises `DatasetError` when less than `MIN_INTERIOR_MASS` of
+    N(mu, sigma**2) lies inside the interval, which keeps the expected
+    draws per tour at most 1/MIN_INTERIOR_MASS.
     """
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -406,25 +411,31 @@ def gen_gaussian_phases(n: int, mu: float, sigma: float, seed: int) -> PhaseAssi
     min_key = encode_tour(range(1, n + 1), n)
     max_key = encode_tour(range(n, 0, -1), n)
     rng = np.random.default_rng(seed)
-    phases: dict[str, float] = {}
-    for key in keys:
-        if key == min_key:
-            phases[key] = PHASE_MIN
-        elif key == max_key:
-            phases[key] = PHASE_MAX
-        else:
-            while True:
-                v = float(rng.normal(mu, sigma))
-                if PHASE_MIN < v < PHASE_MAX:
-                    phases[key] = v
-                    break
+    need = len(keys) - 2
+    interior: list[float] = []
+    while len(interior) < need:
+        # Enough draws for the missing tours on average, capped to bound memory.
+        size = min(math.ceil((need - len(interior)) / mass) + 16, _MAX_BATCH)
+        draws = rng.normal(mu, sigma, size=size)
+        interior += draws[(draws > PHASE_MIN) & (draws < PHASE_MAX)].tolist()
+    drawn = iter(interior)
+    phases = {
+        key: PHASE_MIN if key == min_key else PHASE_MAX if key == max_key else next(drawn)
+        for key in keys
+    }
     return PhaseAssignment(n, phases)
 
 
 def phases_to_json(phases: PhaseAssignment) -> str:
-    """Serialize a phase dataset as canonical JSON text."""
+    """Serialize a phase dataset as one line of JSON with sorted keys.
+
+    Without an indent `json` uses its C encoder.  Only whitespace
+    differs from the indented layout earlier versions wrote,
+    which `phases_from_json` still reads.  ``python -m json.tool``
+    pretty-prints the text.
+    """
     payload = {"n": phases.n, "phases": phases.phases}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def phases_from_json(text: str) -> PhaseAssignment:

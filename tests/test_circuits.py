@@ -299,6 +299,12 @@ class TestInvertCircuit:
         inverted = invert_circuit(Circuit(layout, (gate,)))
         assert inverted.gates[0].phase == -math.pi / 2
 
+    def test_full_turn_phase_is_its_own_inverse(self):
+        circuit = Circuit(HoboLayout.for_cities(3), [mcp([0, 1], 2, 2 * math.pi)])
+        inverted = invert_circuit(circuit)
+        assert inverted.gates[0].phase == 2 * math.pi
+        assert invert_circuit(inverted) == circuit
+
 
 class TestD2:
     def _prepared_state(self, layout, q1):

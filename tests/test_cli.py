@@ -4,8 +4,17 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsp_qsearch import builtin_phases, evolve, gen_gaussian_phases, load_phases, subspace
+from tsp_qsearch import (
+    ProbabilitySeries,
+    builtin_phases,
+    evolve,
+    gen_gaussian_phases,
+    load_phases,
+    subspace,
+)
 from tsp_qsearch.cli import (
     EXIT_CAPACITY,
     EXIT_DATA,
@@ -19,6 +28,38 @@ from tsp_qsearch.cli import (
 )
 
 PI_FLAG = "3.141592653589793"
+
+
+# Any finite float, with subnormals and values one ulp from 0, 1 and pi.
+_FLOATS = st.one_of(
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308 / 3, math.nextafter(1.0, 0.0),
+                     math.nextafter(1.0, 2.0), math.nextafter(math.pi, 4.0), -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+_COUNTS = st.integers(0, 2**40)
+
+
+@st.composite
+def _reports(draw):
+    histogram = draw(st.lists(st.builds(
+        HistogramEntry, st.text("01", max_size=8), _FLOATS, st.one_of(st.none(), st.just(0), _COUNTS)
+    ), max_size=6))
+    series = None
+    if draw(st.booleans()):
+        size = draw(st.integers(0, 6))
+        column = lambda values: draw(st.lists(values, min_size=size, max_size=size).map(tuple))
+        series = ProbabilitySeries(column(_COUNTS), column(_FLOATS), column(_FLOATS), column(_FLOATS))
+    n, k, width, q1, q2, seed, shots = draw(st.tuples(*[_COUNTS] * 7))
+    return RunReport(
+        n=n, k=k, width=width, q1=q1, q2=q2, mode=draw(st.sampled_from(["circuit", "matrix"])),
+        seed=seed, shots=shots, histogram=tuple(histogram), series=series,
+    )
+
+
+def _report_floats(report):
+    series = report.series
+    extra = [] if series is None else [*series.p_min, *series.p_max, *series.p_combined]
+    return [e.probability for e in report.histogram] + extra
 
 
 def read_csv(path):
@@ -262,6 +303,31 @@ class TestRunReportRoundTrip:
             series=series,
         )
         assert report_from_json(report_to_json(report)) == report
+
+    @settings(max_examples=200, deadline=None)
+    @given(report=_reports())
+    def test_round_trip_is_exact_for_any_report(self, report):
+        text = report_to_json(report)
+        again = report_from_json(text)
+        assert again == report
+        assert [v.hex() for v in _report_floats(again)] == [v.hex() for v in _report_floats(report)]
+
+    def test_report_is_one_line_with_sorted_keys(self, tmp_path):
+        out = tmp_path / "r.json"
+        main(["run", "--n", "3", "--dataset", "builtin", "--mode", "circuit", "--out", str(out)])
+        text = out.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        payload = json.loads(text)
+        assert list(payload) == sorted(payload)
+        assert all(list(e) == sorted(e) for e in payload["histogram"])
+        assert text.startswith('{"histogram":[{"bitstring":"000000","count":0,"probability":')
+
+    def test_indented_report_still_loads(self, tmp_path):
+        out = tmp_path / "r.json"
+        main(["run", "--n", "3", "--dataset", "builtin", "--mode", "matrix", "--out", str(out)])
+        report = report_from_json(out.read_text())
+        indented = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert report_from_json(indented) == report
 
     def test_histogram_sorted_by_bitstring(self, tmp_path):
         out = tmp_path / "r.json"

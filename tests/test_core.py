@@ -5,6 +5,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsp_qsearch import (
     CapacityError,
@@ -31,6 +33,20 @@ from tsp_qsearch.core import _BUILTIN_PREFIXES, _BUILTIN_VALUES, _regenerated_bu
 from helpers import onehot_expansion
 
 PI = math.pi
+
+
+def _scalar_gaussian_phases(n, mu, sigma, seed):
+    """Draw-by-draw rejection sampler: the reference for the batched one."""
+    keys = enumerate_feasible(n)
+    rng = np.random.default_rng(seed)
+    phases = {keys[0]: PI / 2, keys[-1]: 3 * PI / 2}
+    for key in keys[1:-1]:
+        while True:
+            v = float(rng.normal(mu, sigma))
+            if PI / 2 < v < 3 * PI / 2:
+                phases[key] = v
+                break
+    return phases
 
 
 class TestLayout:
@@ -282,6 +298,19 @@ class TestGaussianPhases:
         phases = gen_gaussian_phases(3, 6.2, 0.5, 1)
         assert all(PI / 2 <= v <= 3 * PI / 2 for v in phases.phases.values())
 
+    @pytest.mark.parametrize(
+        "n, mu, sigma, seed",
+        [(n, PI, 0.5, seed) for n in range(2, 7) for seed in range(5)]
+        # mu 6.2575 leaves 1e-3 of the mass inside the window: rejections
+        # span many batches.
+        + [(n, mu, sigma, 3) for n in range(2, 7) for mu, sigma in ((5.0, 1.0), (6.2575, 0.5))],
+    )
+    def test_batched_draws_equal_the_scalar_loop(self, n, mu, sigma, seed):
+        phases = gen_gaussian_phases(n, mu, sigma, seed).phases
+        expected = _scalar_gaussian_phases(n, mu, sigma, seed)
+        assert phases == expected
+        assert list(phases) == list(enumerate_feasible(n))
+
 
 class TestSchedules:
     def test_reference_values(self):
@@ -315,6 +344,37 @@ class TestPhaseJson:
         assert payload["n"] == 3
         assert list(payload["phases"]) == sorted(payload["phases"])
         assert phases_to_json(phases) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4))
+    def test_round_trip_is_exact_for_any_float(self, data, n):
+        # Subnormals and values one ulp from the window's ends or from pi.
+        edges = [5e-324, 2.2250738585072014e-308 / 3, math.nextafter(2 * PI, 0.0),
+                 math.nextafter(PI, 0.0), math.nextafter(PI, 4.0)]
+        value = st.one_of(
+            st.sampled_from(edges),
+            st.floats(0.0, 2 * PI, exclude_min=True, exclude_max=True, allow_subnormal=True),
+        )
+        keys = enumerate_feasible(n)
+        values = data.draw(st.lists(value, min_size=len(keys), max_size=len(keys), unique=True))
+        phases = PhaseAssignment(n, dict(zip(keys, values)))
+        again = phases_from_json(phases_to_json(phases))
+        assert again == phases
+        assert all(
+            a.hex() == b.hex() for a, b in zip(again.phases.values(), phases.phases.values())
+        )
+
+    def test_text_is_one_line_with_sorted_keys(self):
+        text = phases_to_json(gen_gaussian_phases(4, PI, 0.5, 11))
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert text.startswith('{"n":4,"phases":{"00011011":1.5707963267948966,')
+        assert list(json.loads(text)) == ["n", "phases"]
+
+    def test_indented_layout_still_loads(self):
+        phases = gen_gaussian_phases(4, PI, 0.5, 11)
+        payload = {"n": phases.n, "phases": phases.phases}
+        indented = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert phases_from_json(indented) == phases
 
     def test_malformed_payloads(self):
         with pytest.raises(DatasetError):

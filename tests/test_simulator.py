@@ -198,12 +198,13 @@ def _bare_layout(width: int) -> HoboLayout:
 
 
 @st.composite
-def _x_dense_circuits(draw):
+def _x_dense_circuits(draw, phases=st.floats(-math.pi, math.pi)):
     """Random gates of all five kinds, most of them wrapped in runs of X.
 
     X gates land before and after gates on their controls and targets
     (and before H), and the trailing X's are drawn independently of the
-    leading ones, so circuits often end with a NOT still pending.
+    leading ones, so circuits often end with a NOT still pending.  MCP
+    phases are drawn from `phases`.
     """
     width = draw(st.integers(1, 6))
     kinds = ["H", "X", "MCP"] + (["CX", "MCX"] if width >= 2 else [])
@@ -221,7 +222,7 @@ def _x_dense_circuits(draw):
             elif kind == "MCX":
                 core = mcx(controls, target)
             else:
-                core = mcp(controls, target, draw(st.floats(-math.pi, math.pi)))
+                core = mcp(controls, target, draw(phases))
         involved = st.sampled_from(core.qubits())
         gates += [x(q) for q in draw(st.lists(involved, max_size=4))]
         gates.append(core)
@@ -318,6 +319,23 @@ class TestCompiledPlan:
         del circuit
         gc.collect()
         assert freed() is None
+
+
+class TestInverseRun:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        circuit=_x_dense_circuits(
+            phases=st.one_of(st.just(2 * math.pi), st.floats(-2 * math.pi, 2 * math.pi, exclude_min=True))
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inverse_restores_random_states(self, circuit, seed):
+        width = circuit.layout.width
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
+        amps /= np.linalg.norm(amps)
+        state = run(invert_circuit(circuit), run(circuit, StateVector(width, amps.copy())))
+        assert np.max(np.abs(state.amplitudes - amps)) < 1e-12
 
 
 class TestLinearity:
