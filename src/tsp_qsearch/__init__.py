@@ -49,6 +49,7 @@ from .circuits import (
     circuit_to_text,
     invert_circuit,
     metrics,
+    two_step_iterations,
 )
 from .simulator import (
     Distribution,
@@ -87,7 +88,7 @@ __all__ = [
     "build_cost_oracle_r2", "build_d2", "build_diffusion_d1", "build_g1",
     "build_g2", "build_oracle_r1", "build_two_step", "build_uniqueness_suboracle",
     "build_validity_suboracle", "circuit_to_text", "invert_circuit",
-    "metrics",
+    "metrics", "two_step_iterations",
     # simulator
     "Distribution", "NormError", "StateVector", "apply_gate", "main_distribution",
     "new_state", "run", "sample", "success_probability",

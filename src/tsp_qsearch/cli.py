@@ -23,14 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .circuits import (
-    assemble_two_step,
-    build_g1,
-    build_g2,
-    build_two_step,
-    circuit_to_text,
-    metrics,
-)
+from .circuits import build_two_step, circuit_to_text, metrics, two_step_iterations
 from .core import (
     CapacityError,
     DatasetError,
@@ -243,9 +236,9 @@ def cmd_sweep(args) -> int:
     else:
         layout = HoboLayout.for_cities(args.n)
         q1 = args.q1 if args.q1 is not None else optimal_q1(args.n)
-        one_g2 = build_g2(layout, phases, q1)
         # Marker prep, Hadamard layer and q1 first-stage rounds.
-        prefix = assemble_two_step(build_g1(layout), one_g2, Schedule(q1, 0))
+        prefix = build_two_step(layout, phases, Schedule(q1, 0))
+        _, one_g2 = two_step_iterations(prefix)
         state = run(prefix, new_state(layout.width))
         p_min, p_max = [], []
         for t in range(args.t_max + 1):
@@ -275,9 +268,8 @@ def cmd_inspect(args) -> int:
         phases = gen_gaussian_phases(args.n, math.pi, 0.5, 0)
     schedule = Schedule(optimal_q1(args.n), optimal_q2(args.n, 2))
 
-    g1 = build_g1(layout)
-    g2 = build_g2(layout, phases, schedule.q1)
-    total = assemble_two_step(g1, g2, schedule)
+    total = build_two_step(layout, phases, schedule)
+    g1, g2 = two_step_iterations(total)
 
     print(f"n={layout.n} k={layout.k} width={layout.width} q1={schedule.q1} q2={schedule.q2}")
     for name, circ in (("G1", g1), ("G2", g2), ("total", total)):

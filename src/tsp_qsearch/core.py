@@ -439,13 +439,18 @@ def phases_to_json(phases: PhaseAssignment) -> str:
 
 
 def phases_from_json(text: str) -> PhaseAssignment:
-    """Parse a phase dataset from JSON text produced by phases_to_json."""
+    """Parse a phase dataset from JSON text produced by phases_to_json.
+
+    `n` must be a JSON integer and `phases` an object of JSON numbers;
+    anything else raises `DatasetError`.
+    """
     try:
         payload = json.loads(text)
-        n = int(payload["n"])
-        raw = payload["phases"]
-        phase_map = {str(key): float(value) for key, value in raw.items()}
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        n, raw = payload["n"], payload["phases"]
+        if type(n) is not int or type(raw) is not dict or not {type(v) for v in raw.values()} <= {int, float}:
+            raise TypeError("n must be an integer and phases an object of numbers")
+        phase_map = {key: float(value) for key, value in raw.items()}
+    except (json.JSONDecodeError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise DatasetError(f"malformed phase dataset: {exc}") from exc
     return PhaseAssignment(n, phase_map)
 
@@ -456,5 +461,10 @@ def save_phases(phases: PhaseAssignment, path) -> None:
 
 
 def load_phases(path) -> PhaseAssignment:
+    """Read a phase dataset; raises `DatasetError` unless it is UTF-8 JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        return phases_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"phase dataset is not UTF-8 text: {exc}") from exc
+    return phases_from_json(text)

@@ -9,9 +9,11 @@ arrays; nothing is ever promoted to a dense matrix.
 `run` compiles a circuit's gate list once into a plan of kernel steps
 (see `compile_gates`).  The X gates fold into the control polarity of
 the gates they conjugate, leaving swap, H butterfly and phase-multiply
-operations.  Each run of two or more swaps then becomes one permutation
-step, `flat[moved] = flat[source]` over the positions the run moves,
-and each run of two or more H becomes one layer step, which gathers
+operations; this frame pass runs once per distinct block of the
+circuit and X frame it is entered with (see `circuit_plan`).  Each
+run of two or more swaps then becomes one permutation step,
+`flat[moved] = flat[source]` over the positions the run moves, and
+each run of two or more H becomes one layer step, which gathers
 only the groups of amplitudes that hold a nonzero value, applies the
 same butterflies to them and scatters them back.  In the two-step
 circuit every feasibility oracle R1 is a permutation (its ancillas are
@@ -20,10 +22,14 @@ computed and uncomputed) and leaves the ancillas at zero, so at n=4 the
 amplitudes, 25 H layers and 60 phase multiplies.
 
 The plan only changes which amplitudes a kernel touches, never its
-arithmetic, so every nonzero amplitude is bit-identical to gate-by-gate
-application.  A zero in a group an H layer skips may keep the other
-sign of zero; `np.array_equal` does not tell them apart, and no later
-nonzero value depends on it.  The gate IR, gate counts and text dump of
+arithmetic.  So the state is `np.array_equal` to gate-by-gate
+application, and every nonzero real and imaginary part is bit-identical
+to it; a zero part may have either sign.  A group an H layer skips
+keeps its zeros where the gate-by-gate butterflies may write -0.0, and
+a later H can carry such a sign into the zero real or imaginary part of
+a nonzero amplitude (-0.0+0.5j against 0.0+0.5j).  Matching the
+signs would mean gathering every group that holds a -0.0, and the
+phase kernel leaves many.  The gate IR, gate counts and text dump of
 `circuits` are unchanged; `apply_gate` is a one-gate plan, which keeps
 the plain swap, butterfly and phase kernels.  The butterflies and the
 swap keep their temporaries in one half-state scratch buffer per plan
@@ -162,21 +168,23 @@ def compile_gates(gates, width: int) -> tuple:
     flushed the same way.  The swap, H and phase operations are then
     fused into steps by `_fuse`.
     """
-    frame: set[int] = set()
+    ops, frame = _frame_pass(gates, frozenset())
+    return _fuse(ops + _flush(frame), width)
+
+
+def _frame_pass(gates, frame: frozenset) -> tuple[list[tuple], frozenset]:
+    """The operations of `gates` entered with the X `frame`, and the frame they leave."""
+    frame = set(frame)
     # (kernel, fixed-axis assignments, target qubit or phase factor)
     ops: list[tuple] = []
-
-    def flush(qubit: int) -> None:
-        frame.discard(qubit)
-        ops.append((_swap, (), qubit))
-
     for gate in gates:
         kind, target = gate.kind, gate.target
         if kind is GateKind.X:
             frame ^= {target}
         elif kind is GateKind.H:
             if target in frame:
-                flush(target)
+                frame.discard(target)
+                ops.append((_swap, (), target))
             ops.append((_butterfly, (), target))
         else:
             on = tuple((c, int(c not in frame)) for c in gate.controls)
@@ -185,9 +193,11 @@ def compile_gates(gates, width: int) -> tuple:
                 ops.append((_phase, fires, cmath.exp(1j * gate.phase)))
             else:  # CX and MCX
                 ops.append((_swap, on, target))
-    for qubit in sorted(frame):
-        flush(qubit)
-    return _fuse(ops, width)
+    return ops, frozenset(frame)
+
+
+def _flush(frame: frozenset) -> list[tuple]:
+    return [(_swap, (), qubit) for qubit in sorted(frame)]
 
 
 def _step(kernel, on: tuple, last) -> tuple:
@@ -257,14 +267,35 @@ def _h_layer(run: tuple, width: int) -> tuple:
 def circuit_plan(circuit: Circuit) -> tuple:
     """The circuit's compiled steps, built on first use.
 
-    The plan is kept on the circuit instance, not in a module-level
-    cache, so it is freed together with its circuit.
+    Step for step the plan of `compile_gates(circuit.gates, width)`,
+    but the frame pass runs once per distinct part of the circuit and
+    X frame it is entered with, and the parts' operations are joined
+    before `_fuse`.  The plan is kept on the circuit instance, not in a
+    module-level cache, so it is freed together with its circuit.
     """
     plan = vars(circuit).get("_plan")
     if plan is None:
-        plan = compile_gates(circuit.gates, circuit.layout.width)
+        ops, frame = _block_pass(circuit, frozenset(), {})
+        plan = _fuse(ops + _flush(frame), circuit.layout.width)
         object.__setattr__(circuit, "_plan", plan)  # Circuit is frozen
     return plan
+
+
+def _block_pass(circuit: Circuit, frame: frozenset, passes: dict) -> tuple[list[tuple], frozenset]:
+    """`_frame_pass` of the circuit's gates, joined from its parts' passes,
+    each kept in `passes` by (part, entry frame)."""
+    key = (id(circuit), frame)
+    if key not in passes:
+        if circuit.parts:
+            ops: list[tuple] = []
+            for part, times in circuit.parts:
+                for _ in range(times):
+                    part_ops, frame = _block_pass(part, frame, passes)
+                    ops += part_ops
+            passes[key] = (ops, frame)
+        else:
+            passes[key] = _frame_pass(circuit.gates, frame)
+    return passes[key]
 
 
 def _execute(plan: tuple, state: StateVector) -> StateVector:

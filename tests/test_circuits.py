@@ -23,12 +23,16 @@ from tsp_qsearch import (
     builtin_phases,
     circuit_to_text,
     enumerate_feasible,
+    gen_gaussian_phases,
     invert_circuit,
     main_distribution,
     metrics,
     new_state,
+    optimal_q1,
+    optimal_q2,
     run,
     success_probability,
+    two_step_iterations,
 )
 from tsp_qsearch.circuits import Circuit, Gate, GateKind, cx, h, mcp, mcx, x
 
@@ -93,11 +97,24 @@ class TestJoin:
         layout = HoboLayout.for_cities(3)
         g1 = build_g1(layout)
         assert (g1 * 3).gates == g1.gates * 3
+        assert (g1 * 3).parts[0][0] is g1
         empty = g1 * 0
         assert empty.gates == ()
         assert empty.layout == layout
         with pytest.raises(ValueError, match="non-negative"):
             g1 * -1
+
+    def test_two_step_repeats_one_g1_object(self):
+        layout = HoboLayout.for_cities(3)
+        phases = builtin_phases(3)
+        total = build_two_step(layout, phases, Schedule(2, 3))
+        g1, g2 = two_step_iterations(total)
+        assert g1 == build_g1(layout) and g2 == build_g2(layout, phases, 2)
+        assert [(id(part), times) for part, times in total.parts[-2:]] == [(id(g1), 2), (id(g2), 3)]
+        # D2 = invert(A) + zero reflection + A, with A = H layer + G1 * q1.
+        d2_parts = [(id(part), times) for part, times in g2.parts]
+        assert (id(g1), 2) in d2_parts and (id(invert_circuit(g1)), 2) in d2_parts
+        assert invert_circuit(invert_circuit(g1)) is g1
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_joined_circuits_meet_the_range_check(self, n):
@@ -413,6 +430,18 @@ class TestMetricsAndText:
         assert len(g1) == expect["gates"]
         assert m.unit_depth == expect["unit_depth"]
         assert m.gate_counts == expect["gate_counts"]
+
+    @pytest.mark.parametrize("n", ["3", "4", "5", "6"])
+    def test_two_step_metrics_locked_to_golden(self, n):
+        # Gate structure depends on n only; n=5 and 6 have no builtin dataset.
+        layout = HoboLayout.for_cities(int(n))
+        phases = gen_gaussian_phases(int(n), math.pi, 0.5, 0)
+        total = build_two_step(layout, phases, Schedule(optimal_q1(int(n)), optimal_q2(int(n), 2)))
+        for name, circuit in zip(("G1", "G2", "total"), (*two_step_iterations(total), total)):
+            m = metrics(circuit)
+            expect = GOLDEN[n][name]
+            assert (len(circuit), m.width, m.unit_depth) == (expect["gates"], expect["width"], expect["unit_depth"])
+            assert m.gate_counts == expect["gate_counts"]
 
     def test_text_dump_format(self):
         layout = HoboLayout.for_cities(3)

@@ -1,6 +1,10 @@
 import csv
+import hashlib
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
@@ -54,6 +58,33 @@ def _reports(draw):
         n=n, k=k, width=width, q1=q1, q2=q2, mode=draw(st.sampled_from(["circuit", "matrix"])),
         seed=seed, shots=shots, histogram=tuple(histogram), series=series,
     )
+
+
+# JSON values of every type, nested up to a few levels.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _broken_datasets(draw):
+    """File contents that are no 3-city dataset: random bytes, or the
+    builtin dataset's JSON with a wrong type (or an unusable integer) in
+    `n`, in `phases`, or in one phase."""
+    kind = draw(st.sampled_from(["bytes", "n", "phases", "phase"]))
+    if kind == "bytes":
+        return draw(st.sampled_from([b"", b"\xff\xfe", b'{"n": 3, "phases": '])) + draw(st.binary(max_size=64))
+    n, phases = 3, dict(builtin_phases(3).phases)
+    if kind == "n":
+        n = draw(_JSON_VALUES.filter(lambda v: type(v) is not int) | st.integers().filter(lambda v: v != 3))
+    elif kind == "phases":
+        phases = draw(_JSON_VALUES.filter(lambda v: type(v) is not dict))
+    else:
+        not_numbers = _JSON_VALUES.filter(lambda v: type(v) not in (int, float))
+        phases[draw(st.sampled_from(sorted(phases)))] = draw(not_numbers | st.integers(min_value=2**1024))
+    return json.dumps({"n": n, "phases": phases}).encode()
 
 
 def _report_floats(report):
@@ -161,6 +192,25 @@ class TestRun:
         bad.write_text("{not json")
         assert main(["run", "--n", "3", "--dataset", str(bad), "--out", str(tmp_path / "r.json")]) == EXIT_DATA
 
+    def test_non_utf8_dataset_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + '{"n": 3}'.encode("utf-16-le"))
+        assert main(["run", "--n", "3", "--dataset", str(bad), "--out", str(tmp_path / "r.json")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error:")
+
+    @settings(max_examples=150, deadline=None)
+    @given(content=_broken_datasets())
+    def test_broken_datasets_exit_with_a_documented_code(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset = Path(tmp) / "phases.json"
+            dataset.write_bytes(content)
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = main(["run", "--n", "3", "--dataset", str(dataset), "--out", str(Path(tmp) / "r.json")])
+        assert code in (EXIT_IO, EXIT_CAPACITY, EXIT_DATA)
+        assert err.getvalue().startswith("error:")
+        assert "Traceback" not in err.getvalue()
+
     def test_dataset_city_count_mismatch(self, tmp_path):
         dataset = tmp_path / "p4.json"
         main(["gen", "--n", "4", "--seed", "1", "--out", str(dataset)])
@@ -257,6 +307,20 @@ class TestInspect:
         assert lines[0] == "width=13 n=3 k=2"
         assert lines[1] == "X controls=[] target=12"  # marker preparation
         assert lines[2] == "H controls=[] target=12"
+
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (3, "62c626fedbce7a553eac8c499f8cf17a6d1cdfa9f4ecdfc4ab6ded55abda0aa6"),
+            (4, "e54db3570abab7b13261d7ad4551b8ddcb938273da44eb1fcf5195ba78216d39"),
+        ],
+    )
+    def test_gate_dump_is_byte_identical(self, n, digest, tmp_path, capsys):
+        out = tmp_path / "dump.txt"
+        assert main(["inspect", "--n", str(n), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestUsageErrors:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsp_qsearch import (
@@ -24,16 +24,26 @@ from tsp_qsearch import (
     build_g1,
     build_two_step,
     builtin_phases,
+    circuit_to_text,
     enumerate_feasible,
     invert_circuit,
     main_distribution,
+    metrics,
     new_state,
     run,
     sample,
     success_probability,
 )
-from tsp_qsearch.circuits import Circuit, cx, h, mcp, mcx, x
-from tsp_qsearch.simulator import MAX_WIDTH, _layer, _permute, _swap, circuit_plan
+from tsp_qsearch.circuits import Circuit, CircuitMetrics, cx, h, mcp, mcx, x
+from tsp_qsearch.simulator import (
+    MAX_WIDTH,
+    _execute,
+    _layer,
+    _permute,
+    _swap,
+    circuit_plan,
+    compile_gates,
+)
 
 from helpers import prepare_main_basis
 
@@ -197,8 +207,7 @@ def _bare_layout(width: int) -> HoboLayout:
     )
 
 
-@st.composite
-def _x_dense_circuits(draw, phases=st.floats(-math.pi, math.pi)):
+def _x_dense_gates(draw, width: int, phases, max_gates: int = 24) -> list:
     """Random gates of all five kinds, most of them wrapped in runs of X.
 
     X gates land before and after gates on their controls and targets
@@ -206,10 +215,9 @@ def _x_dense_circuits(draw, phases=st.floats(-math.pi, math.pi)):
     leading ones, so circuits often end with a NOT still pending.  MCP
     phases are drawn from `phases`.
     """
-    width = draw(st.integers(1, 6))
     kinds = ["H", "X", "MCP"] + (["CX", "MCX"] if width >= 2 else [])
     gates = []
-    for _ in range(draw(st.integers(0, 24))):
+    for _ in range(draw(st.integers(0, max_gates))):
         kind = draw(st.sampled_from(kinds))
         order = draw(st.permutations(range(width)))
         if kind in ("H", "X"):
@@ -227,14 +235,64 @@ def _x_dense_circuits(draw, phases=st.floats(-math.pi, math.pi)):
         gates += [x(q) for q in draw(st.lists(involved, max_size=4))]
         gates.append(core)
         gates += [x(q) for q in draw(st.lists(involved, max_size=4))]
-    return Circuit(_bare_layout(width), tuple(gates))
+    return gates
+
+
+@st.composite
+def _x_dense_circuits(draw, phases=st.floats(-math.pi, math.pi)):
+    """One circuit of `_x_dense_gates` on 1 to 6 qubits."""
+    width = draw(st.integers(1, 6))
+    return Circuit(_bare_layout(width), tuple(_x_dense_gates(draw, width, phases)))
+
+
+_ANY_PHASE = st.one_of(st.just(2 * math.pi), st.floats(-2 * math.pi, 2 * math.pi, exclude_min=True))
+
+
+@st.composite
+def _composed_circuits(draw) -> list:
+    """Circuits on one layout, each a leaf of `_x_dense_gates` or made from
+    earlier ones by +, * (0 to 3 times), invert_circuit or a + b +
+    invert(a), so parts are shared between them and repeated within them."""
+    width = draw(st.integers(1, 6))
+    layout = _bare_layout(width)
+
+    def leaf():
+        return Circuit(layout, _x_dense_gates(draw, width, _ANY_PHASE, max_gates=6))
+
+    made = [leaf()]
+    for _ in range(draw(st.integers(0, 6))):
+        step = draw(st.sampled_from(["leaf", "+", "*", "invert", "uncompute"]))
+        a = draw(st.sampled_from(made))
+        if step == "leaf":
+            made.append(leaf())
+        elif step == "+":
+            made.append(a + draw(st.sampled_from(made)))
+        elif step == "uncompute":  # as R1 and D2 are built
+            made.append(a + draw(st.sampled_from(made)) + invert_circuit(a))
+        elif step == "*":
+            made.append(a * draw(st.integers(0, 3)))
+        else:
+            made.append(invert_circuit(a))
+    return made
+
+
+def _walked_metrics(gates, width: int) -> CircuitMetrics:
+    """Unit depth and gate counts by one walk over the gates."""
+    depth_at: dict[int, int] = {}
+    for gate in gates:
+        level = 1 + max(depth_at.get(q, 0) for q in gate.qubits())
+        for q in gate.qubits():
+            depth_at[q] = level
+    counts = Counter(g.kind.value for g in gates)
+    return CircuitMetrics(width, max(depth_at.values(), default=0), dict(sorted(counts.items())))
 
 
 def _assert_bit_identical_where_nonzero(got: np.ndarray, expected: np.ndarray) -> None:
-    # An all-zero group the plan skips may keep a zero of the other sign.
+    # A zero real or imaginary part may have either sign (see `simulator`).
     assert np.array_equal(got, expected)
-    nonzero = expected != 0
-    assert np.array_equal(got[nonzero].view(np.uint64), expected[nonzero].view(np.uint64))
+    got_parts, expected_parts = got.view(np.float64), expected.view(np.float64)
+    nonzero = expected_parts != 0
+    assert np.array_equal(got_parts[nonzero].view(np.uint64), expected_parts[nonzero].view(np.uint64))
 
 
 class TestCompiledPlan:
@@ -260,13 +318,27 @@ class TestCompiledPlan:
         assert np.array_equal(one_shot, sliced.amplitudes)
 
     @settings(max_examples=200, deadline=None)
-    @given(circuit=_x_dense_circuits(), seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_sparse_states_match_the_per_gate_formula(self, circuit, seed, data):
+    @given(
+        circuit=_x_dense_circuits(),
+        seed=st.integers(0, 2**32 - 1),
+        support=st.integers(0, 2**6 - 1),
+        part=st.sampled_from([1, 1j, 1 + 1j]),
+    )
+    # An H layer skips all-zero groups, whose zeros keep a sign that the
+    # per-gate formula changes, and the last H carries that sign into the
+    # zero real part of a nonzero amplitude: the plan gives -0.0+0.5j
+    # where the formula gives 0.0+0.5j.
+    @example(
+        circuit=Circuit(_bare_layout(5), (x(2), *[h(0)] * 10, mcp((), 0, 2.0), *[h(0)] * 5, h(2))),
+        seed=0,
+        support=0,
+        part=1j,
+    )
+    def test_sparse_states_match_the_per_gate_formula(self, circuit, seed, support, part):
         # Supports from one basis state to dense, so H layers skip groups;
         # purely real or imaginary values check that both parts count.
         width = circuit.layout.width
-        size = data.draw(st.integers(1, 2**width), label="support size")
-        part = data.draw(st.sampled_from([1, 1j, 1 + 1j]), label="nonzero parts")
+        size = 1 + support % 2**width
         rng = np.random.default_rng(seed)
         amps = np.zeros(2**width, dtype=np.complex128)
         amps[rng.choice(2**width, size, replace=False)] = (
@@ -321,14 +393,43 @@ class TestCompiledPlan:
         assert freed() is None
 
 
+class TestBlockStructure:
+    @settings(max_examples=150, deadline=None)
+    @given(made=_composed_circuits(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_composed_circuits_match_their_flat_gate_list(self, made, seed, data):
+        # In a drawn order, so a part's results may be kept on it already.
+        for i in data.draw(st.permutations(range(len(made))), label="order"):
+            circuit = made[i]
+            flat = Circuit(circuit.layout, circuit.gates)
+            assert len(circuit) == len(circuit.gates)
+            assert circuit == flat and hash(circuit) == hash(flat)
+            assert metrics(circuit) == _walked_metrics(circuit.gates, circuit.layout.width)
+            assert circuit_to_text(circuit) == circuit_to_text(flat)
+
+        circuit = made[-1]
+        width = circuit.layout.width
+        plan, flat_plan = circuit_plan(circuit), compile_gates(circuit.gates, width)
+        assert [step[0] for step in plan] == [step[0] for step in flat_plan]
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
+        amps /= np.linalg.norm(amps)
+        flat = run(Circuit(circuit.layout, circuit.gates), StateVector(width, amps.copy()))
+        assert np.array_equal(run(circuit, StateVector(width, amps.copy())).amplitudes, flat.amplitudes)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_two_step_plan_is_the_flat_gate_list_plan(self, n):
+        layout = HoboLayout.for_cities(n)
+        circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
+        plan, flat_plan = circuit_plan(circuit), compile_gates(circuit.gates, layout.width)
+        assert [step[0] for step in plan] == [step[0] for step in flat_plan]
+        state = run(circuit, new_state(layout.width))
+        flat = _execute(flat_plan, new_state(layout.width))
+        assert np.array_equal(state.amplitudes, flat.amplitudes)
+
+
 class TestInverseRun:
     @settings(max_examples=100, deadline=None)
-    @given(
-        circuit=_x_dense_circuits(
-            phases=st.one_of(st.just(2 * math.pi), st.floats(-2 * math.pi, 2 * math.pi, exclude_min=True))
-        ),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(circuit=_x_dense_circuits(phases=_ANY_PHASE), seed=st.integers(0, 2**32 - 1))
     def test_inverse_restores_random_states(self, circuit, seed):
         width = circuit.layout.width
         rng = np.random.default_rng(seed)
