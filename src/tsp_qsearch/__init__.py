@@ -36,7 +36,6 @@ from .circuits import (
     CircuitMetrics,
     Gate,
     GateKind,
-    assemble_two_step,
     build_cost_oracle_r2,
     build_d2,
     build_diffusion_d1,
@@ -84,11 +83,10 @@ __all__ = [
     "load_phases", "optimal_q1", "optimal_q2", "phases_from_json",
     "phases_to_json", "save_phases",
     # circuits
-    "Circuit", "CircuitMetrics", "Gate", "GateKind", "assemble_two_step",
-    "build_cost_oracle_r2", "build_d2", "build_diffusion_d1", "build_g1",
-    "build_g2", "build_oracle_r1", "build_two_step", "build_uniqueness_suboracle",
-    "build_validity_suboracle", "circuit_to_text", "invert_circuit",
-    "metrics", "two_step_iterations",
+    "Circuit", "CircuitMetrics", "Gate", "GateKind", "build_cost_oracle_r2",
+    "build_d2", "build_diffusion_d1", "build_g1", "build_g2", "build_oracle_r1",
+    "build_two_step", "build_uniqueness_suboracle", "build_validity_suboracle",
+    "circuit_to_text", "invert_circuit", "metrics", "two_step_iterations",
     # simulator
     "Distribution", "NormError", "StateVector", "apply_gate", "main_distribution",
     "new_state", "run", "sample", "success_probability",

@@ -25,10 +25,9 @@ Builder overview for an n-city layout:
   by the first stage: invert(A) + zero reflection + A, with
   A = Hadamard layer + G1 * q1.
 * ``build_g2`` is one second-stage iteration, R2 + D2.
-* ``assemble_two_step`` chains marker preparation, the Hadamard layer,
-  G1 * q1 and G2 * q2 from G1 and G2 circuits already built;
-  ``build_two_step`` builds one G1, which its D2 repeats too, and
-  assembles them.  ``two_step_iterations`` gives that G1 and G2 back.
+* ``build_two_step`` chains marker preparation, the Hadamard layer,
+  G1 * q1 and G2 * q2, building one G1 that its D2 repeats too.
+  ``two_step_iterations`` gives that G1 and G2 back.
 
 A ``Circuit`` keeps the structure these builders give it: a leaf holds
 gates, and ``+`` and ``*`` give a sequence of (part, repeat count)
@@ -41,17 +40,20 @@ gate counts and longest-path matrix on the part and combines them with
 the repeat counts, ``circuit_to_text`` formats each distinct part once,
 ``invert_circuit`` inverts part by part and gives an inverse's original
 back, so parts stay shared, and the simulator's plan compiler runs its
-frame pass once per distinct part and entry frame.  The flattened
-``gates`` tuple is built only on use.
+frame pass once per distinct part and entry frame.  A circuit is
+frozen; the flattened ``gates`` tuple and every other value derived
+from it are computed on first use and cached on the instance.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from collections import Counter
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
-from dataclasses import FrozenInstanceError, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -112,59 +114,112 @@ def mcp(controls, target: int, phase: float) -> Gate:
     return Gate(GateKind.MCP, tuple(controls), target, phase)
 
 
+@dataclass(frozen=True, eq=False)
 class Circuit:
     """A gate sequence on one layout, every qubit checked against its width.
 
-    A circuit is a leaf, which holds its gates, or a sequence of (part,
-    repeat count) pairs.  ``a + b`` runs ``a`` then ``b`` (both on the
-    same layout) and ``c * times`` runs ``c`` that many times; both keep
-    their operands as parts instead of copying their gates, and neither
-    checks the gates again.  ``gates`` is the flattened gate tuple,
-    built on first use; ``len``, ``==`` and ``hash`` are those of the
-    gate sequence, whatever its structure.
+    A circuit is a ``leaf``, which holds its gates, or ``parts``, a
+    sequence of (circuit, repeat count) pairs on the same layout, never
+    both.  ``a + b`` runs ``a`` then ``b`` and ``c * times`` runs ``c``
+    that many times, keeping the operands as parts.  ``gates`` (the
+    flattened gate tuple) and the values ``metrics`` combines are
+    computed on first use and kept on the instance.  ``len``, ``==`` and
+    ``hash`` are those of the gate sequence, whatever its structure.
     """
 
-    def __init__(self, layout: HoboLayout, gates) -> None:
-        gates = tuple(gates)
-        for gate in gates:
-            if any(q >= layout.width or q < 0 for q in gate.qubits()):
-                raise ValueError(f"gate {gate} outside layout width {layout.width}")
-        self._init(layout, (), gates)
+    layout: HoboLayout
+    leaf: tuple[Gate, ...] = ()
+    parts: tuple[tuple[Circuit, int], ...] = ()
 
-    def _init(self, layout: HoboLayout, parts: tuple, gates: tuple[Gate, ...] | None) -> None:
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_gates", gates)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "leaf", tuple(self.leaf))
+        width = self.layout.width
+        if self.leaf:
+            if self.parts:
+                raise ValueError("a circuit holds gates or parts, not both")
+            qubits = [gate.target for gate in self.leaf]
+            qubits += chain.from_iterable([gate.controls for gate in self.leaf])
+            if min(qubits) < 0 or max(qubits) >= width:
+                bad = next(g for g in self.leaf if not all(0 <= q < width for q in g.qubits()))
+                raise ValueError(f"gate {bad} outside layout width {width}")
+        if any(type(times) is not int for _, times in self.parts):
+            # A NumPy integer becomes an int; a float raises TypeError, as `tuple * 2.0` does.
+            object.__setattr__(self, "parts", tuple((part, operator.index(times)) for part, times in self.parts))
+        for part, times in self.parts:
+            if part.layout is not self.layout and part.layout != self.layout:
+                raise ValueError("cannot join circuits built for different layouts")
+            if times < 0:
+                raise ValueError(f"repeat count must be non-negative, got {times}")
 
-    @classmethod
-    def _of_checked(cls, layout: HoboLayout, gates: tuple[Gate, ...] | None = None, parts: tuple = ()) -> Circuit:
-        # A leaf of gates already checked against `layout`, or a sequence
-        # of `parts` on it: skips the range check.
-        circuit = object.__new__(cls)
-        circuit._init(layout, parts, gates)
-        return circuit
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    @property
+    @cached_property
     def gates(self) -> tuple[Gate, ...]:
-        return _cached(self, "_gates", lambda c: tuple(chain.from_iterable(p.gates * t for p, t in c.parts)))
+        return tuple(chain.from_iterable(p.gates * t for p, t in self.parts)) if self.parts else self.leaf
+
+    @cached_property
+    def _counts(self) -> Counter:
+        if not self.parts:
+            return Counter(g.kind for g in self.leaf)
+        counts: Counter = Counter()
+        for part, times in self.parts:
+            for kind, count in part._counts.items():
+                counts[kind] += count * times
+        return counts
+
+    @cached_property
+    def _paths(self) -> np.ndarray:
+        """paths[p, q]: the most gates on a path from input wire p to
+        output wire q, -inf without a path.
+
+        The unit depth of a circuit run on fresh wires is the largest
+        entry, and running `a` then `b` composes their matrices by a
+        max-plus product.  An inverse runs every path backwards, so its
+        matrix is the transpose.
+        """
+        inverse = _known_inverse(self)
+        if inverse is not None and "_paths" in vars(inverse):
+            return inverse._paths.T
+        width = self.layout.width
+        if self.parts:
+            paths = _no_gates(width)
+            for part, times in self.parts:
+                for _ in range(times):
+                    paths = _max_plus(paths, part._paths)
+            return paths
+        # reach[q] maps each input wire to the most gates on a path from it
+        # to wire q, not counting the gates without controls that `pending`
+        # counts: such a gate only lengthens the paths ending on its wire.
+        reach = [{q: 0} for q in range(width)]
+        pending = [0] * width
+        for gate in self.leaf:
+            if not gate.controls:
+                pending[gate.target] += 1
+                continue
+            qubits = gate.qubits()
+            merged: dict[int, int] = {}
+            for q in qubits:
+                for p, length in reach[q].items():
+                    length += pending[q] + 1
+                    if merged.get(p, -1) < length:
+                        merged[p] = length
+            for q in qubits:
+                reach[q] = merged
+                pending[q] = 0
+        paths = _no_gates(width)
+        for q, lengths in enumerate(reach):
+            for p, length in lengths.items():
+                paths[p, q] = length + pending[q]
+        return paths
 
     def __len__(self) -> int:
-        if not self.parts:
-            return len(self._gates)
-        return _cached(self, "_len", lambda c: sum(len(p) * t for p, t in c.parts))
+        return sum(self._counts.values())
 
     def __add__(self, other: Circuit) -> Circuit:
-        if self.layout != other.layout:
-            raise ValueError("cannot join circuits built for different layouts")
-        return Circuit._of_checked(self.layout, parts=(self.parts or ((self, 1),)) + (other.parts or ((other, 1),)))
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return Circuit(self.layout, parts=(self.parts or ((self, 1),)) + (other.parts or ((other, 1),)))
 
     def __mul__(self, times: int) -> Circuit:
-        if times < 0:
-            raise ValueError(f"repeat count must be non-negative, got {times}")
-        return Circuit._of_checked(self.layout, parts=((self, times),))
+        return Circuit(self.layout, parts=((self, times),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Circuit):
@@ -173,9 +228,6 @@ class Circuit:
 
     def __hash__(self) -> int:
         return hash((self.layout, self.gates))
-
-    def __repr__(self) -> str:
-        return f"Circuit(layout={self.layout!r}, gates={self.gates!r})"
 
 
 @dataclass(frozen=True)
@@ -313,15 +365,6 @@ def _inverse_gate(gate: Gate) -> Gate:
     return gate
 
 
-def _cached(circuit: Circuit, name: str, compute):
-    """`compute(circuit)`, kept on the instance under `name` after the first call."""
-    value = vars(circuit).get(name)
-    if value is None:
-        value = compute(circuit)
-        object.__setattr__(circuit, name, value)
-    return value
-
-
 def _known_inverse(circuit: Circuit) -> Circuit | None:
     # An inverse holds the circuit it inverts; that circuit refers back
     # only weakly, so the pair forms no reference cycle.
@@ -342,10 +385,9 @@ def invert_circuit(circuit: Circuit) -> Circuit:
     if inverse is None:
         if circuit.parts:
             parts = tuple((invert_circuit(part), times) for part, times in reversed(circuit.parts))
-            inverse = Circuit._of_checked(circuit.layout, parts=parts)
+            inverse = Circuit(circuit.layout, parts=parts)
         else:
-            gates = tuple(_inverse_gate(g) for g in reversed(circuit.gates))
-            inverse = Circuit._of_checked(circuit.layout, gates)
+            inverse = Circuit(circuit.layout, [_inverse_gate(g) for g in reversed(circuit.leaf)])
         object.__setattr__(inverse, "_inverts", circuit)
         object.__setattr__(circuit, "_inverse", weakref.ref(inverse))
     return inverse
@@ -386,37 +428,28 @@ def build_two_step(layout: HoboLayout, phases: PhaseAssignment, schedule: Schedu
     """
     g1 = build_g1(layout)
     g2 = build_cost_oracle_r2(layout, phases) + _reflect_about_stage_one(g1, schedule.q1)
-    return assemble_two_step(g1, g2, schedule)
+    return _marker_prep(layout) + _h_layer(layout) + g1 * schedule.q1 + g2 * schedule.q2
 
 
-def assemble_two_step(g1: Circuit, g2: Circuit, schedule: Schedule) -> Circuit:
-    """The `build_two_step` circuit from its iterations already built.
-
-    `g1` is `build_g1(layout)` and `g2` is `build_g2(layout, phases,
-    schedule.q1)`.  Raises `ValueError` when their layouts differ.
-    """
-    layout = g1.layout
-    prep = Circuit(layout, (x(layout.marker), h(layout.marker))) + _h_layer(layout)
-    return prep + g1 * schedule.q1 + g2 * schedule.q2
+def _marker_prep(layout: HoboLayout) -> Circuit:
+    return Circuit(layout, (x(layout.marker), h(layout.marker)))
 
 
 def two_step_iterations(circuit: Circuit) -> tuple[Circuit, Circuit]:
-    """G1 and G2 of a `build_two_step` or `assemble_two_step` circuit.
+    """G1 and G2 of a `build_two_step` circuit.
 
-    They are the objects the circuit repeats, not copies.
+    They are the objects the circuit repeats, not copies.  Raises
+    `ValueError` unless its parts are marker preparation, the Hadamard
+    layer, (G1, q1) and (G2, q2), with G2 ending in that same (G1, q1).
     """
-    (g1, _), (g2, _) = circuit.parts[-2:]
-    return g1, g2
-
-
-def _gate_counts(circuit: Circuit) -> Counter:
-    if not circuit.parts:
-        return Counter(g.kind for g in circuit.gates)
-    counts: Counter = Counter()
-    for part, times in circuit.parts:
-        for kind, count in _cached(part, "_counts", _gate_counts).items():
-            counts[kind] += count * times
-    return counts
+    match circuit.parts:
+        case ((prep, 1), (hadamards, 1), (g1, q1), (g2, _)) if (
+            g2.parts and g2.parts[-1][0] is g1 and g2.parts[-1][1] == q1
+            and prep == _marker_prep(circuit.layout)
+            and hadamards == _h_layer(circuit.layout)
+        ):
+            return g1, g2
+    raise ValueError("not a build_two_step circuit: expected marker prep, H layer, G1 * q1 and G2 * q2")
 
 
 def _max_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -430,62 +463,16 @@ def _no_gates(width: int) -> np.ndarray:
     return paths
 
 
-def _longest_paths(circuit: Circuit) -> np.ndarray:
-    """paths[p, q]: the most gates on a path from input wire p to output
-    wire q, -inf without a path.
-
-    The unit depth of a circuit run on fresh wires is the largest entry,
-    and running `a` then `b` composes their matrices by a max-plus
-    product.  An inverse runs every path backwards, so its matrix is the
-    transpose.
-    """
-    inverse = _known_inverse(circuit)
-    if inverse is not None and "_paths" in vars(inverse):
-        return inverse._paths.T
-    width = circuit.layout.width
-    if circuit.parts:
-        paths = _no_gates(width)
-        for part, times in circuit.parts:
-            for _ in range(times):
-                paths = _max_plus(paths, _cached(part, "_paths", _longest_paths))
-        return paths
-    # reach[q] maps each input wire to the most gates on a path from it
-    # to wire q, not counting the gates without controls that `pending`
-    # counts: such a gate only lengthens the paths ending on its wire.
-    reach = [{q: 0} for q in range(width)]
-    pending = [0] * width
-    for gate in circuit.gates:
-        if not gate.controls:
-            pending[gate.target] += 1
-            continue
-        qubits = gate.qubits()
-        merged: dict[int, int] = {}
-        for q in qubits:
-            for p, length in reach[q].items():
-                length += pending[q] + 1
-                if merged.get(p, -1) < length:
-                    merged[p] = length
-        for q in qubits:
-            reach[q] = merged
-            pending[q] = 0
-    paths = _no_gates(width)
-    for q, lengths in enumerate(reach):
-        for p, length in lengths.items():
-            paths[p, q] = length + pending[q]
-    return paths
-
-
 def metrics(circuit: Circuit) -> CircuitMetrics:
     """Width, unit-gate depth, and per-kind gate counts.
 
     Both are combined from the circuit's parts, each computed once and
     kept on its instance.
     """
-    counts = _cached(circuit, "_counts", _gate_counts)
     return CircuitMetrics(
         width=circuit.layout.width,
-        unit_depth=int(_cached(circuit, "_paths", _longest_paths).max()),
-        gate_counts={kind.value: count for kind, count in sorted(counts.items()) if count},
+        unit_depth=int(circuit._paths.max()),
+        gate_counts={kind.value: count for kind, count in sorted(circuit._counts.items()) if count},
     )
 
 
@@ -512,5 +499,5 @@ def _text(circuit: Circuit, texts: dict[int, str]) -> str:
         if circuit.parts:
             texts[id(circuit)] = "".join(_text(part, texts) * times for part, times in circuit.parts if times)
         else:
-            texts[id(circuit)] = "".join(map(_gate_line, circuit.gates))
+            texts[id(circuit)] = "".join(map(_gate_line, circuit.leaf))
     return texts[id(circuit)]

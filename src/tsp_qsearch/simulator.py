@@ -31,10 +31,9 @@ a nonzero amplitude (-0.0+0.5j against 0.0+0.5j).  Matching the
 signs would mean gathering every group that holds a -0.0, and the
 phase kernel leaves many.  The gate IR, gate counts and text dump of
 `circuits` are unchanged; `apply_gate` is a one-gate plan, which keeps
-the plain swap, butterfly and phase kernels.  The butterflies and the
-swap keep their temporaries in one half-state scratch buffer per plan
-execution; a permutation or layer step allocates arrays only as large
-as the amplitudes it moves or gathers.
+the plain swap, butterfly and phase kernels.  A lone swap or H step
+allocates its own half-state temporary; a permutation or layer step
+allocates arrays only as large as the amplitudes it moves or gathers.
 """
 
 from __future__ import annotations
@@ -97,34 +96,28 @@ def _axis_index(assignments: dict[int, int]) -> tuple:
     return (*index, ...)
 
 
-# Kernels act in place on the state view; `scratch` is the flat
-# half-state buffer of the plan execution (see `_execute`).
-
-
-def _swap(view: np.ndarray, scratch: np.ndarray, idx0: tuple, idx1: tuple) -> None:
+def _swap(view: np.ndarray, idx0: tuple, idx1: tuple) -> None:
     lo = view[idx0]
-    tmp = scratch[: lo.size].reshape(lo.shape)
-    np.copyto(tmp, lo)
+    tmp = lo.copy()
     lo[...] = view[idx1]
     view[idx1] = tmp
 
 
-def _butterfly(view: np.ndarray, scratch: np.ndarray, idx0: tuple, idx1: tuple) -> None:
+def _butterfly(view: np.ndarray, idx0: tuple, idx1: tuple) -> None:
     # Same operations as (lo + hi) * c and (lo - hi) * c on fresh arrays.
     lo = view[idx0]
     hi = view[idx1]
-    diff = scratch.reshape(lo.shape)
-    np.subtract(lo, hi, out=diff)
+    diff = lo - hi
     lo += hi
     lo *= _INV_SQRT2
     np.multiply(diff, _INV_SQRT2, out=hi)
 
 
-def _phase(view: np.ndarray, scratch: np.ndarray, idx: tuple, factor: complex) -> None:
+def _phase(view: np.ndarray, idx: tuple, factor: complex) -> None:
     view[idx] *= factor
 
 
-def _permute(view: np.ndarray, scratch: np.ndarray, moved: np.ndarray, source: np.ndarray) -> None:
+def _permute(view: np.ndarray, moved: np.ndarray, source: np.ndarray) -> None:
     flat = view.reshape(-1)
     flat[moved] = flat[source]
 
@@ -134,7 +127,7 @@ _LOWER = (slice(None), 0, ...)
 _UPPER = (slice(None), 1, ...)
 
 
-def _layer(view: np.ndarray, scratch: np.ndarray, groups: tuple, strides: tuple) -> None:
+def _layer(view: np.ndarray, groups: tuple, strides: tuple) -> None:
     # Only groups holding a nonzero amplitude are gathered, run through
     # the run's butterflies in order and scattered back; H maps an
     # all-zero group to zeros.  `!= 0` on the float parts counts -0.0
@@ -147,9 +140,8 @@ def _layer(view: np.ndarray, scratch: np.ndarray, groups: tuple, strides: tuple)
     index = base[np.flatnonzero(occupied)][:, None] + inner
     flat = view.reshape(-1)
     block = flat[index]
-    half = scratch[: block.size // 2]
     for stride in strides:
-        _butterfly(block.reshape(-1, 2, stride), half, _LOWER, _UPPER)
+        _butterfly(block.reshape(-1, 2, stride), _LOWER, _UPPER)
     flat[index] = block
 
 
@@ -157,7 +149,7 @@ def compile_gates(gates, width: int) -> tuple:
     """Kernel steps equal to applying `gates` one by one on `width` qubits.
 
     Each step is (kernel, first, second), run as
-    ``kernel(view, scratch, first, second)``.
+    ``kernel(view, first, second)``.
 
     One forward pass keeps a Pauli-X frame: the qubits whose NOT is
     still pending.  An X gate toggles the frame and emits nothing.  A
@@ -233,10 +225,9 @@ def _permutation(run: tuple, width: int) -> tuple:
     # holds the index whose amplitude the run moves to p.
     positions = np.arange(2**width, dtype=np.int32)
     view = positions.reshape((2,) * width)
-    scratch = np.empty(2 ** (width - 1), dtype=np.int32)
     for op in run:
         _, idx0, idx1 = _step(*op)
-        _swap(view, scratch, idx0, idx1)
+        _swap(view, idx0, idx1)
     moved = np.flatnonzero(positions != np.arange(2**width, dtype=np.int32)).astype(np.int32)
     return (_permute, moved, positions[moved])
 
@@ -300,9 +291,8 @@ def _block_pass(circuit: Circuit, frame: frozenset, passes: dict) -> tuple[list[
 
 def _execute(plan: tuple, state: StateVector) -> StateVector:
     view = state.amplitudes.reshape((2,) * state.width)
-    scratch = np.empty(2 ** (state.width - 1), dtype=np.complex128)
     for kernel, first, second in plan:
-        kernel(view, scratch, first, second)
+        kernel(view, first, second)
     return state
 
 

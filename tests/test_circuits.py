@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ from tsp_qsearch import (
     PhaseAssignment,
     Schedule,
     apply_gate,
-    assemble_two_step,
     build_cost_oracle_r2,
     build_d2,
     build_diffusion_d1,
@@ -104,6 +104,28 @@ class TestJoin:
         with pytest.raises(ValueError, match="non-negative"):
             g1 * -1
 
+    @pytest.mark.parametrize(
+        "combine, error",
+        [
+            (lambda c: c * 2.0, TypeError),
+            (lambda c: c * 1.5, TypeError),
+            (lambda c: c * -1, ValueError),
+            (lambda c: c + 5, TypeError),
+        ],
+        ids=["times 2.0", "times 1.5", "times -1", "plus 5"],
+    )
+    def test_bad_operands_raise_at_once(self, combine, error):
+        with pytest.raises(error):
+            combine(build_g1(HoboLayout.for_cities(3)))
+
+    def test_numpy_integer_repeat_count(self):
+        g1 = build_g1(HoboLayout.for_cities(3))
+        twice = g1 * np.int64(2)
+        assert twice.parts == ((g1, 2),) and type(twice.parts[0][1]) is int
+        assert twice.gates == g1.gates * 2 and len(twice) == 2 * len(g1)
+        assert metrics(twice) == metrics(g1 * 2)
+        assert circuit_to_text(twice) == circuit_to_text(g1 * 2)
+
     def test_two_step_repeats_one_g1_object(self):
         layout = HoboLayout.for_cities(3)
         phases = builtin_phases(3)
@@ -121,6 +143,75 @@ class TestJoin:
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
         assert Circuit(circuit.layout, circuit.gates) == circuit
+
+
+class TestCircuitFields:
+    @pytest.mark.parametrize("field", ["layout", "leaf", "parts"])
+    def test_fields_are_frozen(self, field):
+        layout = HoboLayout.for_cities(3)
+        circuit = build_g1(layout)
+        with pytest.raises(FrozenInstanceError):
+            setattr(circuit, field, getattr(circuit, field))
+        with pytest.raises(FrozenInstanceError):
+            delattr(circuit, field)
+        assert circuit == build_g1(layout)
+
+    def test_leaf_and_parts_are_exclusive(self):
+        layout = HoboLayout.for_cities(3)
+        with pytest.raises(ValueError, match="not both"):
+            Circuit(layout, (x(0),), parts=((Circuit(layout, (x(1),)), 1),))
+
+    def test_constructor_checks_parts(self):
+        layout = HoboLayout.for_cities(3)
+        foreign = build_g1(HoboLayout.for_cities(4))
+        with pytest.raises(ValueError, match="different layouts"):
+            Circuit(layout, parts=((build_g1(layout), 1), (foreign, 1)))
+        leaf = Circuit(layout, (x(0),))
+        with pytest.raises(ValueError, match="non-negative"):
+            Circuit(layout, parts=((leaf, -2),))
+        with pytest.raises(TypeError):
+            Circuit(layout, parts=((leaf, 2.0),))
+
+    def test_derived_values_are_cached(self):
+        circuit = build_two_step(HoboLayout.for_cities(3), builtin_phases(3), Schedule(2, 2))
+        assert circuit.gates is circuit.gates
+        assert metrics(circuit) == metrics(circuit) == metrics(Circuit(circuit.layout, circuit.gates))
+
+
+class TestTwoStepIterations:
+    @pytest.mark.parametrize("q1", [0, 2])
+    @pytest.mark.parametrize("q2", [0, 2])
+    def test_gives_back_the_repeated_g1_and_g2(self, q1, q2):
+        layout = HoboLayout.for_cities(3)
+        phases = builtin_phases(3)
+        total = build_two_step(layout, phases, Schedule(q1, q2))
+        g1, g2 = two_step_iterations(total)
+        assert [(id(part), times) for part, times in total.parts[2:]] == [(id(g1), q1), (id(g2), q2)]
+        assert g1 == build_g1(layout) and g2 == build_g2(layout, phases, q1)
+
+    @pytest.mark.parametrize("name", ["G1", "D2", "G2"])
+    def test_rejects_other_builders(self, name):
+        layout = HoboLayout.for_cities(3)
+        circuit = {
+            "G1": lambda: build_g1(layout),
+            "D2": lambda: build_d2(layout, 2),
+            "G2": lambda: build_g2(layout, builtin_phases(3), 2),
+        }[name]()
+        with pytest.raises(ValueError, match="build_two_step"):
+            two_step_iterations(circuit)
+
+    def test_rejects_hand_joined_four_parts(self):
+        layout = HoboLayout.for_cities(3)
+        leaves = [Circuit(layout, (x(q),)) for q in range(4)]
+        with pytest.raises(ValueError, match="build_two_step"):
+            two_step_iterations(leaves[0] + leaves[1] + leaves[2] + leaves[3])
+        # The two-step layout of parts, but G2 repeats a G1 of its own.
+        prep = Circuit(layout, (x(layout.marker), h(layout.marker)))
+        hadamards = Circuit(layout, [h(q) for q in range(layout.main_qubits)])
+        joined = prep + hadamards + build_g1(layout) * 2 + build_g2(layout, builtin_phases(3), 2) * 2
+        assert joined == build_two_step(layout, builtin_phases(3), Schedule(2, 2))
+        with pytest.raises(ValueError, match="build_two_step"):
+            two_step_iterations(joined)
 
 
 class TestValiditySuboracle:
@@ -403,14 +494,6 @@ class TestTwoStep:
         assert list(build_g2(layout, phases, schedule.q1).gates) == g2
         expected += g2 * schedule.q2
         assert list(build_two_step(layout, phases, schedule).gates) == expected
-        assembled = assemble_two_step(build_g1(layout), build_g2(layout, phases, schedule.q1), schedule)
-        assert list(assembled.gates) == expected
-
-    def test_assembly_rejects_blocks_of_different_layouts(self):
-        g1 = build_g1(HoboLayout.for_cities(3))
-        g2 = build_g2(HoboLayout.for_cities(4), builtin_phases(4), 1)
-        with pytest.raises(ValueError):
-            assemble_two_step(g1, g2, Schedule(1, 1))
 
 
 class TestMetricsAndText:
