@@ -39,7 +39,7 @@ print(f"uniform baseline would be 2/120 = {2 / 120:.4f}")
 
 # At the peak the two extreme tours dominate the histogram; every other
 # tour keeps only a sliver of probability.
-ranked = sorted(peak_histogram.probs, key=peak_histogram.probs.get, reverse=True)
+ranked = sorted(peak_histogram, key=peak_histogram.get, reverse=True)
 print("\nhistogram at the peak (top 4 of 120, keys ordered by cost):")
 for bits in ranked[:4]:
-    print(f"  {bits}  p={peak_histogram.probs[bits]:.4f}")
+    print(f"  {bits}  p={peak_histogram[bits]:.4f}")

@@ -51,15 +51,15 @@ print(f"\nfull circuit: {len(circuit)} gates, unit depth {m.unit_depth}, width {
 state = run(circuit, new_state(layout.width))
 dist = main_distribution(state, layout)
 print("\ntop measurement outcomes:")
-for bits in sorted(dist.probs, key=dist.probs.get, reverse=True)[:4]:
+for bits in sorted(dist, key=dist.get, reverse=True)[:4]:
     phase = phases.phases.get(bits)
     label = f"cost phase {phase:.3f}" if phase is not None else "infeasible"
-    print(f"  {bits}  p={dist.probs[bits]:.4f}  ({label})")
+    print(f"  {bits}  p={dist[bits]:.4f}  ({label})")
 
 # The operator-level reference model evolves only the 6-tour subspace;
 # the circuit tracks it closely despite carrying 13 qubits of workspace.
 reference = evolve(subspace(phases), q2)
-combined = dist.probs[phases.min_key] + dist.probs[phases.max_key]
+combined = dist[phases.min_key] + dist[phases.max_key]
 print(f"\nextreme-tour mass: circuit {combined:.6f}, reference {reference.p_combined[q2]:.6f}")
 
 # Shot noise as an experiment would see it.

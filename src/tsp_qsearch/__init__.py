@@ -51,7 +51,6 @@ from .circuits import (
     two_step_iterations,
 )
 from .simulator import (
-    Distribution,
     NormError,
     StateVector,
     apply_gate,
@@ -88,8 +87,8 @@ __all__ = [
     "build_two_step", "build_uniqueness_suboracle", "build_validity_suboracle",
     "circuit_to_text", "invert_circuit", "metrics", "two_step_iterations",
     # simulator
-    "Distribution", "NormError", "StateVector", "apply_gate", "main_distribution",
-    "new_state", "run", "sample", "success_probability",
+    "NormError", "StateVector", "apply_gate", "main_distribution", "new_state",
+    "run", "sample", "success_probability",
     # matrix model
     "ProbabilitySeries", "SearchSpace", "appendix_experiment",
     "build_cost_operator", "evolve", "first_peak", "oracle_angles",

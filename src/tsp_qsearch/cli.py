@@ -21,14 +21,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .circuits import build_two_step, circuit_to_text, metrics, two_step_iterations
 from .core import (
     CapacityError,
     DatasetError,
     HoboLayout,
-    MAX_ENUM_CITIES,
     PhaseAssignment,
     Schedule,
     builtin_phases,
@@ -39,7 +38,7 @@ from .core import (
     save_phases,
 )
 from .matrix_model import ProbabilitySeries, evolve, series_to_csv, state_at, subspace
-from .simulator import MAX_WIDTH, Distribution, main_distribution, new_state, run, sample
+from .simulator import MAX_WIDTH, main_distribution, new_state, run, sample
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -51,7 +50,7 @@ EXIT_DATA = 4
 class HistogramEntry:
     bitstring: str
     probability: float
-    count: int | None = None
+    count: int
 
 
 @dataclass(frozen=True)
@@ -68,59 +67,32 @@ class RunReport:
     series: ProbabilitySeries | None = None
 
     def to_dict(self) -> dict:
-        payload = {
-            "n": self.n,
-            "k": self.k,
-            "width": self.width,
-            "q1": self.q1,
-            "q2": self.q2,
-            "mode": self.mode,
-            "seed": self.seed,
-            "shots": self.shots,
-            "histogram": [
-                {"bitstring": e.bitstring, "probability": e.probability}
-                | ({"count": e.count} if e.count is not None else {})
-                for e in self.histogram
-            ],
-        }
-        if self.series is not None:
+        """The fields as JSON data; each series row also holds its `t` and `p_combined`."""
+        payload = vars(self) | {"histogram": [vars(e) for e in self.histogram]}
+        series = payload.pop("series")
+        if series is not None:
             payload["series"] = [
                 {"t": t, "p_min": lo, "p_max": hi, "p_combined": both}
-                for t, lo, hi, both in zip(
-                    self.series.times,
-                    self.series.p_min,
-                    self.series.p_max,
-                    self.series.p_combined,
-                )
+                for t, lo, hi, both in zip(series.times, series.p_min, series.p_max, series.p_combined)
             ]
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> RunReport:
-        series = None
-        if "series" in payload:
-            rows = payload["series"]
-            series = ProbabilitySeries(
-                times=tuple(r["t"] for r in rows),
-                p_min=tuple(r["p_min"] for r in rows),
-                p_max=tuple(r["p_max"] for r in rows),
-                p_combined=tuple(r["p_combined"] for r in rows),
-            )
-        return cls(
-            n=payload["n"],
-            k=payload["k"],
-            width=payload["width"],
-            q1=payload["q1"],
-            q2=payload["q2"],
-            mode=payload["mode"],
-            seed=payload["seed"],
-            shots=payload["shots"],
-            histogram=tuple(
-                HistogramEntry(e["bitstring"], e["probability"], e.get("count"))
-                for e in payload["histogram"]
-            ),
-            series=series,
-        )
+        """Inverse of `to_dict`: keys that name no field are skipped, and the
+        series is rebuilt from its `p_min` and `p_max` columns."""
+        values = _known_fields(cls, payload)
+        values["histogram"] = tuple(HistogramEntry(**_known_fields(HistogramEntry, e)) for e in payload["histogram"])
+        if "series" in values:
+            rows = values["series"]
+            values["series"] = ProbabilitySeries(tuple(r["p_min"] for r in rows), tuple(r["p_max"] for r in rows))
+        return cls(**values)
+
+
+def _known_fields(cls, payload: dict) -> dict:
+    """The items of `payload` named after a field of the dataclass `cls`."""
+    names = {f.name for f in fields(cls)}
+    return {key: value for key, value in payload.items() if key in names}
 
 
 def report_to_json(report: RunReport) -> str:
@@ -155,8 +127,6 @@ def _check_mode_capacity(mode: str, n: int) -> None:
         raise CapacityError(
             f"circuit mode simulates at most {MAX_WIDTH} qubits; use matrix mode for n={n}"
         )
-    if mode == "matrix" and n > MAX_ENUM_CITIES:
-        raise CapacityError(f"matrix mode supports n <= {MAX_ENUM_CITIES}")
 
 
 def _resolve_rescale(cost_angles: str, mode: str, n: int) -> bool:
@@ -204,11 +174,11 @@ def cmd_run(args) -> int:
     else:
         space = subspace(phases, rescale_costs=rescale)
         psi = state_at(space, schedule.q2)
-        dist = Distribution({b: float(abs(a) ** 2) for b, a in zip(space.basis, psi)})
+        dist = {b: float(abs(a) ** 2) for b, a in zip(space.basis, psi)}
 
     counts = sample(dist, args.shots, args.seed)
     histogram = tuple(
-        HistogramEntry(b, p, counts.get(b, 0)) for b, p in sorted(dist.probs.items())
+        HistogramEntry(b, p, counts.get(b, 0)) for b, p in sorted(dist.items())
     )
     report = RunReport(
         n=args.n,
@@ -245,9 +215,9 @@ def cmd_sweep(args) -> int:
             if t > 0:
                 run(one_g2, state)
             dist = main_distribution(state, layout)
-            p_min.append(dist.probs[phases.min_key])
-            p_max.append(dist.probs[phases.max_key])
-        series = ProbabilitySeries.from_extremes(p_min, p_max)
+            p_min.append(dist[phases.min_key])
+            p_max.append(dist[phases.max_key])
+        series = ProbabilitySeries(tuple(p_min), tuple(p_max))
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(series_to_csv(series))
@@ -256,11 +226,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_inspect(args) -> int:
     layout = HoboLayout.for_cities(args.n)
-    if layout.width > MAX_WIDTH:
-        raise CapacityError(
-            f"inspect builds the full circuit; n={args.n} needs {layout.width} qubits, "
-            f"more than {MAX_WIDTH}"
-        )
     try:
         phases = builtin_phases(args.n)
     except DatasetError:
@@ -353,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(func=cmd_sweep)
 
     inspect_p = sub.add_parser("inspect", help="print circuit width/depth/gate counts")
-    inspect_p.add_argument("--n", type=int, required=True, help="city count (<= 4)")
+    inspect_p.add_argument("--n", type=int, required=True, help="city count (<= 6)")
     inspect_p.add_argument("--out", default=None, help="optional path for a gate-list dump")
     inspect_p.set_defaults(func=cmd_inspect)
 

@@ -30,7 +30,6 @@ from itertools import islice
 import numpy as np
 
 from .core import PhaseAssignment, enumerate_feasible, gen_gaussian_phases
-from .simulator import Distribution
 
 
 @dataclass(frozen=True)
@@ -42,22 +41,22 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class ProbabilitySeries:
-    """Success probabilities of the extreme tours per iteration count."""
+    """Success probabilities of the two extreme tours for t = 0, 1, ... iterations."""
 
-    times: tuple[int, ...]
     p_min: tuple[float, ...]
     p_max: tuple[float, ...]
-    p_combined: tuple[float, ...]
 
-    @classmethod
-    def from_extremes(cls, p_min, p_max) -> ProbabilitySeries:
-        """Series for t = 0, 1, ... from the per-t masses of the two extremes."""
-        return cls(
-            times=tuple(range(len(p_min))),
-            p_min=tuple(p_min),
-            p_max=tuple(p_max),
-            p_combined=tuple(a + b for a, b in zip(p_min, p_max)),
-        )
+    def __post_init__(self):
+        if len(self.p_min) != len(self.p_max):
+            raise ValueError(f"p_min has {len(self.p_min)} entries, p_max {len(self.p_max)}")
+
+    @property
+    def times(self) -> range:
+        return range(len(self.p_min))
+
+    @property
+    def p_combined(self) -> tuple[float, ...]:
+        return tuple(a + b for a, b in zip(self.p_min, self.p_max))
 
 
 def subspace(phases: PhaseAssignment, rescale_costs: bool = False) -> SearchSpace:
@@ -105,7 +104,7 @@ def evolve(space: SearchSpace, t_max: int) -> ProbabilitySeries:
     for psi in islice(_iterates(space), t_max + 1):
         p_min.append(float(np.abs(psi[min_idx]) ** 2))
         p_max.append(float(np.abs(psi[max_idx]) ** 2))
-    return ProbabilitySeries.from_extremes(p_min, p_max)
+    return ProbabilitySeries(tuple(p_min), tuple(p_max))
 
 
 def first_peak(series: ProbabilitySeries) -> int:
@@ -128,7 +127,7 @@ def state_at(space: SearchSpace, t: int) -> np.ndarray:
 
 def appendix_experiment(
     mu: float, sigma: float, seed: int, t_max: int = 10
-) -> tuple[ProbabilitySeries, Distribution]:
+) -> tuple[ProbabilitySeries, dict[str, float]]:
     """Five-city Gaussian-cost search: series plus the peak histogram.
 
     Generates a seeded Gaussian cost dataset over the 120 tours,
@@ -145,7 +144,7 @@ def appendix_experiment(
     by_phase = sorted(space.basis, key=lambda b: phases.phases[b])
     index_of = {b: i for i, b in enumerate(space.basis)}
     probs = {b: float(np.abs(psi[index_of[b]]) ** 2) for b in by_phase}
-    return series, Distribution(probs)
+    return series, probs
 
 
 def series_to_csv(series: ProbabilitySeries) -> str:

@@ -67,15 +67,14 @@ class StateVector:
     width: int
     amplitudes: np.ndarray
 
+    def __post_init__(self):
+        if self.amplitudes.shape != (2**self.width,):
+            raise ValueError(
+                f"width {self.width} needs {2**self.width} amplitudes, got shape {self.amplitudes.shape}"
+            )
+
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-
-@dataclass
-class Distribution:
-    """Probabilities over main-register bitstrings."""
-
-    probs: dict[str, float]
 
 
 def new_state(width: int) -> StateVector:
@@ -298,7 +297,7 @@ def _execute(plan: tuple, state: StateVector) -> StateVector:
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place and return the state."""
-    if any(q >= state.width for q in gate.qubits()):
+    if not all(0 <= q < state.width for q in gate.qubits()):
         raise ValueError(f"gate {gate} outside width {state.width}")
     return _execute(compile_gates((gate,), state.width), state)
 
@@ -320,33 +319,31 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     return state
 
 
-def main_distribution(state: StateVector, layout: HoboLayout) -> Distribution:
-    """Marginal probabilities of the main register over all ancillas."""
+def main_distribution(state: StateVector, layout: HoboLayout) -> dict[str, float]:
+    """Marginal probabilities of the main register over all ancillas, by bitstring."""
     if state.width != layout.width:
         raise ValueError(f"state width {state.width} != layout width {layout.width}")
     n_main = layout.main_qubits
     probs = np.abs(state.amplitudes) ** 2
     marginal = probs.reshape(2**n_main, -1).sum(axis=1)
-    return Distribution(
-        {format(i, f"0{n_main}b"): float(p) for i, p in enumerate(marginal)}
-    )
+    return {format(i, f"0{n_main}b"): float(p) for i, p in enumerate(marginal)}
 
 
-def sample(dist: Distribution, shots: int, seed: int) -> dict[str, int]:
-    """Multinomial counts over the distribution, deterministic per seed."""
+def sample(dist: dict[str, float], shots: int, seed: int) -> dict[str, int]:
+    """Multinomial counts over the bitstring probabilities, deterministic per seed."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    keys = list(dist.probs)
-    pvals = np.asarray([dist.probs[k] for k in keys], dtype=float)
+    keys = list(dist)
+    pvals = np.asarray([dist[k] for k in keys], dtype=float)
     pvals = pvals / pvals.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, pvals)
     return {k: int(c) for k, c in zip(keys, counts) if c > 0}
 
 
-def success_probability(dist: Distribution, targets) -> float:
+def success_probability(dist: dict[str, float], targets) -> float:
     """Total probability mass on the target bitstrings."""
     targets = set(targets)
     if not targets:
         raise ValueError("targets must be non-empty")
-    return float(sum(dist.probs.get(t, 0.0) for t in targets))
+    return float(sum(dist.get(t, 0.0) for t in targets))

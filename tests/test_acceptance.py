@@ -172,7 +172,7 @@ class TestCriterion5CircuitVsReference:
         feasible = enumerate_feasible(n)
         rows = []
         for t, dist in enumerate(dists):
-            combined = dist.probs[phases.min_key] + dist.probs[phases.max_key]
+            combined = dist[phases.min_key] + dist[phases.max_key]
             leak = 1.0 - success_probability(dist, feasible)
             rows.append((t, abs(combined - reference.p_combined[t]), leak))
         return rows
@@ -230,7 +230,7 @@ class TestCriterion5CircuitVsReference:
             exact = exact_operator_p_combined(n, 2 * q2)
             phases, dists = second_stage_states(n, 2 * q2)
             for t, dist in enumerate(dists):
-                combined = dist.probs[phases.min_key] + dist.probs[phases.max_key]
+                combined = dist[phases.min_key] + dist[phases.max_key]
                 worst = max(worst, abs(combined - exact[t]))
         announce("5 supplement", worst < 1e-12, f"gate path vs dense operator algebra: worst difference {worst:.2e}")
         assert worst < 1e-12
@@ -250,10 +250,10 @@ class TestCriterion6TwoStepAmplification:
 
             phases, dists = second_stage_states(n, q2)
             dist = dists[q2]
-            ranked = sorted(dist.probs, key=dist.probs.get, reverse=True)
+            ranked = sorted(dist, key=dist.get, reverse=True)
             assert set(ranked[:2]) == {phases.min_key, phases.max_key}, f"n={n}"
 
-            combined = dist.probs[phases.min_key] + dist.probs[phases.max_key]
+            combined = dist[phases.min_key] + dist[phases.max_key]
             baseline = 2 / math.factorial(n)
             assert combined >= 2 * baseline
             assert combined == pytest.approx(golden["p_combined_reference"], abs=1e-3)
@@ -267,7 +267,7 @@ class TestCriterion7GaussianReference:
         golden = TWO_STEP_GOLDEN["appendix"]
         series, dist = appendix_experiment(math.pi, golden["sigma"], golden["seed"], t_max=10)
         peak = first_peak(series)
-        ranked = sorted(dist.probs, key=dist.probs.get, reverse=True)
+        ranked = sorted(dist, key=dist.get, reverse=True)
         phases = gen_gaussian_phases(5, math.pi, golden["sigma"], golden["seed"])
         elapsed = time.perf_counter() - start
 

@@ -481,7 +481,7 @@ class TestTwoStep:
         state = run(circuit, new_state(layout.width))
         dist = main_distribution(state, layout)
         dim = 2**layout.main_qubits
-        assert all(p == pytest.approx(1 / dim, abs=1e-12) for p in dist.probs.values())
+        assert all(p == pytest.approx(1 / dim, abs=1e-12) for p in dist.values())
 
     def test_composes_published_sub_builders_gate_for_gate(self):
         layout = HoboLayout.for_cities(3)

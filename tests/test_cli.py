@@ -46,13 +46,13 @@ _COUNTS = st.integers(0, 2**40)
 @st.composite
 def _reports(draw):
     histogram = draw(st.lists(st.builds(
-        HistogramEntry, st.text("01", max_size=8), _FLOATS, st.one_of(st.none(), st.just(0), _COUNTS)
+        HistogramEntry, st.text("01", max_size=8), _FLOATS, _COUNTS
     ), max_size=6))
     series = None
     if draw(st.booleans()):
         size = draw(st.integers(0, 6))
         column = lambda values: draw(st.lists(values, min_size=size, max_size=size).map(tuple))
-        series = ProbabilitySeries(column(_COUNTS), column(_FLOATS), column(_FLOATS), column(_FLOATS))
+        series = ProbabilitySeries(column(_FLOATS), column(_FLOATS))
     n, k, width, q1, q2, seed, shots = draw(st.tuples(*[_COUNTS] * 7))
     return RunReport(
         n=n, k=k, width=width, q1=q1, q2=q2, mode=draw(st.sampled_from(["circuit", "matrix"])),
@@ -166,6 +166,16 @@ class TestRun:
         out = tmp_path / "r5.json"
         code = main(["run", "--n", "5", "--dataset", str(dataset), "--mode", "circuit", "--out", str(out)])
         assert code == EXIT_CAPACITY
+
+    def test_matrix_mode_capacity(self, tmp_path, capsys):
+        # Any n=7 dataset is refused while its tours are enumerated.
+        dataset = tmp_path / "p7.json"
+        dataset.write_text(json.dumps({"n": 7, "phases": {"000001010011100101110": 1.0}}))
+        out = tmp_path / "r7.json"
+        code = main(["run", "--n", "7", "--dataset", str(dataset), "--mode", "matrix", "--out", str(out)])
+        assert code == EXIT_CAPACITY
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_matrix_run_histogram_covers_feasible_tours(self, tmp_path):
         dataset = tmp_path / "p5.json"
@@ -282,12 +292,13 @@ class TestInspect:
         for name in ("G1:", "G2:", "total:"):
             assert name in out
 
-    def test_printed_counts_match_golden(self, capsys):
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_printed_counts_match_golden(self, n, capsys):
         golden = json.loads((Path(__file__).parent / "data" / "metrics_golden.json").read_text())
-        assert main(["inspect", "--n", "3"]) == EXIT_OK
+        assert main(["inspect", "--n", str(n)]) == EXIT_OK
         out = capsys.readouterr().out
         for name in ("G1", "G2", "total"):
-            expect = golden["3"][name]
+            expect = golden[str(n)][name]
             counts = " ".join(f"{kind}={count}" for kind, count in sorted(expect["gate_counts"].items()))
             assert f"{name}: gates={expect['gates']} unit_depth={expect['unit_depth']} {counts}" in out
 
@@ -296,7 +307,7 @@ class TestInspect:
         assert "width=15" in capsys.readouterr().out
 
     def test_capacity(self, capsys):
-        assert main(["inspect", "--n", "5"]) == EXIT_CAPACITY
+        assert main(["inspect", "--n", "7"]) == EXIT_CAPACITY
         capsys.readouterr()
 
     def test_gate_dump(self, tmp_path, capsys):
@@ -385,6 +396,15 @@ class TestRunReportRoundTrip:
         assert list(payload) == sorted(payload)
         assert all(list(e) == sorted(e) for e in payload["histogram"])
         assert text.startswith('{"histogram":[{"bitstring":"000000","count":0,"probability":')
+
+    def test_unknown_keys_are_ignored(self, tmp_path):
+        out = tmp_path / "r.json"
+        main(["run", "--n", "3", "--dataset", "builtin", "--mode", "matrix", "--out", str(out)])
+        report = report_from_json(out.read_text())
+        payload = json.loads(out.read_text())
+        payload["fidelity"] = "ideal"
+        payload["histogram"][0]["note"] = 1
+        assert report_from_json(json.dumps(payload)) == report
 
     def test_indented_report_still_loads(self, tmp_path):
         out = tmp_path / "r.json"

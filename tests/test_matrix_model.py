@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tsp_qsearch import (
     HoboLayout,
@@ -129,21 +131,36 @@ class TestCircuitEquivalence:
             circuit = build_two_step(layout, phases, Schedule(q1, t))
             state = run(circuit, new_state(layout.width))
             dist = main_distribution(state, layout)
-            combined = dist.probs[phases.min_key] + dist.probs[phases.max_key]
+            combined = dist[phases.min_key] + dist[phases.max_key]
             assert combined == pytest.approx(reference.p_combined[t], abs=1e-3)
+
+
+class TestProbabilitySeries:
+    @given(st.integers(0, 8).flatmap(lambda size: st.tuples(
+        *[st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size).map(tuple)] * 2
+    )))
+    def test_times_and_combined_follow_the_columns(self, columns):
+        p_min, p_max = columns
+        series = ProbabilitySeries(p_min, p_max)
+        assert series.times == range(len(p_min))
+        assert series.p_combined == tuple(a + b for a, b in zip(p_min, p_max))
+
+    def test_columns_of_different_lengths_are_rejected(self):
+        with pytest.raises(ValueError, match="p_min has 2 entries, p_max 1"):
+            ProbabilitySeries((0.1, 0.2), (0.3,))
 
 
 class TestFirstPeak:
     def test_simple_interior_peak(self):
-        series = ProbabilitySeries((0, 1, 2, 3), (0, 0, 0, 0), (0, 0, 0, 0), (0.1, 0.5, 0.4, 0.6))
+        series = ProbabilitySeries((0.1, 0.5, 0.4, 0.6), (0, 0, 0, 0))
         assert first_peak(series) == 1
 
     def test_monotone_rise_peaks_at_the_end(self):
-        series = ProbabilitySeries((0, 1, 2), (0, 0, 0), (0, 0, 0), (0.1, 0.2, 0.3))
+        series = ProbabilitySeries((0.1, 0.2, 0.3), (0, 0, 0))
         assert first_peak(series) == 2
 
     def test_single_point(self):
-        series = ProbabilitySeries((0,), (1.0,), (0.0,), (1.0,))
+        series = ProbabilitySeries((1.0,), (0.0,))
         assert first_peak(series) == 0
 
 
@@ -151,7 +168,7 @@ class TestAppendixExperiment:
     def test_peak_histogram_is_dominated_by_the_extreme_tours(self):
         phases = gen_gaussian_phases(5, PI, 0.5, 42)
         series, dist = appendix_experiment(PI, 0.5, 42)
-        ranked = sorted(dist.probs, key=dist.probs.get, reverse=True)
+        ranked = sorted(dist, key=dist.get, reverse=True)
         assert set(ranked[:2]) == {phases.min_key, phases.max_key}
 
     def test_peak_exceeds_uniform_baseline(self):
@@ -162,12 +179,12 @@ class TestAppendixExperiment:
         series_a, dist_a = appendix_experiment(PI, 0.5, 42)
         series_b, dist_b = appendix_experiment(PI, 0.5, 42)
         assert series_a == series_b
-        assert dist_a.probs == dist_b.probs
+        assert dist_a == dist_b
 
     def test_histogram_keys_ordered_by_ascending_cost(self):
         phases = gen_gaussian_phases(5, PI, 0.5, 42)
         _, dist = appendix_experiment(PI, 0.5, 42)
-        keys = list(dist.probs)
+        keys = list(dist)
         costs = [phases.phases[b] for b in keys]
         assert costs == sorted(costs)
         assert len(keys) == 120

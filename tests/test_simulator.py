@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from tsp_qsearch import (
     CapacityError,
-    Distribution,
     HoboLayout,
     NormError,
     Schedule,
@@ -87,6 +86,11 @@ class TestNewState:
         with pytest.raises(CapacityError):
             new_state(MAX_WIDTH + 1)
 
+    @pytest.mark.parametrize("amps", [np.zeros(2**12, complex), np.zeros((2**6, 2**7), complex)])
+    def test_amplitudes_must_match_the_width(self, amps):
+        with pytest.raises(ValueError, match="width 13 needs 8192 amplitudes"):
+            StateVector(13, amps)
+
 
 class TestApplyGate:
     def test_hadamard(self):
@@ -130,6 +134,13 @@ class TestApplyGate:
         with pytest.raises(ValueError):
             apply_gate(new_state(2), x(2))
 
+    @pytest.mark.parametrize("gate", [x(-1), cx(-3, 1), x(3)], ids=["x(-1)", "cx(-3,1)", "x(3)"])
+    def test_qubit_outside_width_is_a_value_error(self, gate):
+        state = new_state(3)
+        with pytest.raises(ValueError, match="outside width 3"):
+            apply_gate(state, gate)
+        assert np.array_equal(state.amplitudes, new_state(3).amplitudes)
+
     @pytest.mark.parametrize("width", [1, 2, 5])
     def test_in_place_kernels_match_fresh_array_arithmetic(self, width):
         rng = np.random.default_rng(width)
@@ -152,8 +163,8 @@ class TestRun:
         circuit = Circuit(layout, tuple(h(q) for q in range(layout.main_qubits)))
         state = run(circuit, new_state(layout.width))
         dist = main_distribution(state, layout)
-        assert len(dist.probs) == 64
-        assert all(p == pytest.approx(1 / 64, abs=1e-12) for p in dist.probs.values())
+        assert len(dist) == 64
+        assert all(p == pytest.approx(1 / 64, abs=1e-12) for p in dist.values())
 
     def test_circuit_then_inverse_restores_input(self):
         layout = HoboLayout.for_cities(3)
@@ -489,10 +500,10 @@ class TestMainDistribution:
         apply_gate(state, h(0))
         apply_gate(state, h(3))
         dist = main_distribution(state, layout)
-        expected = {b: 0.0 for b in dist.probs}
+        expected = {b: 0.0 for b in dist}
         for bits in ("000000", "000100", "100000", "100100"):
             expected[bits] = 0.25
-        for bits, p in dist.probs.items():
+        for bits, p in dist.items():
             assert p == pytest.approx(expected[bits], abs=1e-12)
 
     def test_marginal_sums_ancilla_configurations(self):
@@ -500,7 +511,7 @@ class TestMainDistribution:
         state = new_state(layout.width)
         apply_gate(state, h(layout.marker))  # entangles nothing, splits ancilla space
         dist = main_distribution(state, layout)
-        assert dist.probs["000000"] == pytest.approx(1.0, abs=1e-12)
+        assert dist["000000"] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_step_top_states_are_the_extreme_tours(self):
         layout = HoboLayout.for_cities(3)
@@ -508,7 +519,7 @@ class TestMainDistribution:
         circuit = build_two_step(layout, phases, Schedule(2, 1))
         state = run(circuit, new_state(layout.width))
         dist = main_distribution(state, layout)
-        ranked = sorted(dist.probs, key=dist.probs.get, reverse=True)
+        ranked = sorted(dist, key=dist.get, reverse=True)
         assert set(ranked[:2]) == {"000110", "100100"}
         infeasible = 1.0 - success_probability(dist, enumerate_feasible(3))
         assert infeasible < 0.01
@@ -521,7 +532,7 @@ class TestMainDistribution:
 
 class TestSample:
     def test_point_mass(self):
-        dist = Distribution({"01": 1.0, "10": 0.0})
+        dist = {"01": 1.0, "10": 0.0}
         assert sample(dist, 1024, 7) == {"01": 1024}
 
     def test_deterministic_per_seed(self):
@@ -543,7 +554,7 @@ class TestSample:
         dist = main_distribution(state, layout)
         shots = 1024
         counts = sample(dist, shots, 42)
-        for bits, p in dist.probs.items():
+        for bits, p in dist.items():
             expected = shots * p
             sigma = math.sqrt(shots * p * (1.0 - p))
             # the +1 absorbs integer granularity on near-zero cells
@@ -551,12 +562,12 @@ class TestSample:
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
-            sample(Distribution({"0": 1.0}), 0, 1)
+            sample({"0": 1.0}, 0, 1)
 
 
 class TestSuccessProbability:
     def test_uniform_over_feasible(self):
-        dist = Distribution({b: 1 / 6 for b in enumerate_feasible(3)})
+        dist = {b: 1 / 6 for b in enumerate_feasible(3)}
         assert success_probability(dist, {"000110", "100100"}) == pytest.approx(1 / 3)
 
     def test_first_stage_only(self):
@@ -571,8 +582,8 @@ class TestSuccessProbability:
 
     def test_empty_targets(self):
         with pytest.raises(ValueError):
-            success_probability(Distribution({"0": 1.0}), set())
+            success_probability({"0": 1.0}, set())
 
     def test_unknown_targets_contribute_nothing(self):
-        dist = Distribution({"00": 0.5, "01": 0.5})
+        dist = {"00": 0.5, "01": 0.5}
         assert success_probability(dist, {"00", "11"}) == pytest.approx(0.5)
