@@ -24,7 +24,6 @@ from tsp_qsearch import (
     optimal_q2,
     run,
     sample,
-    subspace,
     success_probability,
 )
 
@@ -58,7 +57,7 @@ for bits in sorted(dist, key=dist.get, reverse=True)[:4]:
 
 # The operator-level reference model evolves only the 6-tour subspace;
 # the circuit tracks it closely despite carrying 13 qubits of workspace.
-reference = evolve(subspace(phases), q2)
+reference = evolve(phases, q2)
 combined = dist[phases.min_key] + dist[phases.max_key]
 print(f"\nextreme-tour mass: circuit {combined:.6f}, reference {reference.p_combined[q2]:.6f}")
 

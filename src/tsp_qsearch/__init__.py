@@ -62,15 +62,12 @@ from .simulator import (
 )
 from .matrix_model import (
     ProbabilitySeries,
-    SearchSpace,
     appendix_experiment,
-    build_cost_operator,
     evolve,
     first_peak,
     oracle_angles,
     series_to_csv,
     state_at,
-    subspace,
 )
 
 __all__ = [
@@ -90,9 +87,8 @@ __all__ = [
     "NormError", "StateVector", "apply_gate", "main_distribution", "new_state",
     "run", "sample", "success_probability",
     # matrix model
-    "ProbabilitySeries", "SearchSpace", "appendix_experiment",
-    "build_cost_operator", "evolve", "first_peak", "oracle_angles",
-    "series_to_csv", "state_at", "subspace",
+    "ProbabilitySeries", "appendix_experiment", "evolve", "first_peak",
+    "oracle_angles", "series_to_csv", "state_at",
 ]
 
 __version__ = "0.1.0"

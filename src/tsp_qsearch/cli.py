@@ -11,8 +11,8 @@ Four subcommands cover the full experiment pipeline:
               list as text.
 
 Every command is deterministic given its flags.  Exit codes: 0 success,
-2 usage error (argparse) or I/O failure, 3 capacity exceeded, 4
-unavailable or malformed data.
+2 usage error (argparse, including a count beyond sys.maxsize) or I/O
+failure, 3 capacity exceeded, 4 unavailable or malformed data.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .core import (
     optimal_q2,
     save_phases,
 )
-from .matrix_model import ProbabilitySeries, evolve, series_to_csv, state_at, subspace
+from .matrix_model import ProbabilitySeries, evolve, series_to_csv, state_at
 from .simulator import MAX_WIDTH, main_distribution, new_state, run, sample
 
 EXIT_OK = 0
@@ -148,10 +148,9 @@ def _resolve_rescale(cost_angles: str, mode: str, n: int) -> bool:
     return mode == "matrix" and HoboLayout.for_cities(n).width > MAX_WIDTH
 
 
-def _schedule(args) -> Schedule:
-    q1 = args.q1 if args.q1 is not None else optimal_q1(args.n)
-    q2 = args.q2 if args.q2 is not None else optimal_q2(args.n, 2)
-    return Schedule(q1, q2)
+def _schedule(n: int, q1: int | None = None, q2: int | None = None) -> Schedule:
+    """The given iteration counts; a missing one is the optimum for n (two targets in stage two)."""
+    return Schedule(optimal_q1(n) if q1 is None else q1, optimal_q2(n, 2) if q2 is None else q2)
 
 
 def cmd_gen(args) -> int:
@@ -164,7 +163,7 @@ def cmd_run(args) -> int:
     phases = _load_dataset(args.dataset, args.n)
     _check_mode_capacity(args.mode, args.n)
     rescale = _resolve_rescale(args.cost_angles, args.mode, args.n)
-    schedule = _schedule(args)
+    schedule = _schedule(args.n, args.q1, args.q2)
     layout = HoboLayout.for_cities(args.n)
 
     if args.mode == "circuit":
@@ -172,9 +171,8 @@ def cmd_run(args) -> int:
         state = run(circuit, new_state(layout.width))
         dist = main_distribution(state, layout)
     else:
-        space = subspace(phases, rescale_costs=rescale)
-        psi = state_at(space, schedule.q2)
-        dist = {b: float(abs(a) ** 2) for b, a in zip(space.basis, psi)}
+        psi = state_at(phases, schedule.q2, rescale_costs=rescale)
+        dist = {b: float(abs(a) ** 2) for b, a in zip(phases.phases, psi)}
 
     counts = sample(dist, args.shots, args.seed)
     histogram = tuple(
@@ -202,12 +200,11 @@ def cmd_sweep(args) -> int:
     rescale = _resolve_rescale(args.cost_angles, args.mode, args.n)
 
     if args.mode == "matrix":
-        series = evolve(subspace(phases, rescale_costs=rescale), args.t_max)
+        series = evolve(phases, args.t_max, rescale_costs=rescale)
     else:
         layout = HoboLayout.for_cities(args.n)
-        q1 = args.q1 if args.q1 is not None else optimal_q1(args.n)
         # Marker prep, Hadamard layer and q1 first-stage rounds.
-        prefix = build_two_step(layout, phases, Schedule(q1, 0))
+        prefix = build_two_step(layout, phases, _schedule(args.n, args.q1, 0))
         _, one_g2 = two_step_iterations(prefix)
         state = run(prefix, new_state(layout.width))
         p_min, p_max = [], []
@@ -231,7 +228,7 @@ def cmd_inspect(args) -> int:
     except DatasetError:
         # Gate structure does not depend on the stored values, only on n.
         phases = gen_gaussian_phases(args.n, math.pi, 0.5, 0)
-    schedule = Schedule(optimal_q1(args.n), optimal_q2(args.n, 2))
+    schedule = _schedule(args.n)
 
     total = build_two_step(layout, phases, schedule)
     g1, g2 = two_step_iterations(total)
@@ -269,7 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     count = _checked(int, lambda v: v >= 0, "non-negative")
-    shots = _checked(int, lambda v: v >= 1, "at least 1")
+    # Iteration counts stay below sys.maxsize, so that t_max + 1 fits islice;
+    # shots stay within it, as numpy's multinomial draws int64 counts.
+    iterations = _checked(count, lambda v: v < sys.maxsize, f"below {sys.maxsize}")
+    at_least_one = _checked(int, lambda v: v >= 1, "at least 1")
+    shots = _checked(at_least_one, lambda v: v <= sys.maxsize, f"at most {sys.maxsize}")
     finite = _checked(float, math.isfinite, "finite")
     positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
 
@@ -304,16 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run_p = sub.add_parser("run", parents=[common], help="run one search, write a JSON report")
-    run_p.add_argument("--q1", type=count, default=None, help="first-stage iterations (default optimal)")
-    run_p.add_argument("--q2", type=count, default=None, help="second-stage iterations (default optimal, m=2)")
+    run_p.add_argument("--q1", type=iterations, default=None, help="first-stage iterations (default optimal)")
+    run_p.add_argument("--q2", type=iterations, default=None, help="second-stage iterations (default optimal, m=2)")
     run_p.add_argument("--shots", type=shots, default=1024, help="sample count (default 1024)")
     run_p.add_argument("--seed", type=count, default=42, help="sampling seed")
     run_p.add_argument("--out", required=True, help="output JSON path")
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", parents=[common], help="tabulate P(t) as CSV")
-    sweep_p.add_argument("--q1", type=count, default=None, help="first-stage iterations (default optimal)")
-    sweep_p.add_argument("--t-max", type=count, default=10, dest="t_max", help="last iteration count (default 10)")
+    sweep_p.add_argument("--q1", type=iterations, default=None, help="first-stage iterations (default optimal)")
+    sweep_p.add_argument("--t-max", type=iterations, default=10, dest="t_max", help="last iteration count (default 10)")
     sweep_p.add_argument("--out", required=True, help="output CSV path")
     sweep_p.set_defaults(func=cmd_sweep)
 

@@ -1,11 +1,12 @@
 """Operator-level reference model of the cost-phase search.
 
-Instead of gates, this module evolves a vector over an explicit tour
-basis with the diagonal cost operator and the reflection about the
-uniform feasible superposition.  It is the cross-check oracle for the
-circuit path and the workhorse for sizes whose circuits are out of
-reach of the dense simulator (the 5-city search space is 120 tours but
-41 qubits).  The basis is the n! feasible tours.  This is the ideal
+Instead of gates, this module evolves a vector over the n! feasible
+tours, in the phase dataset's tour order, with the diagonal cost
+operator and the reflection about the uniform feasible superposition.
+`evolve` and `state_at` take the dataset and the cost convention.  It
+is the cross-check oracle for the circuit path and the workhorse for
+sizes whose circuits are out of reach of the dense simulator (the
+5-city search space is 120 tours but 41 qubits).  This is the ideal
 form of the search: its diffusion reflects about the exact feasible
 superposition, while the circuit's D2 reflects about the stage-1 state,
 which keeps a small infeasible remainder.
@@ -29,14 +30,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import PhaseAssignment, enumerate_feasible, gen_gaussian_phases
-
-
-@dataclass(frozen=True)
-class SearchSpace:
-    basis: tuple[str, ...]
-    phases: PhaseAssignment
-    rescale_costs: bool = False
+from .core import PhaseAssignment, gen_gaussian_phases
 
 
 @dataclass(frozen=True)
@@ -59,33 +53,24 @@ class ProbabilitySeries:
         return tuple(a + b for a, b in zip(self.p_min, self.p_max))
 
 
-def subspace(phases: PhaseAssignment, rescale_costs: bool = False) -> SearchSpace:
-    return SearchSpace(enumerate_feasible(phases.n), phases, rescale_costs)
+def oracle_angles(phases: PhaseAssignment, rescale_costs: bool = False) -> np.ndarray:
+    """Oracle angle of each tour, in the dataset's tour order, under the cost convention."""
+    angles = np.array(list(phases.phases.values()))
+    if not rescale_costs:
+        return angles
+    lo, hi = angles.min(), angles.max()
+    return 2 * math.pi * (angles - lo) / (hi - lo)
 
 
-def oracle_angles(space: SearchSpace) -> dict[str, float]:
-    """Per-tour oracle angle under the space's cost convention."""
-    phases = space.phases.phases
-    if not space.rescale_costs:
-        return dict(phases)
-    lo, hi = min(phases.values()), max(phases.values())
-    return {b: 2 * math.pi * (w - lo) / (hi - lo) for b, w in phases.items()}
-
-
-def build_cost_operator(space: SearchSpace) -> np.ndarray:
-    """Diagonal of the cost operator: e^{i w} per tour of the basis."""
-    angles = oracle_angles(space)
-    return np.exp(1j * np.array([angles[b] for b in space.basis]))
-
-
-def _iterates(space: SearchSpace) -> Iterator[np.ndarray]:
+def _iterates(phases: PhaseAssignment, rescale_costs: bool) -> Iterator[np.ndarray]:
     """psi_0, psi_1, ...: the uniform tour state, then diffusion(cost(psi)) per step.
 
-    The diffusion is the rank-1 reflection D v = 2 psi0 <psi0|v> - v
-    about the uniform superposition of the basis.
+    The cost operator is the diagonal e^{i w} per tour.  The diffusion
+    is the rank-1 reflection D v = 2 psi0 <psi0|v> - v about the
+    uniform superposition of the tours.
     """
-    cost_diag = build_cost_operator(space)
-    ones = np.ones(len(space.basis), dtype=complex)
+    cost_diag = np.exp(1j * oracle_angles(phases, rescale_costs))
+    ones = np.ones(len(cost_diag), dtype=complex)
     psi0 = ones / np.linalg.norm(ones)
     psi = psi0
     while True:
@@ -94,14 +79,15 @@ def _iterates(space: SearchSpace) -> Iterator[np.ndarray]:
         psi = 2.0 * psi0 * np.vdot(psi0, psi) - psi
 
 
-def evolve(space: SearchSpace, t_max: int) -> ProbabilitySeries:
+def evolve(phases: PhaseAssignment, t_max: int, rescale_costs: bool = False) -> ProbabilitySeries:
     """Iterate diffusion(cost(state)); record the extreme-tour mass for t = 0 .. t_max."""
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
-    min_idx = space.basis.index(space.phases.min_key)
-    max_idx = space.basis.index(space.phases.max_key)
+    tours = list(phases.phases)
+    min_idx = tours.index(phases.min_key)
+    max_idx = tours.index(phases.max_key)
     p_min, p_max = [], []
-    for psi in islice(_iterates(space), t_max + 1):
+    for psi in islice(_iterates(phases, rescale_costs), t_max + 1):
         p_min.append(float(np.abs(psi[min_idx]) ** 2))
         p_max.append(float(np.abs(psi[max_idx]) ** 2))
     return ProbabilitySeries(tuple(p_min), tuple(p_max))
@@ -118,11 +104,11 @@ def first_peak(series: ProbabilitySeries) -> int:
     raise ValueError("empty series")
 
 
-def state_at(space: SearchSpace, t: int) -> np.ndarray:
-    """State vector over the basis after t search iterations."""
+def state_at(phases: PhaseAssignment, t: int, rescale_costs: bool = False) -> np.ndarray:
+    """State vector over the dataset's tours, in its order, after t search iterations."""
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
-    return next(islice(_iterates(space), t, None))
+    return next(islice(_iterates(phases, rescale_costs), t, None))
 
 
 def appendix_experiment(
@@ -131,19 +117,17 @@ def appendix_experiment(
     """Five-city Gaussian-cost search: series plus the peak histogram.
 
     Generates a seeded Gaussian cost dataset over the 120 tours,
-    evolves the subspace model under the rescaled-cost convention, and
+    evolves the ideal model under the rescaled-cost convention, and
     returns the probability series together with the full tour
     distribution at the first local maximum of the combined
     extreme-tour mass.  Histogram keys are ordered by ascending cost.
     """
     phases = gen_gaussian_phases(5, mu, sigma, seed)
-    space = subspace(phases, rescale_costs=True)
-    series = evolve(space, t_max)
+    series = evolve(phases, t_max, rescale_costs=True)
     peak_t = first_peak(series)
-    psi = state_at(space, peak_t)
-    by_phase = sorted(space.basis, key=lambda b: phases.phases[b])
-    index_of = {b: i for i, b in enumerate(space.basis)}
-    probs = {b: float(np.abs(psi[index_of[b]]) ** 2) for b in by_phase}
+    psi = state_at(phases, peak_t, rescale_costs=True)
+    amplitude = dict(zip(phases.phases, psi))
+    probs = {b: float(np.abs(amplitude[b]) ** 2) for b in sorted(amplitude, key=phases.phases.get)}
     return series, probs
 
 

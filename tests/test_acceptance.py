@@ -37,7 +37,6 @@ from tsp_qsearch import (
     optimal_q1,
     optimal_q2,
     run,
-    subspace,
     success_probability,
 )
 from tsp_qsearch.cli import main as cli_main
@@ -167,7 +166,7 @@ class TestCriterion5CircuitVsReference:
 
     def _measure(self, n):
         q2 = optimal_q2(n, 2)
-        reference = evolve(subspace(builtin_phases(n)), 2 * q2)
+        reference = evolve(builtin_phases(n), 2 * q2)
         phases, dists = second_stage_states(n, 2 * q2)
         feasible = enumerate_feasible(n)
         rows = []
@@ -245,7 +244,7 @@ class TestCriterion6TwoStepAmplification:
             assert [q1, q2] == [golden["q1"], golden["q2"]]
 
             # the reference value is regenerated, locking the golden file
-            reference = evolve(subspace(builtin_phases(n)), q2).p_combined[q2]
+            reference = evolve(builtin_phases(n), q2).p_combined[q2]
             assert reference == pytest.approx(golden["p_combined_reference"], abs=1e-12)
 
             phases, dists = second_stage_states(n, q2)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -17,7 +18,6 @@ from tsp_qsearch import (
     evolve,
     gen_gaussian_phases,
     load_phases,
-    subspace,
 )
 from tsp_qsearch.cli import (
     EXIT_CAPACITY,
@@ -283,6 +283,25 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestDatasetKeyOrder:
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--t-max", "12"]])
+    def test_reversed_keys_give_the_same_bytes(self, command, tmp_path):
+        # The model reads tours in the dataset's order, which loading makes
+        # the enumeration order whatever order the file lists them in.
+        sorted_path, reversed_path = tmp_path / "sorted.json", tmp_path / "reversed.json"
+        assert main(["gen", "--n", "4", "--seed", "3", "--out", str(sorted_path)]) == EXIT_OK
+        payload = json.loads(sorted_path.read_text())
+        payload["phases"] = dict(reversed(payload["phases"].items()))
+        reversed_path.write_text(json.dumps(payload))
+        outputs = []
+        for dataset in (sorted_path, reversed_path):
+            out = tmp_path / f"{dataset.stem}.out"
+            flags = command + ["--n", "4", "--mode", "matrix", "--dataset", str(dataset), "--out", str(out)]
+            assert main(flags) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestInspect:
     def test_three_city_metrics(self, capsys):
         assert main(["inspect", "--n", "3"]) == EXIT_OK
@@ -350,6 +369,14 @@ class TestUsageErrors:
             ["gen", "--n", "3", "--sigma", "nan"],
             ["gen", "--n", "3", "--mu", "inf"],
             ["gen", "--n", "3", "--seed", "-1"],
+            # Counts beyond what numpy's multinomial or islice accept.
+            ["run", "--n", "3", "--shots", str(10**20)],
+            ["run", "--n", "3", "--q1", str(10**20)],
+            ["run", "--n", "3", "--q2", str(10**20)],
+            ["run", "--n", "3", "--mode", "circuit", "--q1", str(10**20)],
+            ["sweep", "--n", "3", "--mode", "circuit", "--q1", str(10**20)],
+            ["sweep", "--n", "3", "--mode", "matrix", "--t-max", str(10**20)],
+            ["sweep", "--n", "3", "--mode", "matrix", "--t-max", str(sys.maxsize)],
         ],
     )
     def test_rejected_by_the_parser(self, argv, tmp_path, capsys):
@@ -359,6 +386,7 @@ class TestUsageErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err
+        assert "error:" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -371,7 +399,7 @@ class TestRunReportRoundTrip:
         assert report_from_json(report_to_json(report)) == report
 
     def test_series_field_round_trips(self):
-        series = evolve(subspace(builtin_phases(3)), 3)
+        series = evolve(builtin_phases(3), 3)
         report = RunReport(
             n=3, k=2, width=13, q1=2, q2=1, mode="matrix", seed=1, shots=8,
             histogram=(HistogramEntry("000110", 1.0, 8),),

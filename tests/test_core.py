@@ -16,6 +16,7 @@ from tsp_qsearch import (
     Schedule,
     Tour,
     TspInstance,
+    bits_per_city,
     builtin_phases,
     constraint_penalties,
     decode_bitstring,
@@ -113,6 +114,22 @@ class TestEncoding:
         for perm in permutations(range(1, n + 1)):
             tour = Tour(perm)
             assert decode_bitstring(encode_tour(tour, n), n) == tour
+
+    @given(st.data())
+    def test_decode_is_none_exactly_off_the_feasible_set(self, data):
+        n = data.draw(st.integers(2, 6))
+        width = n * bits_per_city(n)
+        feasible = enumerate_feasible(n)
+        # Feasible strings are rare among all of them (720 of 2**18 at n=6),
+        # so some draws take one from the feasible set.
+        bits = data.draw(
+            st.sampled_from(feasible)
+            | st.integers(0, 2**width - 1).map(lambda i: format(i, f"0{width}b"))
+        )
+        tour = decode_bitstring(bits, n)
+        assert (tour is None) == (bits not in feasible)
+        if tour is not None:
+            assert encode_tour(tour, n) == bits
 
 
 class TestEnumeration:

@@ -10,7 +10,6 @@ from tsp_qsearch import (
     PhaseAssignment,
     Schedule,
     appendix_experiment,
-    build_cost_operator,
     build_two_step,
     builtin_phases,
     enumerate_feasible,
@@ -25,7 +24,6 @@ from tsp_qsearch import (
     run,
     series_to_csv,
     state_at,
-    subspace,
 )
 from tsp_qsearch.matrix_model import ProbabilitySeries
 
@@ -37,42 +35,43 @@ N3_T1_P_MIN = 0.4853082390147468
 N3_T1_P_MAX = 0.3784522873664112
 
 
-class TestSearchSpaces:
-    def test_subspace_basis_is_feasible_enumeration(self):
-        space = subspace(builtin_phases(3))
-        assert space.basis == enumerate_feasible(3)
+class TestOracleAngles:
+    def test_angles_follow_the_enumeration_order(self):
+        base = builtin_phases(3)
+        reversed_keys = PhaseAssignment(3, dict(reversed(base.phases.items())))
+        angles = oracle_angles(reversed_keys)
+        assert angles.tolist() == [base.phases[b] for b in enumerate_feasible(3)]
 
     def test_oracle_angles_default_to_stored_values(self):
         phases = builtin_phases(3)
-        assert oracle_angles(subspace(phases)) == phases.phases
+        assert oracle_angles(phases).tolist() == list(phases.phases.values())
 
     def test_oracle_angles_rescaled_span_full_circle(self):
         phases = builtin_phases(3)
-        angles = oracle_angles(subspace(phases, rescale_costs=True))
+        angles = dict(zip(phases.phases, oracle_angles(phases, rescale_costs=True)))
         assert angles[phases.min_key] == 0.0
         assert angles[phases.max_key] == pytest.approx(2 * PI)
         mid = [v for k, v in angles.items() if k not in (phases.min_key, phases.max_key)]
         assert all(0.0 < v < 2 * PI for v in mid)
 
 
-class TestCostOperator:
+class TestCostDiagonal:
     def test_near_zero_phases_give_identity(self):
         keys = enumerate_feasible(3)
         tiny = PhaseAssignment(3, {b: 1e-12 * (i + 1) for i, b in enumerate(keys)})
-        diag = build_cost_operator(subspace(tiny))
+        diag = np.exp(1j * oracle_angles(tiny))
         assert np.max(np.abs(diag - 1.0)) < 1e-9
 
     def test_reference_dataset_extremes(self):
-        space = subspace(builtin_phases(3))
-        diag = build_cost_operator(space)
-        basis = list(space.basis)
-        assert diag[basis.index("000110")] == pytest.approx(np.exp(1j * PI / 2))
-        assert diag[basis.index("100100")] == pytest.approx(np.exp(1j * 3 * PI / 2))
+        diag = np.exp(1j * oracle_angles(builtin_phases(3)))
+        tours = list(enumerate_feasible(3))
+        assert diag[tours.index("000110")] == pytest.approx(np.exp(1j * PI / 2))
+        assert diag[tours.index("100100")] == pytest.approx(np.exp(1j * 3 * PI / 2))
 
 
 class TestEvolve:
     def test_uniform_start(self):
-        series = evolve(subspace(builtin_phases(4)), 0)
+        series = evolve(builtin_phases(4), 0)
         assert series.p_min[0] == pytest.approx(1 / 24, abs=1e-12)
         assert series.p_max[0] == pytest.approx(1 / 24, abs=1e-12)
 
@@ -85,37 +84,37 @@ class TestEvolve:
         assert abs(psi1[0]) ** 2 == pytest.approx(N3_T1_P_MIN, abs=1e-12)
         assert abs(psi1[5]) ** 2 == pytest.approx(N3_T1_P_MAX, abs=1e-12)
 
-        series = evolve(subspace(phases), 1)
+        series = evolve(phases, 1)
         assert series.p_min[1] == pytest.approx(N3_T1_P_MIN, abs=1e-12)
         assert series.p_max[1] == pytest.approx(N3_T1_P_MAX, abs=1e-12)
         assert series.p_combined[1] == pytest.approx(N3_T1_P_MIN + N3_T1_P_MAX, abs=1e-12)
 
     def test_five_city_rescaled_first_peak_in_window(self):
         phases = gen_gaussian_phases(5, PI, 0.5, 42)
-        series = evolve(subspace(phases, rescale_costs=True), 10)
+        series = evolve(phases, 10, rescale_costs=True)
         assert 5 <= first_peak(series) <= 8
 
     def test_norm_preserved_at_every_step(self):
-        space = subspace(builtin_phases(4))
+        phases = builtin_phases(4)
         for t in range(11):
-            assert abs(np.linalg.norm(state_at(space, t)) - 1.0) < 1e-10
+            assert abs(np.linalg.norm(state_at(phases, t)) - 1.0) < 1e-10
 
     def test_phase_shift_leaves_series_unchanged(self):
         base = builtin_phases(3)
         shifted = PhaseAssignment(3, {b: w + 0.3 for b, w in base.phases.items()})
-        a = evolve(subspace(base), 10)
-        b = evolve(subspace(shifted), 10)
+        a = evolve(base, 10)
+        b = evolve(shifted, 10)
         for t in range(11):
             assert abs(a.p_min[t] - b.p_min[t]) < 1e-10
             assert abs(a.p_max[t] - b.p_max[t]) < 1e-10
         assert first_peak(a) == first_peak(b)
 
     def test_rejects_negative_horizon(self):
-        space = subspace(builtin_phases(3))
+        phases = builtin_phases(3)
         with pytest.raises(ValueError, match="non-negative"):
-            evolve(space, -1)
+            evolve(phases, -1)
         with pytest.raises(ValueError, match="non-negative"):
-            state_at(space, -1)
+            state_at(phases, -1)
 
 
 class TestCircuitEquivalence:
@@ -126,7 +125,7 @@ class TestCircuitEquivalence:
         layout = HoboLayout.for_cities(n)
         phases = builtin_phases(n)
         q1, q2 = optimal_q1(n), optimal_q2(n, 2)
-        reference = evolve(subspace(phases), 2 * q2)
+        reference = evolve(phases, 2 * q2)
         for t in range(2 * q2):
             circuit = build_two_step(layout, phases, Schedule(q1, t))
             state = run(circuit, new_state(layout.width))
@@ -192,7 +191,7 @@ class TestAppendixExperiment:
 
 class TestSeriesCsv:
     def test_header_and_row_count(self):
-        series = evolve(subspace(builtin_phases(3)), 10)
+        series = evolve(builtin_phases(3), 10)
         text = series_to_csv(series)
         lines = text.splitlines()
         assert lines[0] == "t,p_min,p_max,p_combined"
@@ -200,7 +199,7 @@ class TestSeriesCsv:
         assert lines[1].startswith("0,")
 
     def test_values_round_trip_through_repr(self):
-        series = evolve(subspace(builtin_phases(3)), 2)
+        series = evolve(builtin_phases(3), 2)
         row = series_to_csv(series).splitlines()[2].split(",")
         assert int(row[0]) == 1
         assert float(row[1]) == series.p_min[1]
