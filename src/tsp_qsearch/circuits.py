@@ -39,10 +39,10 @@ distinct part and combines the results: ``metrics`` keeps each part's
 gate counts and longest-path matrix on the part and combines them with
 the repeat counts, ``circuit_to_text`` formats each distinct part once,
 ``invert_circuit`` inverts part by part and gives an inverse's original
-back, so parts stay shared, and the simulator's plan compiler runs its
-frame pass once per distinct part and entry frame.  A circuit is
-frozen; the flattened ``gates`` tuple and every other value derived
-from it are computed on first use and cached on the instance.
+back, so parts stay shared, and the simulator compiles each repeated
+part once into a step that loops its plan.  A circuit is frozen; the
+flattened ``gates`` tuple and every other value derived from it are
+computed on first use and cached on the instance.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ failure, 3 capacity exceeded, 4 unavailable or malformed data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -259,6 +260,7 @@ def _checked(convert, ok, requirement: str):
     return parse
 
 
+@functools.cache  # built once per process; parsing keeps no state on it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsp-qsearch",

@@ -6,19 +6,20 @@ a printed basis index reads exactly like the layout's bitstring (visit
 slot 1 leftmost).  Gates act in place through strided views and index
 arrays; nothing is ever promoted to a dense matrix.
 
-`run` compiles a circuit's gate list once into a plan of kernel steps
-(see `compile_gates`).  The X gates fold into the control polarity of
-the gates they conjugate, leaving swap, H butterfly and phase-multiply
-operations; this frame pass runs once per distinct block of the
-circuit and X frame it is entered with (see `circuit_plan`).  Each
-run of two or more swaps then becomes one permutation step,
-`flat[moved] = flat[source]` over the positions the run moves, and
-each run of two or more H becomes one layer step, which gathers
-only the groups of amplitudes that hold a nonzero value, applies the
-same butterflies to them and scatters them back.  In the two-step
-circuit every feasibility oracle R1 is a permutation (its ancillas are
-computed and uncomputed) and leaves the ancillas at zero, so at n=4 the
-2048 gates become 96 steps: one swap, 10 permutations of 512 moved
+`run` compiles a circuit once into a plan of kernel steps (see
+`compile_gates`).  The X gates fold into the control polarity of the
+gates they conjugate, leaving swap, H butterfly and phase-multiply
+operations.  Each run of two or more swaps becomes one permutation step,
+`flat[moved] = flat[source]` over the positions the run moves, and each
+run of two or more H becomes one layer step, which gathers only the
+groups of amplitudes that hold a nonzero value, applies the same
+butterflies to them and scatters them back.  A repeated part compiles
+once into a step that loops its plan, so compile cost depends on the
+distinct parts, not on q1 or q2; the X frame is flushed and fusion stops
+at such a step, and parts run once are fused across their joins.  Every
+feasibility oracle R1 uncomputes its ancillas, so it is one permutation.
+At n=4 the 2048 gates become 4 steps (marker swap, H layer, G1 * q1 and
+G2 * q2) that unroll to one swap, 10 permutations of 512 moved
 amplitudes, 25 H layers and 60 phase multiplies.
 
 The plan only changes which amplitudes a kernel touches, never its
@@ -27,11 +28,10 @@ application, and every nonzero real and imaginary part is bit-identical
 to it; a zero part may have either sign.  A group an H layer skips
 keeps its zeros where the gate-by-gate butterflies may write -0.0, and
 a later H can carry such a sign into the zero real or imaginary part of
-a nonzero amplitude (-0.0+0.5j against 0.0+0.5j).  Matching the
-signs would mean gathering every group that holds a -0.0, and the
-phase kernel leaves many.  The gate IR, gate counts and text dump of
-`circuits` are unchanged; `apply_gate` is a one-gate plan, which keeps
-the plain swap, butterfly and phase kernels.  A lone swap or H step
+a nonzero amplitude (-0.0+0.5j against 0.0+0.5j).  Matching the signs
+would mean gathering every group that holds a -0.0, and the phase
+kernel leaves many.  `apply_gate` is a one-gate plan, which keeps the
+plain swap, butterfly and phase kernels.  A lone swap or H step
 allocates its own half-state temporary; a permutation or layer step
 allocates arrays only as large as the amplitudes it moves or gathers.
 """
@@ -148,24 +148,21 @@ def compile_gates(gates, width: int) -> tuple:
     """Kernel steps equal to applying `gates` one by one on `width` qubits.
 
     Each step is (kernel, first, second), run as
-    ``kernel(view, first, second)``.
-
-    One forward pass keeps a Pauli-X frame: the qubits whose NOT is
-    still pending.  An X gate toggles the frame and emits nothing.  A
-    framed control of CX, MCX or MCP fires on 0 instead of 1, as does a
-    framed MCP target (the gate is a symmetric diagonal); a frame on a
-    CX or MCX target commutes through.  An H on a framed qubit first
-    emits the pending NOT as a swap, and the frame left at the end is
-    flushed the same way.  The swap, H and phase operations are then
-    fused into steps by `_fuse`.
+    ``kernel(view, first, second)``.  One forward pass keeps a Pauli-X
+    frame: the qubits whose NOT is still pending.  An X gate toggles the
+    frame and emits nothing.  A framed control of CX, MCX or MCP fires
+    on 0 instead of 1, as does a framed MCP target (the gate is a
+    symmetric diagonal); a frame on a CX or MCX target commutes through.
+    An H on a framed qubit first emits the pending NOT as a swap, and
+    the frame left at the end is flushed the same way.  `_fuse` then
+    joins the operations into steps.
     """
-    ops, frame = _frame_pass(gates, frozenset())
-    return _fuse(ops + _flush(frame), width)
+    return _fuse(_frame_pass(gates), width, {})
 
 
-def _frame_pass(gates, frame: frozenset) -> tuple[list[tuple], frozenset]:
-    """The operations of `gates` entered with the X `frame`, and the frame they leave."""
-    frame = set(frame)
+def _frame_pass(gates) -> list[tuple]:
+    """The operations of `gates`, ending with the swaps that flush the X frame."""
+    frame: set[int] = set()
     # (kernel, fixed-axis assignments, target qubit or phase factor)
     ops: list[tuple] = []
     for gate in gates:
@@ -184,11 +181,7 @@ def _frame_pass(gates, frame: frozenset) -> tuple[list[tuple], frozenset]:
                 ops.append((_phase, fires, cmath.exp(1j * gate.phase)))
             else:  # CX and MCX
                 ops.append((_swap, on, target))
-    return ops, frozenset(frame)
-
-
-def _flush(frame: frozenset) -> list[tuple]:
-    return [(_swap, (), qubit) for qubit in sorted(frame)]
+    return ops + [(_swap, (), qubit) for qubit in sorted(frame)]
 
 
 def _step(kernel, on: tuple, last) -> tuple:
@@ -198,16 +191,13 @@ def _step(kernel, on: tuple, last) -> tuple:
     return (kernel, _axis_index({**dict(on), last: 0}), _axis_index({**dict(on), last: 1}))
 
 
-def _fuse(ops: list[tuple], width: int) -> tuple:
+def _fuse(ops: list[tuple], width: int, built: dict) -> tuple:
     """Steps for `ops`: a permutation step for each run of two or more
     swaps, a layer step for each run of two or more H, and one kernel
-    step for every other operation.
-
-    A circuit's repeated blocks give equal runs, and each distinct run
-    is built once per compile.
+    step for every other operation.  Repeated blocks give equal runs,
+    so each distinct run is built once and kept in `built`.
     """
     steps: list[tuple] = []
-    built: dict[tuple, tuple] = {}
     for kernel, run in itertools.groupby(ops, key=lambda op: op[0]):
         run = tuple(run)
         if kernel is _phase or len(run) == 1:
@@ -257,41 +247,48 @@ def _h_layer(run: tuple, width: int) -> tuple:
 def circuit_plan(circuit: Circuit) -> tuple:
     """The circuit's compiled steps, built on first use.
 
-    Step for step the plan of `compile_gates(circuit.gates, width)`,
-    but the frame pass runs once per distinct part of the circuit and
-    X frame it is entered with, and the parts' operations are joined
-    before `_fuse`.  The plan is kept on the circuit instance, not in a
-    module-level cache, so it is freed together with its circuit.
+    A part repeated more than once becomes the step
+    ``(_repeat, circuit_plan(part), times)``; the leaves between such
+    parts compile together as in `compile_gates`.  A plan is kept on its
+    circuit, so it is freed with it and a shared part compiles once.
     """
+    return _unit_plan(circuit, {})
+
+
+def _unit_plan(circuit: Circuit, built: dict) -> tuple:
+    # `built` holds the fused runs of every unit compiled in one call.
     plan = vars(circuit).get("_plan")
     if plan is None:
-        ops, frame = _block_pass(circuit, frozenset(), {})
-        plan = _fuse(ops + _flush(frame), circuit.layout.width)
+        plan = ()
+        for repeated, units in itertools.groupby(_units(circuit), key=lambda unit: unit[1] > 1):
+            if repeated:
+                plan += tuple((_repeat, _unit_plan(part, built), times) for part, times in units)
+            else:
+                gates = itertools.chain.from_iterable(leaf.leaf for leaf, _ in units)
+                plan += _fuse(_frame_pass(gates), circuit.layout.width, built)
         object.__setattr__(circuit, "_plan", plan)  # Circuit is frozen
     return plan
 
 
-def _block_pass(circuit: Circuit, frame: frozenset, passes: dict) -> tuple[list[tuple], frozenset]:
-    """`_frame_pass` of the circuit's gates, joined from its parts' passes,
-    each kept in `passes` by (part, entry frame)."""
-    key = (id(circuit), frame)
-    if key not in passes:
-        if circuit.parts:
-            ops: list[tuple] = []
-            for part, times in circuit.parts:
-                for _ in range(times):
-                    part_ops, frame = _block_pass(part, frame, passes)
-                    ops += part_ops
-            passes[key] = (ops, frame)
-        else:
-            passes[key] = _frame_pass(circuit.gates, frame)
-    return passes[key]
+def _units(circuit: Circuit):
+    # In order, (leaf, 1) for each leaf run once and (part, times) for each repeated part.
+    if not circuit.parts:
+        yield circuit, 1
+    for part, times in circuit.parts:
+        if times == 1:
+            yield from _units(part)
+        elif times:
+            yield part, times
+
+
+def _repeat(view: np.ndarray, plan: tuple, times: int) -> None:
+    for _ in range(times):
+        for kernel, first, second in plan:
+            kernel(view, first, second)
 
 
 def _execute(plan: tuple, state: StateVector) -> StateVector:
-    view = state.amplitudes.reshape((2,) * state.width)
-    for kernel, first, second in plan:
-        kernel(view, first, second)
+    _repeat(state.amplitudes.reshape((2,) * state.width), plan, 1)
     return state
 
 

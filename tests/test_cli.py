@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr
@@ -389,6 +391,25 @@ class TestUsageErrors:
         assert "error:" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_parser_still_works_after_a_usage_error(self, tmp_path, capsys):
+        # The parser is built once per process, so a rejected command line
+        # must leave nothing behind for the next call.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--n", "3", "--q1", "-1", "--out", str(tmp_path / "bad.json")])
+        assert exc.value.code == 2
+        argv = ["run", "--n", "3", "--mode", "circuit"]
+        assert main(argv + ["--out", str(tmp_path / "same.json")]) == EXIT_OK
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys; from tsp_qsearch.cli import main; sys.exit(main(sys.argv[1:]))"
+        fresh = tmp_path / "fresh.json"
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--out", str(fresh)], env=env, capture_output=True, timeout=60
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert (tmp_path / "same.json").read_bytes() == fresh.read_bytes()
 
 
 class TestRunReportRoundTrip:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -39,6 +40,7 @@ from tsp_qsearch.simulator import (
     _execute,
     _layer,
     _permute,
+    _repeat,
     _swap,
     circuit_plan,
     compile_gates,
@@ -306,6 +308,14 @@ def _assert_bit_identical_where_nonzero(got: np.ndarray, expected: np.ndarray) -
     assert np.array_equal(got_parts[nonzero].view(np.uint64), expected_parts[nonzero].view(np.uint64))
 
 
+def _unrolled(plan: tuple) -> list:
+    """The plan's steps with every repeat step written out."""
+    steps = []
+    for step in plan:
+        steps += _unrolled(step[1]) * step[2] if step[0] is _repeat else [step]
+    return steps
+
+
 class TestCompiledPlan:
     @settings(max_examples=200, deadline=None)
     @given(circuit=_x_dense_circuits(), seed=st.integers(0, 2**32 - 1), cuts=st.lists(st.integers(0, 100), max_size=5))
@@ -372,7 +382,7 @@ class TestCompiledPlan:
     def test_two_step_plan_swaps_only_the_marker_not(self, n):
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
-        plan = circuit_plan(circuit)
+        plan = _unrolled(circuit_plan(circuit))
 
         # Every X of the IR is folded except the marker's, which an H
         # follows: it is the only lone swap, and the only step that moves
@@ -403,6 +413,18 @@ class TestCompiledPlan:
         gc.collect()
         assert freed() is None
 
+    def test_compile_does_not_grow_with_the_repeat_counts(self):
+        # Only the compile: running the plan stays linear in q1.
+        circuit = build_two_step(HoboLayout.for_cities(3), builtin_phases(3), Schedule(10**5, 0))
+        tracemalloc.start()
+        try:
+            plan = circuit_plan(circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(plan) <= 3
+        assert peak < 2**20
+
 
 class TestBlockStructure:
     @settings(max_examples=150, deadline=None)
@@ -417,25 +439,30 @@ class TestBlockStructure:
             assert metrics(circuit) == _walked_metrics(circuit.gates, circuit.layout.width)
             assert circuit_to_text(circuit) == circuit_to_text(flat)
 
+        # Fusion stops at a repeat, so the steps may differ from the flat
+        # plan's (a leaf [H, H] * 2 gives two layers, not one); the state may not.
         circuit = made[-1]
         width = circuit.layout.width
-        plan, flat_plan = circuit_plan(circuit), compile_gates(circuit.gates, width)
-        assert [step[0] for step in plan] == [step[0] for step in flat_plan]
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
         amps /= np.linalg.norm(amps)
         flat = run(Circuit(circuit.layout, circuit.gates), StateVector(width, amps.copy()))
-        assert np.array_equal(run(circuit, StateVector(width, amps.copy())).amplitudes, flat.amplitudes)
+        _assert_bit_identical_where_nonzero(run(circuit, StateVector(width, amps.copy())).amplitudes, flat.amplitudes)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_two_step_plan_is_the_flat_gate_list_plan(self, n):
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
         plan, flat_plan = circuit_plan(circuit), compile_gates(circuit.gates, layout.width)
-        assert [step[0] for step in plan] == [step[0] for step in flat_plan]
+        # Marker prep and the H layer, then G1 * q1 and G2 * q2, whose
+        # D2 ends in the same G1 * q1: G1 is compiled once.
+        assert [step[0] for step in plan] == [_swap, _layer, _repeat, _repeat]
+        g1_plan, g2_plan = plan[2][1], plan[3][1]
+        assert g2_plan[-1][0] is _repeat and g2_plan[-1][1] is g1_plan
+        assert [step[0] for step in _unrolled(plan)] == [step[0] for step in flat_plan]
         state = run(circuit, new_state(layout.width))
         flat = _execute(flat_plan, new_state(layout.width))
-        assert np.array_equal(state.amplitudes, flat.amplitudes)
+        assert np.array_equal(state.amplitudes.view(np.uint64), flat.amplitudes.view(np.uint64))
 
 
 class TestInverseRun:
