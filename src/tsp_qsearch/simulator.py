@@ -10,30 +10,27 @@ arrays; nothing is ever promoted to a dense matrix.
 `compile_gates`).  The X gates fold into the control polarity of the
 gates they conjugate, leaving swap, H butterfly and phase-multiply
 operations.  Each run of two or more swaps becomes one permutation step,
-`flat[moved] = flat[source]` over the positions the run moves, and each
-run of two or more H becomes one layer step, which gathers only the
-groups of amplitudes that hold a nonzero value, applies the same
-butterflies to them and scatters them back.  A repeated part compiles
-once into a step that loops its plan, so compile cost depends on the
-distinct parts, not on q1 or q2; the X frame is flushed and fusion stops
-at such a step, and parts run once are fused across their joins.  Every
-feasibility oracle R1 uncomputes its ancillas, so it is one permutation.
-At n=4 the 2048 gates become 4 steps (marker swap, H layer, G1 * q1 and
-G2 * q2) that unroll to one swap, 10 permutations of 512 moved
-amplitudes, 25 H layers and 60 phase multiplies.
+`flat[moved] = flat[source]` over the positions the run moves.  A
+repeated part compiles once into a step that loops its plan, so compile
+cost depends on the distinct parts, not on q1 or q2; the X frame is
+flushed and swap runs stop at such a step.
 
-The plan only changes which amplitudes a kernel touches, never its
-arithmetic.  So the state is `np.array_equal` to gate-by-gate
-application, and every nonzero real and imaginary part is bit-identical
-to it; a zero part may have either sign.  A group an H layer skips
-keeps its zeros where the gate-by-gate butterflies may write -0.0, and
-a later H can carry such a sign into the zero real or imaginary part of
-a nonzero amplitude (-0.0+0.5j against 0.0+0.5j).  Matching the signs
-would mean gathering every group that holds a -0.0, and the phase
-kernel leaves many.  `apply_gate` is a one-gate plan, which keeps the
-plain swap, butterfly and phase kernels.  A lone swap or H step
-allocates its own half-state temporary; a permutation or layer step
-allocates arrays only as large as the amplitudes it moves or gathers.
+The plan runs on a view of the state that holds only the live qubits,
+the main register and the marker, with every ancilla bit 0: 512 of the
+32,768 amplitudes at n=4.  Every feasibility oracle R1 uncomputes its
+ancillas, so it is one permutation of the view, which flips the marker
+of each feasible tour.  At n=4 the 2048 gates become 12 steps (marker
+swap, 9 H, G1 * q1 and G2 * q2) that unroll to 272.  If the state holds
+a nonzero amplitude with an ancilla bit set, or the circuit wakes an
+ancilla (an H or phase names one, or a swap leaves one set), the same
+compile over all qubits runs on the whole state instead.
+
+Each step does the arithmetic of the gates it replaces, so every
+amplitude of the view is bit-identical to gate-by-gate `apply_gate`,
+zero signs included.  Outside the view both are zero, though the
+gate-by-gate phase steps may leave -0.0 there.  A lone swap or H step
+allocates its own half-state temporary; a permutation step allocates
+arrays only as large as the amplitudes it moves.
 """
 
 from __future__ import annotations
@@ -72,6 +69,8 @@ class StateVector:
             raise ValueError(
                 f"width {self.width} needs {2**self.width} amplitudes, got shape {self.amplitudes.shape}"
             )
+        if self.amplitudes.dtype != np.complex128:
+            raise ValueError(f"amplitudes must be complex128, got {self.amplitudes.dtype}")
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
@@ -121,27 +120,8 @@ def _permute(view: np.ndarray, moved: np.ndarray, source: np.ndarray) -> None:
     flat[moved] = flat[source]
 
 
-# The halves of a (rows, 2, stride) view, for butterflies on gathered groups.
-_LOWER = (slice(None), 0, ...)
-_UPPER = (slice(None), 1, ...)
-
-
-def _layer(view: np.ndarray, groups: tuple, strides: tuple) -> None:
-    # Only groups holding a nonzero amplitude are gathered, run through
-    # the run's butterflies in order and scattered back; H maps an
-    # all-zero group to zeros.  `!= 0` on the float parts counts -0.0
-    # as zero.  A gathered group is a row of 2**m amplitudes, and the
-    # butterfly on the run's j-th qubit pairs entries 2**(m-1-j) apart.
-    shape, reduce_axes, base, inner = groups
-    occupied = (view.view(np.float64) != 0).reshape(shape)
-    for axis in reduce_axes:
-        occupied = occupied.any(axis=axis)
-    index = base[np.flatnonzero(occupied)][:, None] + inner
-    flat = view.reshape(-1)
-    block = flat[index]
-    for stride in strides:
-        _butterfly(block.reshape(-1, 2, stride), _LOWER, _UPPER)
-    flat[index] = block
+class _Woken(Exception):
+    """A step needs a qubit outside the view it is compiled for."""
 
 
 def compile_gates(gates, width: int) -> tuple:
@@ -157,7 +137,7 @@ def compile_gates(gates, width: int) -> tuple:
     the frame left at the end is flushed the same way.  `_fuse` then
     joins the operations into steps.
     """
-    return _fuse(_frame_pass(gates), width, {})
+    return _fuse(_frame_pass(gates), tuple(range(width)), {})
 
 
 def _frame_pass(gates) -> list[tuple]:
@@ -184,90 +164,100 @@ def _frame_pass(gates) -> list[tuple]:
     return ops + [(_swap, (), qubit) for qubit in sorted(frame)]
 
 
-def _step(kernel, on: tuple, last) -> tuple:
-    """The plain kernel step of one operation of `compile_gates`."""
-    if kernel is _phase:
-        return (_phase, _axis_index(dict(on)), last)
-    return (kernel, _axis_index({**dict(on), last: 0}), _axis_index({**dict(on), last: 1}))
-
-
-def _fuse(ops: list[tuple], width: int, built: dict) -> tuple:
-    """Steps for `ops`: a permutation step for each run of two or more
-    swaps, a layer step for each run of two or more H, and one kernel
+def _fuse(ops: list[tuple], qubits: tuple[int, ...], built: dict) -> tuple:
+    """Steps for `ops` on the view whose axis i is qubit qubits[i]: a
+    permutation step for each run of two or more swaps and one kernel
     step for every other operation.  Repeated blocks give equal runs,
-    so each distinct run is built once and kept in `built`.
+    so each distinct run is built once and kept in `built`.  Raises
+    `_Woken` if the view cannot hold the state after a step.
     """
+    axes = {qubit: axis for axis, qubit in enumerate(qubits)}
     steps: list[tuple] = []
     for kernel, run in itertools.groupby(ops, key=lambda op: op[0]):
         run = tuple(run)
-        if kernel is _phase or len(run) == 1:
-            steps += [_step(*op) for op in run]
+        if kernel is not _swap or len(run) == 1:
+            steps += [_step(*op, axes) for op in run]
             continue
         if run not in built:
-            built[run] = _permutation(run, width) if kernel is _swap else _h_layer(run, width)
+            built[run] = _permutation(run, qubits)
         steps.append(built[run])
     return tuple(steps)
 
 
-def _permutation(run: tuple, width: int) -> tuple:
-    # Apply the swaps to the positions themselves: afterwards position p
-    # holds the index whose amplitude the run moves to p.
-    positions = np.arange(2**width, dtype=np.int32)
-    view = positions.reshape((2,) * width)
-    for op in run:
-        _, idx0, idx1 = _step(*op)
-        _swap(view, idx0, idx1)
-    moved = np.flatnonzero(positions != np.arange(2**width, dtype=np.int32)).astype(np.int32)
-    return (_permute, moved, positions[moved])
+def _step(kernel, on: tuple, last, axes: dict) -> tuple:
+    """The plain kernel step of one operation, on the view where qubit q is axis axes[q]."""
+    try:
+        on = {axes[qubit]: value for qubit, value in on}
+        if kernel is _phase:
+            return (_phase, _axis_index(on), last)
+        target = axes[last]
+    except KeyError:
+        raise _Woken from None
+    return (kernel, _axis_index({**on, target: 0}), _axis_index({**on, target: 1}))
 
 
-def _h_layer(run: tuple, width: int) -> tuple:
-    # A group is the 2**m amplitudes that share every bit outside the
-    # run's m qubits; `base` holds each group's first flat index, in the
-    # C order of the other axes, and `inner` the offsets within a group.
-    qubits = sorted({target for _, _, target in run})
-    positions = np.arange(2**width, dtype=np.int32).reshape((2,) * width)
-    base = positions[tuple(0 if a in qubits else slice(None) for a in range(width))].ravel()
-    inner = positions[tuple(slice(None) if a in qubits else 0 for a in range(width))].ravel()
-    # Occupancy is reduced over the float view, whose extra last axis
-    # splits each amplitude into its real and imaginary part.  Adjacent
-    # axes are merged and reduced outermost first: numpy reduces a long
-    # outer axis quickly and a short inner one slowly.
-    blocks = [
-        (reduced, len(list(axes)))
-        for reduced, axes in itertools.groupby([a in qubits for a in range(width)] + [True])
-    ]
-    shape = tuple(2**size for _, size in blocks)
-    reduced_at = [i for i, (reduced, _) in enumerate(blocks) if reduced]
-    reduce_axes = tuple(i - done for done, i in enumerate(reduced_at))
-    strides = tuple(2 ** (len(qubits) - 1 - qubits.index(target)) for _, _, target in run)
-    return (_layer, (shape, reduce_axes, base, inner), strides)
+def _permutation(run: tuple, qubits: tuple[int, ...]) -> tuple:
+    # Bit q of a label is qubit q: labels[p] starts as the basis state at
+    # view position p, with every qubit outside the view 0.  Each swap
+    # flips its target bit where its controls match, so afterwards
+    # labels[p] is where the run moves the amplitude at p.
+    shifts = range(len(qubits))[::-1]  # axis 0 is the most significant bit
+    positions = np.arange(2 ** len(qubits), dtype=np.int64)
+    labels = np.zeros_like(positions)
+    for qubit, shift in zip(qubits, shifts):
+        labels |= (positions >> shift & 1) << qubit
+    for _, on, target in run:
+        controls = sum(1 << qubit for qubit, _ in on)
+        fires = sum(value << qubit for qubit, value in on)
+        labels[(labels & controls) == fires] ^= 1 << target
+    if np.any(labels & ~sum(1 << qubit for qubit in qubits)):
+        raise _Woken
+    dest = np.zeros_like(positions)
+    for qubit, shift in zip(qubits, shifts):
+        dest |= (labels >> qubit & 1) << shift
+    moved = np.flatnonzero(dest != positions)
+    return (_permute, dest[moved], moved)
 
 
-def circuit_plan(circuit: Circuit) -> tuple:
-    """The circuit's compiled steps, built on first use.
+def _live_qubits(layout: HoboLayout) -> tuple[int, ...]:
+    """The main register and the marker, the qubits every ancilla sits between."""
+    return (*range(layout.main_qubits), *range(layout.width - layout.marker_qubits, layout.width))
 
-    A part repeated more than once becomes the step
-    ``(_repeat, circuit_plan(part), times)``; the leaves between such
-    parts compile together as in `compile_gates`.  A plan is kept on its
-    circuit, so it is freed with it and a shared part compiles once.
+
+def circuit_plan(circuit: Circuit, qubits: tuple[int, ...]) -> tuple | None:
+    """The circuit's compiled steps on the view of `qubits`, built on first use.
+
+    None if the view cannot hold the state while the circuit runs.  A
+    part repeated more than once becomes the step
+    ``(_repeat, plan of the part, times)``; the leaves between such
+    parts compile together as in `compile_gates`.  Plans are kept on
+    their circuit, by view, so they are freed with it and a shared part
+    compiles once.
     """
-    return _unit_plan(circuit, {})
+    try:
+        return _unit_plan(circuit, qubits, {})
+    except _Woken:
+        return None
 
 
-def _unit_plan(circuit: Circuit, built: dict) -> tuple:
+def _unit_plan(circuit: Circuit, qubits: tuple[int, ...], built: dict) -> tuple:
     # `built` holds the fused runs of every unit compiled in one call.
-    plan = vars(circuit).get("_plan")
-    if plan is None:
+    plans = vars(circuit).setdefault("_plans", {})  # Circuit is frozen
+    if qubits not in plans:
         plan = ()
-        for repeated, units in itertools.groupby(_units(circuit), key=lambda unit: unit[1] > 1):
-            if repeated:
-                plan += tuple((_repeat, _unit_plan(part, built), times) for part, times in units)
-            else:
-                gates = itertools.chain.from_iterable(leaf.leaf for leaf, _ in units)
-                plan += _fuse(_frame_pass(gates), circuit.layout.width, built)
-        object.__setattr__(circuit, "_plan", plan)  # Circuit is frozen
-    return plan
+        try:
+            for repeated, units in itertools.groupby(_units(circuit), key=lambda unit: unit[1] > 1):
+                if repeated:
+                    plan += tuple((_repeat, _unit_plan(part, qubits, built), times) for part, times in units)
+                else:
+                    gates = itertools.chain.from_iterable(leaf.leaf for leaf, _ in units)
+                    plan += _fuse(_frame_pass(gates), qubits, built)
+        except _Woken:
+            plan = None
+        plans[qubits] = plan
+    if plans[qubits] is None:
+        raise _Woken
+    return plans[qubits]
 
 
 def _units(circuit: Circuit):
@@ -287,16 +277,16 @@ def _repeat(view: np.ndarray, plan: tuple, times: int) -> None:
             kernel(view, first, second)
 
 
-def _execute(plan: tuple, state: StateVector) -> StateVector:
-    _repeat(state.amplitudes.reshape((2,) * state.width), plan, 1)
-    return state
+def _execute(plan: tuple, amplitudes: np.ndarray) -> None:
+    _repeat(amplitudes.reshape((2,) * (amplitudes.size.bit_length() - 1)), plan, 1)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place and return the state."""
     if not all(0 <= q < state.width for q in gate.qubits()):
         raise ValueError(f"gate {gate} outside width {state.width}")
-    return _execute(compile_gates((gate,), state.width), state)
+    _execute(compile_gates((gate,), state.width), state.amplitudes)
+    return state
 
 
 def run(circuit: Circuit, state: StateVector) -> StateVector:
@@ -305,11 +295,18 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     Raises NormError if the state's squared norm is not 1 afterwards, so
     an input that was not normalised or a drifting kernel is reported.
     """
-    if circuit.layout.width != state.width:
-        raise ValueError(
-            f"circuit width {circuit.layout.width} != state width {state.width}"
-        )
-    _execute(circuit_plan(circuit), state)
+    layout = circuit.layout
+    if layout.width != state.width:
+        raise ValueError(f"circuit width {layout.width} != state width {state.width}")
+    # Axis 1 runs over the ancillas; index 0 is the view.
+    amps = state.amplitudes.reshape(2**layout.main_qubits, -1, 2**layout.marker_qubits)
+    plan = None if amps[:, 1:].any() else circuit_plan(circuit, _live_qubits(layout))
+    if plan is None:
+        _execute(circuit_plan(circuit, tuple(range(state.width))), state.amplitudes)
+    else:
+        live = amps[:, 0].copy()
+        _execute(plan, live)
+        amps[:, 0] = live
     drift = abs(state.norm_sq() - 1.0)
     if not drift < NORM_TOLERANCE:
         raise NormError(f"state norm drifted: |norm^2 - 1| = {drift:.3g}")

@@ -26,6 +26,7 @@ from tsp_qsearch import (
     builtin_phases,
     circuit_to_text,
     enumerate_feasible,
+    gen_gaussian_phases,
     invert_circuit,
     main_distribution,
     metrics,
@@ -37,8 +38,9 @@ from tsp_qsearch import (
 from tsp_qsearch.circuits import Circuit, CircuitMetrics, cx, h, mcp, mcx, x
 from tsp_qsearch.simulator import (
     MAX_WIDTH,
+    _butterfly,
     _execute,
-    _layer,
+    _live_qubits,
     _permute,
     _repeat,
     _swap,
@@ -92,6 +94,16 @@ class TestNewState:
     def test_amplitudes_must_match_the_width(self, amps):
         with pytest.raises(ValueError, match="width 13 needs 8192 amplitudes"):
             StateVector(13, amps)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64, np.complex128])
+    def test_amplitudes_must_be_complex128(self, dtype):
+        amps = np.zeros(8, dtype)
+        amps[0] = 1.0
+        if dtype is np.complex128:
+            assert StateVector(3, amps).norm_sq() == 1.0
+        else:
+            with pytest.raises(ValueError, match=f"complex128, got {np.dtype(dtype)}"):
+                StateVector(3, amps)
 
 
 class TestApplyGate:
@@ -300,12 +312,9 @@ def _walked_metrics(gates, width: int) -> CircuitMetrics:
     return CircuitMetrics(width, max(depth_at.values(), default=0), dict(sorted(counts.items())))
 
 
-def _assert_bit_identical_where_nonzero(got: np.ndarray, expected: np.ndarray) -> None:
-    # A zero real or imaginary part may have either sign (see `simulator`).
-    assert np.array_equal(got, expected)
-    got_parts, expected_parts = got.view(np.float64), expected.view(np.float64)
-    nonzero = expected_parts != 0
-    assert np.array_equal(got_parts[nonzero].view(np.uint64), expected_parts[nonzero].view(np.uint64))
+def _assert_bit_identical(got: np.ndarray, expected: np.ndarray) -> None:
+    # Zero signs included: -0.0 and 0.0 differ.
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def _unrolled(plan: tuple) -> list:
@@ -345,10 +354,6 @@ class TestCompiledPlan:
         support=st.integers(0, 2**6 - 1),
         part=st.sampled_from([1, 1j, 1 + 1j]),
     )
-    # An H layer skips all-zero groups, whose zeros keep a sign that the
-    # per-gate formula changes, and the last H carries that sign into the
-    # zero real part of a nonzero amplitude: the plan gives -0.0+0.5j
-    # where the formula gives 0.0+0.5j.
     @example(
         circuit=Circuit(_bare_layout(5), (x(2), *[h(0)] * 10, mcp((), 0, 2.0), *[h(0)] * 5, h(2))),
         seed=0,
@@ -356,8 +361,8 @@ class TestCompiledPlan:
         part=1j,
     )
     def test_sparse_states_match_the_per_gate_formula(self, circuit, seed, support, part):
-        # Supports from one basis state to dense, so H layers skip groups;
-        # purely real or imaginary values check that both parts count.
+        # Supports from one basis state to dense, and purely real or
+        # imaginary values, so many parts are zeros of either sign.
         width = circuit.layout.width
         size = 1 + support % 2**width
         rng = np.random.default_rng(seed)
@@ -372,41 +377,39 @@ class TestCompiledPlan:
             expected = _reference_gate(expected, gate, width)
 
         one_shot = run(circuit, StateVector(width, amps.copy())).amplitudes
-        _assert_bit_identical_where_nonzero(one_shot, expected)
+        _assert_bit_identical(one_shot, expected)
         gate_by_gate = StateVector(width, amps.copy())
         for gate in circuit.gates:
             apply_gate(gate_by_gate, gate)
-        _assert_bit_identical_where_nonzero(gate_by_gate.amplitudes, expected)
+        _assert_bit_identical(gate_by_gate.amplitudes, expected)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_two_step_plan_swaps_only_the_marker_not(self, n):
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
-        plan = _unrolled(circuit_plan(circuit))
+        plan = _unrolled(circuit_plan(circuit, _live_qubits(layout)))
 
         # Every X of the IR is folded except the marker's, which an H
-        # follows: it is the only lone swap, and the only step that moves
-        # every amplitude.
+        # follows: it is the only lone swap, on the view's last axis.
         lone_swaps = [i for i, (kernel, _, _) in enumerate(plan) if kernel is _swap]
         assert lone_swaps == [0]
-        assert [q for q, i in enumerate(plan[0][1]) if isinstance(i, int)] == [layout.marker]
-        assert plan[1][0] is _layer
+        assert [q for q, i in enumerate(plan[0][1]) if isinstance(i, int)] == [layout.main_qubits]
 
-        # Each of the 10 R1 blocks is one permutation, built once; its
-        # ancillas end at zero, so it moves only the amplitudes whose
-        # marker it flips: both marker values of each main bitstring.
+        # Each of the 10 R1 blocks is one permutation of the view, built
+        # once; its ancillas end at zero, so it moves only the amplitudes
+        # whose marker it flips: both marker values of each feasible tour.
         kinds = Counter(kernel.__name__ for kernel, _, _ in plan)
-        assert kinds == {"_swap": 1, "_permute": 10, "_layer": 25, "_phase": {3: 24, 4: 60}[n]}
+        assert kinds == {"_swap": 1, "_permute": 10, "_butterfly": {3: 151, 4: 201}[n], "_phase": {3: 24, 4: 60}[n]}
         permutations = [step for step in plan if step[0] is _permute]
         assert all(step is permutations[0] for step in permutations)
-        assert len(permutations[0][1]) == 2 ** (layout.main_qubits + 1)
-        assert len(plan) == {3: 60, 4: 96}[n]
+        assert len(permutations[0][1]) == 2 * math.factorial(n)
 
     def test_plan_is_compiled_once_per_circuit(self):
         layout = HoboLayout.for_cities(3)
         circuit = build_g1(layout)
-        assert circuit_plan(circuit) is circuit_plan(circuit)
-        assert circuit_plan(Circuit(layout, circuit.gates)) is not circuit_plan(circuit)
+        live = _live_qubits(layout)
+        assert circuit_plan(circuit, live) is circuit_plan(circuit, live)
+        assert circuit_plan(Circuit(layout, circuit.gates), live) is not circuit_plan(circuit, live)
         # Nothing outside the circuit holds it, so its plan dies with it.
         freed = weakref.ref(circuit)
         del circuit
@@ -415,15 +418,78 @@ class TestCompiledPlan:
 
     def test_compile_does_not_grow_with_the_repeat_counts(self):
         # Only the compile: running the plan stays linear in q1.
-        circuit = build_two_step(HoboLayout.for_cities(3), builtin_phases(3), Schedule(10**5, 0))
-        tracemalloc.start()
-        try:
-            plan = circuit_plan(circuit)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(plan) <= 3
+        layout = HoboLayout.for_cities(3)
+        plan, peak = _traced_compile(build_two_step(layout, builtin_phases(3), Schedule(10**5, 0)))
+        assert [step[0] for step in plan].count(_repeat) == 1
         assert peak < 2**20
+
+    def test_compile_allocates_only_the_view(self):
+        # The permutations are built on the 2**9 view positions, not the
+        # 2**15 basis states of the n=4 layout.
+        layout = HoboLayout.for_cities(4)
+        _, peak = _traced_compile(build_two_step(layout, builtin_phases(4), Schedule(2, 2)))
+        assert peak < 64 * 2**10
+
+
+def _traced_compile(circuit: Circuit) -> tuple:
+    """The circuit's plan on its live qubits and the compile's `tracemalloc` peak."""
+    tracemalloc.start()
+    try:
+        plan = circuit_plan(circuit, _live_qubits(circuit.layout))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return plan, peak
+
+
+def _gate_by_gate(circuit: Circuit, state: StateVector) -> np.ndarray:
+    for gate in circuit.gates:
+        apply_gate(state, gate)
+    return state.amplitudes
+
+
+def _by_view(amps: np.ndarray, layout: HoboLayout) -> tuple:
+    """The amplitudes with every ancilla bit 0, and the rest."""
+    blocks = amps.reshape(2**layout.main_qubits, -1, 2**layout.marker_qubits)
+    return blocks[:, 0].copy(), blocks[:, 1:]
+
+
+class TestViews:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_two_step_run_is_gate_by_gate_on_the_live_qubits(self, n):
+        layout = HoboLayout.for_cities(n)
+        phases = gen_gaussian_phases(2, math.pi, 0.5, 0) if n == 2 else builtin_phases(n)
+        circuit = build_two_step(layout, phases, Schedule(2, 2))
+        assert circuit_plan(circuit, _live_qubits(layout)) is not None
+        live, rest = _by_view(run(circuit, new_state(layout.width)).amplitudes, layout)
+        expected_live, expected_rest = _by_view(_gate_by_gate(circuit, new_state(layout.width)), layout)
+        _assert_bit_identical(live, expected_live)
+        assert not rest.any() and not expected_rest.any()
+
+    def test_ancilla_mass_runs_on_all_qubits(self):
+        layout = HoboLayout.for_cities(3)
+        circuit = build_g1(layout)
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=2**layout.width) + 1j * rng.normal(size=2**layout.width)
+        amps /= np.linalg.norm(amps)
+        got = run(circuit, StateVector(layout.width, amps.copy())).amplitudes
+        _assert_bit_identical(got, _gate_by_gate(circuit, StateVector(layout.width, amps.copy())))
+
+    @pytest.mark.parametrize("wake", ["h", "cx", "cx run"])
+    def test_a_circuit_that_wakes_an_ancilla_runs_on_all_qubits(self, wake):
+        layout = HoboLayout.for_cities(3)
+        ancilla = layout.main_qubits
+        gates = {
+            "h": [h(ancilla)],
+            "cx": [h(0), cx(0, ancilla), h(0)],
+            "cx run": [h(0), cx(0, ancilla), cx(0, ancilla + 1), h(0)],  # one permutation
+        }[wake]
+        circuit = Circuit(layout, tuple(gates))
+        assert circuit_plan(circuit, _live_qubits(layout)) is None
+        got = run(circuit, new_state(layout.width)).amplitudes
+        expected = _gate_by_gate(circuit, new_state(layout.width))
+        assert np.abs(_by_view(expected, layout)[1]).max() > 0.1
+        _assert_bit_identical(got, expected)
 
 
 class TestBlockStructure:
@@ -440,29 +506,33 @@ class TestBlockStructure:
             assert circuit_to_text(circuit) == circuit_to_text(flat)
 
         # Fusion stops at a repeat, so the steps may differ from the flat
-        # plan's (a leaf [H, H] * 2 gives two layers, not one); the state may not.
+        # plan's (a leaf [CX, CX] * 2 gives two permutations, not one); the state may not.
         circuit = made[-1]
         width = circuit.layout.width
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
         amps /= np.linalg.norm(amps)
         flat = run(Circuit(circuit.layout, circuit.gates), StateVector(width, amps.copy()))
-        _assert_bit_identical_where_nonzero(run(circuit, StateVector(width, amps.copy())).amplitudes, flat.amplitudes)
+        _assert_bit_identical(run(circuit, StateVector(width, amps.copy())).amplitudes, flat.amplitudes)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_two_step_plan_is_the_flat_gate_list_plan(self, n):
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
-        plan, flat_plan = circuit_plan(circuit), compile_gates(circuit.gates, layout.width)
-        # Marker prep and the H layer, then G1 * q1 and G2 * q2, whose
-        # D2 ends in the same G1 * q1: G1 is compiled once.
-        assert [step[0] for step in plan] == [_swap, _layer, _repeat, _repeat]
-        g1_plan, g2_plan = plan[2][1], plan[3][1]
+        plan = circuit_plan(circuit, _live_qubits(layout))
+        flat_plan = compile_gates(circuit.gates, layout.width)
+        # Marker prep and the H on every main qubit, then G1 * q1 and
+        # G2 * q2, whose D2 ends in the same G1 * q1: G1 is compiled once.
+        assert [step[0] for step in plan] == [_swap] + [_butterfly] * (layout.main_qubits + 1) + [_repeat] * 2
+        g1_plan, g2_plan = plan[-2][1], plan[-1][1]
         assert g2_plan[-1][0] is _repeat and g2_plan[-1][1] is g1_plan
         assert [step[0] for step in _unrolled(plan)] == [step[0] for step in flat_plan]
-        state = run(circuit, new_state(layout.width))
-        flat = _execute(flat_plan, new_state(layout.width))
-        assert np.array_equal(state.amplitudes.view(np.uint64), flat.amplitudes.view(np.uint64))
+        live, rest = _by_view(run(circuit, new_state(layout.width)).amplitudes, layout)
+        flat = new_state(layout.width).amplitudes
+        _execute(flat_plan, flat)
+        flat_live, flat_rest = _by_view(flat, layout)
+        _assert_bit_identical(live, flat_live)
+        assert np.array_equal(rest, flat_rest)
 
 
 class TestInverseRun:
