@@ -135,7 +135,9 @@ def _resolve_rescale(cost_angles: str, mode: str, n: int) -> bool:
 
     ``auto`` keeps the stored values as angles wherever a circuit
     comparison is possible (n <= 4) and switches to the rescaled
-    reference convention for larger matrix-model runs.
+    reference convention for matrix-model runs from n = 5.  The rule
+    names n, not the simulator's capacity, so a larger `MAX_WIDTH`
+    cannot change a matrix run's output.
     """
     if cost_angles == "raw":
         return False
@@ -146,7 +148,7 @@ def _resolve_rescale(cost_angles: str, mode: str, n: int) -> bool:
                 "--cost-angles rescaled is matrix-mode only"
             )
         return True
-    return mode == "matrix" and HoboLayout.for_cities(n).width > MAX_WIDTH
+    return mode == "matrix" and n >= 5
 
 
 def _schedule(n: int, q1: int | None = None, q2: int | None = None) -> Schedule:

@@ -10,27 +10,30 @@ arrays; nothing is ever promoted to a dense matrix.
 `compile_gates`).  The X gates fold into the control polarity of the
 gates they conjugate, leaving swap, H butterfly and phase-multiply
 operations.  Each run of two or more swaps becomes one permutation step,
-`flat[moved] = flat[source]` over the positions the run moves.  A
-repeated part compiles once into a step that loops its plan, so compile
-cost depends on the distinct parts, not on q1 or q2; the X frame is
-flushed and swap runs stop at such a step.
+`flat[moved] = flat[source]` over the positions the run moves.  Each
+run of two or more H on distinct qubits becomes one H layer step, one
+contiguous pass per qubit on a copy with the run's axes first (see
+`_hadamards`).  A repeated part compiles once into a step that loops
+its plan, so compile cost depends on the distinct parts, not on q1 or
+q2; the X frame is flushed and swap and H runs stop at such a step.
 
 The plan runs on a view of the state that holds only the live qubits,
 the main register and the marker, with every ancilla bit 0: 512 of the
 32,768 amplitudes at n=4.  Every feasibility oracle R1 uncomputes its
 ancillas, so it is one permutation of the view, which flips the marker
-of each feasible tour.  At n=4 the 2048 gates become 12 steps (marker
-swap, 9 H, G1 * q1 and G2 * q2) that unroll to 272.  If the state holds
-a nonzero amplitude with an ancilla bit set, or the circuit wakes an
-ancilla (an H or phase names one, or a swap leaves one set), the same
-compile over all qubits runs on the whole state instead.
+of each feasible tour.  At n=4 the 2048 gates become 4 steps (marker
+swap, one H layer on 9 qubits, G1 * q1 and G2 * q2) that unroll to 96.
+If the state holds a nonzero amplitude with an ancilla bit set, or the
+circuit wakes an ancilla (an H or phase names one, or a swap leaves one
+set), the same compile over all qubits runs on the whole state instead.
 
 Each step does the arithmetic of the gates it replaces, so every
 amplitude of the view is bit-identical to gate-by-gate `apply_gate`,
-zero signs included.  Outside the view both are zero, though the
+zero signs included: an H layer does a lone H's arithmetic, qubit by
+qubit in gate order.  Outside the view both are zero, though the
 gate-by-gate phase steps may leave -0.0 there.  A lone swap or H step
-allocates its own half-state temporary; a permutation step allocates
-arrays only as large as the amplitudes it moves.
+allocates a half-state temporary, an H layer two view-sized buffers,
+and a permutation step arrays only as large as the amplitudes it moves.
 """
 
 from __future__ import annotations
@@ -111,6 +114,22 @@ def _butterfly(view: np.ndarray, idx0: tuple, idx1: tuple) -> None:
     np.multiply(diff, _INV_SQRT2, out=hi)
 
 
+def _hadamards(view: np.ndarray, transposes: tuple, passes: int) -> None:
+    # H on the first `passes` axes of view.transpose(transposes[0]), in
+    # order.  A pass does _butterfly's arithmetic on the low and high halves
+    # of one buffer and writes the results to the other's even and odd
+    # slots, so its axis moves last; transposes[1] restores the view's order.
+    first = view.transpose(transposes[0]).flatten()
+    src, dst = ((*b.reshape(2, -1), b[::2], b[1::2], b) for b in (first, np.empty_like(first)))
+    for _ in range(passes):
+        (lo, hi, _, _, _), (_, _, sums, diffs, out) = src, dst
+        np.add(lo, hi, out=sums)
+        np.subtract(lo, hi, out=diffs)
+        out *= _INV_SQRT2
+        src, dst = dst, src
+    view[...] = src[-1].reshape(view.shape).transpose(transposes[1])
+
+
 def _phase(view: np.ndarray, idx: tuple, factor: complex) -> None:
     view[idx] *= factor
 
@@ -165,22 +184,29 @@ def _frame_pass(gates) -> list[tuple]:
 
 
 def _fuse(ops: list[tuple], qubits: tuple[int, ...], built: dict) -> tuple:
-    """Steps for `ops` on the view whose axis i is qubit qubits[i]: a
-    permutation step for each run of two or more swaps and one kernel
-    step for every other operation.  Repeated blocks give equal runs,
-    so each distinct run is built once and kept in `built`.  Raises
-    `_Woken` if the view cannot hold the state after a step.
+    """Steps for `ops` on the view whose axis i is qubit qubits[i]: one
+    step for each run of two or more swaps (a permutation, built once
+    per distinct run and kept in `built`, as repeated blocks repeat it)
+    or of H on distinct qubits (an H layer), and one kernel step for
+    every other operation.  Raises `_Woken` if the view cannot hold the
+    state after a step.
     """
     axes = {qubit: axis for axis, qubit in enumerate(qubits)}
     steps: list[tuple] = []
     for kernel, run in itertools.groupby(ops, key=lambda op: op[0]):
         run = tuple(run)
-        if kernel is not _swap or len(run) == 1:
+        if kernel is _butterfly:
+            layers: list[list[tuple]] = [[]]
+            for op in run:
+                layers += [[]] if op in layers[-1] else []  # split at a repeated qubit
+                layers[-1].append(op)
+            steps += [_hadamard_step(layer, axes) if len(layer) > 1 else _step(*layer[0], axes) for layer in layers]
+        elif kernel is not _swap or len(run) == 1:
             steps += [_step(*op, axes) for op in run]
-            continue
-        if run not in built:
-            built[run] = _permutation(run, qubits)
-        steps.append(built[run])
+        else:
+            if run not in built:
+                built[run] = _permutation(run, qubits)
+            steps.append(built[run])
     return tuple(steps)
 
 
@@ -194,6 +220,15 @@ def _step(kernel, on: tuple, last, axes: dict) -> tuple:
     except KeyError:
         raise _Woken from None
     return (kernel, _axis_index({**on, target: 0}), _axis_index({**on, target: 1}))
+
+
+def _hadamard_step(ops: list[tuple], axes: dict) -> tuple:
+    """The H layer step of two or more H operations on distinct qubits."""
+    run = [axes.get(qubit) for _, _, qubit in ops]
+    if None in run:
+        raise _Woken
+    rest = [axis for axis in range(len(axes)) if axis not in run]
+    return (_hadamards, ((*run, *rest), tuple(np.argsort(rest + run))), len(run))
 
 
 def _permutation(run: tuple, qubits: tuple[int, ...]) -> tuple:

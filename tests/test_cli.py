@@ -21,6 +21,7 @@ from tsp_qsearch import (
     gen_gaussian_phases,
     load_phases,
 )
+from tsp_qsearch import cli
 from tsp_qsearch.cli import (
     EXIT_CAPACITY,
     EXIT_DATA,
@@ -234,6 +235,14 @@ class TestRun:
             "--out", str(tmp_path / "r.json"),
         ])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("mode", ["circuit", "matrix"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("max_width", [cli.MAX_WIDTH, 64])
+    def test_auto_cost_angles_rescale_only_matrix_runs_from_five_cities(self, n, mode, max_width, monkeypatch):
+        # Raw wherever a circuit run can be compared, whatever the simulator holds.
+        monkeypatch.setattr(cli, "MAX_WIDTH", max_width)
+        assert cli._resolve_rescale("auto", mode, n) is ((n, mode) in {(5, "matrix"), (6, "matrix")})
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

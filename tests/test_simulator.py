@@ -40,6 +40,7 @@ from tsp_qsearch.simulator import (
     MAX_WIDTH,
     _butterfly,
     _execute,
+    _hadamards,
     _live_qubits,
     _permute,
     _repeat,
@@ -325,6 +326,14 @@ def _unrolled(plan: tuple) -> list:
     return steps
 
 
+def _h_qubits(step: tuple) -> list:
+    """The qubits, in order, of a butterfly or H layer step compiled on all qubits."""
+    kernel, first, second = step
+    if kernel is _hadamards:
+        return list(first[0][:second])
+    return [first.index(0)]  # the butterfly's low half fixes its target to 0
+
+
 class TestCompiledPlan:
     @settings(max_examples=200, deadline=None)
     @given(circuit=_x_dense_circuits(), seed=st.integers(0, 2**32 - 1), cuts=st.lists(st.integers(0, 100), max_size=5))
@@ -383,6 +392,38 @@ class TestCompiledPlan:
             apply_gate(gate_by_gate, gate)
         _assert_bit_identical(gate_by_gate.amplitudes, expected)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), part=st.sampled_from([1, 1j]))
+    def test_h_run_is_one_layer_step_per_distinct_stretch(self, data, seed, part):
+        width = data.draw(st.integers(1, 9), label="width")
+        order = data.draw(st.permutations(range(width)), label="order")
+        targets = order[: data.draw(st.integers(1, width), label="length")]
+        if data.draw(st.booleans(), label="repeat"):
+            at = data.draw(st.integers(0, len(targets)), label="at")
+            targets = [*targets[:at], data.draw(st.sampled_from(targets), label="again"), *targets[at:]]
+        circuit = Circuit(_bare_layout(width), tuple(h(q) for q in targets))
+
+        # A new step starts only where a qubit repeats, so a distinct run
+        # is one step; each step is a butterfly for one H, else an H layer.
+        plan = compile_gates(circuit.gates, width)
+        layers = [_h_qubits(step) for step in plan]
+        assert [q for layer in layers for q in layer] == targets
+        assert len(plan) == 1 + (len(set(targets)) < len(targets))
+        assert all(len(set(layer)) == len(layer) and (step[0] is _hadamards) == (len(layer) > 1)
+                   for step, layer in zip(plan, layers))
+        assert [step[0] for step in compile_gates((h(targets[0]),), width)] == [_butterfly]
+
+        # Sparse, purely real or imaginary states, so zeros of both signs appear.
+        rng = np.random.default_rng(seed)
+        size = 1 + data.draw(st.integers(0, 2**width - 1), label="support")
+        amps = np.zeros(2**width, dtype=np.complex128)
+        amps[rng.choice(2**width, size, replace=False)] = part * rng.normal(size=size)
+        amps /= np.linalg.norm(amps)
+        expected = amps
+        for gate in circuit.gates:
+            expected = _reference_gate(expected, gate, width)
+        _assert_bit_identical(run(circuit, StateVector(width, amps.copy())).amplitudes, expected)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_two_step_plan_swaps_only_the_marker_not(self, n):
         layout = HoboLayout.for_cities(n)
@@ -399,7 +440,8 @@ class TestCompiledPlan:
         # once; its ancillas end at zero, so it moves only the amplitudes
         # whose marker it flips: both marker values of each feasible tour.
         kinds = Counter(kernel.__name__ for kernel, _, _ in plan)
-        assert kinds == {"_swap": 1, "_permute": 10, "_butterfly": {3: 151, 4: 201}[n], "_phase": {3: 24, 4: 60}[n]}
+        # Every run of H on distinct qubits is one H layer step: no lone H is left.
+        assert kinds == {"_swap": 1, "_permute": 10, "_hadamards": 25, "_phase": {3: 24, 4: 60}[n]}
         permutations = [step for step in plan if step[0] is _permute]
         assert all(step is permutations[0] for step in permutations)
         assert len(permutations[0][1]) == 2 * math.factorial(n)
@@ -521,9 +563,11 @@ class TestBlockStructure:
         circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
         plan = circuit_plan(circuit, _live_qubits(layout))
         flat_plan = compile_gates(circuit.gates, layout.width)
-        # Marker prep and the H on every main qubit, then G1 * q1 and
-        # G2 * q2, whose D2 ends in the same G1 * q1: G1 is compiled once.
-        assert [step[0] for step in plan] == [_swap] + [_butterfly] * (layout.main_qubits + 1) + [_repeat] * 2
+        # Marker prep and one H layer on every main qubit and the marker,
+        # then G1 * q1 and G2 * q2, whose D2 ends in the same G1 * q1: G1
+        # is compiled once.
+        assert [step[0] for step in plan] == [_swap, _hadamards, _repeat, _repeat]
+        assert plan[1][2] == layout.main_qubits + 1
         g1_plan, g2_plan = plan[-2][1], plan[-1][1]
         assert g2_plan[-1][0] is _repeat and g2_plan[-1][1] is g1_plan
         assert [step[0] for step in _unrolled(plan)] == [step[0] for step in flat_plan]
