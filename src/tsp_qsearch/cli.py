@@ -12,7 +12,8 @@ Four subcommands cover the full experiment pipeline:
 
 Every command is deterministic given its flags.  Exit codes: 0 success,
 2 usage error (argparse, including a count beyond sys.maxsize) or I/O
-failure, 3 capacity exceeded, 4 unavailable or malformed data.
+failure, 3 capacity exceeded (also an iteration count whose round-off
+drifts the state norm past 1e-10), 4 unavailable or malformed data.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 
 from .circuits import build_two_step, circuit_to_text, metrics, two_step_iterations
 from .core import (
@@ -39,76 +39,12 @@ from .core import (
     save_phases,
 )
 from .matrix_model import ProbabilitySeries, evolve, series_to_csv, state_at
-from .simulator import MAX_WIDTH, main_distribution, new_state, run, sample
+from .simulator import MAX_WIDTH, NormError, main_distribution, new_state, run, sample
 
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_CAPACITY = 3
 EXIT_DATA = 4
-
-
-@dataclass(frozen=True)
-class HistogramEntry:
-    bitstring: str
-    probability: float
-    count: int
-
-
-@dataclass(frozen=True)
-class RunReport:
-    n: int
-    k: int
-    width: int
-    q1: int
-    q2: int
-    mode: str
-    seed: int
-    shots: int
-    histogram: tuple[HistogramEntry, ...]
-    series: ProbabilitySeries | None = None
-
-    def to_dict(self) -> dict:
-        """The fields as JSON data; each series row also holds its `t` and `p_combined`."""
-        payload = vars(self) | {"histogram": [vars(e) for e in self.histogram]}
-        series = payload.pop("series")
-        if series is not None:
-            payload["series"] = [
-                {"t": t, "p_min": lo, "p_max": hi, "p_combined": both}
-                for t, lo, hi, both in zip(series.times, series.p_min, series.p_max, series.p_combined)
-            ]
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> RunReport:
-        """Inverse of `to_dict`: keys that name no field are skipped, and the
-        series is rebuilt from its `p_min` and `p_max` columns."""
-        values = _known_fields(cls, payload)
-        values["histogram"] = tuple(HistogramEntry(**_known_fields(HistogramEntry, e)) for e in payload["histogram"])
-        if "series" in values:
-            rows = values["series"]
-            values["series"] = ProbabilitySeries(tuple(r["p_min"] for r in rows), tuple(r["p_max"] for r in rows))
-        return cls(**values)
-
-
-def _known_fields(cls, payload: dict) -> dict:
-    """The items of `payload` named after a field of the dataclass `cls`."""
-    names = {f.name for f in fields(cls)}
-    return {key: value for key, value in payload.items() if key in names}
-
-
-def report_to_json(report: RunReport) -> str:
-    """Serialize a run report as one line of JSON with sorted keys.
-
-    Without an indent `json` uses its C encoder.  Only whitespace
-    differs from the indented layout earlier versions wrote,
-    which `report_from_json` still reads.  ``python -m json.tool``
-    pretty-prints the text.
-    """
-    return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def report_from_json(text: str) -> RunReport:
-    return RunReport.from_dict(json.loads(text))
 
 
 def _load_dataset(dataset: str, n: int) -> PhaseAssignment:
@@ -178,22 +114,23 @@ def cmd_run(args) -> int:
         dist = {b: float(abs(a) ** 2) for b, a in zip(phases.phases, psi)}
 
     counts = sample(dist, args.shots, args.seed)
-    histogram = tuple(
-        HistogramEntry(b, p, counts.get(b, 0)) for b, p in sorted(dist.items())
-    )
-    report = RunReport(
-        n=args.n,
-        k=layout.k,
-        width=layout.width,
-        q1=schedule.q1,
-        q2=schedule.q2,
-        mode=args.mode,
-        seed=args.seed,
-        shots=args.shots,
-        histogram=histogram,
-    )
+    report = {
+        "n": args.n,
+        "k": layout.k,
+        "width": layout.width,
+        "q1": schedule.q1,
+        "q2": schedule.q2,
+        "mode": args.mode,
+        "seed": args.seed,
+        "shots": args.shots,
+        "histogram": [
+            {"bitstring": b, "probability": p, "count": counts.get(b, 0)} for b, p in sorted(dist.items())
+        ],
+    }
+    # One line with sorted keys: without an indent `json` uses its C encoder,
+    # and ``python -m json.tool`` pretty-prints the text.
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report))
+        fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
     return EXIT_OK
 
 
@@ -334,7 +271,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CapacityError as exc:
+    except (CapacityError, NormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except DatasetError as exc:
