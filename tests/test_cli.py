@@ -208,6 +208,16 @@ class TestRun:
         monkeypatch.setattr(cli, "MAX_WIDTH", max_width)
         assert cli._resolve_rescale("auto", mode, n) is ((n, mode) in {(5, "matrix"), (6, "matrix")})
 
+    def test_norm_drift_writes_no_report(self, tmp_path, capsys):
+        # 20,000 first-stage rounds at n=3 drift |norm^2 - 1| to about
+        # 1.3e-10, past the simulator's 1e-10 tolerance.
+        out = tmp_path / "drift.json"
+        code = main(["run", "--n", "3", "--mode", "circuit", "--q1", "20000", "--out", str(out)])
+        assert code == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert err.startswith("error: state norm drifted") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         flags = ["run", "--n", "3", "--dataset", "builtin", "--mode", "circuit", "--seed", "7"]
@@ -404,6 +414,15 @@ class TestRunReportRoundTrip:
         assert list(payload) == sorted(payload)
         assert all(list(e) == sorted(e) for e in payload["histogram"])
         assert text.startswith('{"histogram":[{"bitstring":"000000","count":0,"probability":')
+
+    def test_report_holds_exactly_the_documented_fields(self, tmp_path):
+        out = tmp_path / "r.json"
+        main(["run", "--n", "3", "--dataset", "builtin", "--mode", "matrix", "--seed", "5", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        histogram = payload.pop("histogram")
+        assert payload == {"n": 3, "k": 2, "width": 13, "q1": 2, "q2": 1, "mode": "matrix", "seed": 5, "shots": 1024}
+        assert all(set(e) == {"bitstring", "probability", "count"} for e in histogram)
+        assert all(type(e["count"]) is int and type(e["probability"]) is float for e in histogram)
 
     def test_histogram_sorted_by_bitstring(self, tmp_path):
         out = tmp_path / "r.json"
