@@ -6,34 +6,42 @@ a printed basis index reads exactly like the layout's bitstring (visit
 slot 1 leftmost).  Gates act in place through strided views and index
 arrays; nothing is ever promoted to a dense matrix.
 
-`run` compiles a circuit once into a plan of kernel steps (see
-`compile_gates`).  The X gates fold into the control polarity of the
-gates they conjugate, leaving swap, H butterfly and phase-multiply
-operations.  Each run of two or more swaps becomes one permutation step,
-`flat[moved] = flat[source]` over the positions the run moves.  Each
-run of two or more H on distinct qubits becomes one H layer step, one
-contiguous pass per qubit on a copy with the run's axes first (see
+`run` compiles a circuit once into a plan of four kinds of kernel step
+(see `_compile`).  Apart from H, every gate is classical: X, CX and MCX
+permute basis states and MCP multiplies some of them by a phase.  So the
+compiler keeps, for each position of the view it runs on, a label: the
+basis state whose amplitude that position holds.  X, CX and MCX only
+change labels and emit nothing; an MCP is one phase step on the
+positions whose label it fires on.  An H first emits the pending
+relabelling as one move, `flat[dest] = flat[source]` over the
+positions whose label changed, and then joins the current H layer: one
+contiguous pass per qubit on a copy with the layer's axes first (see
 `_hadamards`).  A repeated part compiles once into a step that loops
 its plan, so compile cost depends on the distinct parts, not on q1 or
-q2; the X frame is flushed and swap and H runs stop at such a step.
+q2; a part moves its labels home before it ends.
 
 The plan runs on a view of the state that holds only the live qubits,
 the main register and the marker, with every ancilla bit 0: 512 of the
-32,768 amplitudes at n=4.  Every feasibility oracle R1 uncomputes its
-ancillas, so it is one permutation of the view, which flips the marker
-of each feasible tour.  At n=4 the 2048 gates become 4 steps (marker
-swap, one H layer on 9 qubits, G1 * q1 and G2 * q2) that unroll to 96.
-If the state holds a nonzero amplitude with an ancilla bit set, or the
-circuit wakes an ancilla (an H or phase names one, or a swap leaves one
-set), the same compile over all qubits runs on the whole state instead.
+32,768 amplitudes at n=4.  A label may set an ancilla bit between moves,
+and an MCP may read it there, so each feasibility oracle R1 computes and
+uncomputes its ancillas into one move of the view, which flips the
+marker of each feasible tour.  At n=4 the 2048 gates become 4 steps
+(marker move, one H layer on 9 qubits, G1 * q1 and G2 * q2) that unroll
+to 96.  The view wakes an ancilla when an H names one or a move leaves
+one set.  Then, as when the state holds a nonzero amplitude with an
+ancilla bit set, the same compile over all qubits runs on the whole
+state instead.
 
 Each step does the arithmetic of the gates it replaces, so every
 amplitude of the view is bit-identical to gate-by-gate `apply_gate`,
 zero signs included: an H layer does a lone H's arithmetic, qubit by
 qubit in gate order.  Outside the view both are zero, though the
-gate-by-gate phase steps may leave -0.0 there.  A lone swap or H step
-allocates a half-state temporary, an H layer two view-sized buffers,
-and a permutation step arrays only as large as the amplitudes it moves.
+gate-by-gate phase steps may leave -0.0 there.  `apply_gate` compiles
+nothing: it swaps, butterflies or multiplies strided views of the state
+in place, with temporaries the size of half the amplitudes the gate acts
+on.  An H layer step allocates two view-sized buffers, and a move or
+phase step holds index arrays only as large as the amplitudes it
+touches.
 """
 
 from __future__ import annotations
@@ -130,128 +138,85 @@ def _hadamards(view: np.ndarray, transposes: tuple, passes: int) -> None:
     view[...] = src[-1].reshape(view.shape).transpose(transposes[1])
 
 
-def _phase(view: np.ndarray, idx: tuple, factor: complex) -> None:
-    view[idx] *= factor
+def _phase(view: np.ndarray, positions: np.ndarray, factor: complex) -> None:
+    view.reshape(-1)[positions] *= factor
 
 
-def _permute(view: np.ndarray, moved: np.ndarray, source: np.ndarray) -> None:
+def _permute(view: np.ndarray, dest: np.ndarray, source: np.ndarray) -> None:
     flat = view.reshape(-1)
-    flat[moved] = flat[source]
+    flat[dest] = flat[source]
 
 
 class _Woken(Exception):
     """A step needs a qubit outside the view it is compiled for."""
 
 
-def compile_gates(gates, width: int) -> tuple:
-    """Kernel steps equal to applying `gates` one by one on `width` qubits.
+def _compile(gates, qubits: tuple[int, ...]) -> tuple:
+    """Kernel steps equal to `gates` applied one by one on the view whose axis i is qubits[i].
 
-    Each step is (kernel, first, second), run as
-    ``kernel(view, first, second)``.  One forward pass keeps a Pauli-X
-    frame: the qubits whose NOT is still pending.  An X gate toggles the
-    frame and emits nothing.  A framed control of CX, MCX or MCP fires
-    on 0 instead of 1, as does a framed MCP target (the gate is a
-    symmetric diagonal); a frame on a CX or MCX target commutes through.
-    An H on a framed qubit first emits the pending NOT as a swap, and
-    the frame left at the end is flushed the same way.  `_fuse` then
-    joins the operations into steps.
+    Each step is (kernel, first, second), run as ``kernel(view, first,
+    second)``.  Each run of gates other than H becomes its phase steps
+    and at most one move (see `_relabel`).  Each H joins the current H
+    layer, which such a step or a second H on one of its qubits closes;
+    a lone H is a layer of one.  Raises `_Woken` if an H names a qubit
+    outside the view or a move leaves a label outside it.
     """
-    return _fuse(_frame_pass(gates), tuple(range(width)), {})
-
-
-def _frame_pass(gates) -> list[tuple]:
-    """The operations of `gates`, ending with the swaps that flush the X frame."""
-    frame: set[int] = set()
-    # (kernel, fixed-axis assignments, target qubit or phase factor)
-    ops: list[tuple] = []
-    for gate in gates:
-        kind, target = gate.kind, gate.target
-        if kind is GateKind.X:
-            frame ^= {target}
-        elif kind is GateKind.H:
-            if target in frame:
-                frame.discard(target)
-                ops.append((_swap, (), target))
-            ops.append((_butterfly, (), target))
-        else:
-            on = tuple((c, int(c not in frame)) for c in gate.controls)
-            if kind is GateKind.MCP:
-                fires = (*on, (target, int(target not in frame)))
-                ops.append((_phase, fires, cmath.exp(1j * gate.phase)))
-            else:  # CX and MCX
-                ops.append((_swap, on, target))
-    return ops + [(_swap, (), qubit) for qubit in sorted(frame)]
-
-
-def _fuse(ops: list[tuple], qubits: tuple[int, ...], built: dict) -> tuple:
-    """Steps for `ops` on the view whose axis i is qubit qubits[i]: one
-    step for each run of two or more swaps (a permutation, built once
-    per distinct run and kept in `built`, as repeated blocks repeat it)
-    or of H on distinct qubits (an H layer), and one kernel step for
-    every other operation.  Raises `_Woken` if the view cannot hold the
-    state after a step.
-    """
+    width = len(qubits)
     axes = {qubit: axis for axis, qubit in enumerate(qubits)}
-    steps: list[tuple] = []
-    for kernel, run in itertools.groupby(ops, key=lambda op: op[0]):
-        run = tuple(run)
-        if kernel is _butterfly:
-            layers: list[list[tuple]] = [[]]
-            for op in run:
-                layers += [[]] if op in layers[-1] else []  # split at a repeated qubit
-                layers[-1].append(op)
-            steps += [_hadamard_step(layer, axes) if len(layer) > 1 else _step(*layer[0], axes) for layer in layers]
-        elif kernel is not _swap or len(run) == 1:
-            steps += [_step(*op, axes) for op in run]
-        else:
-            if run not in built:
-                built[run] = _permutation(run, qubits)
-            steps.append(built[run])
-    return tuple(steps)
+    steps, layer = [], []
+    for hadamards, run in itertools.groupby(gates, key=lambda gate: gate.kind is GateKind.H):
+        if hadamards:
+            for gate in run:
+                if gate.target not in axes:
+                    raise _Woken
+                if axes[gate.target] in layer:
+                    steps += _layer(layer, width)
+                    layer = []
+                layer.append(axes[gate.target])
+        elif classical := _relabel(run, qubits):
+            steps += _layer(layer, width) + classical
+            layer = []
+    return tuple(steps + _layer(layer, width))
 
 
-def _step(kernel, on: tuple, last, axes: dict) -> tuple:
-    """The plain kernel step of one operation, on the view where qubit q is axis axes[q]."""
-    try:
-        on = {axes[qubit]: value for qubit, value in on}
-        if kernel is _phase:
-            return (_phase, _axis_index(on), last)
-        target = axes[last]
-    except KeyError:
-        raise _Woken from None
-    return (kernel, _axis_index({**on, target: 0}), _axis_index({**on, target: 1}))
+def _relabel(gates, qubits: tuple[int, ...]) -> list:
+    """The phase steps and the move of X, CX, MCX and MCP gates on the view of `qubits`.
 
-
-def _hadamard_step(ops: list[tuple], axes: dict) -> tuple:
-    """The H layer step of two or more H operations on distinct qubits."""
-    run = [axes.get(qubit) for _, _, qubit in ops]
-    if None in run:
+    labels[p] is the basis state that view position p stands for: bit
+    width-1-i is axis i, and qubits outside the view get bits above
+    those, in order of first use.  X, CX and MCX only relabel (an X
+    toggles `flip`, applied to every label).  An MCP is one phase step
+    on the positions whose label fires.  The move takes the amplitude
+    at each position p to labels[p] ^ flip, if any moves.
+    """
+    width = len(qubits)
+    bits = {qubit: 1 << (width - 1 - axis) for axis, qubit in enumerate(qubits)}
+    positions = np.arange(2**width, dtype=np.int64)
+    labels, flip, steps = positions, 0, []
+    for gate in gates:
+        target = bits.setdefault(gate.target, 1 << len(bits))
+        if gate.kind is GateKind.X:
+            flip ^= target
+            continue
+        on = sum(bits.setdefault(qubit, 1 << len(bits)) for qubit in gate.controls)
+        if gate.kind is GateKind.MCP:
+            on |= target
+            steps.append((_phase, np.flatnonzero((labels & on) == (on & ~flip)), cmath.exp(1j * gate.phase)))
+        else:  # CX and MCX
+            labels = np.where((labels & on) == (on & ~flip), labels ^ target, labels)
+    dest = labels ^ flip
+    if np.any(dest >= positions.size):  # a label has a bit outside the view set
         raise _Woken
-    rest = [axis for axis in range(len(axes)) if axis not in run]
-    return (_hadamards, ((*run, *rest), tuple(np.argsort(rest + run))), len(run))
+    source = np.flatnonzero(dest != positions)
+    return steps + [(_permute, dest[source], source)] if source.size else steps
 
 
-def _permutation(run: tuple, qubits: tuple[int, ...]) -> tuple:
-    # Bit q of a label is qubit q: labels[p] starts as the basis state at
-    # view position p, with every qubit outside the view 0.  Each swap
-    # flips its target bit where its controls match, so afterwards
-    # labels[p] is where the run moves the amplitude at p.
-    shifts = range(len(qubits))[::-1]  # axis 0 is the most significant bit
-    positions = np.arange(2 ** len(qubits), dtype=np.int64)
-    labels = np.zeros_like(positions)
-    for qubit, shift in zip(qubits, shifts):
-        labels |= (positions >> shift & 1) << qubit
-    for _, on, target in run:
-        controls = sum(1 << qubit for qubit, _ in on)
-        fires = sum(value << qubit for qubit, value in on)
-        labels[(labels & controls) == fires] ^= 1 << target
-    if np.any(labels & ~sum(1 << qubit for qubit in qubits)):
-        raise _Woken
-    dest = np.zeros_like(positions)
-    for qubit, shift in zip(qubits, shifts):
-        dest |= (labels >> qubit & 1) << shift
-    moved = np.flatnonzero(dest != positions)
-    return (_permute, dest[moved], moved)
+def _layer(axes: list[int], width: int) -> list:
+    """The H layer step on `axes`, in order, if there are any."""
+    if not axes:
+        return []
+    rest = [axis for axis in range(width) if axis not in axes]
+    return [(_hadamards, ((*axes, *rest), tuple(np.argsort(rest + axes))), len(axes))]
 
 
 def _live_qubits(layout: HoboLayout) -> tuple[int, ...]:
@@ -265,34 +230,30 @@ def circuit_plan(circuit: Circuit, qubits: tuple[int, ...]) -> tuple | None:
     None if the view cannot hold the state while the circuit runs.  A
     part repeated more than once becomes the step
     ``(_repeat, plan of the part, times)``; the leaves between such
-    parts compile together as in `compile_gates`.  Plans are kept on
-    their circuit, by view, so they are freed with it and a shared part
+    parts compile together as in `_compile`.  Plans are kept on their
+    circuit, by view, so they are freed with it and a shared part
     compiles once.
     """
-    try:
-        return _unit_plan(circuit, qubits, {})
-    except _Woken:
-        return None
-
-
-def _unit_plan(circuit: Circuit, qubits: tuple[int, ...], built: dict) -> tuple:
-    # `built` holds the fused runs of every unit compiled in one call.
     plans = vars(circuit).setdefault("_plans", {})  # Circuit is frozen
     if qubits not in plans:
         plan = ()
         try:
             for repeated, units in itertools.groupby(_units(circuit), key=lambda unit: unit[1] > 1):
                 if repeated:
-                    plan += tuple((_repeat, _unit_plan(part, qubits, built), times) for part, times in units)
+                    plan += tuple((_repeat, _unit_plan(part, qubits), times) for part, times in units)
                 else:
-                    gates = itertools.chain.from_iterable(leaf.leaf for leaf, _ in units)
-                    plan += _fuse(_frame_pass(gates), qubits, built)
+                    plan += _compile(itertools.chain.from_iterable(leaf.leaf for leaf, _ in units), qubits)
         except _Woken:
             plan = None
         plans[qubits] = plan
-    if plans[qubits] is None:
-        raise _Woken
     return plans[qubits]
+
+
+def _unit_plan(circuit: Circuit, qubits: tuple[int, ...]) -> tuple:
+    plan = circuit_plan(circuit, qubits)
+    if plan is None:
+        raise _Woken
+    return plan
 
 
 def _units(circuit: Circuit):
@@ -320,7 +281,15 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place and return the state."""
     if not all(0 <= q < state.width for q in gate.qubits()):
         raise ValueError(f"gate {gate} outside width {state.width}")
-    _execute(compile_gates((gate,), state.width), state.amplitudes)
+    view = state.amplitudes.reshape((2,) * state.width)
+    on = dict.fromkeys(gate.controls, 1)
+    low, high = _axis_index({**on, gate.target: 0}), _axis_index({**on, gate.target: 1})
+    if gate.kind is GateKind.H:
+        _butterfly(view, low, high)
+    elif gate.kind is GateKind.MCP:
+        view[high] *= cmath.exp(1j * gate.phase)
+    else:  # X, CX and MCX
+        _swap(view, low, high)
     return state
 
 

@@ -38,15 +38,12 @@ from tsp_qsearch import (
 from tsp_qsearch.circuits import Circuit, CircuitMetrics, cx, h, mcp, mcx, x
 from tsp_qsearch.simulator import (
     MAX_WIDTH,
-    _butterfly,
     _execute,
     _hadamards,
     _live_qubits,
     _permute,
     _repeat,
-    _swap,
     circuit_plan,
-    compile_gates,
 )
 
 from helpers import prepare_main_basis
@@ -155,6 +152,21 @@ class TestApplyGate:
         with pytest.raises(ValueError, match="outside width 3"):
             apply_gate(state, gate)
         assert np.array_equal(state.amplitudes, new_state(3).amplitudes)
+
+    @pytest.mark.parametrize("gate, half", [(x(3), 2**14), (cx(2, 9), 2**13)], ids=["x", "cx"])
+    def test_one_gate_allocates_only_two_halves_of_its_region(self, gate, half):
+        # 15 qubits, as at n=4.  A swap copies the low half of the amplitudes
+        # its controls select, and numpy copies the high half before it
+        # assigns it, as the halves interleave.  Compiling the gate would add
+        # int64 arrays of all 2**15 labels, 256 KiB each.
+        state = new_state(15)
+        tracemalloc.start()
+        try:
+            apply_gate(state, gate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * half * 16
 
     @pytest.mark.parametrize("width", [1, 2, 5])
     def test_in_place_kernels_match_fresh_array_arithmetic(self, width):
@@ -327,11 +339,9 @@ def _unrolled(plan: tuple) -> list:
 
 
 def _h_qubits(step: tuple) -> list:
-    """The qubits, in order, of a butterfly or H layer step compiled on all qubits."""
-    kernel, first, second = step
-    if kernel is _hadamards:
-        return list(first[0][:second])
-    return [first.index(0)]  # the butterfly's low half fixes its target to 0
+    """The qubits, in order, of an H layer step compiled on all qubits."""
+    _, transposes, passes = step
+    return list(transposes[0][:passes])
 
 
 class TestCompiledPlan:
@@ -404,14 +414,15 @@ class TestCompiledPlan:
         circuit = Circuit(_bare_layout(width), tuple(h(q) for q in targets))
 
         # A new step starts only where a qubit repeats, so a distinct run
-        # is one step; each step is a butterfly for one H, else an H layer.
-        plan = compile_gates(circuit.gates, width)
+        # is one step; each step is an H layer, a lone H one of one pass.
+        every_qubit = tuple(range(width))
+        plan = circuit_plan(circuit, every_qubit)
         layers = [_h_qubits(step) for step in plan]
         assert [q for layer in layers for q in layer] == targets
         assert len(plan) == 1 + (len(set(targets)) < len(targets))
-        assert all(len(set(layer)) == len(layer) and (step[0] is _hadamards) == (len(layer) > 1)
-                   for step, layer in zip(plan, layers))
-        assert [step[0] for step in compile_gates((h(targets[0]),), width)] == [_butterfly]
+        assert all(step[0] is _hadamards and len(set(layer)) == len(layer) for step, layer in zip(plan, layers))
+        lone = circuit_plan(Circuit(circuit.layout, (h(targets[0]),)), every_qubit)
+        assert [(step[0], step[2]) for step in lone] == [(_hadamards, 1)]
 
         # Sparse, purely real or imaginary states, so zeros of both signs appear.
         rng = np.random.default_rng(seed)
@@ -430,21 +441,22 @@ class TestCompiledPlan:
         circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
         plan = _unrolled(circuit_plan(circuit, _live_qubits(layout)))
 
-        # Every X of the IR is folded except the marker's, which an H
-        # follows: it is the only lone swap, on the view's last axis.
-        lone_swaps = [i for i, (kernel, _, _) in enumerate(plan) if kernel is _swap]
-        assert lone_swaps == [0]
-        assert [q for q, i in enumerate(plan[0][1]) if isinstance(i, int)] == [layout.main_qubits]
-
-        # Each of the 10 R1 blocks is one permutation of the view, built
-        # once; its ancillas end at zero, so it moves only the amplitudes
-        # whose marker it flips: both marker values of each feasible tour.
         kinds = Counter(kernel.__name__ for kernel, _, _ in plan)
-        # Every run of H on distinct qubits is one H layer step: no lone H is left.
-        assert kinds == {"_swap": 1, "_permute": 10, "_hadamards": 25, "_phase": {3: 24, 4: 60}[n]}
-        permutations = [step for step in plan if step[0] is _permute]
-        assert all(step is permutations[0] for step in permutations)
-        assert len(permutations[0][1]) == 2 * math.factorial(n)
+        assert kinds == {"_permute": 11, "_hadamards": 25, "_phase": {3: 24, 4: 60}[n]}
+
+        # The marker's NOT, which an H follows, is the first step: a move
+        # of every view position p to p ^ 1, the marker being the last axis.
+        moves = [step for step in plan if step[0] is _permute]
+        positions = np.arange(2 ** (layout.main_qubits + 1))
+        assert plan[0] is moves[0]
+        assert np.array_equal(moves[0][2], positions) and np.array_equal(moves[0][1], positions ^ 1)
+
+        # Each of the 10 R1 blocks is one equal move of the view; its
+        # ancillas end at zero, so it moves only the amplitudes whose
+        # marker it flips: both marker values of each feasible tour.
+        assert len(moves[1][2]) == 2 * math.factorial(n)
+        assert all(np.array_equal(step[1], moves[1][1]) and np.array_equal(step[2], moves[1][2])
+                   for step in moves[1:])
 
     def test_plan_is_compiled_once_per_circuit(self):
         layout = HoboLayout.for_cities(3)
@@ -497,11 +509,12 @@ def _by_view(amps: np.ndarray, layout: HoboLayout) -> tuple:
 
 
 class TestViews:
+    @pytest.mark.parametrize("schedule", [Schedule(2, 2), Schedule(0, 3), Schedule(3, 0)], ids=str)
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_two_step_run_is_gate_by_gate_on_the_live_qubits(self, n):
+    def test_two_step_run_is_gate_by_gate_on_the_live_qubits(self, n, schedule):
         layout = HoboLayout.for_cities(n)
         phases = gen_gaussian_phases(2, math.pi, 0.5, 0) if n == 2 else builtin_phases(n)
-        circuit = build_two_step(layout, phases, Schedule(2, 2))
+        circuit = build_two_step(layout, phases, schedule)
         assert circuit_plan(circuit, _live_qubits(layout)) is not None
         live, rest = _by_view(run(circuit, new_state(layout.width)).amplitudes, layout)
         expected_live, expected_rest = _by_view(_gate_by_gate(circuit, new_state(layout.width)), layout)
@@ -533,6 +546,19 @@ class TestViews:
         assert np.abs(_by_view(expected, layout)[1]).max() > 0.1
         _assert_bit_identical(got, expected)
 
+    def test_a_phase_on_an_ancilla_that_the_relabelling_clears_stays_live(self):
+        # The MCP reads the ancilla while a label has it set; the second CX
+        # clears it before the next H, so no move leaves the view.
+        layout = HoboLayout.for_cities(3)
+        ancilla = layout.main_qubits
+        gates = (h(0), h(1), cx(0, ancilla), mcp((ancilla,), 1, 0.7), cx(0, ancilla), h(0))
+        circuit = Circuit(layout, gates)
+        assert circuit_plan(circuit, _live_qubits(layout)) is not None
+        live, rest = _by_view(run(circuit, new_state(layout.width)).amplitudes, layout)
+        expected_live, expected_rest = _by_view(_gate_by_gate(circuit, new_state(layout.width)), layout)
+        _assert_bit_identical(live, expected_live)
+        assert not rest.any() and not expected_rest.any()
+
 
 class TestBlockStructure:
     @settings(max_examples=150, deadline=None)
@@ -562,11 +588,11 @@ class TestBlockStructure:
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
         plan = circuit_plan(circuit, _live_qubits(layout))
-        flat_plan = compile_gates(circuit.gates, layout.width)
+        flat_plan = circuit_plan(Circuit(layout, circuit.gates), tuple(range(layout.width)))
         # Marker prep and one H layer on every main qubit and the marker,
         # then G1 * q1 and G2 * q2, whose D2 ends in the same G1 * q1: G1
         # is compiled once.
-        assert [step[0] for step in plan] == [_swap, _hadamards, _repeat, _repeat]
+        assert [step[0] for step in plan] == [_permute, _hadamards, _repeat, _repeat]
         assert plan[1][2] == layout.main_qubits + 1
         g1_plan, g2_plan = plan[-2][1], plan[-1][1]
         assert g2_plan[-1][0] is _repeat and g2_plan[-1][1] is g1_plan
