@@ -2,7 +2,9 @@
 
 The gate set is deliberately small: Hadamard, NOT, controlled NOT,
 multi-controlled NOT, and multi-controlled phase, all with positive
-controls only.  Negative controls are realized by NOT conjugation.
+controls only.  Negative controls are realized by NOT conjugation,
+every one by ``_fires_on``, which makes a gate fire on one bit pattern
+of its qubits.
 Multi-controlled gates are kept atomic; no decomposition into a basis
 gate set is performed, so the depth metric counts every gate as one
 unit.
@@ -17,10 +19,12 @@ Builder overview for an n-city layout:
   state): the validity sub-oracle, the uniqueness sub-oracle of every
   slot pair, the marking gate, then the inverse of those sub-oracles.
 * ``build_diffusion_d1`` reflects the main register about the uniform
-  superposition: Hadamard layer, zero reflection, Hadamard layer.
+  superposition: Hadamard layer, zero reflection, Hadamard layer.  The
+  zero reflection is the phase oracle of pi on the all-zeros bitstring.
 * ``build_g1`` is one first-stage iteration, R1 + D1.
 * ``build_cost_oracle_r2`` imprints each tour's cost phase on its basis
-  state with one conjugated multi-controlled phase gate per tour.
+  state with one conjugated multi-controlled phase gate per tour: the
+  phase oracle ``_phase_oracle`` of the dataset's {bitstring: phase}.
 * ``build_d2`` reflects about the feasible-tour superposition prepared
   by the first stage: invert(A) + zero reflection + A, with
   A = Hadamard layer + G1 * q1.
@@ -241,8 +245,24 @@ def _main(layout: HoboLayout) -> list[int]:
     return list(range(layout.main_qubits))
 
 
-def _x_layer(qubits) -> list[Gate]:
-    return [x(q) for q in qubits]
+def _fires_on(gate: Gate, qubits, pattern: str) -> list[Gate]:
+    """`gate` NOT-conjugated on each of `qubits` whose `pattern` bit is "0".
+
+    Positive controls on `qubits` then fire on exactly that pattern, and
+    the qubits are restored afterwards.  The pattern has one bit per
+    qubit, in qubit order; one of another length raises ValueError.
+    """
+    flips = [x(q) for q, bit in zip(qubits, pattern, strict=True) if bit == "0"]
+    return flips + [gate] + flips
+
+
+def _phase_oracle(layout: HoboLayout, phases: dict[str, float]) -> Circuit:
+    # Phase e^{i w} on each main-register basis state `bits`, one MCP fired on each.
+    main = _main(layout)
+    gates: list[Gate] = []
+    for bits, w in phases.items():
+        gates += _fires_on(mcp(main[:-1], main[-1], w), main, bits)
+    return Circuit(layout, gates)
 
 
 def _h_layer(layout: HoboLayout) -> Circuit:
@@ -250,9 +270,8 @@ def _h_layer(layout: HoboLayout) -> Circuit:
 
 
 def _zero_reflection(layout: HoboLayout) -> Circuit:
-    # NOT-conjugated MCP(pi): phase -1 on the all-zeros main register.
-    main = _main(layout)
-    return Circuit(layout, _x_layer(main) + [mcp(main[:-1], main[-1], math.pi)] + _x_layer(main))
+    # Phase -1 on the all-zeros main register.
+    return _phase_oracle(layout, {"0" * layout.main_qubits: math.pi})
 
 
 def build_validity_suboracle(layout: HoboLayout) -> Circuit:
@@ -267,14 +286,8 @@ def build_validity_suboracle(layout: HoboLayout) -> Circuit:
     for slot in range(layout.n):
         slot_bits = layout.slot_qubits(slot)
         for code in range(layout.n, 2**layout.k):
-            zeros = [
-                layout.main_qubit(slot, b)
-                for b in range(layout.k)
-                if not (code >> (layout.k - 1 - b)) & 1
-            ]
-            gates += _x_layer(zeros)
-            gates.append(mcx(slot_bits, layout.validity_ancilla(slot, code)))
-            gates += _x_layer(zeros)
+            flag = mcx(slot_bits, layout.validity_ancilla(slot, code))
+            gates += _fires_on(flag, slot_bits, format(code, f"0{layout.k}b"))
     return Circuit(layout, gates)
 
 
@@ -289,14 +302,9 @@ def build_uniqueness_suboracle(layout: HoboLayout, slot_a: int, slot_b: int) -> 
         cx(layout.main_qubit(slot_a, b), layout.main_qubit(slot_b, b))
         for b in range(layout.k)
     ]
-    slot_b_bits = list(layout.slot_qubits(slot_b))
+    slot_b_bits = layout.slot_qubits(slot_b)
     ancilla = layout.pair_ancilla(slot_a, slot_b)
-    or_into_ancilla = (
-        _x_layer(slot_b_bits)
-        + [mcx(slot_b_bits, ancilla)]
-        + _x_layer(slot_b_bits)
-        + [x(ancilla)]
-    )
+    or_into_ancilla = _fires_on(mcx(slot_b_bits, ancilla), slot_b_bits, "0" * layout.k) + [x(ancilla)]
     return Circuit(layout, fan + or_into_ancilla + fan)
 
 
@@ -314,17 +322,10 @@ def build_oracle_r1(layout: HoboLayout) -> Circuit:
         for b in range(a + 1, layout.n):
             compute += build_uniqueness_suboracle(layout, a, b)
 
-    validity = list(range(layout.main_qubits, layout.main_qubits + layout.valid_ancillas))
-    pairs = list(
-        range(
-            layout.main_qubits + layout.valid_ancillas,
-            layout.main_qubits + layout.valid_ancillas + layout.unique_ancillas,
-        )
-    )
-    mark = Circuit(
-        layout,
-        _x_layer(validity) + [mcx(validity + pairs, layout.marker)] + _x_layer(validity),
-    )
+    # The ancillas sit between the main register and the marker: validity flags, then pair flags.
+    flags = range(layout.main_qubits, layout.marker)
+    pattern = "0" * layout.valid_ancillas + "1" * layout.unique_ancillas
+    mark = Circuit(layout, _fires_on(mcx(flags, layout.marker), flags, pattern))
     return compute + mark + invert_circuit(compute)
 
 
@@ -348,14 +349,7 @@ def build_cost_oracle_r2(layout: HoboLayout, phases: PhaseAssignment) -> Circuit
     """
     if phases.n != layout.n:
         raise ValueError(f"phase dataset is for n={phases.n}, layout is n={layout.n}")
-    main = _main(layout)
-    gates: list[Gate] = []
-    for bits, w in phases.phases.items():
-        zeros = [main[i] for i, ch in enumerate(bits) if ch == "0"]
-        gates += _x_layer(zeros)
-        gates.append(mcp(main[:-1], main[-1], w))
-        gates += _x_layer(zeros)
-    return Circuit(layout, gates)
+    return _phase_oracle(layout, phases.phases)
 
 
 def _inverse_gate(gate: Gate) -> Gate:

@@ -336,8 +336,12 @@ class TestInspect:
     @pytest.mark.parametrize(
         "n, digest",
         [
+            (2, "f8f6d0ac7d7aa9aa9b53b46721322a949f1bde094e07e187d7c6f9d6a47377da"),
             (3, "62c626fedbce7a553eac8c499f8cf17a6d1cdfa9f4ecdfc4ab6ded55abda0aa6"),
             (4, "e54db3570abab7b13261d7ad4551b8ddcb938273da44eb1fcf5195ba78216d39"),
+            # The only sizes with several out-of-range codes per slot (3 and 2).
+            (5, "8cc14957b927a4bca5f4926b7f161652c1b80f437172a33b3f5d31eb65a07342"),
+            (6, "b8ecb7c2b9c252fff801d7f8f87866072f6a607cadf8987225e6d06364feea57"),
         ],
     )
     def test_gate_dump_is_byte_identical(self, n, digest, tmp_path, capsys):

@@ -22,6 +22,7 @@ from tsp_qsearch import (
     StateVector,
     apply_gate,
     build_g1,
+    build_oracle_r1,
     build_two_step,
     builtin_phases,
     circuit_to_text,
@@ -508,6 +509,12 @@ def _by_view(amps: np.ndarray, layout: HoboLayout) -> tuple:
     return blocks[:, 0].copy(), blocks[:, 1:]
 
 
+def _live_plan(circuit: Circuit) -> tuple:
+    plan = circuit_plan(circuit, _live_qubits(circuit.layout))
+    assert plan is not None
+    return plan
+
+
 class TestViews:
     @pytest.mark.parametrize("schedule", [Schedule(2, 2), Schedule(0, 3), Schedule(3, 0)], ids=str)
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -558,6 +565,33 @@ class TestViews:
         expected_live, expected_rest = _by_view(_gate_by_gate(circuit, new_state(layout.width)), layout)
         _assert_bit_identical(live, expected_live)
         assert not rest.any() and not expected_rest.any()
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_oracle_r1_negates_exactly_the_feasible_rows(self, n):
+        # Too wide for the dense state (41 and 46 qubits), so run the live plan
+        # on a uniform main register times a minus marker.
+        layout = HoboLayout.for_cities(n)
+        live = np.empty((2**layout.main_qubits, 2), dtype=complex)
+        live[:] = (1, -1)
+        live /= math.sqrt(2 ** (layout.main_qubits + 1))
+        expected = live.copy()
+        expected[[int(bits, 2) for bits in enumerate_feasible(n)]] *= -1
+        _execute(_live_plan(build_oracle_r1(layout)), live.reshape(-1))
+        assert np.array_equal(live, expected)
+
+    def test_paper_run_at_five_cities(self):
+        # The paper's five-city run at gate level: raw angles, the default
+        # schedule, and the live plan, since the dense state needs 41 qubits.
+        layout = HoboLayout.for_cities(5)
+        phases = gen_gaussian_phases(5, math.pi, 0.5, 42)
+        live = np.zeros(2 ** (layout.main_qubits + 1), dtype=complex)
+        live[0] = 1
+        _execute(_live_plan(build_two_step(layout, phases, Schedule(12, 6))), live)
+        probs = (np.abs(live) ** 2).reshape(-1, 2).sum(axis=1)
+        assert abs(probs.sum() - 1) < 1e-10
+        assert probs[[int(bits, 2) for bits in enumerate_feasible(5)]].sum() == pytest.approx(0.5905797642, abs=1e-9)
+        assert probs[int(phases.min_key, 2)] == pytest.approx(0.0211215361, abs=1e-9)
+        assert probs[int(phases.max_key, 2)] == pytest.approx(0.0295140642, abs=1e-9)
 
 
 class TestBlockStructure:
