@@ -39,7 +39,7 @@ from .core import (
     save_phases,
 )
 from .matrix_model import ProbabilitySeries, evolve, series_to_csv, state_at
-from .simulator import MAX_WIDTH, NormError, main_distribution, new_state, run, sample
+from .simulator import NormError, main_distribution, new_state, run, sample
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -57,23 +57,12 @@ def _load_dataset(dataset: str, n: int) -> PhaseAssignment:
     return phases
 
 
-def _check_mode_capacity(mode: str, n: int) -> None:
-    # The dense simulator holds the 4-city layout (15 qubits); the 5-city
-    # layout needs 41 and is served by the matrix model instead.
-    if mode == "circuit" and HoboLayout.for_cities(n).width > MAX_WIDTH:
-        raise CapacityError(
-            f"circuit mode simulates at most {MAX_WIDTH} qubits; use matrix mode for n={n}"
-        )
-
-
 def _resolve_rescale(cost_angles: str, mode: str, n: int) -> bool:
     """Map the --cost-angles policy to a concrete convention.
 
     ``auto`` keeps the stored values as angles wherever a circuit
     comparison is possible (n <= 4) and switches to the rescaled
-    reference convention for matrix-model runs from n = 5.  The rule
-    names n, not the simulator's capacity, so a larger `MAX_WIDTH`
-    cannot change a matrix run's output.
+    reference convention for matrix-model runs from n = 5.
     """
     if cost_angles == "raw":
         return False
@@ -100,15 +89,15 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     phases = _load_dataset(args.dataset, args.n)
-    _check_mode_capacity(args.mode, args.n)
+    layout = HoboLayout.for_cities(args.n)
+    # The simulator refuses a state wider than it holds before any circuit is built.
+    state = new_state(layout.width) if args.mode == "circuit" else None
     rescale = _resolve_rescale(args.cost_angles, args.mode, args.n)
     schedule = _schedule(args.n, args.q1, args.q2)
-    layout = HoboLayout.for_cities(args.n)
 
     if args.mode == "circuit":
         circuit = build_two_step(layout, phases, schedule)
-        state = run(circuit, new_state(layout.width))
-        dist = main_distribution(state, layout)
+        dist = main_distribution(run(circuit, state), layout)
     else:
         psi = state_at(phases, schedule.q2, rescale_costs=rescale)
         dist = {b: float(abs(a) ** 2) for b, a in zip(phases.phases, psi)}
@@ -136,17 +125,18 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     phases = _load_dataset(args.dataset, args.n)
-    _check_mode_capacity(args.mode, args.n)
+    layout = HoboLayout.for_cities(args.n)
+    # The simulator refuses a state wider than it holds before any circuit is built.
+    state = new_state(layout.width) if args.mode == "circuit" else None
     rescale = _resolve_rescale(args.cost_angles, args.mode, args.n)
 
     if args.mode == "matrix":
         series = evolve(phases, args.t_max, rescale_costs=rescale)
     else:
-        layout = HoboLayout.for_cities(args.n)
         # Marker prep, Hadamard layer and q1 first-stage rounds.
         prefix = build_two_step(layout, phases, _schedule(args.n, args.q1, 0))
         _, one_g2 = two_step_iterations(prefix)
-        state = run(prefix, new_state(layout.width))
+        state = run(prefix, state)
         p_min, p_max = [], []
         for t in range(args.t_max + 1):
             if t > 0:
@@ -244,9 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
         "affinely rescaled onto [0,2pi] (rescaled); auto = raw for n<=4, "
         "rescaled for larger matrix runs",
     )
+    # Matrix mode's ideal model starts from the exact feasible superposition.
+    common.add_argument(
+        "--q1", type=iterations, default=None, help="first-stage iterations (default optimal; matrix mode ignores it)"
+    )
 
     run_p = sub.add_parser("run", parents=[common], help="run one search, write a JSON report")
-    run_p.add_argument("--q1", type=iterations, default=None, help="first-stage iterations (default optimal)")
     run_p.add_argument("--q2", type=iterations, default=None, help="second-stage iterations (default optimal, m=2)")
     run_p.add_argument("--shots", type=shots, default=1024, help="sample count (default 1024)")
     run_p.add_argument("--seed", type=count, default=42, help="sampling seed")
@@ -254,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", parents=[common], help="tabulate P(t) as CSV")
-    sweep_p.add_argument("--q1", type=iterations, default=None, help="first-stage iterations (default optimal)")
     sweep_p.add_argument("--t-max", type=iterations, default=10, dest="t_max", help="last iteration count (default 10)")
     sweep_p.add_argument("--out", required=True, help="output CSV path")
     sweep_p.set_defaults(func=cmd_sweep)

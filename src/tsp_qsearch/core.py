@@ -286,27 +286,11 @@ def optimal_q2(n: int, m: int) -> int:
 
 # Bundled cost-phase datasets for 3- and 4-city problems.  The extreme
 # tours (identity order and its reversal) are pinned to exactly pi/2 and
-# 3*pi/2.  Every other value is pinned to a fixed 3-decimal prefix; the
-# remaining digits come from a deterministic per-entry Gaussian stream
-# (see _regenerated_builtin_values), so the full-precision dataset is
-# reproducible rather than hand-invented.
-_BUILTIN_PREFIXES = {
-    3: {
-        "000110": "1.570", "001001": "2.961", "010010": "3.685",
-        "011000": "2.931", "100001": "3.501", "100100": "4.712",
-    },
-    4: {
-        "00011011": "1.570", "00011110": "2.961", "00100111": "3.685",
-        "00101101": "2.931", "00110110": "3.501", "00111001": "3.351",
-        "01001011": "2.798", "01001110": "4.169", "01100011": "3.304",
-        "01101100": "2.989", "01110010": "3.372", "01111000": "2.719",
-        "10000111": "3.584", "10001101": "3.148", "10010011": "3.194",
-        "10011100": "2.871", "10110001": "2.796", "10110100": "2.673",
-        "11000110": "2.832", "11001001": "3.217", "11010010": "2.691",
-        "11011000": "3.548", "11100001": "3.290", "11100100": "4.712",
-    },
-}
-
+# 3*pi/2.  Every other value is a draw from a seeded per-entry Gaussian
+# stream, so the full-precision dataset is reproducible rather than
+# hand-invented: TestBuiltinPhases in tests/test_core.py redraws each
+# entry from its 3-decimal prefix
+# (test_stored_values_regenerate_from_seeded_streams).
 _BUILTIN_VALUES = {
     3: {
         "000110": PHASE_MIN,
@@ -343,36 +327,6 @@ _BUILTIN_VALUES = {
         "11100100": PHASE_MAX,
     },
 }
-
-_BUILTIN_STREAM_SEED = 42
-
-
-def _regenerated_builtin_values(n: int) -> dict[str, float]:
-    """Recompute the bundled dataset from its seeded per-entry streams.
-
-    Entry i (in enumeration order) takes the first draw from
-    N(pi, 0.5**2) restricted to (pi/2, 3*pi/2) whose 3-decimal
-    truncation equals the pinned prefix; extremes stay exact.
-    """
-    prefixes = _BUILTIN_PREFIXES[n]
-    keys = enumerate_feasible(n)
-    values: dict[str, float] = {}
-    for i, key in enumerate(keys):
-        if i == 0:
-            values[key] = PHASE_MIN
-        elif i == len(keys) - 1:
-            values[key] = PHASE_MAX
-        else:
-            target = round(float(prefixes[key]) * 1000)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(_BUILTIN_STREAM_SEED, spawn_key=(n, i))
-            )
-            while True:
-                v = float(rng.normal(math.pi, 0.5))
-                if PHASE_MIN < v < PHASE_MAX and math.floor(v * 1000) == target:
-                    values[key] = v
-                    break
-    return values
 
 
 def builtin_phases(n: int) -> PhaseAssignment:

@@ -90,7 +90,7 @@ class StateVector:
 def new_state(width: int) -> StateVector:
     """The all-zeros basis state on `width` qubits."""
     if not 1 <= width <= MAX_WIDTH:
-        raise CapacityError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+        raise CapacityError(f"the simulator holds 1 to {MAX_WIDTH} qubits; this state needs {width}")
     amps = np.zeros(2**width, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(width, amps)

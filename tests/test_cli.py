@@ -127,12 +127,23 @@ class TestRun:
         assert main(["run", "--n", "5", "--dataset", "builtin", "--out", str(out)]) == EXIT_DATA
         assert "error:" in capsys.readouterr().err
 
-    def test_circuit_mode_capacity(self, tmp_path):
-        dataset = tmp_path / "p5.json"
-        main(["gen", "--n", "5", "--seed", "42", "--out", str(dataset)])
-        out = tmp_path / "r5.json"
-        code = main(["run", "--n", "5", "--dataset", str(dataset), "--mode", "circuit", "--out", str(out)])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(("n", "width"), [(5, 41), (6, 46)])
+    def test_circuit_mode_capacity(self, command, n, width, tmp_path, capsys, monkeypatch):
+        # The simulator refuses the state before any circuit is built.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("build_two_step called for an oversized circuit run")
+
+        monkeypatch.setattr(cli, "build_two_step", unreachable)
+        dataset = tmp_path / f"p{n}.json"
+        assert main(["gen", "--n", str(n), "--seed", "42", "--out", str(dataset)]) == EXIT_OK
+        out = tmp_path / "out"
+        code = main([command, "--n", str(n), "--dataset", str(dataset), "--mode", "circuit", "--out", str(out)])
         assert code == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"needs {width}" in err
+        assert not out.exists()
 
     def test_matrix_mode_capacity(self, tmp_path, capsys):
         # Any n=7 dataset is refused while its tours are enumerated.
@@ -163,6 +174,17 @@ class TestRun:
         assert code == EXIT_OK
         report = json.loads(out.read_text())
         assert (report["q1"], report["q2"]) == (1, 0)
+
+    def test_matrix_mode_ignores_q1(self, tmp_path):
+        # The ideal model starts from the exact feasible superposition, so
+        # --q1 is reported as given but moves no probability.
+        reports = []
+        for q1 in ("0", "7"):
+            out = tmp_path / f"r{q1}.json"
+            assert main(["run", "--n", "4", "--mode", "matrix", "--q1", q1, "--out", str(out)]) == EXIT_OK
+            reports.append(json.loads(out.read_text()))
+        assert [report["q1"] for report in reports] == [0, 7]
+        assert reports[0]["histogram"] == reports[1]["histogram"]
 
     def test_malformed_dataset_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -202,10 +224,8 @@ class TestRun:
 
     @pytest.mark.parametrize("mode", ["circuit", "matrix"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("max_width", [cli.MAX_WIDTH, 64])
-    def test_auto_cost_angles_rescale_only_matrix_runs_from_five_cities(self, n, mode, max_width, monkeypatch):
-        # Raw wherever a circuit run can be compared, whatever the simulator holds.
-        monkeypatch.setattr(cli, "MAX_WIDTH", max_width)
+    def test_auto_cost_angles_rescale_only_matrix_runs_from_five_cities(self, n, mode):
+        # Raw wherever a circuit run can be compared.
         assert cli._resolve_rescale("auto", mode, n) is ((n, mode) in {(5, "matrix"), (6, "matrix")})
 
     def test_norm_drift_writes_no_report(self, tmp_path, capsys):

@@ -29,7 +29,7 @@ from tsp_qsearch import (
     phases_from_json,
     phases_to_json,
 )
-from tsp_qsearch.core import _BUILTIN_PREFIXES, _BUILTIN_VALUES, _regenerated_builtin_values
+from tsp_qsearch.core import PHASE_MAX, PHASE_MIN, _BUILTIN_VALUES
 
 from helpers import onehot_expansion
 
@@ -223,6 +223,31 @@ class TestConstraintPenalties:
         assert constraint_penalties(x) == (3.0, 1.0)
 
 
+def _regenerated_builtin_values(n):
+    """Recompute the bundled dataset from its seeded per-entry streams.
+
+    Entry i (in enumeration order) takes the first draw from
+    N(pi, 0.5**2) restricted to (pi/2, 3*pi/2) whose 3-decimal
+    truncation equals that of the stored value; extremes stay exact.
+    """
+    keys = enumerate_feasible(n)
+    values = {}
+    for i, key in enumerate(keys):
+        if i == 0:
+            values[key] = PHASE_MIN
+        elif i == len(keys) - 1:
+            values[key] = PHASE_MAX
+        else:
+            target = math.floor(_BUILTIN_VALUES[n][key] * 1000)
+            rng = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(n, i)))
+            while True:
+                v = float(rng.normal(math.pi, 0.5))
+                if PHASE_MIN < v < PHASE_MAX and math.floor(v * 1000) == target:
+                    values[key] = v
+                    break
+    return values
+
+
 class TestBuiltinPhases:
     def test_extremes_are_exact(self):
         p3 = builtin_phases(3)
@@ -236,17 +261,9 @@ class TestBuiltinPhases:
         assert builtin_phases(4).phases["01111000"] == pytest.approx(2.719, abs=1e-3)
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_values_match_pinned_prefixes(self, n):
-        # Stored full-precision values truncate to the pinned 3-decimal
-        # prefixes entry for entry.
-        phases = builtin_phases(n).phases
-        for bits, prefix in _BUILTIN_PREFIXES[n].items():
-            assert math.floor(phases[bits] * 1000) == round(float(prefix) * 1000)
-
-    @pytest.mark.parametrize("n", [3, 4])
     def test_stored_values_regenerate_from_seeded_streams(self, n):
         # Guards the provenance of the embedded digits: each stored value
-        # is the first deterministic draw matching its prefix.
+        # is the first deterministic draw matching its 3-decimal prefix.
         assert _regenerated_builtin_values(n) == _BUILTIN_VALUES[n]
 
     @pytest.mark.parametrize("n", [2, 5])
