@@ -27,7 +27,7 @@ from tsp_qsearch import (
     sample,
     state_at,
 )
-from tsp_qsearch import cli
+from tsp_qsearch import cli, simulator
 from tsp_qsearch.cli import EXIT_CAPACITY, EXIT_DATA, EXIT_IO, EXIT_OK, main
 
 PI_FLAG = "3.141592653589793"
@@ -224,8 +224,10 @@ class TestRun:
 
     @pytest.mark.parametrize("mode", ["circuit", "matrix"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_auto_cost_angles_rescale_only_matrix_runs_from_five_cities(self, n, mode):
-        # Raw wherever a circuit run can be compared.
+    @pytest.mark.parametrize("max_width", [simulator.MAX_WIDTH, 64])
+    def test_auto_cost_angles_rescale_only_matrix_runs_from_five_cities(self, n, mode, max_width, monkeypatch):
+        # Raw wherever a circuit run can be compared, whatever the simulator holds.
+        monkeypatch.setattr(simulator, "MAX_WIDTH", max_width)
         assert cli._resolve_rescale("auto", mode, n) is ((n, mode) in {(5, "matrix"), (6, "matrix")})
 
     def test_norm_drift_writes_no_report(self, tmp_path, capsys):
