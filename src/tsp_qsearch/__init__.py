@@ -48,7 +48,6 @@ from .circuits import (
     circuit_to_text,
     invert_circuit,
     metrics,
-    two_step_iterations,
 )
 from .simulator import (
     NormError,
@@ -82,7 +81,7 @@ __all__ = [
     "Circuit", "CircuitMetrics", "Gate", "GateKind", "build_cost_oracle_r2",
     "build_d2", "build_diffusion_d1", "build_g1", "build_g2", "build_oracle_r1",
     "build_two_step", "build_uniqueness_suboracle", "build_validity_suboracle",
-    "circuit_to_text", "invert_circuit", "metrics", "two_step_iterations",
+    "circuit_to_text", "invert_circuit", "metrics",
     # simulator
     "NormError", "StateVector", "apply_gate", "main_distribution", "new_state",
     "run", "sample", "success_probability",

@@ -21,7 +21,9 @@ Builder overview for an n-city layout:
 * ``build_diffusion_d1`` reflects the main register about the uniform
   superposition: Hadamard layer, zero reflection, Hadamard layer.  The
   zero reflection is the phase oracle of pi on the all-zeros bitstring.
-* ``build_g1`` is one first-stage iteration, R1 + D1.
+* ``build_g1`` is one first-stage iteration, R1 + D1.  It depends on
+  the layout only and is built once per layout: every builder below
+  repeats that same object.
 * ``build_cost_oracle_r2`` imprints each tour's cost phase on its basis
   state with one conjugated multi-controlled phase gate per tour: the
   phase oracle ``_phase_oracle`` of the dataset's {bitstring: phase}.
@@ -30,8 +32,7 @@ Builder overview for an n-city layout:
   A = Hadamard layer + G1 * q1.
 * ``build_g2`` is one second-stage iteration, R2 + D2.
 * ``build_two_step`` chains marker preparation, the Hadamard layer,
-  G1 * q1 and G2 * q2, building one G1 that its D2 repeats too.
-  ``two_step_iterations`` gives that G1 and G2 back.
+  G1 * q1 and G2 * q2.
 
 A ``Circuit`` keeps the structure these builders give it: a leaf holds
 gates, and ``+`` and ``*`` give a sequence of (part, repeat count)
@@ -56,7 +57,7 @@ import operator
 import weakref
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from enum import Enum
 
@@ -335,8 +336,13 @@ def build_diffusion_d1(layout: HoboLayout) -> Circuit:
     return hadamards + _zero_reflection(layout) + hadamards
 
 
+@cache
 def build_g1(layout: HoboLayout) -> Circuit:
-    """One first-stage iteration: feasibility oracle then diffusion."""
+    """One first-stage iteration: feasibility oracle then diffusion.
+
+    Built once per layout and shared by every builder, so its gates,
+    metrics and simulator plans are computed once.
+    """
     return build_oracle_r1(layout) + build_diffusion_d1(layout)
 
 
@@ -387,22 +393,16 @@ def invert_circuit(circuit: Circuit) -> Circuit:
     return inverse
 
 
-def _reflect_about_stage_one(g1: Circuit, q1: int) -> Circuit:
-    # D2 around a first-stage iteration already built.
-    layout = g1.layout
-    prepare = _h_layer(layout) + g1 * q1
-    return invert_circuit(prepare) + _zero_reflection(layout) + prepare
-
-
 def build_d2(layout: HoboLayout, q1: int) -> Circuit:
     """Reflection about the first stage's output state.
 
-    With A the first-stage preparation (Hadamard layer plus q1 search
-    iterations), emits invert(A), a zero reflection on the main
-    register, then A, realizing 2|psi><psi| - I for psi = A|0> up to
-    global phase.
+    With A the first-stage preparation (Hadamard layer plus q1 repeats
+    of the layout's one G1), emits invert(A), a zero reflection on the
+    main register, then A, realizing 2|psi><psi| - I for psi = A|0> up
+    to global phase.
     """
-    return _reflect_about_stage_one(build_g1(layout), q1)
+    prepare = _h_layer(layout) + build_g1(layout) * q1
+    return invert_circuit(prepare) + _zero_reflection(layout) + prepare
 
 
 def build_g2(layout: HoboLayout, phases: PhaseAssignment, q1: int) -> Circuit:
@@ -416,34 +416,15 @@ def build_two_step(layout: HoboLayout, phases: PhaseAssignment, schedule: Schedu
     Marker preparation (NOT then Hadamard, leaving it in the minus
     state), Hadamard layer on the main register, q1 first-stage
     iterations, then q2 second-stage iterations (cost oracle first,
-    then the feasible-subspace diffusion).  One G1 is built, and every
-    D2 repeats that same circuit; `two_step_iterations` gives G1 and G2
-    back.
+    then the feasible-subspace diffusion).  Its parts are those four
+    circuits; the first stage and every D2 repeat the layout's one G1.
     """
-    g1 = build_g1(layout)
-    g2 = build_cost_oracle_r2(layout, phases) + _reflect_about_stage_one(g1, schedule.q1)
-    return _marker_prep(layout) + _h_layer(layout) + g1 * schedule.q1 + g2 * schedule.q2
+    q1, q2 = schedule.q1, schedule.q2
+    return _marker_prep(layout) + _h_layer(layout) + build_g1(layout) * q1 + build_g2(layout, phases, q1) * q2
 
 
 def _marker_prep(layout: HoboLayout) -> Circuit:
     return Circuit(layout, (x(layout.marker), h(layout.marker)))
-
-
-def two_step_iterations(circuit: Circuit) -> tuple[Circuit, Circuit]:
-    """G1 and G2 of a `build_two_step` circuit.
-
-    They are the objects the circuit repeats, not copies.  Raises
-    `ValueError` unless its parts are marker preparation, the Hadamard
-    layer, (G1, q1) and (G2, q2), with G2 ending in that same (G1, q1).
-    """
-    match circuit.parts:
-        case ((prep, 1), (hadamards, 1), (g1, q1), (g2, _)) if (
-            g2.parts and g2.parts[-1][0] is g1 and g2.parts[-1][1] == q1
-            and prep == _marker_prep(circuit.layout)
-            and hadamards == _h_layer(circuit.layout)
-        ):
-            return g1, g2
-    raise ValueError("not a build_two_step circuit: expected marker prep, H layer, G1 * q1 and G2 * q2")
 
 
 def _max_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:

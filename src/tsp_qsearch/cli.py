@@ -24,7 +24,7 @@ import json
 import math
 import sys
 
-from .circuits import build_two_step, circuit_to_text, metrics, two_step_iterations
+from .circuits import build_g1, build_g2, build_two_step, circuit_to_text, metrics
 from .core import (
     CapacityError,
     DatasetError,
@@ -134,9 +134,9 @@ def cmd_sweep(args) -> int:
         series = evolve(phases, args.t_max, rescale_costs=rescale)
     else:
         # Marker prep, Hadamard layer and q1 first-stage rounds.
-        prefix = build_two_step(layout, phases, _schedule(args.n, args.q1, 0))
-        _, one_g2 = two_step_iterations(prefix)
-        state = run(prefix, state)
+        schedule = _schedule(args.n, args.q1, 0)
+        state = run(build_two_step(layout, phases, schedule), state)
+        one_g2 = build_g2(layout, phases, schedule.q1)
         p_min, p_max = [], []
         for t in range(args.t_max + 1):
             if t > 0:
@@ -161,7 +161,7 @@ def cmd_inspect(args) -> int:
     schedule = _schedule(args.n)
 
     total = build_two_step(layout, phases, schedule)
-    g1, g2 = two_step_iterations(total)
+    g1, g2 = build_g1(layout), build_g2(layout, phases, schedule.q1)
 
     print(f"n={layout.n} k={layout.k} width={layout.width} q1={schedule.q1} q2={schedule.q2}")
     for name, circ in (("G1", g1), ("G2", g2), ("total", total)):

@@ -362,8 +362,6 @@ def gen_gaussian_phases(n: int, mu: float, sigma: float, seed: int) -> PhaseAssi
             f"below {MIN_INTERIOR_MASS}; move mu toward pi"
         )
     keys = enumerate_feasible(n)
-    min_key = encode_tour(range(1, n + 1), n)
-    max_key = encode_tour(range(n, 0, -1), n)
     rng = np.random.default_rng(seed)
     need = len(keys) - 2
     interior: list[float] = []
@@ -372,12 +370,8 @@ def gen_gaussian_phases(n: int, mu: float, sigma: float, seed: int) -> PhaseAssi
         size = min(math.ceil((need - len(interior)) / mass) + 16, _MAX_BATCH)
         draws = rng.normal(mu, sigma, size=size)
         interior += draws[(draws > PHASE_MIN) & (draws < PHASE_MAX)].tolist()
-    drawn = iter(interior)
-    phases = {
-        key: PHASE_MIN if key == min_key else PHASE_MAX if key == max_key else next(drawn)
-        for key in keys
-    }
-    return PhaseAssignment(n, phases)
+    # The enumeration is lexicographic: the identity tour comes first, the reversed tour last.
+    return PhaseAssignment(n, dict(zip(keys, [PHASE_MIN, *interior[:need], PHASE_MAX])))
 
 
 def phases_to_json(phases: PhaseAssignment) -> str:

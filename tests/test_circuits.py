@@ -32,7 +32,6 @@ from tsp_qsearch import (
     optimal_q2,
     run,
     success_probability,
-    two_step_iterations,
 )
 from tsp_qsearch.circuits import Circuit, Gate, GateKind, cx, h, mcp, mcx, x
 
@@ -129,10 +128,11 @@ class TestJoin:
     def test_two_step_repeats_one_g1_object(self):
         layout = HoboLayout.for_cities(3)
         phases = builtin_phases(3)
+        g1, g2 = build_g1(layout), build_g2(layout, phases, 2)
         total = build_two_step(layout, phases, Schedule(2, 3))
-        g1, g2 = two_step_iterations(total)
-        assert g1 == build_g1(layout) and g2 == build_g2(layout, phases, 2)
-        assert [(id(part), times) for part, times in total.parts[-2:]] == [(id(g1), 2), (id(g2), 3)]
+        (first, times1), (second, times2) = total.parts[-2:]
+        assert first is g1 and times1 == 2
+        assert second == g2 and times2 == 3
         # D2 = invert(A) + zero reflection + A, with A = H layer + G1 * q1.
         d2_parts = [(id(part), times) for part, times in g2.parts]
         assert (id(g1), 2) in d2_parts and (id(invert_circuit(g1)), 2) in d2_parts
@@ -178,40 +178,24 @@ class TestCircuitFields:
         assert metrics(circuit) == metrics(circuit) == metrics(Circuit(circuit.layout, circuit.gates))
 
 
-class TestTwoStepIterations:
+class TestSharedG1:
     @pytest.mark.parametrize("q1", [0, 2])
     @pytest.mark.parametrize("q2", [0, 2])
-    def test_gives_back_the_repeated_g1_and_g2(self, q1, q2):
+    def test_two_step_repeats_the_layouts_g1(self, q1, q2):
         layout = HoboLayout.for_cities(3)
         phases = builtin_phases(3)
         total = build_two_step(layout, phases, Schedule(q1, q2))
-        g1, g2 = two_step_iterations(total)
-        assert [(id(part), times) for part, times in total.parts[2:]] == [(id(g1), q1), (id(g2), q2)]
-        assert g1 == build_g1(layout) and g2 == build_g2(layout, phases, q1)
+        (g1, times1), (g2, times2) = total.parts[2:]
+        assert g1 is build_g1(layout) and times1 == q1
+        assert g2 == build_g2(layout, phases, q1) and times2 == q2
+        # G2 ends in its D2, whose last part is G1 * q1 of A = H layer + G1 * q1.
+        assert g2.parts[-1][0] is g1 and g2.parts[-1][1] == q1
 
-    @pytest.mark.parametrize("name", ["G1", "D2", "G2"])
-    def test_rejects_other_builders(self, name):
-        layout = HoboLayout.for_cities(3)
-        circuit = {
-            "G1": lambda: build_g1(layout),
-            "D2": lambda: build_d2(layout, 2),
-            "G2": lambda: build_g2(layout, builtin_phases(3), 2),
-        }[name]()
-        with pytest.raises(ValueError, match="build_two_step"):
-            two_step_iterations(circuit)
-
-    def test_rejects_hand_joined_four_parts(self):
-        layout = HoboLayout.for_cities(3)
-        leaves = [Circuit(layout, (x(q),)) for q in range(4)]
-        with pytest.raises(ValueError, match="build_two_step"):
-            two_step_iterations(leaves[0] + leaves[1] + leaves[2] + leaves[3])
-        # The two-step layout of parts, but G2 repeats a G1 of its own.
-        prep = Circuit(layout, (x(layout.marker), h(layout.marker)))
-        hadamards = Circuit(layout, [h(q) for q in range(layout.main_qubits)])
-        joined = prep + hadamards + build_g1(layout) * 2 + build_g2(layout, builtin_phases(3), 2) * 2
-        assert joined == build_two_step(layout, builtin_phases(3), Schedule(2, 2))
-        with pytest.raises(ValueError, match="build_two_step"):
-            two_step_iterations(joined)
+    def test_one_g1_per_layout(self):
+        three, four = HoboLayout.for_cities(3), HoboLayout.for_cities(4)
+        assert build_g1(three) is build_g1(HoboLayout.for_cities(3))
+        assert build_g1(three) is not build_g1(four)
+        assert build_g1(four).layout == four
 
 
 class TestValiditySuboracle:
@@ -519,8 +503,9 @@ class TestMetricsAndText:
         # Gate structure depends on n only; n=5 and 6 have no builtin dataset.
         layout = HoboLayout.for_cities(int(n))
         phases = gen_gaussian_phases(int(n), math.pi, 0.5, 0)
-        total = build_two_step(layout, phases, Schedule(optimal_q1(int(n)), optimal_q2(int(n), 2)))
-        for name, circuit in zip(("G1", "G2", "total"), (*two_step_iterations(total), total)):
+        q1 = optimal_q1(int(n))
+        total = build_two_step(layout, phases, Schedule(q1, optimal_q2(int(n), 2)))
+        for name, circuit in zip(("G1", "G2", "total"), (build_g1(layout), build_g2(layout, phases, q1), total)):
             m = metrics(circuit)
             expect = GOLDEN[n][name]
             assert (len(circuit), m.width, m.unit_depth) == (expect["gates"], expect["width"], expect["unit_depth"])

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from tsp_qsearch import (
     HoboLayout,
     Schedule,
+    build_g1,
     build_two_step,
     builtin_phases,
     gen_gaussian_phases,
@@ -247,6 +248,18 @@ class TestRun:
         assert main(flags + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_second_run_reuses_the_first_stage_plan(self, tmp_path, monkeypatch):
+        # G1 is one object per layout, so its compiled plan outlives a run.
+        calls = []
+        compile_ = simulator._compile
+        monkeypatch.setattr(simulator, "_compile", lambda *args: calls.append(1) or compile_(*args))
+        build_g1.cache_clear()
+        flags = ["run", "--n", "4", "--dataset", "builtin", "--mode", "circuit", "--out", str(tmp_path / "r.json")]
+        assert main(flags) == EXIT_OK
+        first = len(calls)
+        assert main(flags) == EXIT_OK
+        assert 0 < len(calls) - first < first
+
 
 class TestSweep:
     def test_matrix_sweep_row_count(self, tmp_path):
@@ -267,6 +280,22 @@ class TestSweep:
             assert code == EXIT_OK
         for row_c, row_m in zip(read_csv(circuit_csv), read_csv(matrix_csv)):
             assert float(row_c["p_combined"]) == pytest.approx(float(row_m["p_combined"]), abs=1e-3)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_circuit_sweep_rows_are_the_runs_probabilities(self, n, tmp_path):
+        phases = builtin_phases(n)
+        sweep_csv = tmp_path / "s.csv"
+        code = main(["sweep", "--n", str(n), "--dataset", "builtin", "--mode", "circuit", "--t-max", "5", "--out", str(sweep_csv)])
+        assert code == EXIT_OK
+        rows = read_csv(sweep_csv)
+        assert len(rows) == 6
+        for t, row in enumerate(rows):
+            report = tmp_path / f"r{t}.json"
+            code = main(["run", "--n", str(n), "--dataset", "builtin", "--mode", "circuit", "--q2", str(t), "--out", str(report)])
+            assert code == EXIT_OK
+            dist = {e["bitstring"]: e["probability"] for e in json.loads(report.read_text())["histogram"]}
+            expect = (dist[phases.min_key].hex(), dist[phases.max_key].hex())
+            assert (float(row["p_min"]).hex(), float(row["p_max"]).hex()) == expect, f"t={t}"
 
     def test_five_city_peak_window(self, tmp_path):
         dataset = tmp_path / "p5.json"

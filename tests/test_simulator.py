@@ -21,6 +21,7 @@ from tsp_qsearch import (
     Schedule,
     StateVector,
     apply_gate,
+    build_d2,
     build_g1,
     build_oracle_r1,
     build_two_step,
@@ -460,8 +461,9 @@ class TestCompiledPlan:
                    for step in moves[1:])
 
     def test_plan_is_compiled_once_per_circuit(self):
+        # D2 is built anew on each call; only its G1 is kept per layout.
         layout = HoboLayout.for_cities(3)
-        circuit = build_g1(layout)
+        circuit = build_d2(layout, 2)
         live = _live_qubits(layout)
         assert circuit_plan(circuit, live) is circuit_plan(circuit, live)
         assert circuit_plan(Circuit(layout, circuit.gates), live) is not circuit_plan(circuit, live)
@@ -474,6 +476,7 @@ class TestCompiledPlan:
     def test_compile_does_not_grow_with_the_repeat_counts(self):
         # Only the compile: running the plan stays linear in q1.
         layout = HoboLayout.for_cities(3)
+        build_g1.cache_clear()  # a cold compile, G1's plan included
         plan, peak = _traced_compile(build_two_step(layout, builtin_phases(3), Schedule(10**5, 0)))
         assert [step[0] for step in plan].count(_repeat) == 1
         assert peak < 2**20
@@ -482,6 +485,7 @@ class TestCompiledPlan:
         # The permutations are built on the 2**9 view positions, not the
         # 2**15 basis states of the n=4 layout.
         layout = HoboLayout.for_cities(4)
+        build_g1.cache_clear()  # a cold compile, G1's plan included
         _, peak = _traced_compile(build_two_step(layout, builtin_phases(4), Schedule(2, 2)))
         assert peak < 64 * 2**10
 
