@@ -43,18 +43,18 @@ of them the 720-tour cost oracle).  Whatever walks gates works once per
 distinct part and combines the results: ``metrics`` keeps each part's
 gate counts and longest-path matrix on the part and combines them with
 the repeat counts, ``circuit_to_text`` formats each distinct part once,
-``invert_circuit`` inverts part by part and gives an inverse's original
-back, so parts stay shared, and the simulator compiles each repeated
-part once into a step that loops its plan.  A circuit is frozen; the
-flattened ``gates`` tuple and every other value derived from it are
-computed on first use and cached on the instance.
+``invert_circuit`` inverts part by part, so parts stay shared, and the
+simulator compiles each repeated part once into a step that loops its
+plan.  A circuit is frozen; the flattened ``gates`` tuple, its inverse
+and every other value derived from it are computed on first use and
+cached on the instance.  An inverse holds its original as its own
+inverse, so inverting twice gives the original object back.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import weakref
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -127,9 +127,10 @@ class Circuit:
     sequence of (circuit, repeat count) pairs on the same layout, never
     both.  ``a + b`` runs ``a`` then ``b`` and ``c * times`` runs ``c``
     that many times, keeping the operands as parts.  ``gates`` (the
-    flattened gate tuple) and the values ``metrics`` combines are
-    computed on first use and kept on the instance.  ``len``, ``==`` and
-    ``hash`` are those of the gate sequence, whatever its structure.
+    flattened gate tuple), the inverse and the values ``metrics``
+    combines are computed on first use and kept on the instance.
+    ``len``, ``==`` and ``hash`` are those of the gate sequence,
+    whatever its structure.
     """
 
     layout: HoboLayout
@@ -177,12 +178,8 @@ class Circuit:
 
         The unit depth of a circuit run on fresh wires is the largest
         entry, and running `a` then `b` composes their matrices by a
-        max-plus product.  An inverse runs every path backwards, so its
-        matrix is the transpose.
+        max-plus product.
         """
-        inverse = _known_inverse(self)
-        if inverse is not None and "_paths" in vars(inverse):
-            return inverse._paths.T
         width = self.layout.width
         if self.parts:
             paths = _no_gates(width)
@@ -214,6 +211,16 @@ class Circuit:
             for p, length in lengths.items():
                 paths[p, q] = length + pending[q]
         return paths
+
+    @cached_property
+    def _inverse(self) -> Circuit:
+        if self.parts:
+            inverse = Circuit(self.layout, parts=tuple((p._inverse, t) for p, t in reversed(self.parts)))
+        else:
+            inverse = Circuit(self.layout, [_inverse_gate(g) for g in reversed(self.leaf)])
+        # The pair forms a reference cycle, which the cyclic collector frees.
+        vars(inverse)["_inverse"] = self
+        return inverse
 
     def __len__(self) -> int:
         return sum(self._counts.values())
@@ -365,32 +372,14 @@ def _inverse_gate(gate: Gate) -> Gate:
     return gate
 
 
-def _known_inverse(circuit: Circuit) -> Circuit | None:
-    # An inverse holds the circuit it inverts; that circuit refers back
-    # only weakly, so the pair forms no reference cycle.
-    known = vars(circuit)
-    if "_inverts" in known:
-        return known["_inverts"]
-    return known["_inverse"]() if "_inverse" in known else None
-
-
 def invert_circuit(circuit: Circuit) -> Circuit:
     """Adjoint circuit: gates reversed, phase gates negated.
 
-    A sequence is inverted part by part.  Inverting an inverse, or a
-    circuit whose inverse is still alive, gives that object back, so
-    parts stay shared.
+    A sequence is inverted part by part.  The inverse is built once and
+    kept on the circuit, and it keeps the circuit as its own inverse, so
+    parts stay shared and inverting twice gives the original back.
     """
-    inverse = _known_inverse(circuit)
-    if inverse is None:
-        if circuit.parts:
-            parts = tuple((invert_circuit(part), times) for part, times in reversed(circuit.parts))
-            inverse = Circuit(circuit.layout, parts=parts)
-        else:
-            inverse = Circuit(circuit.layout, [_inverse_gate(g) for g in reversed(circuit.leaf)])
-        object.__setattr__(inverse, "_inverts", circuit)
-        object.__setattr__(circuit, "_inverse", weakref.ref(inverse))
-    return inverse
+    return circuit._inverse
 
 
 def build_d2(layout: HoboLayout, q1: int) -> Circuit:

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 
-from .circuits import build_g1, build_g2, build_two_step, circuit_to_text, metrics
+from .circuits import build_g2, build_two_step, circuit_to_text, metrics
 from .core import (
     CapacityError,
     DatasetError,
@@ -161,7 +161,8 @@ def cmd_inspect(args) -> int:
     schedule = _schedule(args.n)
 
     total = build_two_step(layout, phases, schedule)
-    g1, g2 = build_g1(layout), build_g2(layout, phases, schedule.q1)
+    # Its parts: marker preparation, Hadamard layer, G1 * q1 and G2 * q2.
+    (g1, _), (g2, _) = total.parts[2:]
 
     print(f"n={layout.n} k={layout.k} width={layout.width} q1={schedule.q1} q2={schedule.q2}")
     for name, circ in (("G1", g1), ("G2", g2), ("total", total)):

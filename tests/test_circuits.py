@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -375,6 +377,16 @@ class TestInvertCircuit:
         layout = HoboLayout.for_cities(3)
         circuit = build_two_step(layout, builtin_phases(3), Schedule(1, 1))
         assert invert_circuit(invert_circuit(circuit)) == circuit
+
+    def test_inverse_lives_as_long_as_its_circuit(self):
+        layout = HoboLayout.for_cities(3)
+        ref = weakref.ref(invert_circuit(build_g1(layout)))
+        gc.collect()
+        assert ref() is invert_circuit(build_g1(layout))
+        leaf = Circuit(layout, [mcp([0, 1], 2, math.pi / 3), h(0)])
+        ref = weakref.ref(invert_circuit(leaf))
+        gc.collect()
+        assert ref() is invert_circuit(leaf)
 
     def test_inverse_undoes_run(self):
         layout = HoboLayout.for_cities(3)

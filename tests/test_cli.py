@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsp_qsearch import (
+    Circuit,
     HoboLayout,
     Schedule,
     build_g1,
@@ -259,6 +261,8 @@ class TestRun:
         first = len(calls)
         assert main(flags) == EXIT_OK
         assert 0 < len(calls) - first < first
+        # The marker preparation with the H layer, R2, and D2's middle H·Z·H leaves.
+        assert len(calls) - first == 3
 
 
 class TestSweep:
@@ -400,6 +404,29 @@ class TestInspect:
         assert main(["inspect", "--n", str(n), "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestRepeatedCommands:
+    def test_no_circuit_outlives_its_command(self, tmp_path, capsys):
+        # A circuit and its inverse hold each other; the cyclic collector frees them.
+        commands = [
+            ["run", "--n", "4", "--mode", "circuit", "--out", str(tmp_path / "r.json")],
+            ["sweep", "--n", "3", "--mode", "circuit", "--out", str(tmp_path / "s.csv")],
+            ["inspect", "--n", "4"],
+        ]
+
+        def live_circuits():
+            gc.collect()
+            return sum(isinstance(obj, Circuit) for obj in gc.get_objects())
+
+        for flags in commands:
+            assert main(flags) == EXIT_OK
+        warm = live_circuits()
+        for _ in range(10):
+            for flags in commands:
+                assert main(flags) == EXIT_OK
+        capsys.readouterr()
+        assert live_circuits() == warm
 
 
 class TestUsageErrors:

@@ -461,7 +461,7 @@ class TestCompiledPlan:
                    for step in moves[1:])
 
     def test_plan_is_compiled_once_per_circuit(self):
-        # D2 is built anew on each call; only its G1 is kept per layout.
+        # D2 is built anew on each call; only its G1 and G1's inverse are kept per layout.
         layout = HoboLayout.for_cities(3)
         circuit = build_d2(layout, 2)
         live = _live_qubits(layout)
