@@ -54,6 +54,7 @@ from .simulator import (
     StateVector,
     apply_gate,
     main_distribution,
+    main_probabilities,
     new_state,
     run,
     sample,
@@ -83,8 +84,8 @@ __all__ = [
     "build_two_step", "build_uniqueness_suboracle", "build_validity_suboracle",
     "circuit_to_text", "invert_circuit", "metrics",
     # simulator
-    "NormError", "StateVector", "apply_gate", "main_distribution", "new_state",
-    "run", "sample", "success_probability",
+    "NormError", "StateVector", "apply_gate", "main_distribution",
+    "main_probabilities", "new_state", "run", "sample", "success_probability",
     # matrix model
     "ProbabilitySeries", "appendix_experiment", "evolve", "first_peak",
     "oracle_angles", "series_to_csv", "state_at",

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 
-from .circuits import build_g2, build_two_step, circuit_to_text, metrics
+from .circuits import build_two_step, circuit_to_text, metrics
 from .core import (
     CapacityError,
     DatasetError,
@@ -39,7 +39,7 @@ from .core import (
     save_phases,
 )
 from .matrix_model import ProbabilitySeries, evolve, series_to_csv, state_at
-from .simulator import NormError, main_distribution, new_state, run, sample
+from .simulator import NormError, main_distribution, main_probabilities, new_state, run, sample
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -60,9 +60,10 @@ def _load_dataset(dataset: str, n: int) -> PhaseAssignment:
 def _resolve_rescale(cost_angles: str, mode: str, n: int) -> bool:
     """Map the --cost-angles policy to a concrete convention.
 
-    ``auto`` keeps the stored values as angles wherever a circuit
-    comparison is possible (n <= 4) and switches to the rescaled
-    reference convention for matrix-model runs from n = 5.
+    ``auto`` keeps the stored values as angles for every circuit run,
+    which applies them as gate angles, and for matrix-model runs up to
+    n = 4; matrix-model runs from n = 5 take the rescaled reference
+    convention.
     """
     if cost_angles == "raw":
         return False
@@ -91,7 +92,7 @@ def cmd_run(args) -> int:
     phases = _load_dataset(args.dataset, args.n)
     layout = HoboLayout.for_cities(args.n)
     # The simulator refuses a state wider than it holds before any circuit is built.
-    state = new_state(layout.width) if args.mode == "circuit" else None
+    state = new_state(layout.live_width) if args.mode == "circuit" else None
     rescale = _resolve_rescale(args.cost_angles, args.mode, args.n)
     schedule = _schedule(args.n, args.q1, args.q2)
 
@@ -127,23 +128,25 @@ def cmd_sweep(args) -> int:
     phases = _load_dataset(args.dataset, args.n)
     layout = HoboLayout.for_cities(args.n)
     # The simulator refuses a state wider than it holds before any circuit is built.
-    state = new_state(layout.width) if args.mode == "circuit" else None
+    state = new_state(layout.live_width) if args.mode == "circuit" else None
     rescale = _resolve_rescale(args.cost_angles, args.mode, args.n)
 
     if args.mode == "matrix":
         series = evolve(phases, args.t_max, rescale_costs=rescale)
     else:
-        # Marker prep, Hadamard layer and q1 first-stage rounds.
-        schedule = _schedule(args.n, args.q1, 0)
-        state = run(build_two_step(layout, phases, schedule), state)
-        one_g2 = build_g2(layout, phases, schedule.q1)
+        # Marker prep, Hadamard layer and q1 first-stage rounds; its last
+        # part is G2, repeated zero times.
+        prefix = build_two_step(layout, phases, _schedule(args.n, args.q1, 0))
+        state = run(prefix, state)
+        one_g2, _ = prefix.parts[-1]
+        extremes = [int(phases.min_key, 2), int(phases.max_key, 2)]
         p_min, p_max = [], []
         for t in range(args.t_max + 1):
             if t > 0:
                 run(one_g2, state)
-            dist = main_distribution(state, layout)
-            p_min.append(dist[phases.min_key])
-            p_max.append(dist[phases.max_key])
+            low, high = main_probabilities(state, layout)[extremes].tolist()
+            p_min.append(low)
+            p_max.append(high)
         series = ProbabilitySeries(tuple(p_min), tuple(p_max))
 
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -225,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("circuit", "matrix"),
         default="matrix",
-        help="gate-level simulation (n<=4) or operator-level model (n<=6)",
+        help="gate-level simulation or operator-level model (both n<=6)",
     )
     common.add_argument(
         "--cost-angles",

@@ -6,6 +6,13 @@ a printed basis index reads exactly like the layout's bitstring (visit
 slot 1 leftmost).  Gates act in place through strided views and index
 arrays; nothing is ever promoted to a dense matrix.
 
+A state holds either all of a layout's qubits or only its live ones,
+the main register and the marker (`HoboLayout.live_width`).  Every
+ancilla of the paper's circuits is uncomputed, so the live state holds
+the whole result in 2**(nk+1) amplitudes.  That brings the 5- and
+6-city circuits (41 and 46 qubits in full, 16 and 19 live) within
+`MAX_WIDTH`.
+
 `run` compiles a circuit once into a plan of four kinds of kernel step
 (see `_compile`).  Apart from H, every gate is classical: X, CX and MCX
 permute basis states and MCP multiplies some of them by a phase.  So the
@@ -22,15 +29,17 @@ q2; a part moves its labels home before it ends.
 
 The plan runs on a view of the state that holds only the live qubits,
 the main register and the marker, with every ancilla bit 0: 512 of the
-32,768 amplitudes at n=4.  A label may set an ancilla bit between moves,
-and an MCP may read it there, so each feasibility oracle R1 computes and
-uncomputes its ancillas into one move of the view, which flips the
-marker of each feasible tour.  At n=4 the 2048 gates become 4 steps
-(marker move, one H layer on 9 qubits, G1 * q1 and G2 * q2) that unroll
-to 96.  The view wakes an ancilla when an H names one or a move leaves
-one set.  Then, as when the state holds a nonzero amplitude with an
-ancilla bit set, the same compile over all qubits runs on the whole
-state instead.
+32,768 amplitudes at n=4.  A live state is that view itself, and `run`
+executes the plan on it in place.  A label may set an ancilla bit
+between moves, and an MCP may read it there, so each feasibility oracle
+R1 computes and uncomputes its ancillas into one move of the view,
+which flips the marker of each feasible tour.  At n=4 the 2048 gates
+become 4 steps (marker move, one H layer on 9 qubits, G1 * q1 and
+G2 * q2) that unroll to 96.  The view wakes an ancilla when an H names
+one or a move leaves one set.  Then, as when the state holds a nonzero
+amplitude with an ancilla bit set, the same compile over all qubits
+runs on the whole state instead; a live state has no room for it, so
+`run` refuses.
 
 Each step does the arithmetic of the gates it replaces, so every
 amplitude of the view is bit-identical to gate-by-gate `apply_gate`,
@@ -57,7 +66,8 @@ from .circuits import Circuit, Gate, GateKind
 from .core import CapacityError, HoboLayout
 
 # 2**22 complex128 amplitudes = 64 MiB; enough for the 4-city layout
-# (width 15) with headroom, and still desk scale.
+# (width 15) and for the live 6-city register (19 qubits), and still
+# desk scale.
 MAX_WIDTH = 22
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -186,8 +196,9 @@ def _relabel(gates, qubits: tuple[int, ...]) -> list:
     width-1-i is axis i, and qubits outside the view get bits above
     those, in order of first use.  X, CX and MCX only relabel (an X
     toggles `flip`, applied to every label).  An MCP is one phase step
-    on the positions whose label fires.  The move takes the amplitude
-    at each position p to labels[p] ^ flip, if any moves.
+    on the positions whose label fires; until a CX or MCX moves a label
+    these are found without a scan (`_positions_with`).  The move takes
+    the amplitude at each position p to labels[p] ^ flip, if any moves.
     """
     width = len(qubits)
     bits = {qubit: 1 << (width - 1 - axis) for axis, qubit in enumerate(qubits)}
@@ -201,7 +212,11 @@ def _relabel(gates, qubits: tuple[int, ...]) -> list:
         on = sum(bits.setdefault(qubit, 1 << len(bits)) for qubit in gate.controls)
         if gate.kind is GateKind.MCP:
             on |= target
-            steps.append((_phase, np.flatnonzero((labels & on) == (on & ~flip)), cmath.exp(1j * gate.phase)))
+            if labels is positions:  # no label has moved yet
+                fires = _positions_with(positions, width, on, on & ~flip)
+            else:
+                fires = np.flatnonzero((labels & on) == (on & ~flip))
+            steps.append((_phase, fires, cmath.exp(1j * gate.phase)))
         else:  # CX and MCX
             labels = np.where((labels & on) == (on & ~flip), labels ^ target, labels)
     dest = labels ^ flip
@@ -209,6 +224,18 @@ def _relabel(gates, qubits: tuple[int, ...]) -> list:
         raise _Woken
     source = np.flatnonzero(dest != positions)
     return steps + [(_permute, dest[source], source)] if source.size else steps
+
+
+def _positions_with(positions: np.ndarray, width: int, mask: int, value: int) -> np.ndarray:
+    """The positions p, in order, with p & mask == value, enumerated without a scan.
+
+    A bit above the view (qubits outside it) is 0 at every position.
+    """
+    if value >> width:
+        return positions[:0]
+    shifts = range(width - 1, -1, -1)  # axis i holds bit width-1-i
+    index = [value >> shift & 1 if mask >> shift & 1 else slice(None) for shift in shifts]
+    return positions.reshape((2,) * width)[(*index, ...)].ravel()
 
 
 def _layer(axes: list[int], width: int) -> list:
@@ -293,38 +320,60 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return state
 
 
+def _check_width(state: StateVector, layout: HoboLayout) -> None:
+    if state.width not in (layout.width, layout.live_width):
+        raise ValueError(
+            f"state width {state.width} is neither the layout's width {layout.width} "
+            f"nor its live width {layout.live_width}"
+        )
+
+
 def run(circuit: Circuit, state: StateVector) -> StateVector:
     """Apply the circuit in place through its compiled plan.
 
-    Raises NormError if the state's squared norm is not 1 afterwards, so
-    an input that was not normalised or a drifting kernel is reported.
+    The state holds all of the layout's qubits or only its live ones
+    (`HoboLayout.live_width`).  Raises CapacityError if a live state
+    would need an ancilla, and NormError if the state's squared norm is
+    not 1 afterwards, so an input that was not normalised or a drifting
+    kernel is reported.
     """
     layout = circuit.layout
-    if layout.width != state.width:
-        raise ValueError(f"circuit width {layout.width} != state width {state.width}")
-    # Axis 1 runs over the ancillas; index 0 is the view.
-    amps = state.amplitudes.reshape(2**layout.main_qubits, -1, 2**layout.marker_qubits)
-    plan = None if amps[:, 1:].any() else circuit_plan(circuit, _live_qubits(layout))
-    if plan is None:
-        _execute(circuit_plan(circuit, tuple(range(state.width))), state.amplitudes)
-    else:
-        live = amps[:, 0].copy()
-        _execute(plan, live)
-        amps[:, 0] = live
+    _check_width(state, layout)
+    if state.width == layout.width:
+        # Axis 1 runs over the ancillas; index 0 is the view.
+        amps = state.amplitudes.reshape(2**layout.main_qubits, -1, 2**layout.marker_qubits)
+        plan = None if amps[:, 1:].any() else circuit_plan(circuit, _live_qubits(layout))
+        if plan is None:
+            _execute(circuit_plan(circuit, tuple(range(state.width))), state.amplitudes)
+        else:
+            live = amps[:, 0].copy()
+            _execute(plan, live)
+            amps[:, 0] = live
+    else:  # a live state: the view itself
+        plan = circuit_plan(circuit, _live_qubits(layout))
+        if plan is None:
+            raise CapacityError(
+                f"the circuit sets an ancilla, which a live state of {state.width} qubits does not hold; "
+                f"this state needs {layout.width}"
+            )
+        _execute(plan, state.amplitudes)
     drift = abs(state.norm_sq() - 1.0)
     if not drift < NORM_TOLERANCE:
         raise NormError(f"state norm drifted: |norm^2 - 1| = {drift:.3g}")
     return state
 
 
-def main_distribution(state: StateVector, layout: HoboLayout) -> dict[str, float]:
-    """Marginal probabilities of the main register over all ancillas, by bitstring."""
-    if state.width != layout.width:
-        raise ValueError(f"state width {state.width} != layout width {layout.width}")
-    n_main = layout.main_qubits
+def main_probabilities(state: StateVector, layout: HoboLayout) -> np.ndarray:
+    """Marginal probabilities of the main register over all other qubits, by basis index."""
+    _check_width(state, layout)
     probs = np.abs(state.amplitudes) ** 2
-    marginal = probs.reshape(2**n_main, -1).sum(axis=1)
-    return {format(i, f"0{n_main}b"): float(p) for i, p in enumerate(marginal)}
+    return probs.reshape(2**layout.main_qubits, -1).sum(axis=1)
+
+
+def main_distribution(state: StateVector, layout: HoboLayout) -> dict[str, float]:
+    """`main_probabilities` by bitstring."""
+    n_main = layout.main_qubits
+    return {format(i, f"0{n_main}b"): float(p) for i, p in enumerate(main_probabilities(state, layout))}
 
 
 def sample(dist: dict[str, float], shots: int, seed: int) -> dict[str, int]:

@@ -131,13 +131,14 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize(("n", "width"), [(5, 41), (6, 46)])
+    @pytest.mark.parametrize(("n", "width"), [(5, 16), (6, 19)])
     def test_circuit_mode_capacity(self, command, n, width, tmp_path, capsys, monkeypatch):
-        # The simulator refuses the state before any circuit is built.
+        # The simulator refuses the live state before any circuit is built.
         def unreachable(*args, **kwargs):
             raise AssertionError("build_two_step called for an oversized circuit run")
 
         monkeypatch.setattr(cli, "build_two_step", unreachable)
+        monkeypatch.setattr(simulator, "MAX_WIDTH", width - 1)
         dataset = tmp_path / f"p{n}.json"
         assert main(["gen", "--n", str(n), "--seed", "42", "--out", str(dataset)]) == EXIT_OK
         out = tmp_path / "out"
@@ -147,6 +148,20 @@ class TestRun:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"needs {width}" in err
         assert not out.exists()
+
+    def test_five_city_circuit_report(self, tmp_path):
+        # The paper's five-city run at gate level, on the 16-qubit live register.
+        dataset, out = tmp_path / "p5.json", tmp_path / "c5.json"
+        assert main(["gen", "--n", "5", "--seed", "42", "--out", str(dataset)]) == EXIT_OK
+        assert main(["run", "--n", "5", "--dataset", str(dataset), "--mode", "circuit", "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert (report["width"], report["q1"], report["q2"]) == (41, 12, 6)
+        dist = {e["bitstring"]: e["probability"] for e in report["histogram"]}
+        assert len(dist) == 2**15
+        phases = load_phases(dataset)
+        assert sum(dist[bits] for bits in phases.phases) == pytest.approx(0.5905797642, abs=1e-9)
+        assert dist[phases.min_key] == pytest.approx(0.0211215361, abs=1e-9)
+        assert dist[phases.max_key] == pytest.approx(0.0295140642, abs=1e-9)
 
     def test_matrix_mode_capacity(self, tmp_path, capsys):
         # Any n=7 dataset is refused while its tours are enumerated.

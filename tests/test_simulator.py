@@ -31,12 +31,14 @@ from tsp_qsearch import (
     gen_gaussian_phases,
     invert_circuit,
     main_distribution,
+    main_probabilities,
     metrics,
     new_state,
     run,
     sample,
     success_probability,
 )
+from tsp_qsearch import simulator
 from tsp_qsearch.circuits import Circuit, CircuitMetrics, cx, h, mcp, mcx, x
 from tsp_qsearch.simulator import (
     MAX_WIDTH,
@@ -44,6 +46,7 @@ from tsp_qsearch.simulator import (
     _hadamards,
     _live_qubits,
     _permute,
+    _positions_with,
     _repeat,
     circuit_plan,
 )
@@ -155,6 +158,12 @@ class TestApplyGate:
             apply_gate(state, gate)
         assert np.array_equal(state.amplitudes, new_state(3).amplitudes)
 
+    def test_the_marker_of_a_live_state_is_outside_its_width(self):
+        # apply_gate indexes a state's own qubits; the layout's marker is past them.
+        layout = HoboLayout.for_cities(3)
+        with pytest.raises(ValueError, match=f"outside width {layout.live_width}"):
+            apply_gate(new_state(layout.live_width), x(layout.marker))
+
     @pytest.mark.parametrize("gate, half", [(x(3), 2**14), (cx(2, 9), 2**13)], ids=["x", "cx"])
     def test_one_gate_allocates_only_two_halves_of_its_region(self, gate, half):
         # 15 qubits, as at n=4.  A swap copies the low half of the amplitudes
@@ -203,10 +212,11 @@ class TestRun:
         run(invert_circuit(circuit), run(circuit, state))
         assert np.max(np.abs(state.amplitudes - reference)) < 1e-10
 
-    def test_width_mismatch(self):
+    @pytest.mark.parametrize("width", [4, 6, 8, 14])  # n=3: live width 7, full width 13
+    def test_width_mismatch(self, width):
         layout = HoboLayout.for_cities(3)
-        with pytest.raises(ValueError):
-            run(Circuit(layout, ()), new_state(4))
+        with pytest.raises(ValueError, match="neither"):
+            run(Circuit(layout, ()), new_state(width))
 
     def test_unnormalised_state_raises(self):
         layout = HoboLayout.for_cities(3)
@@ -513,12 +523,6 @@ def _by_view(amps: np.ndarray, layout: HoboLayout) -> tuple:
     return blocks[:, 0].copy(), blocks[:, 1:]
 
 
-def _live_plan(circuit: Circuit) -> tuple:
-    plan = circuit_plan(circuit, _live_qubits(circuit.layout))
-    assert plan is not None
-    return plan
-
-
 class TestViews:
     @pytest.mark.parametrize("schedule", [Schedule(2, 2), Schedule(0, 3), Schedule(3, 0)], ids=str)
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -527,10 +531,16 @@ class TestViews:
         phases = gen_gaussian_phases(2, math.pi, 0.5, 0) if n == 2 else builtin_phases(n)
         circuit = build_two_step(layout, phases, schedule)
         assert circuit_plan(circuit, _live_qubits(layout)) is not None
-        live, rest = _by_view(run(circuit, new_state(layout.width)).amplitudes, layout)
+        full = run(circuit, new_state(layout.width))
+        live, rest = _by_view(full.amplitudes, layout)
         expected_live, expected_rest = _by_view(_gate_by_gate(circuit, new_state(layout.width)), layout)
         _assert_bit_identical(live, expected_live)
         assert not rest.any() and not expected_rest.any()
+        # A live state holds exactly the view, and reads out the same.
+        live_state = run(circuit, new_state(layout.live_width))
+        _assert_bit_identical(live_state.amplitudes, live.reshape(-1))
+        _assert_bit_identical(main_probabilities(live_state, layout), main_probabilities(full, layout))
+        assert main_distribution(live_state, layout) == main_distribution(full, layout)
 
     def test_ancilla_mass_runs_on_all_qubits(self):
         layout = HoboLayout.for_cities(3)
@@ -556,6 +566,11 @@ class TestViews:
         expected = _gate_by_gate(circuit, new_state(layout.width))
         assert np.abs(_by_view(expected, layout)[1]).max() > 0.1
         _assert_bit_identical(got, expected)
+        # A live state has no ancilla to wake: refused, and left as it was.
+        live = new_state(layout.live_width)
+        with pytest.raises(CapacityError, match=f"needs {layout.width}"):
+            run(circuit, live)
+        assert np.array_equal(live.amplitudes, new_state(layout.live_width).amplitudes)
 
     def test_a_phase_on_an_ancilla_that_the_relabelling_clears_stays_live(self):
         # The MCP reads the ancilla while a label has it set; the second CX
@@ -572,30 +587,62 @@ class TestViews:
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_oracle_r1_negates_exactly_the_feasible_rows(self, n):
-        # Too wide for the dense state (41 and 46 qubits), so run the live plan
-        # on a uniform main register times a minus marker.
+        # Too wide for the full state (41 and 46 qubits), so run on the live
+        # state: a uniform main register times a minus marker.
         layout = HoboLayout.for_cities(n)
         live = np.empty((2**layout.main_qubits, 2), dtype=complex)
         live[:] = (1, -1)
-        live /= math.sqrt(2 ** (layout.main_qubits + 1))
+        live /= math.sqrt(2**layout.live_width)
         expected = live.copy()
         expected[[int(bits, 2) for bits in enumerate_feasible(n)]] *= -1
-        _execute(_live_plan(build_oracle_r1(layout)), live.reshape(-1))
+        run(build_oracle_r1(layout), StateVector(layout.live_width, live.reshape(-1)))
         assert np.array_equal(live, expected)
 
     def test_paper_run_at_five_cities(self):
         # The paper's five-city run at gate level: raw angles, the default
-        # schedule, and the live plan, since the dense state needs 41 qubits.
+        # schedule, and the live state, since the full state needs 41 qubits.
         layout = HoboLayout.for_cities(5)
         phases = gen_gaussian_phases(5, math.pi, 0.5, 42)
-        live = np.zeros(2 ** (layout.main_qubits + 1), dtype=complex)
-        live[0] = 1
-        _execute(_live_plan(build_two_step(layout, phases, Schedule(12, 6))), live)
-        probs = (np.abs(live) ** 2).reshape(-1, 2).sum(axis=1)
+        state = run(build_two_step(layout, phases, Schedule(12, 6)), new_state(layout.live_width))
+        probs = main_probabilities(state, layout)
         assert abs(probs.sum() - 1) < 1e-10
         assert probs[[int(bits, 2) for bits in enumerate_feasible(5)]].sum() == pytest.approx(0.5905797642, abs=1e-9)
         assert probs[int(phases.min_key, 2)] == pytest.approx(0.0211215361, abs=1e-9)
         assert probs[int(phases.max_key, 2)] == pytest.approx(0.0295140642, abs=1e-9)
+
+
+class TestDirectPhaseIndexing:
+    @given(st.data())
+    def test_positions_match_a_scan_of_every_label(self, data):
+        width = data.draw(st.integers(1, 8))
+        # Bits from `width` up stand for qubits outside the view.
+        mask = data.draw(st.integers(0, 2 ** (width + 2) - 1))
+        value = mask & data.draw(st.integers(0, 2 ** (width + 2) - 1))
+        positions = np.arange(2**width, dtype=np.int64)
+        got = _positions_with(positions, width, mask, value)
+        expected = np.flatnonzero((positions & mask) == value)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_two_step_plan_matches_the_scanning_compile(self, n, monkeypatch):
+        layout = HoboLayout.for_cities(n)
+
+        def plan():
+            build_g1.cache_clear()  # so that no part brings a plan compiled before
+            circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
+            return _unrolled(circuit_plan(circuit, _live_qubits(layout)))
+
+        def scan(positions, width, mask, value):
+            return np.flatnonzero((positions & mask) == value)
+
+        direct = plan()
+        monkeypatch.setattr(simulator, "_positions_with", scan)
+        scanned = plan()
+        assert [step[0] for step in direct] == [step[0] for step in scanned]
+        for step, expected in zip(direct, scanned):
+            for got, want in zip(step[1:], expected[1:]):
+                assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
 
 
 class TestBlockStructure:
@@ -729,10 +776,11 @@ class TestMainDistribution:
         infeasible = 1.0 - success_probability(dist, enumerate_feasible(3))
         assert infeasible < 0.01
 
-    def test_width_mismatch(self):
+    @pytest.mark.parametrize("width", [5, 6, 8, 14])  # n=3: live width 7, full width 13
+    def test_width_mismatch(self, width):
         layout = HoboLayout.for_cities(3)
-        with pytest.raises(ValueError):
-            main_distribution(new_state(5), layout)
+        with pytest.raises(ValueError, match="neither"):
+            main_distribution(new_state(width), layout)
 
 
 class TestSample:
