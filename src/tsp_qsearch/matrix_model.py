@@ -4,12 +4,13 @@ Instead of gates, this module evolves a vector over the n! feasible
 tours, in the phase dataset's tour order, with the diagonal cost
 operator and the reflection about the uniform feasible superposition.
 `evolve` and `state_at` take the dataset and the cost convention.  It
-is the cross-check oracle for the circuit path and the workhorse for
-sizes whose circuits are out of reach of the dense simulator (the
-5-city search space is 120 tours but 41 qubits).  This is the ideal
-form of the search: its diffusion reflects about the exact feasible
-superposition, while the circuit's D2 reflects about the stage-1 state,
-which keeps a small infeasible remainder.
+is the cross-check oracle for the circuit path and its fast stand-in:
+at 6 cities it evolves 720 tour amplitudes, where the gate simulator
+runs the circuit on its 19-qubit live register (46 qubits in full,
+2**19 amplitudes).  This is the ideal form of the search: its
+diffusion reflects about the exact feasible superposition, while the
+circuit's D2 reflects about the stage-1 state, which keeps a small
+infeasible remainder.
 
 Cost values map to oracle angles in one of two conventions.  By
 default the stored value is the angle, matching the circuit's cost
