@@ -26,6 +26,7 @@ import sys
 
 from .circuits import build_two_step, circuit_to_text, metrics
 from .core import (
+    MAX_ENUM_CITIES,
     CapacityError,
     DatasetError,
     HoboLayout,
@@ -51,7 +52,14 @@ def _load_dataset(dataset: str, n: int) -> PhaseAssignment:
     if dataset == "builtin":
         phases = builtin_phases(n)
     else:
-        phases = load_phases(dataset)
+        try:
+            phases = load_phases(dataset)
+        except CapacityError as exc:
+            # Loading enumerates the tours of the file's n, which fails only
+            # outside 2..MAX_ENUM_CITIES; under an n inside it, the file is for another n.
+            if 2 <= n <= MAX_ENUM_CITIES:
+                raise DatasetError(f"dataset is not for n={n}: {exc}") from exc
+            raise
     if phases.n != n:
         raise DatasetError(f"dataset is for n={phases.n}, requested n={n}")
     return phases

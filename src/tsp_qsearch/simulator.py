@@ -13,13 +13,13 @@ the whole result in 2**(nk+1) amplitudes.  That brings the 5- and
 6-city circuits (41 and 46 qubits in full, 16 and 19 live) within
 `MAX_WIDTH`.
 
-`run` compiles a circuit once into a plan of four kinds of kernel step
-(see `_compile`), and a fifth on a live state (see below).  Apart from
-H, every gate is classical: X, CX and MCX permute basis states and MCP
-multiplies some of them by a phase.  So the compiler keeps, for each
-position of the view it runs on, a label: the basis state whose
-amplitude that position holds.  X, CX and MCX only
-change labels and emit nothing; an MCP is one phase step on the
+`run` compiles a circuit into one plan per state width, of four kinds
+of kernel step (see `_compile`) and a fifth on a live state (see
+below).  Apart from H, every gate is classical: X, CX and MCX permute
+basis states and MCP multiplies some of them by a phase.  So the
+compiler keeps, for each position of the state it runs on, a label:
+the basis state whose amplitude that position holds.  X, CX and MCX
+only change labels and emit nothing; an MCP is one phase step on the
 positions whose label it fires on.  An H first emits the pending
 relabelling as one move, `flat[dest] = flat[source]` over the
 positions whose label changed, and then joins the current H layer: one
@@ -28,41 +28,39 @@ contiguous pass per qubit on a copy with the layer's axes first (see
 its plan, so compile cost depends on the distinct parts, not on q1 or
 q2; a part moves its labels home before it ends.
 
-The plan runs on a view of the state that holds only the live qubits,
-the main register and the marker, with every ancilla bit 0: 512 of the
-32,768 amplitudes at n=4.  A live state is that view itself, and `run`
-executes the plan on it in place.  A label may set an ancilla bit
-between moves, and an MCP may read it there, so each feasibility oracle
-R1 computes and uncomputes its ancillas into one move of the view,
-which flips the marker of each feasible tour.  At n=4 the 2048 gates
-become 4 steps (marker move, one H layer on 9 qubits, G1 * q1 and
-G2 * q2) that unroll to 96.  The view wakes an ancilla when an H names
-one or a move leaves one set.  Then, as when the state holds a nonzero
-amplitude with an ancilla bit set, the same compile over all qubits
-runs on the whole state instead; a live state has no room for it, so
-`run` refuses.
+A full-width state runs the plan compiled over all its qubits.  Each
+step does the arithmetic of the gates it replaces, so every amplitude
+is bit-identical to gate-by-gate `apply_gate`, zero signs included: an
+H layer does a lone H's arithmetic, qubit by qubit in gate order.  At
+n=4 the 2048 gates become 4 steps (marker move, one H layer on 9
+qubits, G1 * q1 and G2 * q2) that unroll to 96.
 
-On a full-width state each step does the arithmetic of the gates it
-replaces, so every amplitude of the view is bit-identical to
-gate-by-gate `apply_gate`, zero signs included: an H layer does a lone
-H's arithmetic, qubit by qubit in gate order.  Outside the view both
-are zero, though the gate-by-gate phase steps may leave -0.0 there.
-
-A live state runs the plan compiled with `fold` instead, which differs
-in one step kind.  D1 and the centre of every D2 are each an H layer on
-the main register, a phase -1 on its all-zeros state and the same H
-layer; each such sandwich becomes one `_reflect` step, the reflection
-I + (f - 1)|s><s| about the register's uniform state |s>, in two passes
-over the view instead of one per qubit in each layer.  At n=4 the live
-plan unrolls to one H layer, the opening one, and 12 reflection steps,
-q1 + q2 * (2 * q1 + 1) in general.  Its amplitudes are not bit-identical
-to the exact plan's: they agree to within 1e-12 each (2.4e-14 measured
-at n=3 and 4), and the norm drifts less.
+A live state runs the plan compiled over the live qubits alone, with
+every ancilla bit 0: 512 of the 32,768 amplitudes at n=4.  A label may
+set an ancilla bit between moves, and an MCP may read it there, so
+each feasibility oracle R1 computes and uncomputes its ancillas into
+one move, which flips the marker of each feasible tour.  An H that
+names an ancilla, or a move that leaves one set, needs a qubit the
+live state does not hold, and `run` refuses the circuit.  The live
+plan differs from the full-width one in one step kind.  D1 and the
+centre of every D2 are each an H layer on the main register, a phase
+-1 on its all-zeros state and the same H layer; each such sandwich
+becomes one `_reflect` step, the reflection I + (f - 1)|s><s| about
+the register's uniform state |s>, in two passes over the state instead
+of one per qubit in each layer.  At n=4 the live plan unrolls to one H
+layer, the opening one, and 12 reflection steps, q1 + q2 * (2 * q1 +
+1) in general.  Its amplitudes are not bit-identical to the exact
+plan's: they agree to within 1e-12 each (2.4e-14 measured at n=3 and
+4), and the norm drifts less.
 
 `apply_gate` compiles nothing: it swaps, butterflies or multiplies
-strided views of the state in place, with temporaries the size of half
-the amplitudes the gate acts on.  An H layer step allocates two
-view-sized buffers, a reflection step none, and a move or phase step
+strided views of the state in place.  A swap or butterfly allocates a
+temporary of half the amplitudes the gate acts on, and numpy copies
+operands too when the two halves' memory bounds overlap, so the peak
+is one to two and a half such halves: on 15 qubits, under
+`tracemalloc`, X(0) peaks at 264 KB, X(3) at 526 KB and H(3) at 658
+KB.  A phase allocates nothing.  An H layer step allocates two
+state-sized buffers, a reflection step none, and a move or phase step
 holds index arrays only as large as the amplitudes it touches.
 """
 
@@ -310,35 +308,36 @@ def _live_qubits(layout: HoboLayout) -> tuple[int, ...]:
     return (*range(layout.main_qubits), *range(layout.width - layout.marker_qubits, layout.width))
 
 
-def circuit_plan(circuit: Circuit, qubits: tuple[int, ...], fold: bool = False) -> tuple | None:
-    """The circuit's compiled steps on the view of `qubits`, built on first use.
+def circuit_plan(circuit: Circuit, live: bool) -> tuple | None:
+    """The circuit's compiled steps for a live or a full-width state, built on first use.
 
-    None if the view cannot hold the state while the circuit runs.  A
-    part repeated more than once becomes the step
-    ``(_repeat, plan of the part, times)``; the leaves between such
-    parts compile together as in `_compile`, which folds reflection
-    sandwiches if `fold` is set.  Plans are kept on their circuit, by
-    view and fold, so they are freed with it and a shared part
-    compiles once.
+    A full-width plan is exact over all the layout's qubits.  A live
+    plan runs on `_live_qubits` and folds reflection sandwiches; it is
+    None if the circuit needs an ancilla.  A part repeated more than
+    once becomes the step ``(_repeat, plan of the part, times)``; the
+    leaves between such parts compile together as in `_compile`.  Plans
+    are kept on their circuit, by width, so they are freed with it and
+    a shared part compiles once.
     """
     plans = vars(circuit).setdefault("_plans", {})  # Circuit is frozen
-    key = (qubits, fold)
-    if key not in plans:
+    if live not in plans:
+        layout = circuit.layout
+        qubits = _live_qubits(layout) if live else tuple(range(layout.width))
         plan = ()
         try:
             for repeated, units in itertools.groupby(_units(circuit), key=lambda unit: unit[1] > 1):
                 if repeated:
-                    plan += tuple((_repeat, _unit_plan(part, qubits, fold), times) for part, times in units)
+                    plan += tuple((_repeat, _unit_plan(part, live), times) for part, times in units)
                 else:
-                    plan += _compile(itertools.chain.from_iterable(leaf.leaf for leaf, _ in units), qubits, fold)
+                    plan += _compile(itertools.chain.from_iterable(leaf.leaf for leaf, _ in units), qubits, live)
         except _Woken:
             plan = None
-        plans[key] = plan
-    return plans[key]
+        plans[live] = plan
+    return plans[live]
 
 
-def _unit_plan(circuit: Circuit, qubits: tuple[int, ...], fold: bool) -> tuple:
-    plan = circuit_plan(circuit, qubits, fold)
+def _unit_plan(circuit: Circuit, live: bool) -> tuple:
+    plan = circuit_plan(circuit, live)
     if plan is None:
         raise _Woken
     return plan
@@ -392,33 +391,22 @@ def _check_width(state: StateVector, layout: HoboLayout) -> None:
 def run(circuit: Circuit, state: StateVector) -> StateVector:
     """Apply the circuit in place through its compiled plan.
 
-    The state holds all of the layout's qubits or only its live ones
-    (`HoboLayout.live_width`); a live state's plan folds each H·S0·H
-    sandwich into one reflection step (see the module docstring).
-    Raises CapacityError if a live state would need an ancilla, and
-    NormError if the state's squared norm is not 1 afterwards, so an
-    input that was not normalised or a drifting kernel is reported.
+    A full-width state runs the exact plan, and a live one
+    (`HoboLayout.live_width`) the plan that folds each H·S0·H sandwich
+    into one reflection step (see the module docstring).  Raises
+    CapacityError if a live state would need an ancilla, and NormError
+    if the state's squared norm is not 1 afterwards, so an input that
+    was not normalised or a drifting kernel is reported.
     """
     layout = circuit.layout
     _check_width(state, layout)
-    if state.width == layout.width:
-        # Axis 1 runs over the ancillas; index 0 is the view.
-        amps = state.amplitudes.reshape(2**layout.main_qubits, -1, 2**layout.marker_qubits)
-        plan = None if amps[:, 1:].any() else circuit_plan(circuit, _live_qubits(layout))
-        if plan is None:
-            _execute(circuit_plan(circuit, tuple(range(state.width))), state.amplitudes)
-        else:
-            live = amps[:, 0].copy()
-            _execute(plan, live)
-            amps[:, 0] = live
-    else:  # a live state: the view itself, with every sandwich folded
-        plan = circuit_plan(circuit, _live_qubits(layout), True)
-        if plan is None:
-            raise CapacityError(
-                f"the circuit sets an ancilla, which a live state of {state.width} qubits does not hold; "
-                f"this state needs {layout.width}"
-            )
-        _execute(plan, state.amplitudes)
+    plan = circuit_plan(circuit, state.width != layout.width)
+    if plan is None:
+        raise CapacityError(
+            f"the circuit sets an ancilla, which a live state of {state.width} qubits does not hold; "
+            f"this state needs {layout.width}"
+        )
+    _execute(plan, state.amplitudes)
     drift = abs(state.norm_sq() - 1.0)
     if not drift < NORM_TOLERANCE:
         raise NormError(f"state norm drifted: |norm^2 - 1| = {drift:.3g}")

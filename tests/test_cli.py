@@ -228,10 +228,18 @@ class TestRun:
         assert err.getvalue().startswith("error:")
         assert "Traceback" not in err.getvalue()
 
-    def test_dataset_city_count_mismatch(self, tmp_path):
-        dataset = tmp_path / "p4.json"
-        main(["gen", "--n", "4", "--seed", "1", "--out", str(dataset)])
-        assert main(["run", "--n", "3", "--dataset", str(dataset), "--out", str(tmp_path / "r.json")]) == EXIT_DATA
+    @pytest.mark.parametrize("file_n", [0, 1, 4, 7, 99])
+    def test_dataset_city_count_mismatch(self, file_n, tmp_path, capsys):
+        # A data error whatever the file's n, even one without tours to enumerate.
+        dataset = tmp_path / "p.json"
+        if file_n == 4:
+            main(["gen", "--n", "4", "--seed", "1", "--out", str(dataset)])
+        else:
+            dataset.write_text(json.dumps({"n": file_n, "phases": {}}))
+        out = tmp_path / "r.json"
+        assert main(["run", "--n", "3", "--dataset", str(dataset), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: dataset is ")
+        assert not out.exists()
 
     def test_rescaled_rejected_in_circuit_mode(self, tmp_path):
         code = main([

@@ -44,7 +44,6 @@ from tsp_qsearch.simulator import (
     MAX_WIDTH,
     _execute,
     _hadamards,
-    _live_qubits,
     _permute,
     _phase,
     _positions_with,
@@ -442,13 +441,12 @@ class TestCompiledPlan:
 
         # A new step starts only where a qubit repeats, so a distinct run
         # is one step; each step is an H layer, a lone H one of one pass.
-        every_qubit = tuple(range(width))
-        plan = circuit_plan(circuit, every_qubit)
+        plan = circuit_plan(circuit, False)
         layers = [_h_qubits(step) for step in plan]
         assert [q for layer in layers for q in layer] == targets
         assert len(plan) == 1 + (len(set(targets)) < len(targets))
         assert all(step[0] is _hadamards and len(set(layer)) == len(layer) for step, layer in zip(plan, layers))
-        lone = circuit_plan(Circuit(circuit.layout, (h(targets[0]),)), every_qubit)
+        lone = circuit_plan(Circuit(circuit.layout, (h(targets[0]),)), False)
         assert [(step[0], step[2]) for step in lone] == [(_hadamards, 1)]
 
         # Sparse, purely real or imaginary states, so zeros of both signs appear.
@@ -466,31 +464,36 @@ class TestCompiledPlan:
     def test_two_step_plan_swaps_only_the_marker_not(self, n):
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
-        plan = _unrolled(circuit_plan(circuit, _live_qubits(layout)))
+        full, plan = (_unrolled(circuit_plan(circuit, live)) for live in (False, True))
 
-        kinds = Counter(kernel.__name__ for kernel, _, _ in plan)
+        kinds = Counter(kernel.__name__ for kernel, _, _ in full)
         assert kinds == {"_permute": 11, "_hadamards": 25, "_phase": {3: 24, 4: 60}[n]}
+        # The live plan folds 24 H layers and 12 phase steps into 12 reflections.
+        kinds = Counter(kernel.__name__ for kernel, _, _ in plan)
+        assert kinds == {"_permute": 11, "_hadamards": 1, "_reflect": 12, "_phase": {3: 12, 4: 48}[n]}
 
-        # The marker's NOT, which an H follows, is the first step: a move
-        # of every view position p to p ^ 1, the marker being the last axis.
-        moves = [step for step in plan if step[0] is _permute]
-        positions = np.arange(2 ** (layout.main_qubits + 1))
-        assert plan[0] is moves[0]
-        assert np.array_equal(moves[0][2], positions) and np.array_equal(moves[0][1], positions ^ 1)
+        # The marker's NOT, which an H follows, is the first step of both: a
+        # move of every position p to p ^ 1, the marker being the last axis.
+        for steps, width in ((full, layout.width), (plan, layout.live_width)):
+            positions = np.arange(2**width)
+            assert steps[0][0] is _permute
+            assert np.array_equal(steps[0][2], positions) and np.array_equal(steps[0][1], positions ^ 1)
 
-        # Each of the 10 R1 blocks is one equal move of the view; its
+        # Each of the 10 R1 blocks of the live plan is one equal move; its
         # ancillas end at zero, so it moves only the amplitudes whose
         # marker it flips: both marker values of each feasible tour.
+        moves = [step for step in plan if step[0] is _permute]
         assert len(moves[1][2]) == 2 * math.factorial(n)
         assert all(np.array_equal(step[1], moves[1][1]) and np.array_equal(step[2], moves[1][2])
                    for step in moves[1:])
 
-    def test_plan_is_compiled_once_per_circuit(self):
+    @pytest.mark.parametrize("live", [False, True], ids=["full", "live"])
+    def test_plan_is_compiled_once_per_circuit(self, live):
         # D2 is built anew on each call; only its G1 and G1's inverse are kept per layout.
         layout = HoboLayout.for_cities(3)
         circuit = build_d2(layout, 2)
-        live = _live_qubits(layout)
         assert circuit_plan(circuit, live) is circuit_plan(circuit, live)
+        assert circuit_plan(circuit, live) is not circuit_plan(circuit, not live)
         assert circuit_plan(Circuit(layout, circuit.gates), live) is not circuit_plan(circuit, live)
         # Nothing outside the circuit holds it, so its plan dies with it.
         freed = weakref.ref(circuit)
@@ -516,10 +519,10 @@ class TestCompiledPlan:
 
 
 def _traced_compile(circuit: Circuit) -> tuple:
-    """The circuit's plan on its live qubits and the compile's `tracemalloc` peak."""
+    """The circuit's live plan and the compile's `tracemalloc` peak."""
     tracemalloc.start()
     try:
-        plan = circuit_plan(circuit, _live_qubits(circuit.layout))
+        plan = circuit_plan(circuit, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -541,16 +544,16 @@ def _by_view(amps: np.ndarray, layout: HoboLayout) -> tuple:
 class TestViews:
     @pytest.mark.parametrize("schedule", [Schedule(2, 2), Schedule(0, 3), Schedule(3, 0)], ids=str)
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_two_step_run_is_gate_by_gate_on_the_live_qubits(self, n, schedule):
+    def test_two_step_full_width_run_is_gate_by_gate(self, n, schedule):
         layout = HoboLayout.for_cities(n)
         phases = gen_gaussian_phases(2, math.pi, 0.5, 0) if n == 2 else builtin_phases(n)
         circuit = build_two_step(layout, phases, schedule)
-        assert circuit_plan(circuit, _live_qubits(layout)) is not None
+        assert circuit_plan(circuit, True) is not None
+        # The whole state, zero signs outside the live qubits included.
         full = run(circuit, new_state(layout.width))
+        _assert_bit_identical(full.amplitudes, _gate_by_gate(circuit, new_state(layout.width)))
         live, rest = _by_view(full.amplitudes, layout)
-        expected_live, expected_rest = _by_view(_gate_by_gate(circuit, new_state(layout.width)), layout)
-        _assert_bit_identical(live, expected_live)
-        assert not rest.any() and not expected_rest.any()
+        assert not rest.any()
         # A live state holds exactly the view, with every H·S0·H sandwich
         # folded into one reflection step: equal to a stated tolerance.
         live_state = run(circuit, new_state(layout.live_width))
@@ -576,7 +579,7 @@ class TestViews:
             "cx run": [h(0), cx(0, ancilla), cx(0, ancilla + 1), h(0)],  # one permutation
         }[wake]
         circuit = Circuit(layout, tuple(gates))
-        assert circuit_plan(circuit, _live_qubits(layout)) is None
+        assert circuit_plan(circuit, True) is None
         got = run(circuit, new_state(layout.width)).amplitudes
         expected = _gate_by_gate(circuit, new_state(layout.width))
         assert np.abs(_by_view(expected, layout)[1]).max() > 0.1
@@ -589,16 +592,17 @@ class TestViews:
 
     def test_a_phase_on_an_ancilla_that_the_relabelling_clears_stays_live(self):
         # The MCP reads the ancilla while a label has it set; the second CX
-        # clears it before the next H, so no move leaves the view.
+        # clears it before the next H, so no move leaves the live qubits.
+        # No sandwich folds, so the live run is exact.
         layout = HoboLayout.for_cities(3)
         ancilla = layout.main_qubits
         gates = (h(0), h(1), cx(0, ancilla), mcp((ancilla,), 1, 0.7), cx(0, ancilla), h(0))
         circuit = Circuit(layout, gates)
-        assert circuit_plan(circuit, _live_qubits(layout)) is not None
-        live, rest = _by_view(run(circuit, new_state(layout.width)).amplitudes, layout)
+        assert circuit_plan(circuit, True) is not None
+        live = run(circuit, new_state(layout.live_width)).amplitudes
         expected_live, expected_rest = _by_view(_gate_by_gate(circuit, new_state(layout.width)), layout)
-        _assert_bit_identical(live, expected_live)
-        assert not rest.any() and not expected_rest.any()
+        _assert_bit_identical(live, expected_live.reshape(-1))
+        assert not expected_rest.any()
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_oracle_r1_negates_exactly_the_feasible_rows(self, n):
@@ -653,7 +657,7 @@ class TestFold:
         circuit = build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, seed), Schedule(q1, q2))
         # Each D1 is a sandwich, and each D2 holds 2 * q1 of them and its centre;
         # only the opening H layer, on the main register and the marker, is left.
-        kinds = Counter(step[0] for step in _unrolled(circuit_plan(circuit, _live_qubits(layout), True)))
+        kinds = Counter(step[0] for step in _unrolled(circuit_plan(circuit, True)))
         assert kinds[_hadamards] == 1
         assert kinds[_reflect] == q1 + q2 * (2 * q1 + 1)
         exact, _ = _by_view(run(circuit, new_state(layout.width)).amplitudes, layout)
@@ -674,7 +678,7 @@ class TestFold:
     def test_only_a_sandwich_on_the_leading_axes_folds(self, qubits, zeros, folds):
         layout = _bare_layout(6)
         circuit = Circuit(layout, tuple(_sandwich(qubits, zeros)))
-        plan = circuit_plan(circuit, tuple(range(6)), True)
+        plan = circuit_plan(circuit, True)
         rng = np.random.default_rng(7)
         amps = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
         amps /= np.linalg.norm(amps)
@@ -697,22 +701,21 @@ class TestFold:
     def test_the_first_stage_folds_once_for_the_prefix_and_every_d2(self):
         layout = HoboLayout.for_cities(4)
         circuit = build_two_step(layout, builtin_phases(4), Schedule(2, 2))
-        plan = circuit_plan(circuit, _live_qubits(layout), True)
+        plan = circuit_plan(circuit, True)
         assert [step[0] for step in plan] == [_permute, _hadamards, _repeat, _repeat]
         g1_plan, g2_plan = plan[-2][1], plan[-1][1]
         assert [step[0] for step in g1_plan] == [_permute, _reflect]
-        assert g1_plan is circuit_plan(build_g1(layout), _live_qubits(layout), True)
+        assert g1_plan is circuit_plan(build_g1(layout), True)
         assert g2_plan[-1][0] is _repeat and g2_plan[-1][1] is g1_plan
 
     def test_a_full_width_state_keeps_the_exact_plan_after_a_live_run(self):
-        # Both run on the live view, each with its own plan: the folded
-        # plan is compiled first here, and the full-width run stays exact.
+        # Each width has its own plan: the folded plan is compiled first
+        # here, and the full-width run stays exact.
         layout = HoboLayout.for_cities(3)
         circuit = build_two_step(layout, builtin_phases(3), Schedule(2, 2))
         run(circuit, new_state(layout.live_width))
-        live, _ = _by_view(run(circuit, new_state(layout.width)).amplitudes, layout)
-        expected, _ = _by_view(_gate_by_gate(circuit, new_state(layout.width)), layout)
-        _assert_bit_identical(live, expected)
+        got = run(circuit, new_state(layout.width)).amplitudes
+        _assert_bit_identical(got, _gate_by_gate(circuit, new_state(layout.width)))
 
 
 class TestDirectPhaseIndexing:
@@ -728,14 +731,15 @@ class TestDirectPhaseIndexing:
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("live", [False, True], ids=["full", "live"])
     @pytest.mark.parametrize("n", [3, 4])
-    def test_two_step_plan_matches_the_scanning_compile(self, n, monkeypatch):
+    def test_two_step_plan_matches_the_scanning_compile(self, n, live, monkeypatch):
         layout = HoboLayout.for_cities(n)
 
         def plan():
             build_g1.cache_clear()  # so that no part brings a plan compiled before
             circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
-            return _unrolled(circuit_plan(circuit, _live_qubits(layout)))
+            return _unrolled(circuit_plan(circuit, live))
 
         def scan(positions, width, mask, value):
             return np.flatnonzero((positions & mask) == value)
@@ -776,8 +780,8 @@ class TestBlockStructure:
     def test_two_step_plan_is_the_flat_gate_list_plan(self, n):
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
-        plan = circuit_plan(circuit, _live_qubits(layout))
-        flat_plan = circuit_plan(Circuit(layout, circuit.gates), tuple(range(layout.width)))
+        plan = circuit_plan(circuit, False)
+        flat_plan = circuit_plan(Circuit(layout, circuit.gates), False)
         # Marker prep and one H layer on every main qubit and the marker,
         # then G1 * q1 and G2 * q2, whose D2 ends in the same G1 * q1: G1
         # is compiled once.
@@ -786,12 +790,9 @@ class TestBlockStructure:
         g1_plan, g2_plan = plan[-2][1], plan[-1][1]
         assert g2_plan[-1][0] is _repeat and g2_plan[-1][1] is g1_plan
         assert [step[0] for step in _unrolled(plan)] == [step[0] for step in flat_plan]
-        live, rest = _by_view(run(circuit, new_state(layout.width)).amplitudes, layout)
         flat = new_state(layout.width).amplitudes
         _execute(flat_plan, flat)
-        flat_live, flat_rest = _by_view(flat, layout)
-        _assert_bit_identical(live, flat_live)
-        assert np.array_equal(rest, flat_rest)
+        _assert_bit_identical(run(circuit, new_state(layout.width)).amplitudes, flat)
 
 
 class TestInverseRun:
