@@ -14,7 +14,7 @@ the whole result in 2**(nk+1) amplitudes.  That brings the 5- and
 `MAX_WIDTH`.
 
 `run` compiles a circuit into one plan per state width, of four kinds
-of kernel step (see `_compile`) and a fifth on a live state (see
+of kernel step (see `_compile`) and two more on a live state (see
 below).  Apart from H, every gate is classical: X, CX and MCX permute
 basis states and MCP multiplies some of them by a phase.  So the
 compiler keeps, for each position of the state it runs on, a label:
@@ -42,16 +42,30 @@ each feasibility oracle R1 computes and uncomputes its ancillas into
 one move, which flips the marker of each feasible tour.  An H that
 names an ancilla, or a move that leaves one set, needs a qubit the
 live state does not hold, and `run` refuses the circuit.  The live
-plan differs from the full-width one in one step kind.  D1 and the
+plan differs from the full-width one in two step kinds.  D1 and the
 centre of every D2 are each an H layer on the main register, a phase
 -1 on its all-zeros state and the same H layer; each such sandwich
 becomes one `_reflect` step, the reflection I + (f - 1)|s><s| about
 the register's uniform state |s>, in two passes over the state instead
-of one per qubit in each layer.  At n=4 the live plan unrolls to one H
-layer, the opening one, and 12 reflection steps, q1 + q2 * (2 * q1 +
-1) in general.  Its amplitudes are not bit-identical to the exact
-plan's: they agree to within 1e-12 each (2.4e-14 measured at n=3 and
-4), and the norm drifts less.
+of one per qubit in each layer.  D2 is then inv(A), that reflection
+and A, for A = G1 * q1 after the H layer; with U = G1^q1 it is
+U R U^-1 = I + (f - 1) sum_j |psi_j><psi_j|, psi_j = U(|s> (x) |j>) for
+the two marker states j.  So each D2 becomes one `_project` step on
+those two rows instead of 2 * q1 runs of G1's plan (see
+`_fold_projection`); a reflection whose conjugate would have more than
+two rows stays as it is.  The rows are kept on the layout's one G1 by
+q1, 2 * 2**(nk+1) amplitudes (16 KiB at n=4, 16 MiB at n=6), so each
+layout and q1 computes them once per process.  The projection sums
+with ufuncs, not np.vdot or a matmul: those call BLAS, whose default
+threads wait on a busy core.  On a 2-vCPU host with the other core
+busy, np.vdot made a projection at n=5 take 16 ms, against about
+0.5 ms for ufuncs.  With q1 = 0 D2 is its centre reflection, and
+with q1 = 1 its G1 is compiled with its other leaves, so neither
+projects.  From q1 = 2 the live plan unrolls to one H layer, the
+opening one, q1 reflection steps and q2 projection steps: 2 and 2 at
+n=4.  Its amplitudes are not bit-identical to the exact plan's: they
+agree to within 1e-12 each (at most 1.7e-14 measured at n=2 to 4
+with q1, q2 <= 4), and the norm drifts less.
 
 `apply_gate` compiles nothing: it swaps, butterflies or multiplies
 strided views of the state in place.  A swap or butterfly allocates a
@@ -60,8 +74,9 @@ operands too when the two halves' memory bounds overlap, so the peak
 is one to two and a half such halves: on 15 qubits, under
 `tracemalloc`, X(0) peaks at 264 KB, X(3) at 526 KB and H(3) at 658
 KB.  A phase allocates nothing.  An H layer step allocates two
-state-sized buffers, a reflection step none, and a move or phase step
-holds index arrays only as large as the amplitudes it touches.
+state-sized buffers, a reflection step none, a projection step one,
+and a move or phase step holds index arrays only as large as the
+amplitudes it touches.
 """
 
 from __future__ import annotations
@@ -179,6 +194,26 @@ def _reflect(view: np.ndarray, m: int, factor: complex) -> None:
     # two-column array at n=5 and 6.
     for column in view.reshape(2**m, -1).T:
         column += scale * column.sum()
+
+
+def _project(view: np.ndarray, rows: np.ndarray, factor: complex) -> None:
+    # I + (factor - 1) * sum_j |psi_j><psi_j|, psi_j the orthonormal rows.
+    if not view.flags.c_contiguous:
+        raise ValueError("a projection step reshapes its view in place, which needs it C-contiguous")
+    flat = view.reshape(-1)
+    # <psi_j|flat> is the conjugate of sum(psi_j * conj(flat)).  A ufunc
+    # sum adds pairwise; np.vdot or a matmul would call BLAS, whose default
+    # threads can make each projection many times slower, and einsum adds
+    # in one running sum, which drifted the norm 100 times more at n=5.
+    # Every product goes to one scratch buffer: a fresh temporary for each
+    # doubled the step's time at n=5.
+    scratch = np.empty_like(flat)
+    overlaps = []
+    for row in rows:
+        np.multiply(np.conjugate(flat, out=scratch), row, out=scratch)
+        overlaps.append(np.conj(scratch.sum()))
+    for row, overlap in zip(rows, overlaps):
+        flat += np.multiply(row, (factor - 1) * overlap, out=scratch)
 
 
 class _Woken(Exception):
@@ -312,28 +347,76 @@ def circuit_plan(circuit: Circuit, live: bool) -> tuple | None:
     """The circuit's compiled steps for a live or a full-width state, built on first use.
 
     A full-width plan is exact over all the layout's qubits.  A live
-    plan runs on `_live_qubits` and folds reflection sandwiches; it is
-    None if the circuit needs an ancilla.  A part repeated more than
-    once becomes the step ``(_repeat, plan of the part, times)``; the
-    leaves between such parts compile together as in `_compile`.  Plans
-    are kept on their circuit, by width, so they are freed with it and
-    a shared part compiles once.
+    plan runs on `_live_qubits`, folds reflection sandwiches and folds
+    each reflection that a repeated part and its inverse conjugate (see
+    `_fold_projection`); it is None if the circuit needs an ancilla.  A
+    part repeated more than once becomes the step ``(_repeat, plan of
+    the part, times)``; the leaves between such parts compile together
+    as in `_compile`.  Plans are kept on their circuit, by width, so
+    they are freed with it and a shared part compiles once.
     """
     plans = vars(circuit).setdefault("_plans", {})  # Circuit is frozen
     if live not in plans:
         layout = circuit.layout
         qubits = _live_qubits(layout) if live else tuple(range(layout.width))
-        plan = ()
+        plan, owners = [], []  # owners[i]: the part that plan[i] repeats, else None
         try:
             for repeated, units in itertools.groupby(_units(circuit), key=lambda unit: unit[1] > 1):
                 if repeated:
-                    plan += tuple((_repeat, _unit_plan(part, live), times) for part, times in units)
+                    for part, times in units:
+                        plan.append((_repeat, _unit_plan(part, live), times))
+                        owners.append(part)
+                        _fold_projection(plan, owners, len(qubits))
                 else:
-                    plan += _compile(itertools.chain.from_iterable(leaf.leaf for leaf, _ in units), qubits, live)
+                    steps = _compile(itertools.chain.from_iterable(leaf.leaf for leaf, _ in units), qubits, live)
+                    plan += steps
+                    owners += [None] * len(steps)
         except _Woken:
-            plan = None
-        plans[live] = plan
+            plans[live] = None
+        else:
+            plans[live] = tuple(plan)
     return plans[live]
+
+
+def _fold_projection(plan: list, owners: list, width: int) -> None:
+    """Fold the last three steps into one `_project` step if a part and its inverse conjugate a reflection.
+
+    The steps are P^-1 * t, the `_reflect` step R = I + (f - 1)|s><s| (x) I
+    on the view's first width - 1 axes and P * t, with P^-1 the inverse
+    that P keeps.  With U = P^t, U R U^-1 = I + (f - 1) sum_j |psi_j><psi_j|
+    for psi_j = U(|s> (x) |j>), j = 0, 1 on the last axis: one step of a
+    few passes over the view instead of 2t runs of P.  A reflection on
+    fewer axes has more rows and stays as it is.  Only a live plan holds `_reflect`
+    steps, so only a live plan folds.
+    """
+    if len(plan) < 3:
+        return
+    (first, _, count), (middle, m, factor), (last, part_plan, times) = plan[-3:]
+    if (
+        (first, middle, last) == (_repeat, _reflect, _repeat)
+        and count == times
+        and m == width - 1
+        and owners[-1]._inverse is owners[-3]
+    ):
+        plan[-3:] = [(_project, _projection_rows(owners[-1], part_plan, times, width), factor)]
+        owners[-3:] = [None]
+
+
+def _projection_rows(part: Circuit, part_plan: tuple, times: int, width: int) -> np.ndarray:
+    """The rows psi_j of `_fold_projection`, for the live plan of `part` repeated `times`.
+
+    Kept on the part by repeat count, next to its plans: the layout's
+    one G1 computes them once per q1, and every D2 that repeats it
+    shares them.  They cost 2 * 2**width amplitudes.
+    """
+    rows_by_times = vars(part).setdefault("_projections", {})
+    if times not in rows_by_times:
+        rows = np.zeros((2, 2**width), dtype=np.complex128)
+        rows[0, 0::2] = rows[1, 1::2] = 1 / math.sqrt(2 ** (width - 1))
+        for row in rows:
+            _repeat(row.reshape((2,) * width), part_plan, times)
+        rows_by_times[times] = rows
+    return rows_by_times[times]
 
 
 def _unit_plan(circuit: Circuit, live: bool) -> tuple:
@@ -393,10 +476,11 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
 
     A full-width state runs the exact plan, and a live one
     (`HoboLayout.live_width`) the plan that folds each H·S0·H sandwich
-    into one reflection step (see the module docstring).  Raises
-    CapacityError if a live state would need an ancilla, and NormError
-    if the state's squared norm is not 1 afterwards, so an input that
-    was not normalised or a drifting kernel is reported.
+    into one reflection step and each D2 into one projection step (see
+    the module docstring).  Raises CapacityError if a live state would
+    need an ancilla, and NormError if the state's squared norm is not 1
+    afterwards, so an input that was not normalised or a drifting kernel
+    is reported.
     """
     layout = circuit.layout
     _check_width(state, layout)

@@ -47,6 +47,7 @@ from tsp_qsearch.simulator import (
     _permute,
     _phase,
     _positions_with,
+    _project,
     _reflect,
     _repeat,
     circuit_plan,
@@ -55,8 +56,9 @@ from tsp_qsearch.simulator import (
 from helpers import prepare_main_basis
 
 # Largest per-amplitude gap allowed between a live run, whose plan folds
-# each H·S0·H sandwich into one `_reflect` step, and the exact plan; the
-# gap measured on the two-step circuits at n=3 and 4 is at most 2.4e-14.
+# each H·S0·H sandwich into one `_reflect` step and each D2 into one
+# `_project` step, and the exact plan; the gap measured on the two-step
+# circuits at n=2 to 4 with q1, q2 <= 4 is at most 1.7e-14.
 FOLD_TOLERANCE = 1e-12
 
 
@@ -468,9 +470,11 @@ class TestCompiledPlan:
 
         kinds = Counter(kernel.__name__ for kernel, _, _ in full)
         assert kinds == {"_permute": 11, "_hadamards": 25, "_phase": {3: 24, 4: 60}[n]}
-        # The live plan folds 24 H layers and 12 phase steps into 12 reflections.
+        # The live plan folds each D1 into one reflection and each D2, with
+        # the R1 move and D1 sandwich of each of its four G1 runs, into one
+        # projection.
         kinds = Counter(kernel.__name__ for kernel, _, _ in plan)
-        assert kinds == {"_permute": 11, "_hadamards": 1, "_reflect": 12, "_phase": {3: 12, 4: 48}[n]}
+        assert kinds == {"_permute": 3, "_hadamards": 1, "_reflect": 2, "_project": 2, "_phase": {3: 12, 4: 48}[n]}
 
         # The marker's NOT, which an H follows, is the first step of both: a
         # move of every position p to p ^ 1, the marker being the last axis.
@@ -479,9 +483,10 @@ class TestCompiledPlan:
             assert steps[0][0] is _permute
             assert np.array_equal(steps[0][2], positions) and np.array_equal(steps[0][1], positions ^ 1)
 
-        # Each of the 10 R1 blocks of the live plan is one equal move; its
-        # ancillas end at zero, so it moves only the amplitudes whose
-        # marker it flips: both marker values of each feasible tour.
+        # Each R1 block left in the live plan, the first stage's two, is one
+        # equal move; its ancillas end at zero, so it moves only the
+        # amplitudes whose marker it flips: both marker values of each
+        # feasible tour.
         moves = [step for step in plan if step[0] is _permute]
         assert len(moves[1][2]) == 2 * math.factorial(n)
         assert all(np.array_equal(step[1], moves[1][1]) and np.array_equal(step[2], moves[1][2])
@@ -650,16 +655,22 @@ def _sandwich(qubits: tuple, zeros: tuple) -> list:
 class TestFold:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), q1=st.integers(0, 3), q2=st.integers(0, 3))
-    @example(n=3, seed=42, q1=2, q2=10)  # the benchmark's sweep: 52 reflection steps
+    @example(n=3, seed=42, q1=2, q2=10)  # the benchmark's sweep: 10 projection steps
     @example(n=4, seed=42, q1=2, q2=2)
+    @example(n=3, seed=1, q1=1, q2=2)  # G1 * 1 joins D2's leaves: no projection
+    @example(n=3, seed=1, q1=0, q2=2)  # D2 is its centre sandwich alone
     def test_live_run_folds_every_sandwich_and_matches_the_exact_run(self, n, seed, q1, q2):
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, seed), Schedule(q1, q2))
         # Each D1 is a sandwich, and each D2 holds 2 * q1 of them and its centre;
         # only the opening H layer, on the main register and the marker, is left.
+        # From q1 = 2 each D2 is one step that projects onto the first stage's output.
         kinds = Counter(step[0] for step in _unrolled(circuit_plan(circuit, True)))
         assert kinds[_hadamards] == 1
-        assert kinds[_reflect] == q1 + q2 * (2 * q1 + 1)
+        if q1 >= 2:
+            assert (kinds[_reflect], kinds[_project]) == (q1, q2)
+        else:
+            assert (kinds[_reflect], kinds[_project]) == (q1 + q2 * (2 * q1 + 1), 0)
         exact, _ = _by_view(run(circuit, new_state(layout.width)).amplitudes, layout)
         folded = run(circuit, new_state(layout.live_width)).amplitudes
         assert np.abs(folded - exact.reshape(-1)).max() <= FOLD_TOLERANCE
@@ -706,7 +717,51 @@ class TestFold:
         g1_plan, g2_plan = plan[-2][1], plan[-1][1]
         assert [step[0] for step in g1_plan] == [_permute, _reflect]
         assert g1_plan is circuit_plan(build_g1(layout), True)
-        assert g2_plan[-1][0] is _repeat and g2_plan[-1][1] is g1_plan
+        # D2 is one projection onto the rows psi_j = G1^2 (|s> (x) |j>), j the
+        # marker, which the prefix's G1 plan computes.
+        assert g2_plan[-1][0] is _project and g2_plan[-1][2] == cmath.exp(1j * math.pi)
+        rows = g2_plan[-1][1]
+        uniform = np.zeros((2, 2**layout.live_width), dtype=np.complex128)
+        uniform[0, 0::2] = uniform[1, 1::2] = 1 / math.sqrt(2**layout.main_qubits)
+        for row, start in zip(rows, uniform):
+            _execute(((_repeat, g1_plan, 2),), start)
+            _assert_bit_identical(row, start)
+        # The marker is prepared in |->, so the prefix leaves (psi_0 - psi_1) / sqrt(2).
+        prefix = run(build_two_step(layout, builtin_phases(4), Schedule(2, 0)), new_state(layout.live_width))
+        assert np.abs(prefix.amplitudes - (rows[0] - rows[1]) / math.sqrt(2)).max() <= FOLD_TOLERANCE
+
+    def test_every_d2_of_a_layout_and_q1_shares_one_projection(self):
+        layout = HoboLayout.for_cities(3)
+
+        def projection_rows(q1: int, seed: int) -> np.ndarray:
+            circuit = build_two_step(layout, gen_gaussian_phases(3, math.pi, 0.5, seed), Schedule(q1, 2))
+            # The last step of G2's plan, itself the plan's last step.
+            kernel, rows, _ = circuit_plan(circuit, True)[-1][1][-1]
+            assert kernel is _project
+            return rows
+
+        assert projection_rows(2, 0) is projection_rows(2, 1)
+        assert projection_rows(3, 0) is not projection_rows(2, 0)
+        assert projection_rows(3, 0).shape == projection_rows(2, 0).shape == (2, 2**layout.live_width)
+
+    @pytest.mark.parametrize("factor", [-1, cmath.exp(0.7j)], ids=["reflection", "phase 0.7"])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_projection_is_the_dense_operator(self, count, factor):
+        rng = np.random.default_rng(count)
+        basis, _ = np.linalg.qr(rng.normal(size=(2**5, count)) + 1j * rng.normal(size=(2**5, count)))
+        rows = np.ascontiguousarray(basis.T)  # orthonormal rows psi_j
+        amps = rng.normal(size=2**5) + 1j * rng.normal(size=2**5)
+        amps /= np.linalg.norm(amps)
+        # sum_j |psi_j><psi_j| as a matrix is rows^T conj(rows).
+        expected = (np.eye(2**5) + (factor - 1) * rows.T @ rows.conj()) @ amps
+        got = amps.copy()
+        _project(got.reshape((2,) * 5), rows, factor)
+        assert np.abs(got - expected).max() <= 1e-12
+
+    def test_projection_refuses_a_view_it_cannot_reshape_in_place(self):
+        strided = np.zeros(16, dtype=np.complex128)[::2].reshape((2,) * 3)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _project(strided, np.zeros((2, 8), dtype=np.complex128), -1)
 
     def test_a_full_width_state_keeps_the_exact_plan_after_a_live_run(self):
         # Each width has its own plan: the folded plan is compiled first
