@@ -62,7 +62,7 @@ combined = dist[phases.min_key] + dist[phases.max_key]
 print(f"\nextreme-tour mass: circuit {combined:.6f}, reference {reference.p_combined[q2]:.6f}")
 
 # Shot noise as an experiment would see it.
-counts = sample(dist, shots=1024, seed=42)
+counts = dict(zip(dist, sample(list(dist.values()), shots=1024, seed=42).tolist()))
 print("\n1024-shot counts (top 4):")
 for bits, count in sorted(counts.items(), key=lambda kv: -kv[1])[:4]:
     print(f"  {bits}  {count}")

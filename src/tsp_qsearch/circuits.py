@@ -57,7 +57,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import chain
 from enum import Enum
 
@@ -99,10 +99,16 @@ class Gate:
         return (*self.controls, self.target)
 
 
+# H and X take nothing but their qubit, so each is built once per qubit
+# and shared: a cost oracle reuses one X per zero bit of every tour.
+# Typed, so that x(1.0) or x(True) never hands back the gate x(1) made,
+# whose text would read differently.
+@lru_cache(maxsize=None, typed=True)
 def h(target: int) -> Gate:
     return Gate(GateKind.H, (), target)
 
 
+@lru_cache(maxsize=None, typed=True)
 def x(target: int) -> Gate:
     return Gate(GateKind.X, (), target)
 

@@ -40,7 +40,7 @@ from .core import (
     save_phases,
 )
 from .matrix_model import ProbabilitySeries, evolve, series_to_csv, state_at
-from .simulator import NormError, main_distribution, main_probabilities, new_state, run, sample
+from .simulator import NormError, main_probabilities, new_state, run, sample
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -106,12 +106,15 @@ def cmd_run(args) -> int:
 
     if args.mode == "circuit":
         circuit = build_two_step(layout, phases, schedule)
-        dist = main_distribution(run(circuit, state), layout)
+        probabilities = main_probabilities(run(circuit, state), layout).tolist()
+        bitstrings = [format(i, f"0{layout.main_qubits}b") for i in range(len(probabilities))]
     else:
         psi = state_at(phases, schedule.q2, rescale_costs=rescale)
-        dist = {b: float(abs(a) ** 2) for b, a in zip(phases.phases, psi)}
+        # Python's abs per tour: np.abs(psi) ** 2 differs in the last bit for some.
+        probabilities = [float(abs(a) ** 2) for a in psi]
+        bitstrings = list(phases.phases)
 
-    counts = sample(dist, args.shots, args.seed)
+    counts = sample(probabilities, args.shots, args.seed).tolist()
     report = {
         "n": args.n,
         "k": layout.k,
@@ -122,7 +125,7 @@ def cmd_run(args) -> int:
         "seed": args.seed,
         "shots": args.shots,
         "histogram": [
-            {"bitstring": b, "probability": p, "count": counts.get(b, 0)} for b, p in sorted(dist.items())
+            {"bitstring": b, "probability": p, "count": c} for b, p, c in sorted(zip(bitstrings, probabilities, counts))
         ],
     }
     # One line with sorted keys: without an indent `json` uses its C encoder,

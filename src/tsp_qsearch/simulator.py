@@ -20,7 +20,8 @@ basis states and MCP multiplies some of them by a phase.  So the
 compiler keeps, for each position of the state it runs on, a label:
 the basis state whose amplitude that position holds.  X, CX and MCX
 only change labels and emit nothing; an MCP is one phase step on the
-positions whose label it fires on.  An H first emits the pending
+positions whose label it fires on, except that a live plan fuses a
+diagonal run (see below).  An H first emits the pending
 relabelling as one move, `flat[dest] = flat[source]` over the
 positions whose label changed, and then joins the current H layer: one
 contiguous pass per qubit on a copy with the layer's axes first (see
@@ -42,7 +43,8 @@ each feasibility oracle R1 computes and uncomputes its ancillas into
 one move, which flips the marker of each feasible tour.  An H that
 names an ancilla, or a move that leaves one set, needs a qubit the
 live state does not hold, and `run` refuses the circuit.  The live
-plan differs from the full-width one in two step kinds.  D1 and the
+plan differs from the full-width one in two step kinds and in its
+phase steps.  D1 and the
 centre of every D2 are each an H layer on the main register, a phase
 -1 on its all-zeros state and the same H layer; each such sandwich
 becomes one `_reflect` step, the reflection I + (f - 1)|s><s| about
@@ -61,9 +63,13 @@ threads wait on a busy core.  On a 2-vCPU host with the other core
 busy, np.vdot made a projection at n=5 take 16 ms, against about
 0.5 ms for ufuncs.  With q1 = 0 D2 is its centre reflection, and
 with q1 = 1 its G1 is compiled with its other leaves, so neither
-projects.  From q1 = 2 the live plan unrolls to one H layer, the
-opening one, q1 reflection steps and q2 projection steps: 2 and 2 at
-n=4.  Its amplitudes are not bit-identical to the exact plan's: they
+projects.  The MCPs of a run that no CX or MCX interrupts, if no two
+fire on one position, become one phase step with a factor per
+position (see `_diagonal_steps`), so each cost oracle R2 is one step
+instead of n! of them.  From q1 = 2 the live plan unrolls to one H
+layer, the opening one, q1 reflection steps, and q2 phase and q2
+projection steps: 2, 2 and 2 at n=4.  Its amplitudes are not
+bit-identical to the exact plan's: they
 agree to within 1e-12 each (at most 1.7e-14 measured at n=2 to 4
 with q1, q2 <= 4), and the norm drifts less.
 
@@ -228,14 +234,16 @@ def _compile(gates, qubits: tuple[int, ...], fold: bool) -> tuple:
     and at most one move (see `_relabel`).  Each H joins the current H
     layer, which such a step or a second H on one of its qubits closes;
     a lone H is a layer of one.  With `fold`, each H layer, phase step,
-    H layer sandwich that `_fold` finds becomes one `_reflect` step.
+    H layer sandwich that `_fold` finds becomes one `_reflect` step, and
+    `_relabel` may fuse the phase steps of a run into one.
     Raises `_Woken` if an H names a qubit outside the view or a move
     leaves a label outside it.
     """
     width = len(qubits)
     axes = {qubit: axis for axis, qubit in enumerate(qubits)}
     steps, layer = [], []
-    for hadamards, run in itertools.groupby(gates, key=lambda gate: gate.kind is GateKind.H):
+    H = GateKind.H  # bound once, as in `_relabel`
+    for hadamards, run in itertools.groupby(gates, key=lambda gate: gate.kind is H):
         if hadamards:
             for gate in run:
                 if gate.target not in axes:
@@ -244,7 +252,7 @@ def _compile(gates, qubits: tuple[int, ...], fold: bool) -> tuple:
                     steps += _layer(layer, width)
                     layer = []
                 layer.append(axes[gate.target])
-        elif classical := _relabel(run, qubits):
+        elif classical := _relabel(run, qubits, fold):
             steps += _layer(layer, width) + classical
             layer = []
     steps += _layer(layer, width)
@@ -271,7 +279,8 @@ def _fold(steps: list, width: int) -> list:
 
 
 def _is_sandwich(first: tuple, middle: tuple, last: tuple, width: int) -> bool:
-    if (first[0], middle[0], last[0]) != (_hadamards, _phase, _hadamards):
+    # A fused phase step has a factor per position, whatever its positions.
+    if (first[0], middle[0], last[0]) != (_hadamards, _phase, _hadamards) or np.ndim(middle[2]):
         return False
     m = first[2]
     leading = set(range(m))
@@ -281,41 +290,92 @@ def _is_sandwich(first: tuple, middle: tuple, last: tuple, width: int) -> bool:
     return np.array_equal(middle[1], np.arange(2 ** (width - m)))
 
 
-def _relabel(gates, qubits: tuple[int, ...]) -> list:
+def _relabel(gates, qubits: tuple[int, ...], fuse: bool) -> list:
     """The phase steps and the move of X, CX, MCX and MCP gates on the view of `qubits`.
 
     labels[p] is the basis state that view position p stands for: bit
     width-1-i is axis i, and qubits outside the view get bits above
     those, in order of first use.  X, CX and MCX only relabel (an X
     toggles `flip`, applied to every label).  An MCP is one phase step
-    on the positions whose label fires; until a CX or MCX moves a label
-    these are found without a scan (`_positions_with`).  The move takes
-    the amplitude at each position p to labels[p] ^ flip, if any moves.
+    on the positions whose label fires, except that with `fuse`, as in
+    a live plan, the MCPs of a diagonal run may become one step: those
+    met before a CX or MCX moves a label, whose positions are found
+    without a scan (see `_diagonal_steps`).  The move takes the
+    amplitude at each position p to labels[p] ^ flip, if any moves.
     """
     width = len(qubits)
     bits = {qubit: 1 << (width - 1 - axis) for axis, qubit in enumerate(qubits)}
     positions = np.arange(2**width, dtype=np.int64)
     labels, flip, steps = positions, 0, []
+    diagonal = []  # (mask, value, factor) of each MCP met before any label moves
+    masks = {}  # the mask of each (kind, controls, target) met, the target's bit included for an MCP
+    # Enum members bound once: on Python 3.11 each GateKind.X is a class
+    # attribute lookup that costs about as much as the rest of an X's work.
+    X, MCP = GateKind.X, GateKind.MCP
     for gate in gates:
         target = bits.setdefault(gate.target, 1 << len(bits))
-        if gate.kind is GateKind.X:
+        kind = gate.kind
+        if kind is X:
             flip ^= target
             continue
-        on = sum(bits.setdefault(qubit, 1 << len(bits)) for qubit in gate.controls)
-        if gate.kind is GateKind.MCP:
-            on |= target
-            if labels is positions:  # no label has moved yet
-                fires = _positions_with(positions, width, on, on & ~flip)
-            else:
-                fires = np.flatnonzero((labels & on) == (on & ~flip))
-            steps.append((_phase, fires, cmath.exp(1j * gate.phase)))
-        else:  # CX and MCX
-            labels = np.where((labels & on) == (on & ~flip), labels ^ target, labels)
+        key = (kind, gate.controls, gate.target)
+        on = masks.get(key)
+        if on is None:  # a cost oracle's n! MCPs share one mask
+            on = sum(bits.setdefault(qubit, 1 << len(bits)) for qubit in gate.controls)
+            if kind is MCP:
+                on |= target
+            masks[key] = on
+        value = on & ~flip
+        if kind is not MCP:  # CX and MCX
+            labels = np.where((labels & on) == value, labels ^ target, labels)
+        elif labels is positions:  # no label has moved yet
+            diagonal.append((on, value, cmath.exp(1j * gate.phase)))
+        else:
+            steps.append((_phase, np.flatnonzero((labels & on) == value), cmath.exp(1j * gate.phase)))
+    # The MCPs met before the first label moved come before all the others.
+    steps = _diagonal_steps(diagonal, positions, width, fuse) + steps
     dest = labels ^ flip
     if np.any(dest >= positions.size):  # a label has a bit outside the view set
         raise _Woken
     source = np.flatnonzero(dest != positions)
     return steps + [(_permute, dest[source], source)] if source.size else steps
+
+
+def _diagonal_steps(diagonal: list, positions: np.ndarray, width: int, fuse: bool) -> list:
+    """The phase steps of MCPs, given as (mask, value, factor), on labels that have not moved.
+
+    Each MCP is one step on the positions p with p & mask == value.
+    With `fuse`, two or more MCPs that fire on disjoint positions become
+    one step with a factor per position instead, grouped by mask in
+    order of first use and in gate order within a mask: for each mask,
+    one pass ORs its values onto the positions where its bits are 0.
+    An R2 is then one step, not n! of them.  Fusing changes how numpy
+    multiplies (by an array, not a scalar), which moved an amplitude in
+    the last bit, so a plan that must match `apply_gate` bit for bit
+    does not fuse.
+    """
+    if not fuse or len(diagonal) < 2:
+        return [(_phase, _positions_with(positions, width, mask, value), factor) for mask, value, factor in diagonal]
+    groups: dict[int, tuple[list, list]] = {}
+    for mask, value, factor in diagonal:
+        if not value >> width:  # a value with a bit outside the view fires nowhere
+            values, factors = groups.setdefault(mask, ([], []))
+            values.append(value)
+            factors.append(factor)
+    if not groups:
+        return []  # none fires on a position of the view
+    fired, factors = [], []
+    for mask, (values, group_factors) in groups.items():
+        zeros = _positions_with(positions, width, mask, 0)
+        fired.append((np.array(values, dtype=np.int64)[:, None] | zeros).ravel())
+        factors.append(np.repeat(np.array(group_factors), zeros.size))
+    fired = np.concatenate(fired)
+    # A bool scatter, not np.unique: its first call grows the peak RSS by 1.6 MiB.
+    seen = np.zeros(positions.size, dtype=bool)
+    seen[fired] = True
+    if np.count_nonzero(seen) < fired.size:  # two MCPs fire on one position
+        return _diagonal_steps(diagonal, positions, width, False)
+    return [(_phase, fired, np.concatenate(factors))]
 
 
 def _positions_with(positions: np.ndarray, width: int, mask: int, value: int) -> np.ndarray:
@@ -510,16 +570,16 @@ def main_distribution(state: StateVector, layout: HoboLayout) -> dict[str, float
     return {format(i, f"0{n_main}b"): float(p) for i, p in enumerate(main_probabilities(state, layout))}
 
 
-def sample(dist: dict[str, float], shots: int, seed: int) -> dict[str, int]:
-    """Multinomial counts over the bitstring probabilities, deterministic per seed."""
+def sample(probabilities, shots: int, seed: int) -> np.ndarray:
+    """Multinomial counts over `probabilities`, in their order, deterministic per seed.
+
+    `probabilities` is an array or a sequence, normalised here; the
+    counts are an int64 array of the same length.
+    """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    keys = list(dist)
-    pvals = np.asarray([dist[k] for k in keys], dtype=float)
-    pvals = pvals / pvals.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, pvals)
-    return {k: int(c) for k, c in zip(keys, counts) if c > 0}
+    pvals = np.asarray(probabilities, dtype=float)
+    return np.random.default_rng(seed).multinomial(shots, pvals / pvals.sum())
 
 
 def success_probability(dist: dict[str, float], targets) -> float:

@@ -147,6 +147,29 @@ class TestJoin:
         assert Circuit(circuit.layout, circuit.gates) == circuit
 
 
+class TestInterning:
+    def test_x_and_h_are_one_gate_per_qubit(self):
+        assert x(3) is x(3) and h(3) is h(3)
+        assert x(3) is not x(4) and x(3) is not h(3)
+        # Keyed by type as well: x(True) == x(1), but its text reads target=True.
+        assert x(True) == x(1) and x(True) is not x(1)
+
+    def test_circuits_built_before_and_after_a_cleared_cache_are_equal(self):
+        layout = HoboLayout.for_cities(3)
+        before = build_two_step(layout, builtin_phases(3), Schedule(2, 2))
+        first = x(0)
+        x.cache_clear()
+        h.cache_clear()
+        assert x(0) is not first and x(0) == first
+        after = build_two_step(layout, builtin_phases(3), Schedule(2, 2))
+        assert before == after and hash(before) == hash(after)
+        assert circuit_to_text(before) == circuit_to_text(after)
+        # Each NOT of a cost oracle is the one x gate of its qubit.
+        r2 = build_cost_oracle_r2(layout, builtin_phases(3))
+        nots = [gate for gate in r2.gates if gate.kind is GateKind.X]
+        assert nots and all(gate is x(gate.target) for gate in nots)
+
+
 class TestCircuitFields:
     @pytest.mark.parametrize("field", ["layout", "leaf", "parts"])
     def test_fields_are_frozen(self, field):

@@ -342,6 +342,31 @@ def _composed_circuits(draw) -> list:
     return made
 
 
+@st.composite
+def _disjoint_diagonal_runs(draw) -> Circuit:
+    """A run of X and MCP gates on 1 to 6 qubits, at least two MCPs, no two firing on one basis state.
+
+    Each MCP fires on its own pattern of a shared set of qubits and on
+    any pattern of further qubits of its choice, NOT-conjugated as
+    `_fires_on` does; X's before the run change every pattern alike and
+    X's after it leave a move.
+    """
+    width = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(width)))
+    shared = order[: draw(st.integers(1, width))]
+    others = order[len(shared):]
+    patterns = draw(st.lists(st.integers(0, 2 ** len(shared) - 1), min_size=2, max_size=8, unique=True))
+    gates = [x(q) for q in draw(st.lists(st.sampled_from(order), max_size=3))]
+    for pattern in patterns:
+        extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+        bits = [pattern >> i & 1 for i in range(len(shared))] + [draw(st.integers(0, 1)) for _ in extra]
+        flips = [x(q) for q, bit in zip([*shared, *extra], bits) if not bit]
+        *controls, target = draw(st.permutations([*shared, *extra]))
+        gates += [*flips, mcp(controls, target, draw(st.floats(-math.pi, math.pi))), *flips]
+    gates += [x(q) for q in draw(st.lists(st.sampled_from(order), max_size=3))]
+    return Circuit(_bare_layout(width), tuple(gates))
+
+
 def _walked_metrics(gates, width: int) -> CircuitMetrics:
     """Unit depth and gate counts by one walk over the gates."""
     depth_at: dict[int, int] = {}
@@ -375,6 +400,13 @@ def _h_qubits(step: tuple) -> list:
 class TestCompiledPlan:
     @settings(max_examples=200, deadline=None)
     @given(circuit=_x_dense_circuits(), seed=st.integers(0, 2**32 - 1), cuts=st.lists(st.integers(0, 100), max_size=5))
+    # Two disjoint MCPs in one run: fused into one step with a factor per
+    # position, as a live plan does, amplitude 15 moved by 6.9e-18.
+    @example(
+        circuit=Circuit(_bare_layout(4), (*[h(0)] * 16, mcp((), 0, 0.0), x(0), mcp((0, 1, 2), 3, 1.0))),
+        seed=0,
+        cuts=[],
+    )
     def test_bit_identical_to_gate_by_gate_and_to_slices(self, circuit, seed, cuts):
         width = circuit.layout.width
         rng = np.random.default_rng(seed)
@@ -472,9 +504,9 @@ class TestCompiledPlan:
         assert kinds == {"_permute": 11, "_hadamards": 25, "_phase": {3: 24, 4: 60}[n]}
         # The live plan folds each D1 into one reflection and each D2, with
         # the R1 move and D1 sandwich of each of its four G1 runs, into one
-        # projection.
+        # projection, and fuses each R2 into one phase step.
         kinds = Counter(kernel.__name__ for kernel, _, _ in plan)
-        assert kinds == {"_permute": 3, "_hadamards": 1, "_reflect": 2, "_project": 2, "_phase": {3: 12, 4: 48}[n]}
+        assert kinds == {"_permute": 3, "_hadamards": 1, "_reflect": 2, "_project": 2, "_phase": 2}
 
         # The marker's NOT, which an H follows, is the first step of both: a
         # move of every position p to p ^ 1, the marker being the last axis.
@@ -491,6 +523,16 @@ class TestCompiledPlan:
         assert len(moves[1][2]) == 2 * math.factorial(n)
         assert all(np.array_equal(step[1], moves[1][1]) and np.array_equal(step[2], moves[1][2])
                    for step in moves[1:])
+
+        # Each R2 step holds both marker values of each tour, in tour order,
+        # each with its tour's factor e^{iw}.
+        phases = builtin_phases(n).phases
+        tours = np.array([int(bits, 2) for bits in phases])
+        positions = np.stack([2 * tours, 2 * tours + 1], axis=1).ravel()
+        factors = np.repeat([cmath.exp(1j * w) for w in phases.values()], 2)
+        for _, fired, fused in (step for step in plan if step[0] is _phase):
+            assert len(fired) == 2 * math.factorial(n)
+            assert np.array_equal(fired, positions) and np.array_equal(fused, factors)
 
     @pytest.mark.parametrize("live", [False, True], ids=["full", "live"])
     def test_plan_is_compiled_once_per_circuit(self, live):
@@ -609,6 +651,25 @@ class TestViews:
         _assert_bit_identical(live, expected_live.reshape(-1))
         assert not expected_rest.any()
 
+    @pytest.mark.parametrize("live_mcps", [0, 2])
+    def test_phases_on_an_ancilla_before_any_move_are_no_live_step(self, live_mcps):
+        # A live state holds only ancilla bit 0, so an MCP controlled on an
+        # ancilla fires nowhere there; the MCPs on live qubits still fuse.
+        layout = HoboLayout.for_cities(3)
+        ancilla = layout.main_qubits
+        splits = [x(1), mcp((0,), 1, 0.5), x(1), mcp((0,), 1, 0.6)][: 2 * live_mcps]
+        gates = (h(0), h(1), mcp((ancilla,), 0, 0.3), mcp((ancilla,), 1, 0.4), *splits, h(0))
+        circuit = Circuit(layout, gates)
+        phases = [step for step in circuit_plan(circuit, True) if step[0] is _phase]
+        if live_mcps:
+            # Each fires where qubit 0 is 1 and qubit 1 is 0 or 1.
+            assert len(phases) == 1 and phases[0][1].size == 2 * 2 ** (layout.live_width - 2)
+        else:
+            assert phases == []
+        live = run(circuit, new_state(layout.live_width)).amplitudes
+        expected, _ = _by_view(_gate_by_gate(circuit, new_state(layout.width)), layout)
+        assert np.abs(live - expected.reshape(-1)).max() <= FOLD_TOLERANCE
+
     @pytest.mark.parametrize("n", [5, 6])
     def test_oracle_r1_negates_exactly_the_feasible_rows(self, n):
         # Too wide for the full state (41 and 46 qubits), so run on the live
@@ -703,6 +764,21 @@ class TestFold:
         else:
             assert [step[0] for step in plan] == [_hadamards, _phase, _hadamards]
             _assert_bit_identical(got, expected)
+
+    def test_a_fused_phase_step_never_folds(self):
+        # Two MCPs split q0 = 0 by q1 into one fused step on positions 0 to 3,
+        # where a one-axis sandwich's phase fires, but with two factors.
+        gates = (h(0), x(0), x(1), mcp((0,), 1, 0.5), x(1), mcp((0,), 1, 1.5), x(0), h(0))
+        circuit = Circuit(_bare_layout(3), gates)
+        plan = circuit_plan(circuit, True)
+        assert [step[0] for step in plan] == [_hadamards, _phase, _hadamards]
+        assert np.array_equal(plan[1][1], np.arange(4)) and plan[1][2].shape == (4,)
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        amps /= np.linalg.norm(amps)
+        got = amps.copy()
+        _execute(plan, got)
+        assert np.abs(got - _gate_by_gate(circuit, StateVector(3, amps.copy()))).max() <= FOLD_TOLERANCE
 
     def test_reflection_refuses_a_view_it_cannot_reshape_in_place(self):
         strided = np.zeros(16, dtype=np.complex128)[::2].reshape((2,) * 3)
@@ -806,6 +882,49 @@ class TestDirectPhaseIndexing:
         for step, expected in zip(direct, scanned):
             for got, want in zip(step[1:], expected[1:]):
                 assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+
+
+class TestFusedPhases:
+    @settings(max_examples=150, deadline=None)
+    @given(circuit=_disjoint_diagonal_runs(), seed=st.integers(0, 2**32 - 1))
+    def test_a_disjoint_diagonal_run_is_one_live_phase_step(self, circuit, seed):
+        width = circuit.layout.width
+        exact, live = circuit_plan(circuit, False), circuit_plan(circuit, True)
+        mcps = sum(gate.kind.value == "MCP" for gate in circuit.gates)
+        assert [step[0] for step in exact if step[0] is _phase] == [_phase] * mcps
+        # A live plan over a bare register holds all its qubits; the run's
+        # MCPs become one step, a factor for each position, before any move.
+        assert live[0][0] is _phase and all(step[0] is _permute for step in live[1:])
+        _, positions, factors = live[0]
+        assert positions.shape == factors.shape
+        assert len(set(positions.tolist())) == positions.size
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
+        amps /= np.linalg.norm(amps)
+        fused, expected = amps.copy(), amps.copy()
+        _execute(live, fused)
+        _execute(exact, expected)
+        assert np.abs(fused - expected).max() <= FOLD_TOLERANCE
+
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            (x(0), mcp((0,), 1, 0.5), mcp((0,), 1, 0.7), x(0)),
+            (mcp((0,), 1, 0.5), x(2), mcp((1,), 2, 0.7)),
+        ],
+        ids=["same MCP twice", "overlapping masks"],
+    )
+    def test_mcps_that_share_a_position_keep_one_step_each(self, gates):
+        circuit = Circuit(_bare_layout(3), gates)
+        plan = circuit_plan(circuit, True)
+        assert [step[0] for step in plan if step[0] is not _permute] == [_phase, _phase]
+        assert all(np.ndim(step[2]) == 0 for step in plan if step[0] is _phase)
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        amps /= np.linalg.norm(amps)
+        got = amps.copy()
+        _execute(plan, got)
+        _assert_bit_identical(got, _gate_by_gate(circuit, StateVector(3, amps.copy())))
 
 
 class TestBlockStructure:
@@ -943,39 +1062,47 @@ class TestMainDistribution:
             main_distribution(new_state(width), layout)
 
 
+def _two_step_probabilities() -> np.ndarray:
+    layout = HoboLayout.for_cities(3)
+    state = run(build_two_step(layout, builtin_phases(3), Schedule(2, 1)), new_state(layout.width))
+    return main_probabilities(state, layout)
+
+
 class TestSample:
     def test_point_mass(self):
-        dist = {"01": 1.0, "10": 0.0}
-        assert sample(dist, 1024, 7) == {"01": 1024}
+        counts = sample(np.array([0.0, 1.0, 0.0]), 1024, 7)
+        assert counts.dtype == np.int64 and counts.tolist() == [0, 1024, 0]
 
     def test_deterministic_per_seed(self):
-        layout = HoboLayout.for_cities(3)
-        state = run(build_two_step(layout, builtin_phases(3), Schedule(2, 1)), new_state(layout.width))
-        dist = main_distribution(state, layout)
-        assert sample(dist, 1024, 42) == sample(dist, 1024, 42)
-        assert sample(dist, 1024, 42) != sample(dist, 1024, 43)
+        probabilities = _two_step_probabilities()
+        assert np.array_equal(sample(probabilities, 1024, 42), sample(probabilities, 1024, 42))
+        assert not np.array_equal(sample(probabilities, 1024, 42), sample(probabilities, 1024, 43))
 
     def test_counts_sum_to_shots(self):
-        layout = HoboLayout.for_cities(3)
-        state = run(build_two_step(layout, builtin_phases(3), Schedule(2, 1)), new_state(layout.width))
-        counts = sample(main_distribution(state, layout), 1024, 42)
-        assert sum(counts.values()) == 1024
+        probabilities = _two_step_probabilities()
+        counts = sample(probabilities, 1024, 42)
+        assert counts.shape == probabilities.shape and counts.sum() == 1024
+
+    def test_normalises_and_reads_a_sequence(self):
+        # Doubling every probability is exact, so the normalised draw is the same.
+        probabilities = _two_step_probabilities()
+        counts = sample(probabilities, 1024, 42)
+        assert np.array_equal(sample(2 * probabilities, 1024, 42), counts)
+        assert np.array_equal(sample(probabilities.tolist(), 1024, 42), counts)
 
     def test_frequencies_within_multinomial_bands(self):
-        layout = HoboLayout.for_cities(3)
-        state = run(build_two_step(layout, builtin_phases(3), Schedule(2, 1)), new_state(layout.width))
-        dist = main_distribution(state, layout)
+        probabilities = _two_step_probabilities()
         shots = 1024
-        counts = sample(dist, shots, 42)
-        for bits, p in dist.items():
+        counts = sample(probabilities, shots, 42)
+        for count, p in zip(counts.tolist(), probabilities.tolist()):
             expected = shots * p
             sigma = math.sqrt(shots * p * (1.0 - p))
             # the +1 absorbs integer granularity on near-zero cells
-            assert abs(counts.get(bits, 0) - expected) <= 4.0 * sigma + 1.0
+            assert abs(count - expected) <= 4.0 * sigma + 1.0
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
-            sample({"0": 1.0}, 0, 1)
+            sample(np.array([1.0]), 0, 1)
 
 
 class TestSuccessProbability:
