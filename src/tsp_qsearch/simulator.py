@@ -359,9 +359,9 @@ def _diagonal_steps(diagonal: list, positions: np.ndarray, width: int, fuse: boo
     groups: dict[int, tuple[list, list]] = {}
     for mask, value, factor in diagonal:
         if not value >> width:  # a value with a bit outside the view fires nowhere
-            values, factors = groups.setdefault(mask, ([], []))
+            values, group_factors = groups.setdefault(mask, ([], []))
             values.append(value)
-            factors.append(factor)
+            group_factors.append(factor)
     if not groups:
         return []  # none fires on a position of the view
     fired, factors = [], []
