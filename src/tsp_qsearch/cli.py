@@ -96,6 +96,32 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _report_json(header: dict, bitstrings, probabilities, counts) -> str:
+    """The run report as one line of JSON with sorted keys, newline-terminated.
+
+    The text is byte-identical to ``json.dumps(report, sort_keys=True,
+    separators=(",", ":")) + "\\n"`` of the `header` fields plus a
+    ``histogram`` of ``{bitstring, probability, count}`` dicts, given the
+    rows in bitstring order. ``json`` writes the header; the rows are one
+    f-string each, with one ``repr`` per distinct probability, since most
+    of a circuit report's rows share one. That relies on a non-empty
+    header whose keys sort after ``histogram``, on 0/1 bitstrings and int
+    counts, and on probabilities that are finite floats >= +0.0: sums of
+    |a|^2, whose norm ``run`` checks, so no ``NaN``, ``Infinity`` or
+    ``-0.0`` spelling can differ from ``json``'s.
+    """
+    reprs: dict[float, str] = {}
+    rows = []
+    for b, p, c in zip(bitstrings, probabilities, counts):
+        r = reprs.get(p)
+        if r is None:
+            r = reprs[p] = repr(p)
+        rows.append(f'{{"bitstring":"{b}","count":{c},"probability":{r}}}')
+    # "histogram" sorts first, so the header's own text follows the rows.
+    fields = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return '{"histogram":[' + ",".join(rows) + "]," + fields[1:] + "\n"
+
+
 def cmd_run(args) -> int:
     phases = _load_dataset(args.dataset, args.n)
     layout = HoboLayout.for_cities(args.n)
@@ -106,16 +132,22 @@ def cmd_run(args) -> int:
 
     if args.mode == "circuit":
         circuit = build_two_step(layout, phases, schedule)
-        probabilities = main_probabilities(run(circuit, state), layout).tolist()
-        bitstrings = [format(i, f"0{layout.main_qubits}b") for i in range(len(probabilities))]
+        # `sample` draws from the array; the report writes its Python floats.
+        drawn = main_probabilities(run(circuit, state), layout)
+        probabilities = drawn.tolist()
+        spec = f"0{layout.main_qubits}b"
+        bitstrings = [format(i, spec) for i in range(len(probabilities))]
     else:
         psi = state_at(phases, schedule.q2, rescale_costs=rescale)
         # Python's abs per tour: np.abs(psi) ** 2 differs in the last bit for some.
-        probabilities = [float(abs(a) ** 2) for a in psi]
+        probabilities = drawn = [float(abs(a) ** 2) for a in psi]
         bitstrings = list(phases.phases)
-
-    counts = sample(probabilities, args.shots, args.seed).tolist()
-    report = {
+    # Both modes list the rows in bitstring order, so no sort is needed:
+    # circuit rows by basis index with zero-padded bitstrings, matrix rows
+    # in PhaseAssignment's canonical key order, enumerate_feasible's
+    # lexicographic order.
+    counts = sample(drawn, args.shots, args.seed).tolist()
+    header = {
         "n": args.n,
         "k": layout.k,
         "width": layout.width,
@@ -124,14 +156,9 @@ def cmd_run(args) -> int:
         "mode": args.mode,
         "seed": args.seed,
         "shots": args.shots,
-        "histogram": [
-            {"bitstring": b, "probability": p, "count": c} for b, p, c in sorted(zip(bitstrings, probabilities, counts))
-        ],
     }
-    # One line with sorted keys: without an indent `json` uses its C encoder,
-    # and ``python -m json.tool`` pretty-prints the text.
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(_report_json(header, bitstrings, probabilities, counts))
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsp_qsearch import (
@@ -532,13 +532,45 @@ class TestRunReportRoundTrip:
         assert all(set(e) == {"bitstring", "probability", "count"} for e in histogram)
         assert all(type(e["count"]) is int and type(e["probability"]) is float for e in histogram)
 
-    def test_histogram_sorted_by_bitstring(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["circuit", "matrix"])
+    def test_histogram_sorted_by_bitstring(self, mode, tmp_path):
+        # The writer does not sort. Circuit rows come by basis index; matrix
+        # rows come in the dataset's canonical order, here from a file that
+        # lists the tours in reverse.
+        dataset = "builtin"
+        if mode == "matrix":
+            dataset = tmp_path / "reversed.json"
+            dataset.write_text(json.dumps({"n": 3, "phases": dict(reversed(builtin_phases(3).phases.items()))}))
         out = tmp_path / "r.json"
-        main(["run", "--n", "3", "--dataset", "builtin", "--mode", "circuit", "--out", str(out)])
+        assert main(["run", "--n", "3", "--dataset", str(dataset), "--mode", mode, "--out", str(out)]) == EXIT_OK
         payload = json.loads(out.read_text())
         keys = [e["bitstring"] for e in payload["histogram"]]
         assert keys == sorted(keys)
-        assert len(keys) == 64
+        assert len(keys) == (64 if mode == "circuit" else 6)
+
+    @pytest.mark.parametrize(
+        "mode, n, flags",
+        [
+            ("circuit", 2, []),
+            ("circuit", 3, []),
+            ("circuit", 4, []),
+            ("circuit", 4, ["--q2", "0"]),
+            ("matrix", 3, []),
+            ("matrix", 4, []),
+            ("matrix", 5, []),
+        ],
+    )
+    def test_report_reserialises_to_its_own_bytes(self, mode, n, flags, tmp_path):
+        # The hand-written rows read back and write out as `json` writes them.
+        dataset = "builtin"
+        if n not in (3, 4):
+            dataset = tmp_path / "phases.json"
+            assert main(["gen", "--n", str(n), "--out", str(dataset)]) == EXIT_OK
+        out = tmp_path / "r.json"
+        flags = ["run", "--n", str(n), "--mode", mode, "--dataset", str(dataset), "--out", str(out)] + flags
+        assert main(flags) == EXIT_OK
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
 
     @pytest.mark.parametrize("mode, n", [("circuit", 3), ("matrix", 5)])
     def test_floats_and_counts_are_the_library_values(self, mode, n, tmp_path):
@@ -562,3 +594,42 @@ class TestRunReportRoundTrip:
         assert [e["bitstring"] for e in report["histogram"]] == sorted(dist)
         assert [e["probability"].hex() for e in report["histogram"]] == [dist[b].hex() for b in sorted(dist)]
         assert [e["count"] for e in report["histogram"]] == [counts[b] for b in sorted(dist)]
+
+
+# Report rows as the CLI writes them: 0/1 bitstrings, non-negative counts and
+# finite probabilities >= +0.0, drawn from a small pool so that values repeat.
+@st.composite
+def _report_rows(draw):
+    pool = draw(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=4))
+    width = draw(st.integers(min_value=1, max_value=8))
+    bitstring = st.text(alphabet="01", min_size=width, max_size=width)
+    return draw(st.lists(st.tuples(bitstring, st.sampled_from(pool), st.integers(min_value=0)), max_size=12))
+
+
+_REPORT_HEADERS = st.dictionaries(
+    st.sampled_from(["k", "mode", "n", "q1", "q2", "seed", "shots", "width"]),
+    st.integers() | st.text(max_size=8),
+    min_size=1,
+)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(header=_REPORT_HEADERS, rows=_report_rows())
+    # Zero, the smallest subnormal, the point where repr switches to
+    # exponent notation, small probabilities of the kind the infeasible rows
+    # of a circuit report share (the second is the builtin n=4 report's),
+    # and the point where repr switches to exponent notation for large floats.
+    @example(header={"n": 4}, rows=[("00", 0.0, 0), ("01", 0.0, 3)])
+    @example(header={"n": 4}, rows=[("00", 5e-324, 1), ("01", 5e-324, 0)])
+    @example(header={"n": 4}, rows=[("00", 1e-05, 2), ("01", 1e-05, 5), ("10", 9.999999999999999e-06, 1)])
+    @example(
+        header={"n": 4},
+        rows=[("00", 1.801374171512899e-05, 0), ("01", 1.801374171512899e-05, 1), ("10", 1.8505084683810948e-05, 2)],
+    )
+    @example(header={"n": 4}, rows=[("00", 1e16, 7), ("01", 1e16, 0), ("10", 1e15, 0)])
+    def test_matches_json_dumps_of_the_row_dicts(self, header, rows):
+        histogram = [{"bitstring": b, "probability": p, "count": c} for b, p, c in rows]
+        expected = json.dumps(dict(header, histogram=histogram), sort_keys=True, separators=(",", ":")) + "\n"
+        columns = [list(column) for column in zip(*rows)] or [[], [], []]
+        assert cli._report_json(header, *columns) == expected
