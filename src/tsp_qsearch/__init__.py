@@ -36,6 +36,7 @@ from .circuits import (
     CircuitMetrics,
     Gate,
     GateKind,
+    PhaseOracle,
     build_cost_oracle_r2,
     build_d2,
     build_diffusion_d1,
@@ -79,7 +80,7 @@ __all__ = [
     "load_phases", "optimal_q1", "optimal_q2", "phases_from_json",
     "phases_to_json", "save_phases",
     # circuits
-    "Circuit", "CircuitMetrics", "Gate", "GateKind", "build_cost_oracle_r2",
+    "Circuit", "CircuitMetrics", "Gate", "GateKind", "PhaseOracle", "build_cost_oracle_r2",
     "build_d2", "build_diffusion_d1", "build_g1", "build_g2", "build_oracle_r1",
     "build_two_step", "build_uniqueness_suboracle", "build_validity_suboracle",
     "circuit_to_text", "invert_circuit", "metrics",

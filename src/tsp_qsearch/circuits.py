@@ -25,14 +25,22 @@ Builder overview for an n-city layout:
   the layout only and is built once per layout: every builder below
   repeats that same object.
 * ``build_cost_oracle_r2`` imprints each tour's cost phase on its basis
-  state with one conjugated multi-controlled phase gate per tour: the
-  phase oracle ``_phase_oracle`` of the dataset's {bitstring: phase}.
+  state with one conjugated multi-controlled phase gate per tour: a
+  ``PhaseOracle`` of the dataset's {bitstring: phase}, which holds that
+  table and builds its gates only when they are read.
 * ``build_d2`` reflects about the feasible-tour superposition prepared
   by the first stage: invert(A) + zero reflection + A, with
   A = Hadamard layer + G1 * q1.
 * ``build_g2`` is one second-stage iteration, R2 + D2.
 * ``build_two_step`` chains marker preparation, the Hadamard layer,
   G1 * q1 and G2 * q2.
+
+Only R2 depends on the dataset.  G1, the marker preparation, the
+Hadamard layer and the zero reflection are each built once per layout,
+and every builder reuses those objects.  So a new dataset builds no
+gate: its R2 is its table, and D2, G2 and the two-step circuit are new
+sequences of kept parts, whose compiled steps the simulator keeps on
+those parts as well.
 
 A ``Circuit`` keeps the structure these builders give it: a leaf holds
 gates, and ``+`` and ``*`` give a sequence of (part, repeat count)
@@ -74,6 +82,12 @@ class GateKind(str, Enum):
     MCP = "MCP"
 
 
+# Enum members bound once, as in the simulator's `_relabel`: on Python
+# 3.11 each GateKind.X is a class attribute lookup, and a gate's checks
+# made four of them.
+_UNCONTROLLED, _CX, _MCX = (GateKind.H, GateKind.X), GateKind.CX, GateKind.MCX
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: GateKind
@@ -82,15 +96,16 @@ class Gate:
     phase: float = 0.0
 
     def __post_init__(self):
-        if len(set(self.controls)) != len(self.controls):
+        kind, controls = self.kind, self.controls
+        if len(set(controls)) != len(controls):
             raise ValueError(f"duplicate controls in {self}")
-        if self.target in self.controls:
+        if self.target in controls:
             raise ValueError(f"target {self.target} is also a control in {self}")
-        if self.kind in (GateKind.H, GateKind.X) and self.controls:
-            raise ValueError(f"{self.kind.value} takes no controls")
-        if self.kind is GateKind.CX and len(self.controls) != 1:
+        if kind in _UNCONTROLLED and controls:
+            raise ValueError(f"{kind.value} takes no controls")
+        if kind is _CX and len(controls) != 1:
             raise ValueError("CX takes exactly one control")
-        if self.kind is GateKind.MCX and not self.controls:
+        if kind is _MCX and not controls:
             raise ValueError("MCX needs at least one control")
         if not -2 * math.pi < self.phase <= 2 * math.pi:
             raise ValueError(f"phase {self.phase} outside (-2*pi, 2*pi]")
@@ -270,22 +285,53 @@ def _fires_on(gate: Gate, qubits, pattern: str) -> list[Gate]:
     return flips + [gate] + flips
 
 
-def _phase_oracle(layout: HoboLayout, phases: dict[str, float]) -> Circuit:
-    # Phase e^{i w} on each main-register basis state `bits`, one MCP fired on each.
-    main = _main(layout)
-    gates: list[Gate] = []
-    for bits, w in phases.items():
-        gates += _fires_on(mcp(main[:-1], main[-1], w), main, bits)
-    return Circuit(layout, gates)
+class PhaseOracle(Circuit):
+    """A leaf held as its {bitstring: phase} table: phase e^{i w} on each
+    main-register basis state `bits`.
+
+    Its gates, one MCP across the main register NOT-conjugated to fire
+    on each bitstring, in table order, are built on first use of
+    ``leaf``, and so of ``gates``, ``len``, ``==``, ``hash``, ``metrics``,
+    the text dump and the inverse.  A live plan reads the table instead,
+    so a live run of a cost oracle builds no gate.  The table is copied,
+    and each entry is checked as its gates would be: a bitstring of the
+    main register, a phase in (-2*pi, 2*pi].
+    """
+
+    # Not a dataclass of its own: `dataclass` would add about 0.5 ms to
+    # each import of this module.  `table` is read-only as a property.
+    def __init__(self, layout: HoboLayout, table: dict[str, float]) -> None:
+        table = dict(table)
+        for bits, w in table.items():
+            if len(bits) != layout.main_qubits or bits.strip("01"):
+                raise ValueError(f"{bits!r} is not a bitstring of the {layout.main_qubits}-qubit main register")
+            if not -2 * math.pi < w <= 2 * math.pi:
+                raise ValueError(f"phase {w} outside (-2*pi, 2*pi]")
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "_table", table)
+
+    @property
+    def table(self) -> dict[str, float]:
+        return self._table
+
+    @cached_property
+    def leaf(self) -> tuple[Gate, ...]:
+        main = _main(self.layout)
+        gates: list[Gate] = []
+        for bits, w in self.table.items():
+            gates += _fires_on(mcp(main[:-1], main[-1], w), main, bits)
+        return tuple(gates)
 
 
+@cache
 def _h_layer(layout: HoboLayout) -> Circuit:
     return Circuit(layout, [h(q) for q in _main(layout)])
 
 
+@cache
 def _zero_reflection(layout: HoboLayout) -> Circuit:
     # Phase -1 on the all-zeros main register.
-    return _phase_oracle(layout, {"0" * layout.main_qubits: math.pi})
+    return PhaseOracle(layout, {"0" * layout.main_qubits: math.pi})
 
 
 def build_validity_suboracle(layout: HoboLayout) -> Circuit:
@@ -368,7 +414,7 @@ def build_cost_oracle_r2(layout: HoboLayout, phases: PhaseAssignment) -> Circuit
     """
     if phases.n != layout.n:
         raise ValueError(f"phase dataset is for n={phases.n}, layout is n={layout.n}")
-    return _phase_oracle(layout, phases.phases)
+    return PhaseOracle(layout, phases.phases)
 
 
 def _inverse_gate(gate: Gate) -> Gate:
@@ -418,6 +464,7 @@ def build_two_step(layout: HoboLayout, phases: PhaseAssignment, schedule: Schedu
     return _marker_prep(layout) + _h_layer(layout) + build_g1(layout) * q1 + build_g2(layout, phases, q1) * q2
 
 
+@cache
 def _marker_prep(layout: HoboLayout) -> Circuit:
     return Circuit(layout, (x(layout.marker), h(layout.marker)))
 

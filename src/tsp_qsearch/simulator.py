@@ -66,12 +66,24 @@ with q1 = 1 its G1 is compiled with its other leaves, so neither
 projects.  The MCPs of a run that no CX or MCX interrupts, if no two
 fire on one position, become one phase step with a factor per
 position (see `_diagonal_steps`), so each cost oracle R2 is one step
-instead of n! of them.  From q1 = 2 the live plan unrolls to one H
+instead of n! of them.  Where R2 is a run of its own, from q1 = 2, that
+step is built from its table, not from its gates (see
+`_oracle_steps`).  From q1 = 2 the live plan unrolls to one H
 layer, the opening one, q1 reflection steps, and q2 phase and q2
 projection steps: 2, 2 and 2 at n=4.  Its amplitudes are not
 bit-identical to the exact plan's: they
 agree to within 1e-12 each (at most 1.7e-14 measured at n=2 to 4
 with q1, q2 <= 4), and the norm drifts less.
+
+What is compiled is kept for as long as what it was compiled from: a
+plan on its circuit, by width; the steps of a run of leaves between
+repeated parts on the run's first leaf, while the run's other leaves
+live (see `_leaf_steps`); a projection's rows on G1.  Every leaf of
+the two-step circuit but R2 is built once per layout (see `circuits`),
+so a run on a new dataset compiles nothing but binds R2: the marker
+preparation with the opening H layer, G1, D2's centre and its
+projection rows are reused, and R2's one phase step takes positions
+kept per set of tours and one new factor array.
 
 `apply_gate` compiles nothing: it swaps, butterflies or multiplies
 strided views of the state in place.  A swap or butterfly allocates a
@@ -90,11 +102,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind
+from .circuits import Circuit, Gate, GateKind, PhaseOracle
 from .core import CapacityError, HoboLayout
 
 # 2**22 complex128 amplitudes = 64 MiB; enough for the 4-city layout
@@ -412,7 +426,7 @@ def circuit_plan(circuit: Circuit, live: bool) -> tuple | None:
     `_fold_projection`); it is None if the circuit needs an ancilla.  A
     part repeated more than once becomes the step ``(_repeat, plan of
     the part, times)``; the leaves between such parts compile together
-    as in `_compile`.  Plans are kept on their circuit, by width, so
+    (see `_leaf_steps`).  Plans are kept on their circuit, by width, so
     they are freed with it and a shared part compiles once.
     """
     plans = vars(circuit).setdefault("_plans", {})  # Circuit is frozen
@@ -428,7 +442,7 @@ def circuit_plan(circuit: Circuit, live: bool) -> tuple | None:
                         owners.append(part)
                         _fold_projection(plan, owners, len(qubits))
                 else:
-                    steps = _compile(itertools.chain.from_iterable(leaf.leaf for leaf, _ in units), qubits, live)
+                    steps = _leaf_steps([leaf for leaf, _ in units], qubits, live)
                     plan += steps
                     owners += [None] * len(steps)
         except _Woken:
@@ -436,6 +450,56 @@ def circuit_plan(circuit: Circuit, live: bool) -> tuple | None:
         else:
             plans[live] = tuple(plan)
     return plans[live]
+
+
+def _leaf_steps(leaves: list, qubits: tuple[int, ...], live: bool) -> tuple:
+    """`_compile` of a run of leaves, compiled once while its leaves live.
+
+    On a live view a run of one `PhaseOracle` is its one phase step,
+    built from its table (see `_oracle_steps`).  Any other run's steps
+    are kept on its first leaf, keyed by the identities of the other
+    leaves, which the entry holds weakly: it goes once one of them has
+    died, so it keeps no dataset's leaf alive and a reused id never
+    matches it.  The runs of the layout's dataset-free leaves, the
+    marker preparation with the H layer and D2's centre, so compile
+    once per process.
+    """
+    first, rest = leaves[0], leaves[1:]
+    if live and not rest and isinstance(first, PhaseOracle):
+        return _oracle_steps(first.table, len(qubits) - first.layout.main_qubits)
+    runs = vars(first).setdefault("_runs", {})  # Circuit is frozen
+    for stale in [key for key, (_, refs) in runs.items() if any(ref() is None for ref in refs)]:
+        del runs[stale]
+    key = (live, *map(id, rest))
+    if key not in runs:
+        steps = _compile(itertools.chain.from_iterable(leaf.leaf for leaf in leaves), qubits, live)
+        runs[key] = (steps, [weakref.ref(leaf) for leaf in rest])
+    return runs[key][0]
+
+
+def _oracle_steps(table: dict[str, float], spare: int) -> tuple:
+    """The live phase step of a `PhaseOracle` with `table`, as `_compile` of its gates gives it.
+
+    Its MCPs never move a label, so `_diagonal_steps` fuses them: each
+    bitstring fires on its 2**spare positions, one per state of the
+    `spare` qubits below the main register (the marker), each with its
+    factor e^{iw}.  A single entry is a step with a scalar factor, so
+    that a zero reflection still folds.
+    """
+    if len(table) < 2:
+        return tuple((_phase, _tour_positions((bits,), spare), cmath.exp(1j * w)) for bits, w in table.items())
+    factors = np.repeat([cmath.exp(1j * w) for w in table.values()], 2**spare)
+    return ((_phase, _tour_positions(tuple(table), spare), factors),)
+
+
+@lru_cache(maxsize=16)
+def _tour_positions(keys: tuple[str, ...], spare: int) -> np.ndarray:
+    # Each bitstring's positions, in key order.  A cost oracle's keys are the
+    # layout's n! tours, whatever the dataset, so its entry is made once.
+    tours = np.array([int(bits, 2) for bits in keys], dtype=np.int64) << spare
+    positions = (tours[:, None] | np.arange(2**spare, dtype=np.int64)).ravel()
+    positions.flags.writeable = False  # shared by every plan that reads the table's keys
+    return positions
 
 
 def _fold_projection(plan: list, owners: list, width: int) -> None:

@@ -4,8 +4,26 @@ import math
 
 import numpy as np
 
-from tsp_qsearch import HoboLayout, StateVector, apply_gate, new_state
+from tsp_qsearch import HoboLayout, StateVector, apply_gate, build_g1, circuits, new_state, simulator
 from tsp_qsearch.circuits import h, x
+
+# The builders that keep one circuit per layout, and the simulator's cache of tour positions.
+BUILDER_CACHES = (
+    build_g1,
+    circuits._h_layer,
+    circuits._marker_prep,
+    circuits._zero_reflection,
+    simulator._tour_positions,
+)
+
+
+def clear_builder_caches() -> None:
+    """Forget every circuit kept per layout, and so every plan and run compiled on one.
+
+    A compile after this is cold: no part brings steps compiled before.
+    """
+    for cache in BUILDER_CACHES:
+        cache.cache_clear()
 
 
 def prepare_main_basis(layout: HoboLayout, main_bits: str, marker_minus: bool = True) -> StateVector:

@@ -11,7 +11,9 @@ import pytest
 from tsp_qsearch import (
     HoboLayout,
     PhaseAssignment,
+    PhaseOracle,
     Schedule,
+    StateVector,
     apply_gate,
     build_cost_oracle_r2,
     build_d2,
@@ -139,6 +141,12 @@ class TestJoin:
         d2_parts = [(id(part), times) for part, times in g2.parts]
         assert (id(g1), 2) in d2_parts and (id(invert_circuit(g1)), 2) in d2_parts
         assert invert_circuit(invert_circuit(g1)) is g1
+        # G2 opens with its R2, which holds the dataset's table; every other
+        # part, D2's, is the same object for another dataset.
+        other = build_g2(layout, gen_gaussian_phases(3, math.pi, 0.5, 1), 2)
+        (r2, once), *d2 = g2.parts
+        assert type(r2) is PhaseOracle and once == 1 and r2.table == phases.phases
+        assert [(id(part), times) for part, times in d2] == [(id(part), times) for part, times in other.parts[1:]]
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_joined_circuits_meet_the_range_check(self, n):
@@ -393,6 +401,74 @@ class TestCostOracleR2:
     def test_rejects_mismatched_city_count(self):
         with pytest.raises(ValueError):
             build_cost_oracle_r2(HoboLayout.for_cities(4), builtin_phases(3))
+
+
+def _eager_phase_leaf(layout: HoboLayout, table: dict) -> Circuit:
+    """The leaf of gates a PhaseOracle stands for, built gate by gate."""
+    main = list(range(layout.main_qubits))
+    gates = []
+    for bits, w in table.items():
+        flips = [x(q) for q, bit in zip(main, bits) if bit == "0"]
+        gates += flips + [mcp(main[:-1], main[-1], w)] + flips
+    return Circuit(layout, gates)
+
+
+def _full_width_run(circuit: Circuit) -> bytes:
+    width = circuit.layout.width
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
+    return run(circuit, StateVector(width, amps / np.linalg.norm(amps))).amplitudes.tobytes()
+
+
+class TestPhaseOracle:
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda c: c.gates,
+            lambda c: c.leaf,
+            len,
+            hash,
+            metrics,
+            circuit_to_text,
+            lambda c: invert_circuit(c).gates,
+            lambda c: circuit_to_text(invert_circuit(c) + c * 2),
+            _full_width_run,
+        ],
+        ids=["gates", "leaf", "len", "hash", "metrics", "text", "inverse", "composed text", "full-width run"],
+    )
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_an_unread_table_reads_as_its_gates(self, n, read):
+        layout = HoboLayout.for_cities(n)
+        table = gen_gaussian_phases(n, math.pi, 0.5, 7).phases
+        oracle = PhaseOracle(layout, table)
+        assert "leaf" not in vars(oracle)
+        assert read(oracle) == read(_eager_phase_leaf(layout, table))
+
+    def test_an_unread_table_equals_its_gates(self):
+        layout = HoboLayout.for_cities(3)
+        table = builtin_phases(3).phases
+        assert PhaseOracle(layout, table) == _eager_phase_leaf(layout, table)
+        assert _eager_phase_leaf(layout, table) == PhaseOracle(layout, table)
+        assert PhaseOracle(layout, table) != _eager_phase_leaf(layout, {**table, "000110": 1.0})
+
+    def test_the_table_is_copied_and_frozen(self):
+        layout = HoboLayout.for_cities(3)
+        table = dict(builtin_phases(3).phases)
+        oracle = PhaseOracle(layout, table)
+        table["000110"] = 1.0
+        assert "000110" in oracle.table and oracle.table["000110"] != 1.0
+        with pytest.raises(AttributeError):
+            oracle.table = table
+
+    @pytest.mark.parametrize(
+        "table, match",
+        [({"00011": 1.0}, "not a bitstring"), ({"0001102": 1.0}, "not a bitstring"), ({"00012x": 1.0}, "not a bitstring"),
+         ({"000110": 7.0}, "outside"), ({"000110": -2 * math.pi}, "outside")],
+        ids=["short", "long", "not binary", "above 2 pi", "at -2 pi"],
+    )
+    def test_each_entry_is_checked_as_its_gates_would_be(self, table, match):
+        with pytest.raises(ValueError, match=match):
+            PhaseOracle(HoboLayout.for_cities(3), table)
 
 
 class TestInvertCircuit:

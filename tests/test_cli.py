@@ -19,7 +19,6 @@ from tsp_qsearch import (
     Circuit,
     HoboLayout,
     Schedule,
-    build_g1,
     build_two_step,
     builtin_phases,
     gen_gaussian_phases,
@@ -32,6 +31,8 @@ from tsp_qsearch import (
 )
 from tsp_qsearch import cli, simulator
 from tsp_qsearch.cli import EXIT_CAPACITY, EXIT_DATA, EXIT_IO, EXIT_OK, main
+
+from helpers import clear_builder_caches
 
 PI_FLAG = "3.141592653589793"
 
@@ -279,14 +280,15 @@ class TestRun:
         calls = []
         compile_ = simulator._compile
         monkeypatch.setattr(simulator, "_compile", lambda *args: calls.append(1) or compile_(*args))
-        build_g1.cache_clear()
+        clear_builder_caches()
         flags = ["run", "--n", "4", "--dataset", "builtin", "--mode", "circuit", "--out", str(tmp_path / "r.json")]
         assert main(flags) == EXIT_OK
-        first = len(calls)
+        # The marker preparation with the H layer, G1, its inverse, and D2's
+        # middle H·Z·H leaves; R2's step is built from its table.
+        assert len(calls) == 4
         assert main(flags) == EXIT_OK
-        assert 0 < len(calls) - first < first
-        # The marker preparation with the H layer, R2, and D2's middle H·Z·H leaves.
-        assert len(calls) - first == 3
+        # Each of those is kept per layout, so the second run compiles nothing.
+        assert len(calls) == 4
 
 
 class TestSweep:

@@ -38,10 +38,11 @@ from tsp_qsearch import (
     sample,
     success_probability,
 )
-from tsp_qsearch import simulator
+from tsp_qsearch import PhaseOracle, circuits, simulator
 from tsp_qsearch.circuits import Circuit, CircuitMetrics, cx, h, mcp, mcx, x
 from tsp_qsearch.simulator import (
     MAX_WIDTH,
+    _compile,
     _execute,
     _hadamards,
     _permute,
@@ -50,10 +51,11 @@ from tsp_qsearch.simulator import (
     _project,
     _reflect,
     _repeat,
+    _live_qubits,
     circuit_plan,
 )
 
-from helpers import prepare_main_basis
+from helpers import BUILDER_CACHES, clear_builder_caches, prepare_main_basis
 
 # Largest per-amplitude gap allowed between a live run, whose plan folds
 # each H·S0·H sandwich into one `_reflect` step and each D2 into one
@@ -536,12 +538,19 @@ class TestCompiledPlan:
 
     @pytest.mark.parametrize("live", [False, True], ids=["full", "live"])
     def test_plan_is_compiled_once_per_circuit(self, live):
-        # D2 is built anew on each call; only its G1 and G1's inverse are kept per layout.
+        # D2 is built anew on each call, from leaves kept per layout: G1, the
+        # H layer, their inverses and the zero reflection.
         layout = HoboLayout.for_cities(3)
         circuit = build_d2(layout, 2)
         assert circuit_plan(circuit, live) is circuit_plan(circuit, live)
         assert circuit_plan(circuit, live) is not circuit_plan(circuit, not live)
         assert circuit_plan(Circuit(layout, circuit.gates), live) is not circuit_plan(circuit, live)
+        # A second D2 is another circuit with a plan of its own, made of the
+        # steps compiled for the first: G1's plans, its projection rows and
+        # the centre's steps are compiled once per layout.
+        again = build_d2(layout, 2)
+        assert again is not circuit and circuit_plan(again, live) is not circuit_plan(circuit, live)
+        assert all(a[1] is b[1] for a, b in zip(circuit_plan(again, live), circuit_plan(circuit, live), strict=True))
         # Nothing outside the circuit holds it, so its plan dies with it.
         freed = weakref.ref(circuit)
         del circuit
@@ -551,7 +560,7 @@ class TestCompiledPlan:
     def test_compile_does_not_grow_with_the_repeat_counts(self):
         # Only the compile: running the plan stays linear in q1.
         layout = HoboLayout.for_cities(3)
-        build_g1.cache_clear()  # a cold compile, G1's plan included
+        clear_builder_caches()  # a cold compile, G1's plan included
         plan, peak = _traced_compile(build_two_step(layout, builtin_phases(3), Schedule(10**5, 0)))
         assert [step[0] for step in plan].count(_repeat) == 1
         assert peak < 2**20
@@ -560,7 +569,7 @@ class TestCompiledPlan:
         # The permutations are built on the 2**9 view positions, not the
         # 2**15 basis states of the n=4 layout.
         layout = HoboLayout.for_cities(4)
-        build_g1.cache_clear()  # a cold compile, G1's plan included
+        clear_builder_caches()  # a cold compile, G1's plan included
         _, peak = _traced_compile(build_two_step(layout, builtin_phases(4), Schedule(2, 2)))
         assert peak < 64 * 2**10
 
@@ -868,7 +877,7 @@ class TestDirectPhaseIndexing:
         layout = HoboLayout.for_cities(n)
 
         def plan():
-            build_g1.cache_clear()  # so that no part brings a plan compiled before
+            clear_builder_caches()  # so that no part brings a plan compiled before
             circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
             return _unrolled(circuit_plan(circuit, live))
 
@@ -925,6 +934,88 @@ class TestFusedPhases:
         got = amps.copy()
         _execute(plan, got)
         _assert_bit_identical(got, _gate_by_gate(circuit, StateVector(3, amps.copy())))
+
+
+def _per_layout_sizes(layout: HoboLayout) -> list:
+    """The sizes of the builder caches, and of what each per-layout circuit keeps on itself."""
+    h_layer, g1 = circuits._h_layer(layout), build_g1(layout)
+    kept = (
+        circuits._marker_prep(layout),
+        h_layer,
+        invert_circuit(h_layer),
+        circuits._zero_reflection(layout),
+        g1,
+        invert_circuit(g1),
+    )
+    sizes = [cache.cache_info().currsize for cache in BUILDER_CACHES]
+    return sizes + [len(vars(circuit).get(name, ())) for circuit in kept for name in ("_runs", "_plans", "_projections")]
+
+
+class TestBoundOracle:
+    """A live run binds only R2's table: every other block compiles once per layout."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_tables_live_step_is_the_compile_of_its_gates(self, data):
+        n = data.draw(st.integers(2, 4), label="n")
+        layout = HoboLayout.for_cities(n)
+        tours = enumerate_feasible(n)
+        keys = data.draw(st.lists(st.sampled_from(tours), min_size=1, max_size=len(tours), unique=True), label="tours")
+        angles = st.floats(0.0, 2 * math.pi, exclude_min=True, exclude_max=True)
+        oracle = PhaseOracle(layout, {bits: data.draw(angles) for bits in keys})
+        direct = circuit_plan(oracle, True)
+        assert "leaf" not in vars(oracle)  # the step came from the table, not from gates
+        compiled = _compile(oracle.gates, _live_qubits(layout), True)
+        assert len(direct) == len(compiled) == 1
+        (kernel, positions, factor), (want_kernel, want_positions, want_factor) = direct[0], compiled[0]
+        assert kernel is want_kernel is _phase
+        assert positions.dtype == want_positions.dtype and np.array_equal(positions, want_positions)
+        # One entry is a scalar step, as the zero reflection needs to fold; more are one factor per position.
+        assert type(factor) is type(want_factor)
+        if isinstance(factor, np.ndarray):
+            assert factor.dtype == want_factor.dtype and np.array_equal(factor, want_factor)
+        else:
+            assert len(keys) == 1 and factor == want_factor
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_second_dataset_compiles_and_builds_no_gate(self, n, monkeypatch):
+        layout = HoboLayout.for_cities(n)
+        schedule = Schedule(2, 2)
+        first = build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, 1), schedule)
+        circuit_plan(first, True)
+        calls = Counter()
+
+        def counted(name, fn):
+            return lambda *args: calls.update([name]) or fn(*args)
+
+        monkeypatch.setattr(simulator, "_relabel", counted("_relabel", simulator._relabel))
+        monkeypatch.setattr(circuits, "mcp", counted("mcp", circuits.mcp))
+        second = build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, 2), schedule)
+        warm = circuit_plan(second, True)
+        assert calls == Counter()
+        monkeypatch.undo()
+        # The plan bound to the second dataset runs as one compiled cold.
+        clear_builder_caches()
+        cold = circuit_plan(build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, 2), schedule), True)
+        got, expected = new_state(layout.live_width).amplitudes, new_state(layout.live_width).amplitudes
+        _execute(warm, got)
+        _execute(cold, expected)
+        _assert_bit_identical(got, expected)
+
+    @pytest.mark.parametrize("schedule", [Schedule(2, 2), Schedule(2, 1), Schedule(1, 1), Schedule(0, 3)], ids=str)
+    def test_no_dataset_outlives_its_run(self, schedule):
+        layout = HoboLayout.for_cities(3)
+        freed, sizes = [], None
+        for seed in range(20):
+            circuit = build_two_step(layout, gen_gaussian_phases(3, math.pi, 0.5, seed), schedule)
+            run(circuit, new_state(layout.live_width))
+            freed.append(weakref.ref(circuit))
+            del circuit
+            sizes = sizes or _per_layout_sizes(layout)
+        gc.collect()
+        assert all(ref() is None for ref in freed)
+        # A run whose leaves include a dataset's R2 (from q1 <= 1) is kept only while R2 lives.
+        assert _per_layout_sizes(layout) == sizes
 
 
 class TestBlockStructure:
