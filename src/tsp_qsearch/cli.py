@@ -38,6 +38,7 @@ from .core import (
     optimal_q1,
     optimal_q2,
     save_phases,
+    write_text,
 )
 from .matrix_model import ProbabilitySeries, evolve, series_to_csv, state_at
 from .simulator import NormError, main_probabilities, new_state, run, sample
@@ -122,6 +123,13 @@ def _report_json(header: dict, bitstrings, probabilities, counts) -> str:
     return '{"histogram":[' + ",".join(rows) + "]," + fields[1:] + "\n"
 
 
+@functools.cache
+def _main_bitstrings(main_qubits: int) -> tuple[str, ...]:
+    """Every main-register basis state as a zero-padded bitstring, by index."""
+    spec = f"0{main_qubits}b"
+    return tuple(format(i, spec) for i in range(2**main_qubits))
+
+
 def cmd_run(args) -> int:
     phases = _load_dataset(args.dataset, args.n)
     layout = HoboLayout.for_cities(args.n)
@@ -135,12 +143,11 @@ def cmd_run(args) -> int:
         # `sample` draws from the array; the report writes its Python floats.
         drawn = main_probabilities(run(circuit, state), layout)
         probabilities = drawn.tolist()
-        spec = f"0{layout.main_qubits}b"
-        bitstrings = [format(i, spec) for i in range(len(probabilities))]
+        bitstrings = _main_bitstrings(layout.main_qubits)
     else:
         psi = state_at(phases, schedule.q2, rescale_costs=rescale)
         # Python's abs per tour: np.abs(psi) ** 2 differs in the last bit for some.
-        probabilities = drawn = [float(abs(a) ** 2) for a in psi]
+        probabilities = drawn = [abs(a) ** 2 for a in psi.tolist()]
         bitstrings = list(phases.phases)
     # Both modes list the rows in bitstring order, so no sort is needed:
     # circuit rows by basis index with zero-padded bitstrings, matrix rows
@@ -157,8 +164,7 @@ def cmd_run(args) -> int:
         "seed": args.seed,
         "shots": args.shots,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(_report_json(header, bitstrings, probabilities, counts))
+    write_text(args.out, _report_json(header, bitstrings, probabilities, counts))
     return EXIT_OK
 
 
@@ -187,8 +193,7 @@ def cmd_sweep(args) -> int:
             p_max.append(high)
         series = ProbabilitySeries(tuple(p_min), tuple(p_max))
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(series_to_csv(series))
+    write_text(args.out, series_to_csv(series))
     return EXIT_OK
 
 
@@ -212,8 +217,7 @@ def cmd_inspect(args) -> int:
         print(f"{name}: gates={len(circ)} unit_depth={m.unit_depth} {counts}")
 
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(circuit_to_text(total))
+        write_text(args.out, circuit_to_text(total))
     return EXIT_OK
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -41,6 +43,9 @@ class CapacityError(ValueError):
 
 class DatasetError(ValueError):
     """A phase dataset is unavailable or malformed."""
+
+
+_RANGE_ERROR = "phases must lie in the open interval (0, 2*pi)"
 
 
 def bits_per_city(n: int) -> int:
@@ -165,6 +170,12 @@ class PhaseAssignment:
     Keys are exactly the n! feasible bitstrings; all values lie in the
     open interval (0, 2*pi) and the minimum and maximum are unique, so
     the best and worst tours are well defined.
+
+    Validation reads the values once, in enumeration order, into
+    ``angles``: a read-only float64 array in the key order of
+    ``phases``.  ``min_index`` and ``max_index`` are the positions of
+    the extremes in it.  None of the three is a dataclass field, so
+    ``==`` and ``repr`` see only ``n`` and ``phases``.
     """
 
     n: int
@@ -172,27 +183,44 @@ class PhaseAssignment:
 
     def __post_init__(self):
         feasible = enumerate_feasible(self.n)
-        if set(self.phases) != set(feasible):
+        if self.phases.keys() != _feasible_set(self.n):
             raise DatasetError(
                 f"phase keys must be exactly the {len(feasible)} feasible bitstrings of n={self.n}"
             )
-        values = list(self.phases.values())
-        if not all(0.0 < v < 2 * math.pi for v in values):
-            raise DatasetError("phases must lie in the open interval (0, 2*pi)")
-        if values.count(min(values)) != 1 or values.count(max(values)) != 1:
+        values = list(map(self.phases.__getitem__, feasible))
+        try:
+            angles = np.array(values)
+        except ValueError:  # sequences of differing lengths
+            angles = None
+        if angles is None or angles.ndim != 1 or angles.dtype.kind not in "biuf":
+            # Not one real number per tour: None, str, complex, a sequence or an
+            # int beyond 64 bits.  Python's comparisons decide, in the given
+            # order: TypeError for an unordered value, DatasetError for one
+            # out of range (so an int beyond the float range is a data error).
+            if not all(0.0 < v < 2 * math.pi for v in self.phases.values()):
+                raise DatasetError(_RANGE_ERROR)
+            angles = np.array([float(v) for v in values])
+        low, high = int(angles.argmin()), int(angles.argmax())
+        # argmin and argmax stop at a NaN, which fails the range check.
+        if not (0.0 < angles[low] and angles[high] < 2 * math.pi):
+            raise DatasetError(_RANGE_ERROR)
+        if np.count_nonzero(angles == angles[low]) != 1 or np.count_nonzero(angles == angles[high]) != 1:
             raise DatasetError("phase minimum and maximum must each be unique")
+        angles = angles.astype(float, copy=False)
+        angles.flags.writeable = False
         # Canonical key order (lexicographic = enumeration order).
-        object.__setattr__(
-            self, "phases", {key: float(self.phases[key]) for key in feasible}
-        )
+        object.__setattr__(self, "phases", dict(zip(feasible, angles.tolist())))
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "min_index", low)
+        object.__setattr__(self, "max_index", high)
 
     @property
     def min_key(self) -> str:
-        return min(self.phases, key=self.phases.get)
+        return enumerate_feasible(self.n)[self.min_index]
 
     @property
     def max_key(self) -> str:
-        return max(self.phases, key=self.phases.get)
+        return enumerate_feasible(self.n)[self.max_index]
 
 
 @dataclass(frozen=True)
@@ -237,6 +265,11 @@ def enumerate_feasible(n: int) -> tuple[str, ...]:
     if not 2 <= n <= MAX_ENUM_CITIES:
         raise CapacityError(f"feasible enumeration supports 2 <= n <= {MAX_ENUM_CITIES}")
     return tuple(encode_tour(p, n) for p in permutations(range(1, n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _feasible_set(n: int) -> frozenset[str]:
+    return frozenset(enumerate_feasible(n))
 
 
 def eval_tour_cost(instance: TspInstance, tour: Tour | Sequence[int]) -> float:
@@ -402,15 +435,42 @@ def phases_from_json(text: str) -> PhaseAssignment:
         n, raw = payload["n"], payload["phases"]
         if type(n) is not int or type(raw) is not dict or not {type(v) for v in raw.values()} <= {int, float}:
             raise TypeError("n must be an integer and phases an object of numbers")
-        phase_map = {key: float(value) for key, value in raw.items()}
-    except (json.JSONDecodeError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        # ValueError: malformed JSON, or an integer past Python's digit limit.
         raise DatasetError(f"malformed phase dataset: {exc}") from exc
-    return PhaseAssignment(n, phase_map)
+    # `PhaseAssignment` converts the numbers; an int beyond the float range fails its range check.
+    return PhaseAssignment(n, raw)
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` as UTF-8 to `path`, overwriting the file in place.
+
+    Unlike ``open(path, "w")`` the open does not truncate, which on some
+    file systems costs far more than the write: the bytes go over the
+    old ones and a regular file is then cut to their length.  The file
+    is created with mode 0o666 less the umask, as ``open`` does.  Other
+    files, such as ``/dev/null`` or a pipe, are only written to.  If a
+    write fails, a regular file keeps only the bytes written before the
+    error, which is re-raised.
+    """
+    data = memoryview(text.encode("utf-8"))
+    # O_BINARY (Windows only) keeps the C runtime from translating "\n".
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if regular:
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def save_phases(phases: PhaseAssignment, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(phases_to_json(phases))
+    write_text(path, phases_to_json(phases))
 
 
 def load_phases(path) -> PhaseAssignment:

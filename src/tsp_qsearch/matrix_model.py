@@ -56,10 +56,10 @@ class ProbabilitySeries:
 
 def oracle_angles(phases: PhaseAssignment, rescale_costs: bool = False) -> np.ndarray:
     """Oracle angle of each tour, in the dataset's tour order, under the cost convention."""
-    angles = np.array(list(phases.phases.values()))
+    angles = phases.angles
     if not rescale_costs:
-        return angles
-    lo, hi = angles.min(), angles.max()
+        return angles.copy()
+    lo, hi = angles[phases.min_index], angles[phases.max_index]
     return 2 * math.pi * (angles - lo) / (hi - lo)
 
 
@@ -84,13 +84,10 @@ def evolve(phases: PhaseAssignment, t_max: int, rescale_costs: bool = False) -> 
     """Iterate diffusion(cost(state)); record the extreme-tour mass for t = 0 .. t_max."""
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
-    tours = list(phases.phases)
-    min_idx = tours.index(phases.min_key)
-    max_idx = tours.index(phases.max_key)
     p_min, p_max = [], []
     for psi in islice(_iterates(phases, rescale_costs), t_max + 1):
-        p_min.append(float(np.abs(psi[min_idx]) ** 2))
-        p_max.append(float(np.abs(psi[max_idx]) ** 2))
+        p_min.append(float(np.abs(psi[phases.min_index]) ** 2))
+        p_max.append(float(np.abs(psi[phases.max_index]) ** 2))
     return ProbabilitySeries(tuple(p_min), tuple(p_max))
 
 

@@ -4,7 +4,17 @@ import math
 
 import numpy as np
 
-from tsp_qsearch import HoboLayout, StateVector, apply_gate, build_g1, circuits, new_state, simulator
+from tsp_qsearch import (
+    DatasetError,
+    HoboLayout,
+    StateVector,
+    apply_gate,
+    build_g1,
+    circuits,
+    enumerate_feasible,
+    new_state,
+    simulator,
+)
 from tsp_qsearch.circuits import h, x
 
 # The builders that keep one circuit per layout, and the simulator's cache of tour positions.
@@ -95,3 +105,22 @@ def onehot_expansion(bits: str, n: int) -> np.ndarray:
         if code < n:
             matrix[slot, code] = 1.0
     return matrix
+
+
+def reference_phase_dict(n: int, phases: dict) -> dict[str, float]:
+    """What `PhaseAssignment(n, phases).phases` was when it checked value by value.
+
+    A copy of the earlier ``__post_init__``: it raises what that raised
+    and returns the canonical dict it stored.
+    """
+    feasible = enumerate_feasible(n)
+    if set(phases) != set(feasible):
+        raise DatasetError(
+            f"phase keys must be exactly the {len(feasible)} feasible bitstrings of n={n}"
+        )
+    values = list(phases.values())
+    if not all(0.0 < v < 2 * math.pi for v in values):
+        raise DatasetError("phases must lie in the open interval (0, 2*pi)")
+    if values.count(min(values)) != 1 or values.count(max(values)) != 1:
+        raise DatasetError("phase minimum and maximum must each be unique")
+    return {key: float(phases[key]) for key in feasible}

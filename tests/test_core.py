@@ -1,5 +1,8 @@
+import errno
 import json
 import math
+import os
+import stat
 import time
 from itertools import permutations
 
@@ -29,11 +32,18 @@ from tsp_qsearch import (
     phases_from_json,
     phases_to_json,
 )
-from tsp_qsearch.core import PHASE_MAX, PHASE_MIN, _BUILTIN_VALUES
+from tsp_qsearch.core import PHASE_MAX, PHASE_MIN, _BUILTIN_VALUES, write_text
+from tsp_qsearch.matrix_model import oracle_angles
 
-from helpers import onehot_expansion
+from helpers import onehot_expansion, reference_phase_dict
 
 PI = math.pi
+
+# Values for one tour that a phase dataset must reject, or that sit at the edge of what it takes.
+_EDGE_VALUES = [
+    0.0, -0.0, 2 * PI, math.nextafter(2 * PI, 0.0), 5e-324, math.nan, math.inf, -math.inf,
+    0, 1, 6, 7, True, 2**1024, -(2**1024), None, "2.0",
+]
 
 
 def _scalar_gaussian_phases(n, mu, sigma, seed):
@@ -417,6 +427,8 @@ class TestPhaseJson:
             phases_from_json('{"n": 3}')
         with pytest.raises(DatasetError):
             phases_from_json('{"n": 3, "phases": {"000110": 1.0}}')
+        with pytest.raises(DatasetError):
+            phases_from_json('{"n": 3, "phases": {"000110": ' + "1" * 5000 + "}}")
 
     def test_assignment_rejects_bad_data(self):
         keys = enumerate_feasible(3)
@@ -432,3 +444,136 @@ class TestPhaseJson:
         keys = enumerate_feasible(3)
         scrambled = {b: builtin_phases(3).phases[b] for b in reversed(keys)}
         assert list(PhaseAssignment(3, scrambled).phases) == list(keys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4))
+    def test_accepts_and_rejects_what_the_value_by_value_check_did(self, data, n):
+        keys = list(enumerate_feasible(n))
+        inside = st.floats(0.0, 2 * PI, exclude_min=True, exclude_max=True)
+        drawn = data.draw(st.lists(inside, min_size=len(keys), max_size=len(keys), unique=True))
+        values = list(drawn)
+        # A few entries become edge values, or copies of another entry: a tie, maybe at an extreme.
+        for _ in range(data.draw(st.integers(0, 3))):
+            index = data.draw(st.integers(0, len(keys) - 1))
+            values[index] = data.draw(
+                st.sampled_from(_EDGE_VALUES + [min(drawn), max(drawn)]) | st.sampled_from(drawn)
+            )
+        phases = dict(zip(keys, values))
+        change = data.draw(st.sampled_from(["none", "none", "none", "drop", "extra"]))
+        if change == "drop":
+            del phases[data.draw(st.sampled_from(keys))]
+        elif change == "extra":
+            phases["x" * len(keys[0])] = 1.0
+        order = data.draw(st.sampled_from(["enumeration", "reversed", "drawn"]))
+        if order == "reversed":
+            phases = dict(reversed(phases.items()))
+        elif order == "drawn":
+            phases = dict(data.draw(st.permutations(list(phases.items()))))
+
+        try:
+            expected = reference_phase_dict(n, phases)
+        except (TypeError, DatasetError) as exc:
+            with pytest.raises((TypeError, DatasetError)) as raised:
+                PhaseAssignment(n, phases)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+            return
+        got = PhaseAssignment(n, phases)
+        assert list(got.phases) == list(expected) == keys
+        assert [v.hex() for v in got.phases.values()] == [v.hex() for v in expected.values()]
+        assert all(type(v) is float for v in got.phases.values())
+        assert got.min_key == min(expected, key=expected.get)
+        assert got.max_key == max(expected, key=expected.get)
+        angles = oracle_angles(got)
+        assert np.array_equal(angles, np.array(list(got.phases.values())))
+        assert angles.flags.writeable
+        assert repr(got) == f"PhaseAssignment(n={n}, phases={expected!r})"
+
+    def test_array_is_read_only_and_outside_equality(self):
+        phases = builtin_phases(4)
+        assert not phases.angles.flags.writeable
+        assert phases.angles.tolist() == list(phases.phases.values())
+        assert phases == PhaseAssignment(4, dict(reversed(phases.phases.items())))
+        oracle_angles(phases)[0] = 0.0
+        assert phases.angles[0] == PHASE_MIN
+
+    @pytest.mark.parametrize("big", [2**1024, -(2**1024), 10**400], ids=["2**1024", "-2**1024", "10**400"])
+    def test_integer_beyond_float_range_is_a_data_error(self, big):
+        keys = enumerate_feasible(3)
+        raw = {b: i + 1 for i, b in enumerate(keys)}
+        raw[keys[2]] = big
+        with pytest.raises(DatasetError):
+            PhaseAssignment(3, raw)
+        with pytest.raises(DatasetError):
+            phases_from_json(json.dumps({"n": 3, "phases": raw}))
+
+    @pytest.mark.parametrize("bad", [None, "2.0", "nan", 1j])
+    def test_values_that_are_not_real_numbers_raise_type_error(self, bad):
+        phases = dict(builtin_phases(3).phases)
+        phases[enumerate_feasible(3)[2]] = bad
+        with pytest.raises(TypeError):
+            PhaseAssignment(3, phases)
+
+
+class TestWriteText:
+    def test_shorter_text_leaves_no_old_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"#" * 5000)
+        write_text(path, "k\u00fcrzer\n")
+        assert path.read_bytes() == "k\u00fcrzer\n".encode("utf-8")
+
+    def test_new_file_mode_matches_open(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_text(tmp_path / "helper", "x\n")
+            with open(tmp_path / "builtin", "w") as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(old)
+        modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("helper", "builtin")}
+        assert modes == {0o640}
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old text\n")
+        path.chmod(0o600)
+        write_text(path, "new\n")
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_dev_null_and_a_pipe_take_the_text(self):
+        write_text(os.devnull, "discarded\n")
+        read_end, write_end = os.pipe()
+        try:
+            write_text(f"/dev/fd/{write_end}", "through a pipe\n")
+        finally:
+            os.close(write_end)
+        with os.fdopen(read_end, "rb") as fh:
+            assert fh.read() == b"through a pipe\n"
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 16])
+    def test_failed_write_leaves_only_the_bytes_written(self, tmp_path, monkeypatch, k):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"#" * 100)
+        data = b"0123456789abcdef\n"
+        real_write, left = os.write, [k]
+
+        def short_write(fd, chunk):
+            # At most 3 bytes a call, then a full disk once k bytes are out.
+            if left[0] == 0:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            done = real_write(fd, bytes(chunk[: min(3, left[0])]))
+            left[0] -= done
+            return done
+
+        monkeypatch.setattr(os, "write", short_write)
+        with pytest.raises(OSError):
+            write_text(path, data.decode())
+        monkeypatch.undo()
+        assert path.read_bytes() == data[:k]
+
+    def test_unencodable_text_leaves_the_file_alone(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text(path, "\ud800")
+        assert path.read_bytes() == b"old\n"
