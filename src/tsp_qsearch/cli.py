@@ -38,7 +38,6 @@ from .core import (
     optimal_q1,
     optimal_q2,
     save_phases,
-    write_text,
 )
 from .matrix_model import ProbabilitySeries, evolve, series_to_csv, state_at
 from .simulator import NormError, main_probabilities, new_state, run, sample
@@ -123,7 +122,7 @@ def _report_json(header: dict, bitstrings, probabilities, counts) -> str:
     return '{"histogram":[' + ",".join(rows) + "]," + fields[1:] + "\n"
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)  # one width at a time: 2**18 strings at n = 6
 def _main_bitstrings(main_qubits: int) -> tuple[str, ...]:
     """Every main-register basis state as a zero-padded bitstring, by index."""
     spec = f"0{main_qubits}b"
@@ -164,7 +163,8 @@ def cmd_run(args) -> int:
         "seed": args.seed,
         "shots": args.shots,
     }
-    write_text(args.out, _report_json(header, bitstrings, probabilities, counts))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(_report_json(header, bitstrings, probabilities, counts))
     return EXIT_OK
 
 
@@ -193,7 +193,8 @@ def cmd_sweep(args) -> int:
             p_max.append(high)
         series = ProbabilitySeries(tuple(p_min), tuple(p_max))
 
-    write_text(args.out, series_to_csv(series))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(series_to_csv(series))
     return EXIT_OK
 
 
@@ -217,7 +218,8 @@ def cmd_inspect(args) -> int:
         print(f"{name}: gates={len(circ)} unit_depth={m.unit_depth} {counts}")
 
     if args.out is not None:
-        write_text(args.out, circuit_to_text(total))
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(circuit_to_text(total))
     return EXIT_OK
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import stat
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -200,16 +198,19 @@ class PhaseAssignment:
             if not all(0.0 < v < 2 * math.pi for v in self.phases.values()):
                 raise DatasetError(_RANGE_ERROR)
             angles = np.array([float(v) for v in values])
+        angles = angles.astype(float, copy=False)
+        floats = angles.tolist()
         low, high = int(angles.argmin()), int(angles.argmax())
         # argmin and argmax stop at a NaN, which fails the range check.
-        if not (0.0 < angles[low] and angles[high] < 2 * math.pi):
+        if not (0.0 < floats[low] and floats[high] < 2 * math.pi):
             raise DatasetError(_RANGE_ERROR)
-        if np.count_nonzero(angles == angles[low]) != 1 or np.count_nonzero(angles == angles[high]) != 1:
+        # A unique extreme is found at the same position from either end.
+        backwards, last = angles[::-1], len(floats) - 1
+        if last - int(backwards.argmin()) != low or last - int(backwards.argmax()) != high:
             raise DatasetError("phase minimum and maximum must each be unique")
-        angles = angles.astype(float, copy=False)
         angles.flags.writeable = False
         # Canonical key order (lexicographic = enumeration order).
-        object.__setattr__(self, "phases", dict(zip(feasible, angles.tolist())))
+        object.__setattr__(self, "phases", dict(zip(feasible, floats)))
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "min_index", low)
         object.__setattr__(self, "max_index", high)
@@ -442,35 +443,9 @@ def phases_from_json(text: str) -> PhaseAssignment:
     return PhaseAssignment(n, raw)
 
 
-def write_text(path, text: str) -> None:
-    """Write `text` as UTF-8 to `path`, overwriting the file in place.
-
-    Unlike ``open(path, "w")`` the open does not truncate, which on some
-    file systems costs far more than the write: the bytes go over the
-    old ones and a regular file is then cut to their length.  The file
-    is created with mode 0o666 less the umask, as ``open`` does.  Other
-    files, such as ``/dev/null`` or a pipe, are only written to.  If a
-    write fails, a regular file keeps only the bytes written before the
-    error, which is re-raised.
-    """
-    data = memoryview(text.encode("utf-8"))
-    # O_BINARY (Windows only) keeps the C runtime from translating "\n".
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
-        written = 0
-        try:
-            while written < len(data):
-                written += os.write(fd, data[written:])
-        finally:
-            if regular:
-                os.ftruncate(fd, written)
-    finally:
-        os.close(fd)
-
-
 def save_phases(phases: PhaseAssignment, path) -> None:
-    write_text(path, phases_to_json(phases))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(phases_to_json(phases))
 
 
 def load_phases(path) -> PhaseAssignment:

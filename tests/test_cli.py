@@ -1,5 +1,4 @@
 import csv
-import errno
 import gc
 import hashlib
 import io
@@ -456,55 +455,6 @@ class TestRepeatedCommands:
                 assert main(flags) == EXIT_OK
         capsys.readouterr()
         assert live_circuits() == warm
-
-
-# Every command that writes a file, with the flags before its --out.
-_WRITERS = [
-    ["gen", "--n", "3"],
-    ["run", "--n", "3", "--mode", "circuit"],
-    ["run", "--n", "4", "--mode", "matrix"],
-    ["sweep", "--n", "3", "--mode", "circuit", "--t-max", "3"],
-    ["sweep", "--n", "4", "--mode", "matrix"],
-    ["inspect", "--n", "3"],
-]
-
-
-class TestOutputFiles:
-    @pytest.mark.parametrize("flags", _WRITERS, ids=" ".join)
-    def test_rewrite_over_a_longer_file_matches_a_fresh_one(self, flags, tmp_path, capsys):
-        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
-        reused.write_bytes(b"#" * 200_000)
-        assert main(flags + ["--out", str(fresh)]) == EXIT_OK
-        assert main(flags + ["--out", str(reused)]) == EXIT_OK
-        assert reused.read_bytes() == fresh.read_bytes()
-
-    def test_a_smaller_report_over_a_larger_one(self, tmp_path):
-        dataset, fresh, reused = tmp_path / "p6.json", tmp_path / "fresh.json", tmp_path / "reused.json"
-        assert main(["gen", "--n", "6", "--out", str(dataset)]) == EXIT_OK
-        assert main(["run", "--n", "6", "--mode", "matrix", "--dataset", str(dataset), "--out", str(reused)]) == EXIT_OK
-        for out in (reused, fresh):
-            assert main(["run", "--n", "3", "--out", str(out)]) == EXIT_OK
-        assert reused.read_bytes() == fresh.read_bytes()
-
-    @pytest.mark.parametrize("flags", _WRITERS, ids=" ".join)
-    def test_missing_directory_or_directory_target_is_an_io_error(self, flags, tmp_path, capsys):
-        for out in (tmp_path / "missing" / "out", tmp_path):
-            assert main(flags + ["--out", str(out)]) == EXIT_IO
-            assert capsys.readouterr().err.startswith("error:")
-        assert list(tmp_path.iterdir()) == []
-
-    def test_failed_write_is_an_io_error(self, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "p.json"
-        out.write_bytes(b"#" * 100)
-
-        def full_disk(fd, data):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(os, "write", full_disk)
-        assert main(["gen", "--n", "3", "--out", str(out)]) == EXIT_IO
-        monkeypatch.undo()
-        assert "No space left" in capsys.readouterr().err
-        assert out.read_bytes() == b""
 
 
 class TestUsageErrors:

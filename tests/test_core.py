@@ -1,8 +1,5 @@
-import errno
 import json
 import math
-import os
-import stat
 import time
 from itertools import permutations
 
@@ -32,7 +29,7 @@ from tsp_qsearch import (
     phases_from_json,
     phases_to_json,
 )
-from tsp_qsearch.core import PHASE_MAX, PHASE_MIN, _BUILTIN_VALUES, write_text
+from tsp_qsearch.core import PHASE_MAX, PHASE_MIN, _BUILTIN_VALUES
 from tsp_qsearch.matrix_model import oracle_angles
 
 from helpers import onehot_expansion, reference_phase_dict
@@ -512,68 +509,3 @@ class TestPhaseJson:
         phases[enumerate_feasible(3)[2]] = bad
         with pytest.raises(TypeError):
             PhaseAssignment(3, phases)
-
-
-class TestWriteText:
-    def test_shorter_text_leaves_no_old_bytes(self, tmp_path):
-        path = tmp_path / "out.txt"
-        path.write_bytes(b"#" * 5000)
-        write_text(path, "k\u00fcrzer\n")
-        assert path.read_bytes() == "k\u00fcrzer\n".encode("utf-8")
-
-    def test_new_file_mode_matches_open(self, tmp_path):
-        old = os.umask(0o027)
-        try:
-            write_text(tmp_path / "helper", "x\n")
-            with open(tmp_path / "builtin", "w") as fh:
-                fh.write("x\n")
-        finally:
-            os.umask(old)
-        modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("helper", "builtin")}
-        assert modes == {0o640}
-
-    def test_existing_file_keeps_its_mode(self, tmp_path):
-        path = tmp_path / "out.txt"
-        path.write_text("old text\n")
-        path.chmod(0o600)
-        write_text(path, "new\n")
-        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
-
-    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_dev_null_and_a_pipe_take_the_text(self):
-        write_text(os.devnull, "discarded\n")
-        read_end, write_end = os.pipe()
-        try:
-            write_text(f"/dev/fd/{write_end}", "through a pipe\n")
-        finally:
-            os.close(write_end)
-        with os.fdopen(read_end, "rb") as fh:
-            assert fh.read() == b"through a pipe\n"
-
-    @pytest.mark.parametrize("k", [0, 1, 7, 16])
-    def test_failed_write_leaves_only_the_bytes_written(self, tmp_path, monkeypatch, k):
-        path = tmp_path / "out.txt"
-        path.write_bytes(b"#" * 100)
-        data = b"0123456789abcdef\n"
-        real_write, left = os.write, [k]
-
-        def short_write(fd, chunk):
-            # At most 3 bytes a call, then a full disk once k bytes are out.
-            if left[0] == 0:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            done = real_write(fd, bytes(chunk[: min(3, left[0])]))
-            left[0] -= done
-            return done
-
-        monkeypatch.setattr(os, "write", short_write)
-        with pytest.raises(OSError):
-            write_text(path, data.decode())
-        monkeypatch.undo()
-        assert path.read_bytes() == data[:k]
-
-    def test_unencodable_text_leaves_the_file_alone(self, tmp_path):
-        path = tmp_path / "out.txt"
-        path.write_bytes(b"old\n")
-        with pytest.raises(UnicodeEncodeError):
-            write_text(path, "\ud800")
-        assert path.read_bytes() == b"old\n"
