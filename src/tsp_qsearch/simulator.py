@@ -20,8 +20,7 @@ basis states and MCP multiplies some of them by a phase.  So the
 compiler keeps, for each position of the state it runs on, a label:
 the basis state whose amplitude that position holds.  X, CX and MCX
 only change labels and emit nothing; an MCP is one phase step on the
-positions whose label it fires on, except that a live plan fuses a
-diagonal run (see below).  An H first emits the pending
+positions whose label it fires on.  An H first emits the pending
 relabelling as one move, `flat[dest] = flat[source]` over the
 positions whose label changed, and then joins the current H layer: one
 contiguous pass per qubit on a copy with the layer's axes first (see
@@ -43,8 +42,14 @@ each feasibility oracle R1 computes and uncomputes its ancillas into
 one move, which flips the marker of each feasible tour.  An H that
 names an ancilla, or a move that leaves one set, needs a qubit the
 live state does not hold, and `run` refuses the circuit.  The live
-plan differs from the full-width one in two step kinds and in its
-phase steps.  D1 and the
+plan differs from the full-width one in two step kinds and in how it
+reads a `PhaseOracle`, a leaf held as its {bitstring: phase} table.
+Such a leaf is its table's phase step (see `_oracle_steps`), wherever
+it sits, so a live run builds none of its gates.  The gates before it
+end in their move, which, as before an H, may leave no ancilla set.
+The other leaves compile exactly, as on a full-width state.  A cost
+oracle R2 is one step with a factor per position instead of n! of
+them.  D1 and the
 centre of every D2 are each an H layer on the main register, a phase
 -1 on its all-zeros state and the same H layer; each such sandwich
 becomes one `_reflect` step, the reflection I + (f - 1)|s><s| about
@@ -63,12 +68,7 @@ threads wait on a busy core.  On a 2-vCPU host with the other core
 busy, np.vdot made a projection at n=5 take 16 ms, against about
 0.5 ms for ufuncs.  With q1 = 0 D2 is its centre reflection, and
 with q1 = 1 its G1 is compiled with its other leaves, so neither
-projects.  The MCPs of a run that no CX or MCX interrupts, if no two
-fire on one position, become one phase step with a factor per
-position (see `_diagonal_steps`), so each cost oracle R2 is one step
-instead of n! of them.  Where R2 is a run of its own, from q1 = 2, that
-step is built from its table, not from its gates (see
-`_oracle_steps`).  From q1 = 2 the live plan unrolls to one H
+projects.  From q1 = 2 the live plan unrolls to one H
 layer, the opening one, q1 reflection steps, and q2 phase and q2
 projection steps: 2, 2 and 2 at n=4.  Its amplitudes are not
 bit-identical to the exact plan's: they
@@ -79,11 +79,13 @@ What is compiled is kept for as long as what it was compiled from: a
 plan on its circuit, by width; the steps of a run of leaves between
 repeated parts on the run's first leaf, while the run's other leaves
 live (see `_leaf_steps`); a projection's rows on G1.  Every leaf of
-the two-step circuit but R2 is built once per layout (see `circuits`),
-so a run on a new dataset compiles nothing but binds R2: the marker
-preparation with the opening H layer, G1, D2's centre and its
-projection rows are reused, and R2's one phase step takes positions
-kept per set of tours and one new factor array.
+the two-step circuit but R2 is built once per layout (see `circuits`).
+From q1 = 2, where R2 is a run of its own, a run on a new dataset
+compiles nothing but binds R2: the marker preparation with the opening
+H layer, G1, D2's centre and its projection rows are reused, and R2's
+one phase step takes positions kept per set of tours and one new
+factor array.  Below q1 = 2 R2 shares a run with D2's leaves, which
+compiles again for each dataset.
 
 `apply_gate` compiles nothing: it swaps, butterflies or multiplies
 strided views of the state in place.  A swap or butterfly allocates a
@@ -240,16 +242,15 @@ class _Woken(Exception):
     """A step needs a qubit outside the view it is compiled for."""
 
 
-def _compile(gates, qubits: tuple[int, ...], fold: bool) -> tuple:
+def _compile(gates, qubits: tuple[int, ...]) -> list:
     """Kernel steps equal to `gates` applied one by one on the view whose axis i is qubits[i].
 
     Each step is (kernel, first, second), run as ``kernel(view, first,
     second)``.  Each run of gates other than H becomes its phase steps
     and at most one move (see `_relabel`).  Each H joins the current H
     layer, which such a step or a second H on one of its qubits closes;
-    a lone H is a layer of one.  With `fold`, each H layer, phase step,
-    H layer sandwich that `_fold` finds becomes one `_reflect` step, and
-    `_relabel` may fuse the phase steps of a run into one.
+    a lone H is a layer of one.  The steps do exactly the arithmetic of
+    the gates; a live plan folds them afterwards (see `_leaf_steps`).
     Raises `_Woken` if an H names a qubit outside the view or a move
     leaves a label outside it.
     """
@@ -266,11 +267,10 @@ def _compile(gates, qubits: tuple[int, ...], fold: bool) -> tuple:
                     steps += _layer(layer, width)
                     layer = []
                 layer.append(axes[gate.target])
-        elif classical := _relabel(run, qubits, fold):
+        elif classical := _relabel(run, qubits):
             steps += _layer(layer, width) + classical
             layer = []
-    steps += _layer(layer, width)
-    return tuple(_fold(steps, width) if fold else steps)
+    return steps + _layer(layer, width)
 
 
 def _fold(steps: list, width: int) -> list:
@@ -293,7 +293,7 @@ def _fold(steps: list, width: int) -> list:
 
 
 def _is_sandwich(first: tuple, middle: tuple, last: tuple, width: int) -> bool:
-    # A fused phase step has a factor per position, whatever its positions.
+    # A table's step of two or more entries has a factor per position, whatever its positions.
     if (first[0], middle[0], last[0]) != (_hadamards, _phase, _hadamards) or np.ndim(middle[2]):
         return False
     m = first[2]
@@ -304,24 +304,23 @@ def _is_sandwich(first: tuple, middle: tuple, last: tuple, width: int) -> bool:
     return np.array_equal(middle[1], np.arange(2 ** (width - m)))
 
 
-def _relabel(gates, qubits: tuple[int, ...], fuse: bool) -> list:
+def _relabel(gates, qubits: tuple[int, ...]) -> list:
     """The phase steps and the move of X, CX, MCX and MCP gates on the view of `qubits`.
 
     labels[p] is the basis state that view position p stands for: bit
     width-1-i is axis i, and qubits outside the view get bits above
     those, in order of first use.  X, CX and MCX only relabel (an X
     toggles `flip`, applied to every label).  An MCP is one phase step
-    on the positions whose label fires, except that with `fuse`, as in
-    a live plan, the MCPs of a diagonal run may become one step: those
-    met before a CX or MCX moves a label, whose positions are found
-    without a scan (see `_diagonal_steps`).  The move takes the
-    amplitude at each position p to labels[p] ^ flip, if any moves.
+    on the positions whose label fires, found without a scan while no
+    label has moved (see `_positions_with`); an MCP that fires on no
+    position of the view, as one controlled on an ancilla of a live
+    view, is no step.  The move takes the amplitude at each position p
+    to labels[p] ^ flip, if any moves.
     """
     width = len(qubits)
     bits = {qubit: 1 << (width - 1 - axis) for axis, qubit in enumerate(qubits)}
     positions = np.arange(2**width, dtype=np.int64)
     labels, flip, steps = positions, 0, []
-    diagonal = []  # (mask, value, factor) of each MCP met before any label moves
     masks = {}  # the mask of each (kind, controls, target) met, the target's bit included for an MCP
     # Enum members bound once: on Python 3.11 each GateKind.X is a class
     # attribute lookup that costs about as much as the rest of an X's work.
@@ -342,54 +341,18 @@ def _relabel(gates, qubits: tuple[int, ...], fuse: bool) -> list:
         value = on & ~flip
         if kind is not MCP:  # CX and MCX
             labels = np.where((labels & on) == value, labels ^ target, labels)
-        elif labels is positions:  # no label has moved yet
-            diagonal.append((on, value, cmath.exp(1j * gate.phase)))
+            continue
+        if labels is positions:  # no label has moved yet
+            fired = _positions_with(positions, width, on, value)
         else:
-            steps.append((_phase, np.flatnonzero((labels & on) == value), cmath.exp(1j * gate.phase)))
-    # The MCPs met before the first label moved come before all the others.
-    steps = _diagonal_steps(diagonal, positions, width, fuse) + steps
+            fired = np.flatnonzero((labels & on) == value)
+        if fired.size:
+            steps.append((_phase, fired, cmath.exp(1j * gate.phase)))
     dest = labels ^ flip
     if np.any(dest >= positions.size):  # a label has a bit outside the view set
         raise _Woken
     source = np.flatnonzero(dest != positions)
     return steps + [(_permute, dest[source], source)] if source.size else steps
-
-
-def _diagonal_steps(diagonal: list, positions: np.ndarray, width: int, fuse: bool) -> list:
-    """The phase steps of MCPs, given as (mask, value, factor), on labels that have not moved.
-
-    Each MCP is one step on the positions p with p & mask == value.
-    With `fuse`, two or more MCPs that fire on disjoint positions become
-    one step with a factor per position instead, grouped by mask in
-    order of first use and in gate order within a mask: for each mask,
-    one pass ORs its values onto the positions where its bits are 0.
-    An R2 is then one step, not n! of them.  Fusing changes how numpy
-    multiplies (by an array, not a scalar), which moved an amplitude in
-    the last bit, so a plan that must match `apply_gate` bit for bit
-    does not fuse.
-    """
-    if not fuse or len(diagonal) < 2:
-        return [(_phase, _positions_with(positions, width, mask, value), factor) for mask, value, factor in diagonal]
-    groups: dict[int, tuple[list, list]] = {}
-    for mask, value, factor in diagonal:
-        if not value >> width:  # a value with a bit outside the view fires nowhere
-            values, group_factors = groups.setdefault(mask, ([], []))
-            values.append(value)
-            group_factors.append(factor)
-    if not groups:
-        return []  # none fires on a position of the view
-    fired, factors = [], []
-    for mask, (values, group_factors) in groups.items():
-        zeros = _positions_with(positions, width, mask, 0)
-        fired.append((np.array(values, dtype=np.int64)[:, None] | zeros).ravel())
-        factors.append(np.repeat(np.array(group_factors), zeros.size))
-    fired = np.concatenate(fired)
-    # A bool scatter, not np.unique: its first call grows the peak RSS by 1.6 MiB.
-    seen = np.zeros(positions.size, dtype=bool)
-    seen[fired] = True
-    if np.count_nonzero(seen) < fired.size:  # two MCPs fire on one position
-        return _diagonal_steps(diagonal, positions, width, False)
-    return [(_phase, fired, np.concatenate(factors))]
 
 
 def _positions_with(positions: np.ndarray, width: int, mask: int, value: int) -> np.ndarray:
@@ -421,7 +384,8 @@ def circuit_plan(circuit: Circuit, live: bool) -> tuple | None:
     """The circuit's compiled steps for a live or a full-width state, built on first use.
 
     A full-width plan is exact over all the layout's qubits.  A live
-    plan runs on `_live_qubits`, folds reflection sandwiches and folds
+    plan runs on `_live_qubits`, reads each `PhaseOracle` from its
+    table, folds reflection sandwiches and folds
     each reflection that a repeated part and its inverse conjugate (see
     `_fold_projection`); it is None if the circuit needs an ancilla.  A
     part repeated more than once becomes the step ``(_repeat, plan of
@@ -453,38 +417,47 @@ def circuit_plan(circuit: Circuit, live: bool) -> tuple | None:
 
 
 def _leaf_steps(leaves: list, qubits: tuple[int, ...], live: bool) -> tuple:
-    """`_compile` of a run of leaves, compiled once while its leaves live.
+    """The steps of a run of leaves, compiled once while its leaves live.
 
-    On a live view a run of one `PhaseOracle` is its one phase step,
-    built from its table (see `_oracle_steps`).  Any other run's steps
-    are kept on its first leaf, keyed by the identities of the other
-    leaves, which the entry holds weakly: it goes once one of them has
-    died, so it keeps no dataset's leaf alive and a reused id never
+    On a live view each `PhaseOracle` leaf is its table's phase step
+    (see `_oracle_steps`) and each stretch of other leaves between them
+    is `_compile` of its gates; the joined steps are then folded (see
+    `_fold`).  A full-width view compiles every leaf's gates.  The steps
+    are kept on the run's first leaf, keyed by the identities of the
+    other leaves, which the entry holds weakly: it goes once one of them
+    has died, so it keeps no dataset's leaf alive and a reused id never
     matches it.  The runs of the layout's dataset-free leaves, the
     marker preparation with the H layer and D2's centre, so compile
     once per process.
     """
     first, rest = leaves[0], leaves[1:]
-    if live and not rest and isinstance(first, PhaseOracle):
-        return _oracle_steps(first.table, len(qubits) - first.layout.main_qubits)
     runs = vars(first).setdefault("_runs", {})  # Circuit is frozen
     for stale in [key for key, (_, refs) in runs.items() if any(ref() is None for ref in refs)]:
         del runs[stale]
     key = (live, *map(id, rest))
     if key not in runs:
-        steps = _compile(itertools.chain.from_iterable(leaf.leaf for leaf in leaves), qubits, live)
-        runs[key] = (steps, [weakref.ref(leaf) for leaf in rest])
+        steps = []
+        for oracles, stretch in itertools.groupby(leaves, key=lambda leaf: live and isinstance(leaf, PhaseOracle)):
+            if oracles:
+                for oracle in stretch:
+                    steps += _oracle_steps(oracle.table, len(qubits) - oracle.layout.main_qubits)
+            else:
+                steps += _compile(itertools.chain.from_iterable(leaf.leaf for leaf in stretch), qubits)
+        runs[key] = (tuple(_fold(steps, len(qubits)) if live else steps), [weakref.ref(leaf) for leaf in rest])
     return runs[key][0]
 
 
 def _oracle_steps(table: dict[str, float], spare: int) -> tuple:
-    """The live phase step of a `PhaseOracle` with `table`, as `_compile` of its gates gives it.
+    """The live phase step of a `PhaseOracle` with `table`, without building its gates.
 
-    Its MCPs never move a label, so `_diagonal_steps` fuses them: each
-    bitstring fires on its 2**spare positions, one per state of the
-    `spare` qubits below the main register (the marker), each with its
-    factor e^{iw}.  A single entry is a step with a scalar factor, so
-    that a zero reflection still folds.
+    Each bitstring fires on its 2**spare positions, one per state of the
+    `spare` qubits below the main register (the marker), with its factor
+    e^{iw}: the positions of the exact compile of its gates, one step
+    per entry, joined in table order.  A single entry is a step with a
+    scalar factor, so that a zero reflection still folds; more are one
+    step with a factor per position, so that an R2 is one step instead
+    of n! of them.  Multiplying by an array, not a scalar, may move an
+    amplitude in the last bit, which a live plan allows.
     """
     if len(table) < 2:
         return tuple((_phase, _tour_positions((bits,), spare), cmath.exp(1j * w)) for bits, w in table.items())

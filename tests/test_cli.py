@@ -283,12 +283,14 @@ class TestRun:
         clear_builder_caches()
         flags = ["run", "--n", "4", "--dataset", "builtin", "--mode", "circuit", "--out", str(tmp_path / "r.json")]
         assert main(flags) == EXIT_OK
-        # The marker preparation with the H layer, G1, its inverse, and D2's
-        # middle H·Z·H leaves; R2's step is built from its table.
-        assert len(calls) == 4
+        # The marker preparation with the H layer, G1 and D2's centre H·Z·H
+        # leaves, whose zero reflection splits each into the stretches
+        # before and after it, and G1's inverse; the zero reflection and
+        # R2 are each built from their table.
+        assert len(calls) == 6
         assert main(flags) == EXIT_OK
         # Each of those is kept per layout, so the second run compiles nothing.
-        assert len(calls) == 4
+        assert len(calls) == 6
 
 
 class TestSweep:

@@ -345,19 +345,19 @@ def _composed_circuits(draw) -> list:
 
 
 @st.composite
-def _disjoint_diagonal_runs(draw) -> Circuit:
-    """A run of X and MCP gates on 1 to 6 qubits, at least two MCPs, no two firing on one basis state.
+def _diagonal_runs(draw) -> Circuit:
+    """A run of X and MCP gates on 1 to 6 qubits, at least two MCPs, which may fire on one basis state.
 
-    Each MCP fires on its own pattern of a shared set of qubits and on
-    any pattern of further qubits of its choice, NOT-conjugated as
-    `_fires_on` does; X's before the run change every pattern alike and
-    X's after it leave a move.
+    Each MCP fires on a pattern of a shared set of qubits, which others
+    may repeat, and on any pattern of further qubits of its choice,
+    NOT-conjugated as `_fires_on` does; X's before the run change every
+    pattern alike and X's after it leave a move.
     """
     width = draw(st.integers(1, 6))
     order = draw(st.permutations(range(width)))
     shared = order[: draw(st.integers(1, width))]
     others = order[len(shared):]
-    patterns = draw(st.lists(st.integers(0, 2 ** len(shared) - 1), min_size=2, max_size=8, unique=True))
+    patterns = draw(st.lists(st.integers(0, 2 ** len(shared) - 1), min_size=2, max_size=8))
     gates = [x(q) for q in draw(st.lists(st.sampled_from(order), max_size=3))]
     for pattern in patterns:
         extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
@@ -385,6 +385,14 @@ def _assert_bit_identical(got: np.ndarray, expected: np.ndarray) -> None:
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+def _assert_same_steps(got: list, expected: list) -> None:
+    """Equal kernels, and equal arrays or values in each step's arguments."""
+    assert [step[0] for step in got] == [step[0] for step in expected]
+    for step, want_step in zip(got, expected):
+        for arg, want in zip(step[1:], want_step[1:]):
+            assert np.array_equal(arg, want) if isinstance(arg, np.ndarray) else arg == want
+
+
 def _unrolled(plan: tuple) -> list:
     """The plan's steps with every repeat step written out."""
     steps = []
@@ -402,8 +410,8 @@ def _h_qubits(step: tuple) -> list:
 class TestCompiledPlan:
     @settings(max_examples=200, deadline=None)
     @given(circuit=_x_dense_circuits(), seed=st.integers(0, 2**32 - 1), cuts=st.lists(st.integers(0, 100), max_size=5))
-    # Two disjoint MCPs in one run: fused into one step with a factor per
-    # position, as a live plan does, amplitude 15 moved by 6.9e-18.
+    # Two disjoint MCPs in one run: one step with a factor per position
+    # for both would move amplitude 15 by 6.9e-18.
     @example(
         circuit=Circuit(_bare_layout(4), (*[h(0)] * 16, mcp((), 0, 0.0), x(0), mcp((0, 1, 2), 3, 1.0))),
         seed=0,
@@ -506,7 +514,7 @@ class TestCompiledPlan:
         assert kinds == {"_permute": 11, "_hadamards": 25, "_phase": {3: 24, 4: 60}[n]}
         # The live plan folds each D1 into one reflection and each D2, with
         # the R1 move and D1 sandwich of each of its four G1 runs, into one
-        # projection, and fuses each R2 into one phase step.
+        # projection, and reads each R2 as one phase step from its table.
         kinds = Counter(kernel.__name__ for kernel, _, _ in plan)
         assert kinds == {"_permute": 3, "_hadamards": 1, "_reflect": 2, "_project": 2, "_phase": 2}
 
@@ -525,16 +533,6 @@ class TestCompiledPlan:
         assert len(moves[1][2]) == 2 * math.factorial(n)
         assert all(np.array_equal(step[1], moves[1][1]) and np.array_equal(step[2], moves[1][2])
                    for step in moves[1:])
-
-        # Each R2 step holds both marker values of each tour, in tour order,
-        # each with its tour's factor e^{iw}.
-        phases = builtin_phases(n).phases
-        tours = np.array([int(bits, 2) for bits in phases])
-        positions = np.stack([2 * tours, 2 * tours + 1], axis=1).ravel()
-        factors = np.repeat([cmath.exp(1j * w) for w in phases.values()], 2)
-        for _, fired, fused in (step for step in plan if step[0] is _phase):
-            assert len(fired) == 2 * math.factorial(n)
-            assert np.array_equal(fired, positions) and np.array_equal(fused, factors)
 
     @pytest.mark.parametrize("live", [False, True], ids=["full", "live"])
     def test_plan_is_compiled_once_per_circuit(self, live):
@@ -660,24 +658,23 @@ class TestViews:
         _assert_bit_identical(live, expected_live.reshape(-1))
         assert not expected_rest.any()
 
-    @pytest.mark.parametrize("live_mcps", [0, 2])
-    def test_phases_on_an_ancilla_before_any_move_are_no_live_step(self, live_mcps):
+    @pytest.mark.parametrize("ancilla_mcps, live_mcps", [(1, 0), (2, 0), (2, 2)], ids=["lone", "0", "2"])
+    def test_phases_on_an_ancilla_before_any_move_are_no_live_step(self, ancilla_mcps, live_mcps):
         # A live state holds only ancilla bit 0, so an MCP controlled on an
-        # ancilla fires nowhere there; the MCPs on live qubits still fuse.
+        # ancilla fires nowhere there and is no step, alone or among others.
         layout = HoboLayout.for_cities(3)
         ancilla = layout.main_qubits
+        on_ancilla = [mcp((ancilla,), 0, 0.3), mcp((ancilla,), 1, 0.4)][:ancilla_mcps]
         splits = [x(1), mcp((0,), 1, 0.5), x(1), mcp((0,), 1, 0.6)][: 2 * live_mcps]
-        gates = (h(0), h(1), mcp((ancilla,), 0, 0.3), mcp((ancilla,), 1, 0.4), *splits, h(0))
+        gates = (h(0), *[h(1)][: ancilla_mcps - 1], *on_ancilla, *splits, h(0))
         circuit = Circuit(layout, gates)
         phases = [step for step in circuit_plan(circuit, True) if step[0] is _phase]
-        if live_mcps:
-            # Each fires where qubit 0 is 1 and qubit 1 is 0 or 1.
-            assert len(phases) == 1 and phases[0][1].size == 2 * 2 ** (layout.live_width - 2)
-        else:
-            assert phases == []
+        # Each live MCP fires where qubit 0 is 1 and qubit 1 is 0, or 1.
+        assert [step[1].size for step in phases] == [2 ** (layout.live_width - 2)] * live_mcps
+        # No sandwich folds, so the live run is exact.
         live = run(circuit, new_state(layout.live_width)).amplitudes
         expected, _ = _by_view(_gate_by_gate(circuit, new_state(layout.width)), layout)
-        assert np.abs(live - expected.reshape(-1)).max() <= FOLD_TOLERANCE
+        _assert_bit_identical(live, expected.reshape(-1))
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_oracle_r1_negates_exactly_the_feasible_rows(self, n):
@@ -775,19 +772,26 @@ class TestFold:
             _assert_bit_identical(got, expected)
 
     def test_a_fused_phase_step_never_folds(self):
-        # Two MCPs split q0 = 0 by q1 into one fused step on positions 0 to 3,
-        # where a one-axis sandwich's phase fires, but with two factors.
-        gates = (h(0), x(0), x(1), mcp((0,), 1, 0.5), x(1), mcp((0,), 1, 1.5), x(0), h(0))
-        circuit = Circuit(_bare_layout(3), gates)
+        # A two-entry table splits qubit 0 = 0 by qubit 1 into one step on
+        # live positions 0 to 3, where a one-axis sandwich's phase fires, but
+        # with two factors.  It is the only source of such a step.
+        layout = HoboLayout.for_cities(2)
+        oracle = PhaseOracle(layout, {"00": 0.5, "01": 1.5})
+        hadamard = Circuit(layout, (h(0),))
+        circuit = hadamard + oracle + hadamard
         plan = circuit_plan(circuit, True)
+        assert "leaf" not in vars(oracle)
         assert [step[0] for step in plan] == [_hadamards, _phase, _hadamards]
         assert np.array_equal(plan[1][1], np.arange(4)) and plan[1][2].shape == (4,)
         rng = np.random.default_rng(5)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        amps = rng.normal(size=2**layout.live_width) + 1j * rng.normal(size=2**layout.live_width)
         amps /= np.linalg.norm(amps)
         got = amps.copy()
         _execute(plan, got)
-        assert np.abs(got - _gate_by_gate(circuit, StateVector(3, amps.copy()))).max() <= FOLD_TOLERANCE
+        full = np.zeros(2**layout.width, dtype=np.complex128)
+        full.reshape(2**layout.main_qubits, -1, 2**layout.marker_qubits)[:, 0] = amps.reshape(2**layout.main_qubits, -1)
+        expected, _ = _by_view(_gate_by_gate(circuit, StateVector(layout.width, full)), layout)
+        assert np.abs(got - expected.reshape(-1)).max() <= FOLD_TOLERANCE
 
     def test_reflection_refuses_a_view_it_cannot_reshape_in_place(self):
         strided = np.zeros(16, dtype=np.complex128)[::2].reshape((2,) * 3)
@@ -886,54 +890,31 @@ class TestDirectPhaseIndexing:
 
         direct = plan()
         monkeypatch.setattr(simulator, "_positions_with", scan)
-        scanned = plan()
-        assert [step[0] for step in direct] == [step[0] for step in scanned]
-        for step, expected in zip(direct, scanned):
-            for got, want in zip(step[1:], expected[1:]):
-                assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+        _assert_same_steps(direct, plan())
 
 
-class TestFusedPhases:
+class TestDiagonalRuns:
     @settings(max_examples=150, deadline=None)
-    @given(circuit=_disjoint_diagonal_runs(), seed=st.integers(0, 2**32 - 1))
-    def test_a_disjoint_diagonal_run_is_one_live_phase_step(self, circuit, seed):
+    @given(circuit=_diagonal_runs(), seed=st.integers(0, 2**32 - 1))
+    # The same MCP twice, and two MCPs whose masks overlap.
+    @example(circuit=Circuit(_bare_layout(3), (x(0), mcp((0,), 1, 0.5), mcp((0,), 1, 0.7), x(0))), seed=3)
+    @example(circuit=Circuit(_bare_layout(3), (mcp((0,), 1, 0.5), x(2), mcp((1,), 2, 0.7))), seed=3)
+    def test_a_diagonal_run_is_exact_on_a_live_view(self, circuit, seed):
         width = circuit.layout.width
         exact, live = circuit_plan(circuit, False), circuit_plan(circuit, True)
+        # A live plan over a bare register holds all its qubits and compiles
+        # as the exact plan does: a step for each MCP, with a scalar
+        # factor, and at most one move.
         mcps = sum(gate.kind.value == "MCP" for gate in circuit.gates)
-        assert [step[0] for step in exact if step[0] is _phase] == [_phase] * mcps
-        # A live plan over a bare register holds all its qubits; the run's
-        # MCPs become one step, a factor for each position, before any move.
-        assert live[0][0] is _phase and all(step[0] is _permute for step in live[1:])
-        _, positions, factors = live[0]
-        assert positions.shape == factors.shape
-        assert len(set(positions.tolist())) == positions.size
+        assert [step[0] for step in live] == [_phase] * mcps + [_permute] * (len(live) - mcps)
+        assert len(live) <= mcps + 1 and all(np.ndim(step[2]) == 0 for step in live[:mcps])
+        _assert_same_steps(live, exact)
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
         amps /= np.linalg.norm(amps)
-        fused, expected = amps.copy(), amps.copy()
-        _execute(live, fused)
-        _execute(exact, expected)
-        assert np.abs(fused - expected).max() <= FOLD_TOLERANCE
-
-    @pytest.mark.parametrize(
-        "gates",
-        [
-            (x(0), mcp((0,), 1, 0.5), mcp((0,), 1, 0.7), x(0)),
-            (mcp((0,), 1, 0.5), x(2), mcp((1,), 2, 0.7)),
-        ],
-        ids=["same MCP twice", "overlapping masks"],
-    )
-    def test_mcps_that_share_a_position_keep_one_step_each(self, gates):
-        circuit = Circuit(_bare_layout(3), gates)
-        plan = circuit_plan(circuit, True)
-        assert [step[0] for step in plan if step[0] is not _permute] == [_phase, _phase]
-        assert all(np.ndim(step[2]) == 0 for step in plan if step[0] is _phase)
-        rng = np.random.default_rng(3)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
         got = amps.copy()
-        _execute(plan, got)
-        _assert_bit_identical(got, _gate_by_gate(circuit, StateVector(3, amps.copy())))
+        _execute(live, got)
+        _assert_bit_identical(got, _gate_by_gate(circuit, StateVector(width, amps.copy())))
 
 
 def _per_layout_sizes(layout: HoboLayout) -> list:
@@ -965,22 +946,24 @@ class TestBoundOracle:
         oracle = PhaseOracle(layout, {bits: data.draw(angles) for bits in keys})
         direct = circuit_plan(oracle, True)
         assert "leaf" not in vars(oracle)  # the step came from the table, not from gates
-        compiled = _compile(oracle.gates, _live_qubits(layout), True)
-        assert len(direct) == len(compiled) == 1
-        (kernel, positions, factor), (want_kernel, want_positions, want_factor) = direct[0], compiled[0]
-        assert kernel is want_kernel is _phase
+        # The exact compile is one step per entry, in table order, none of which moves a label.
+        compiled = _compile(oracle.gates, _live_qubits(layout))
+        assert len(direct) == 1 and [step[0] for step in compiled] == [_phase] * len(keys)
+        (kernel, positions, factor), want_factors = direct[0], [step[2] for step in compiled]
+        assert kernel is _phase
+        want_positions = np.concatenate([step[1] for step in compiled])
         assert positions.dtype == want_positions.dtype and np.array_equal(positions, want_positions)
         # One entry is a scalar step, as the zero reflection needs to fold; more are one factor per position.
-        assert type(factor) is type(want_factor)
-        if isinstance(factor, np.ndarray):
-            assert factor.dtype == want_factor.dtype and np.array_equal(factor, want_factor)
+        if len(keys) == 1:
+            assert type(factor) is type(want_factors[0]) and factor == want_factors[0]
         else:
-            assert len(keys) == 1 and factor == want_factor
+            want = np.repeat(want_factors, [step[1].size for step in compiled])
+            assert factor.dtype == want.dtype and np.array_equal(factor, want)
 
+    @pytest.mark.parametrize("schedule", [Schedule(2, 2), Schedule(1, 1), Schedule(0, 3)], ids=str)
     @pytest.mark.parametrize("n", [3, 4])
-    def test_a_second_dataset_compiles_and_builds_no_gate(self, n, monkeypatch):
+    def test_a_second_dataset_compiles_and_builds_no_gate(self, n, schedule, monkeypatch):
         layout = HoboLayout.for_cities(n)
-        schedule = Schedule(2, 2)
         first = build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, 1), schedule)
         circuit_plan(first, True)
         calls = Counter()
@@ -988,15 +971,31 @@ class TestBoundOracle:
         def counted(name, fn):
             return lambda *args: calls.update([name]) or fn(*args)
 
-        monkeypatch.setattr(simulator, "_relabel", counted("_relabel", simulator._relabel))
+        for name in ("_compile", "_relabel"):
+            monkeypatch.setattr(simulator, name, counted(name, getattr(simulator, name)))
         monkeypatch.setattr(circuits, "mcp", counted("mcp", circuits.mcp))
-        second = build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, 2), schedule)
+        phases = gen_gaussian_phases(n, math.pi, 0.5, 2)
+        second = build_two_step(layout, phases, schedule)
         warm = circuit_plan(second, True)
-        assert calls == Counter()
+        # R2's steps come from its table.  From q1 = 2 R2 is a run of its
+        # own; below, it shares a run with D2's leaves, which compiles again.
+        if schedule.q1 >= 2:
+            assert calls == Counter()
+        else:
+            assert calls["mcp"] == 0 and calls["_compile"] > 0
         monkeypatch.undo()
+        # Each R2 step holds both marker values of each tour, in table
+        # order, each with its tour's factor e^{iw}; every other phase folds.
+        tours = np.array([int(bits, 2) for bits in phases.phases])
+        positions = ((tours << 1)[:, None] | [0, 1]).ravel()
+        factors = np.repeat([cmath.exp(1j * w) for w in phases.phases.values()], 2)
+        r2_steps = [step for step in _unrolled(warm) if step[0] is _phase]
+        assert len(r2_steps) == schedule.q2
+        for _, fired, fused in r2_steps:
+            assert np.array_equal(fired, positions) and np.array_equal(fused, factors)
         # The plan bound to the second dataset runs as one compiled cold.
         clear_builder_caches()
-        cold = circuit_plan(build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, 2), schedule), True)
+        cold = circuit_plan(build_two_step(layout, phases, schedule), True)
         got, expected = new_state(layout.live_width).amplitudes, new_state(layout.live_width).amplitudes
         _execute(warm, got)
         _execute(cold, expected)
