@@ -40,7 +40,9 @@ Hadamard layer and the zero reflection are each built once per layout,
 and every builder reuses those objects.  So a new dataset builds no
 gate: its R2 is its table, and D2, G2 and the two-step circuit are new
 sequences of kept parts, whose compiled steps the simulator keeps on
-those parts as well.
+those parts as well.  R2's gate counts and depth come from its key set,
+the layout's tours, so its metrics build no gate either; only its text
+dump does.
 
 A ``Circuit`` keeps the structure these builders give it: a leaf holds
 gates, and ``+`` and ``*`` give a sequence of (part, repeat count)
@@ -50,7 +52,8 @@ gates, and its 462,678 gates at n=6 from 44 leaves holding 17,281 (most
 of them the 720-tour cost oracle).  Whatever walks gates works once per
 distinct part and combines the results: ``metrics`` keeps each part's
 gate counts and longest-path matrix on the part and combines them with
-the repeat counts, ``circuit_to_text`` formats each distinct part once,
+the repeat counts, ``circuit_to_text`` keeps each part's text on the
+part, so it formats each distinct part once per process,
 ``invert_circuit`` inverts part by part, so parts stay shared, and the
 simulator compiles each repeated part once into a step that loops its
 plan.  A circuit is frozen; the flattened ``gates`` tuple, its inverse
@@ -234,6 +237,13 @@ class Circuit:
         return paths
 
     @cached_property
+    def _text(self) -> str:
+        # The dump's gate lines: a leaf's formatted, a sequence's its parts' repeated.
+        if self.parts:
+            return "".join(part._text * times for part, times in self.parts if times)
+        return "".join(map(_gate_line, self.leaf))
+
+    @cached_property
     def _inverse(self) -> Circuit:
         if self.parts:
             inverse = Circuit(self.layout, parts=tuple((p._inverse, t) for p, t in reversed(self.parts)))
@@ -291,11 +301,14 @@ class PhaseOracle(Circuit):
 
     Its gates, one MCP across the main register NOT-conjugated to fire
     on each bitstring, in table order, are built on first use of
-    ``leaf``, and so of ``gates``, ``len``, ``==``, ``hash``, ``metrics``,
-    the text dump and the inverse.  A live plan reads the table instead,
-    so a live run of a cost oracle builds no gate.  The table is copied,
-    and each entry is checked as its gates would be: a bitstring of the
-    main register, a phase in (-2*pi, 2*pi].
+    ``leaf``, and so of ``gates``, ``==``, ``hash``, the text dump and
+    the inverse.  A live plan reads the table instead, so a live run of
+    a cost oracle builds no gate.  Nor do ``len`` and ``metrics``: the
+    gates' kinds and qubits follow from the keys alone, so the gate
+    counts and path matrix are kept per key set, and every table of the
+    same keys, such as each dataset's cost oracle, reads that one entry.
+    The table is copied, and each entry is checked as its gates would
+    be: a bitstring of the main register, a phase in (-2*pi, 2*pi].
     """
 
     # Not a dataclass of its own: `dataclass` would add about 0.5 ms to
@@ -321,6 +334,26 @@ class PhaseOracle(Circuit):
         for bits, w in self.table.items():
             gates += _fires_on(mcp(main[:-1], main[-1], w), main, bits)
         return tuple(gates)
+
+    @cached_property
+    def _counts(self) -> Counter:
+        return _key_shape(self.layout, tuple(self.table))[0]
+
+    @cached_property
+    def _paths(self) -> np.ndarray:
+        return _key_shape(self.layout, tuple(self.table))[1]
+
+
+@lru_cache(maxsize=16)
+def _key_shape(layout: HoboLayout, keys: tuple[str, ...]) -> tuple[Counter, np.ndarray]:
+    # The gate counts and path matrix of a phase oracle with these keys, in
+    # this order, whatever its phases.  A cost oracle's keys are the layout's
+    # n! tours, so one entry serves every dataset; it keeps no gate.  The
+    # gates are walked as a plain leaf, whose counts and paths are Circuit's.
+    leaf = Circuit(layout, PhaseOracle(layout, dict.fromkeys(keys, 0.0)).leaf)
+    paths = leaf._paths
+    paths.flags.writeable = False  # shared by every oracle with these keys
+    return leaf._counts, paths
 
 
 @cache
@@ -504,17 +537,10 @@ def _gate_line(gate: Gate) -> str:
 def circuit_to_text(circuit: Circuit) -> str:
     """Line-oriented dump, one gate per line, for diffing and goldens.
 
-    Each distinct part's lines are formatted once and repeated.
+    Each part keeps its lines once formatted, and a sequence repeats
+    its parts' lines, so a part kept per layout (G1, its inverse, the
+    Hadamard layer, the zero reflection) is formatted once per process
+    and a new dataset formats only its cost oracle's gates.
     """
     layout = circuit.layout
-    return f"width={layout.width} n={layout.n} k={layout.k}\n" + _text(circuit, {})
-
-
-def _text(circuit: Circuit, texts: dict[int, str]) -> str:
-    # `texts` holds the text of each part already formatted, by id.
-    if id(circuit) not in texts:
-        if circuit.parts:
-            texts[id(circuit)] = "".join(_text(part, texts) * times for part, times in circuit.parts if times)
-        else:
-            texts[id(circuit)] = "".join(map(_gate_line, circuit.leaf))
-    return texts[id(circuit)]
+    return f"width={layout.width} n={layout.n} k={layout.k}\n" + circuit._text

@@ -17,12 +17,14 @@ from tsp_qsearch import (
 )
 from tsp_qsearch.circuits import h, x
 
-# The builders that keep one circuit per layout, and the simulator's cache of tour positions.
+# The builders that keep one circuit per layout, the phase oracles' gate counts
+# and paths per key set, and the simulator's cache of tour positions.
 BUILDER_CACHES = (
     build_g1,
     circuits._h_layer,
     circuits._marker_prep,
     circuits._zero_reflection,
+    circuits._key_shape,
     simulator._tour_positions,
 )
 

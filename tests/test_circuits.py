@@ -2,11 +2,14 @@ import gc
 import json
 import math
 import weakref
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tsp_qsearch import (
     HoboLayout,
@@ -26,6 +29,7 @@ from tsp_qsearch import (
     build_validity_suboracle,
     builtin_phases,
     circuit_to_text,
+    circuits,
     enumerate_feasible,
     gen_gaussian_phases,
     invert_circuit,
@@ -420,6 +424,33 @@ def _full_width_run(circuit: Circuit) -> bytes:
     return run(circuit, StateVector(width, amps / np.linalg.norm(amps))).amplitudes.tobytes()
 
 
+# Phases from Gate's range (-2*pi, 2*pi]: its top end, negative values and ints.
+_PHASES = st.one_of(
+    st.just(2 * math.pi),
+    st.floats(-2 * math.pi, 2 * math.pi, exclude_min=True),
+    st.integers(-6, 6),
+)
+
+
+@st.composite
+def _oracle_tables(draw):
+    """A layout at n=2-4 and a table on a subset of its bitstrings, keys in drawn order."""
+    layout = HoboLayout.for_cities(draw(st.integers(2, 4)))
+    bits = st.text("01", min_size=layout.main_qubits, max_size=layout.main_qubits)
+    keys = draw(st.lists(bits, unique=True, max_size=12))
+    return layout, {key: draw(_PHASES) for key in keys}
+
+
+def _zero_reflection_table(n: int):
+    layout = HoboLayout.for_cities(n)
+    return layout, {"0" * layout.main_qubits: math.pi}
+
+
+def _live_gates_and_circuits() -> int:
+    gc.collect()
+    return sum(isinstance(obj, (Circuit, Gate)) for obj in gc.get_objects())
+
+
 class TestPhaseOracle:
     @pytest.mark.parametrize(
         "read",
@@ -443,6 +474,55 @@ class TestPhaseOracle:
         oracle = PhaseOracle(layout, table)
         assert "leaf" not in vars(oracle)
         assert read(oracle) == read(_eager_phase_leaf(layout, table))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_len_and_metrics_build_no_gate(self, n):
+        layout = HoboLayout.for_cities(n)
+        oracle = PhaseOracle(layout, gen_gaussian_phases(n, math.pi, 0.5, 11).phases)
+        eager = _eager_phase_leaf(layout, oracle.table)
+        assert (len(oracle), metrics(oracle)) == (len(eager), metrics(eager))
+        assert "leaf" not in vars(oracle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(layout_and_table=_oracle_tables())
+    @example(layout_and_table=_zero_reflection_table(2))
+    @example(layout_and_table=_zero_reflection_table(3))
+    @example(layout_and_table=_zero_reflection_table(4))
+    def test_counts_and_depth_from_the_key_set_are_those_of_its_gates(self, layout_and_table):
+        layout, table = layout_and_table
+        oracle, eager = PhaseOracle(layout, table), _eager_phase_leaf(layout, table)
+        for read in (len, metrics, circuit_to_text):
+            assert read(oracle) == read(eager)
+        composed, eager_composed = invert_circuit(oracle) + oracle * 2, invert_circuit(eager) + eager * 2
+        for read in (len, metrics, circuit_to_text):
+            assert read(composed) == read(eager_composed)
+
+    def test_tables_with_the_same_keys_share_one_entry(self):
+        layout = HoboLayout.for_cities(3)
+        first, second = (PhaseOracle(layout, gen_gaussian_phases(3, math.pi, 0.5, seed).phases) for seed in (1, 2))
+        assert list(first.table) == list(second.table) and first.table != second.table
+        circuits._key_shape.cache_clear()
+        assert (len(first), metrics(first)) == (len(second), metrics(second))
+        assert circuits._key_shape.cache_info().currsize == 1
+        assert first._counts is second._counts and first._paths is second._paths
+        with pytest.raises(ValueError, match="read-only"):
+            first._paths[0, 0] = 1.0
+        # Another key order is another gate sequence, and another entry.
+        reordered = PhaseOracle(layout, dict(reversed(first.table.items())))
+        assert metrics(reordered) == metrics(_eager_phase_leaf(layout, reordered.table))
+        assert circuits._key_shape.cache_info().currsize == 2
+
+    def test_the_key_cache_holds_no_gate_or_circuit(self):
+        layout = HoboLayout.for_cities(4)
+        keys = tuple(reversed(enumerate_feasible(4)))
+        eager = _eager_phase_leaf(layout, dict.fromkeys(keys, 1.0))  # also interns the X gates
+        circuits._key_shape.cache_clear()
+        before = _live_gates_and_circuits()
+        counts, paths = circuits._key_shape(layout, keys)
+        assert _live_gates_and_circuits() == before
+        assert all(type(kind) is GateKind and type(count) is int for kind, count in counts.items())
+        assert counts == Counter(g.kind for g in eager.gates)
+        assert type(paths) is np.ndarray and paths.dtype == np.float64 and paths.base is None
 
     def test_an_unread_table_equals_its_gates(self):
         layout = HoboLayout.for_cities(3)

@@ -19,6 +19,7 @@ from tsp_qsearch import (
     Circuit,
     HoboLayout,
     Schedule,
+    build_cost_oracle_r2,
     build_two_step,
     builtin_phases,
     gen_gaussian_phases,
@@ -29,12 +30,22 @@ from tsp_qsearch import (
     sample,
     state_at,
 )
-from tsp_qsearch import cli, simulator
+from tsp_qsearch import circuits, cli, simulator
 from tsp_qsearch.cli import EXIT_CAPACITY, EXIT_DATA, EXIT_IO, EXIT_OK, main
 
 from helpers import clear_builder_caches
 
 PI_FLAG = "3.141592653589793"
+
+# The sha256 of each `inspect --n N --out` dump.
+DUMP_SHA256 = {
+    2: "f8f6d0ac7d7aa9aa9b53b46721322a949f1bde094e07e187d7c6f9d6a47377da",
+    3: "62c626fedbce7a553eac8c499f8cf17a6d1cdfa9f4ecdfc4ab6ded55abda0aa6",
+    4: "e54db3570abab7b13261d7ad4551b8ddcb938273da44eb1fcf5195ba78216d39",
+    # The only sizes with several out-of-range codes per slot (3 and 2).
+    5: "8cc14957b927a4bca5f4926b7f161652c1b80f437172a33b3f5d31eb65a07342",
+    6: "b8ecb7c2b9c252fff801d7f8f87866072f6a607cadf8987225e6d06364feea57",
+}
 
 
 # JSON values of every type, nested up to a few levels.
@@ -417,23 +428,31 @@ class TestInspect:
         assert lines[1] == "X controls=[] target=12"  # marker preparation
         assert lines[2] == "H controls=[] target=12"
 
-
-    @pytest.mark.parametrize(
-        "n, digest",
-        [
-            (2, "f8f6d0ac7d7aa9aa9b53b46721322a949f1bde094e07e187d7c6f9d6a47377da"),
-            (3, "62c626fedbce7a553eac8c499f8cf17a6d1cdfa9f4ecdfc4ab6ded55abda0aa6"),
-            (4, "e54db3570abab7b13261d7ad4551b8ddcb938273da44eb1fcf5195ba78216d39"),
-            # The only sizes with several out-of-range codes per slot (3 and 2).
-            (5, "8cc14957b927a4bca5f4926b7f161652c1b80f437172a33b3f5d31eb65a07342"),
-            (6, "b8ecb7c2b9c252fff801d7f8f87866072f6a607cadf8987225e6d06364feea57"),
-        ],
-    )
+    @pytest.mark.parametrize("n, digest", DUMP_SHA256.items())
     def test_gate_dump_is_byte_identical(self, n, digest, tmp_path, capsys):
         out = tmp_path / "dump.txt"
         assert main(["inspect", "--n", str(n), "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_a_second_dump_formats_only_the_cost_oracle(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "dump.txt"
+        assert main(["inspect", "--n", "4", "--out", str(out)]) == EXIT_OK
+        formatted = []
+        gate_line = circuits._gate_line
+        monkeypatch.setattr(circuits, "_gate_line", lambda gate: formatted.append(gate) or gate_line(gate))
+        assert main(["inspect", "--n", "4", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        r2 = build_cost_oracle_r2(HoboLayout.for_cities(4), builtin_phases(4))
+        assert len(formatted) == 216 and formatted == list(r2.gates)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_SHA256[4]
+
+    def test_alternating_dumps_keep_their_bytes(self, tmp_path, capsys):
+        for i, n in enumerate([3, 4, 3, 4, 3]):
+            out = tmp_path / f"dump-{i}.txt"
+            assert main(["inspect", "--n", str(n), "--out", str(out)]) == EXIT_OK
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_SHA256[n]
+        capsys.readouterr()
 
 
 class TestRepeatedCommands:
