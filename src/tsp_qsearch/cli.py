@@ -34,9 +34,10 @@ from .core import (
     Schedule,
     builtin_phases,
     gen_gaussian_phases,
-    load_phases,
     optimal_q1,
     optimal_q2,
+    phases_from_json,
+    read_phases_text,
     save_phases,
 )
 from .matrix_model import ProbabilitySeries, evolve, series_to_csv, state_at
@@ -48,18 +49,34 @@ EXIT_CAPACITY = 3
 EXIT_DATA = 4
 
 
+# The last dataset text this process wrote or parsed, mapped to its
+# validated phases, so that `sweep` and `run` on the file `gen` just wrote
+# parse nothing.  The key is the whole text: a file rewritten at the same
+# path is parsed again.
+_last_dataset: dict[str, PhaseAssignment] = {}
+
+
+def _keep_dataset(text: str, phases: PhaseAssignment) -> None:
+    _last_dataset.clear()
+    _last_dataset[text] = phases
+
+
 def _load_dataset(dataset: str, n: int) -> PhaseAssignment:
     if dataset == "builtin":
         phases = builtin_phases(n)
     else:
-        try:
-            phases = load_phases(dataset)
-        except CapacityError as exc:
-            # Loading enumerates the tours of the file's n, which fails only
-            # outside 2..MAX_ENUM_CITIES; under an n inside it, the file is for another n.
-            if 2 <= n <= MAX_ENUM_CITIES:
-                raise DatasetError(f"dataset is not for n={n}: {exc}") from exc
-            raise
+        text = read_phases_text(dataset)
+        phases = _last_dataset.get(text)
+        if phases is None:
+            try:
+                phases = phases_from_json(text)
+            except CapacityError as exc:
+                # Loading enumerates the tours of the file's n, which fails only
+                # outside 2..MAX_ENUM_CITIES; under an n inside it, the file is for another n.
+                if 2 <= n <= MAX_ENUM_CITIES:
+                    raise DatasetError(f"dataset is not for n={n}: {exc}") from exc
+                raise
+            _keep_dataset(text, phases)
     if phases.n != n:
         raise DatasetError(f"dataset is for n={phases.n}, requested n={n}")
     return phases
@@ -92,7 +109,9 @@ def _schedule(n: int, q1: int | None = None, q2: int | None = None) -> Schedule:
 
 def cmd_gen(args) -> int:
     phases = gen_gaussian_phases(args.n, args.mu, args.sigma, args.seed)
-    save_phases(phases, args.out)
+    # JSON reads its floats back exactly, in the same key order: parsing the
+    # text would rebuild these phases.
+    _keep_dataset(save_phases(phases, args.out), phases)
     return EXIT_OK
 
 

@@ -443,16 +443,23 @@ def phases_from_json(text: str) -> PhaseAssignment:
     return PhaseAssignment(n, raw)
 
 
-def save_phases(phases: PhaseAssignment, path) -> None:
+def save_phases(phases: PhaseAssignment, path) -> str:
+    """Write a phase dataset as `phases_to_json` text; returns that text."""
+    text = phases_to_json(phases)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(phases_to_json(phases))
+        fh.write(text)
+    return text
+
+
+def read_phases_text(path) -> str:
+    """A phase dataset file's text; raises `DatasetError` unless it is UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"phase dataset is not UTF-8 text: {exc}") from exc
 
 
 def load_phases(path) -> PhaseAssignment:
     """Read a phase dataset; raises `DatasetError` unless it is UTF-8 JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise DatasetError(f"phase dataset is not UTF-8 text: {exc}") from exc
-    return phases_from_json(text)
+    return phases_from_json(read_phases_text(path))

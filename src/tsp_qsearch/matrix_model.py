@@ -73,11 +73,12 @@ def _iterates(phases: PhaseAssignment, rescale_costs: bool) -> Iterator[np.ndarr
     cost_diag = np.exp(1j * oracle_angles(phases, rescale_costs))
     ones = np.ones(len(cost_diag), dtype=complex)
     psi0 = ones / np.linalg.norm(ones)
+    two_psi0 = 2.0 * psi0
     psi = psi0
     while True:
         yield psi
         psi = cost_diag * psi
-        psi = 2.0 * psi0 * np.vdot(psi0, psi) - psi
+        psi = two_psi0 * np.vdot(psi0, psi) - psi
 
 
 def evolve(phases: PhaseAssignment, t_max: int, rescale_costs: bool = False) -> ProbabilitySeries:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from tsp_qsearch import (
     Circuit,
     HoboLayout,
+    PhaseAssignment,
     Schedule,
     build_cost_oracle_r2,
     build_two_step,
@@ -26,6 +27,7 @@ from tsp_qsearch import (
     load_phases,
     main_distribution,
     new_state,
+    phases_to_json,
     run,
     sample,
     state_at,
@@ -78,6 +80,15 @@ def _broken_datasets(draw):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def run_fresh(argv) -> None:
+    """Run one CLI command in a fresh Python process; it must exit 0."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from tsp_qsearch.cli import main; sys.exit(main(sys.argv[1:]))"
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=60)
+    assert result.returncode == EXIT_OK, result.stderr
 
 
 class TestGen:
@@ -478,6 +489,114 @@ class TestRepeatedCommands:
         assert live_circuits() == warm
 
 
+class TestDatasetReuse:
+    """The CLI keeps the last dataset text it wrote or parsed, with its phases."""
+
+    @staticmethod
+    def pipeline(folder: Path) -> list[list[str]]:
+        dataset = str(folder / "p4.json")
+        on_it = ["--n", "4", "--dataset", dataset]
+        return [
+            ["gen", "--n", "4", "--seed", "5", "--out", dataset],
+            ["sweep", "--mode", "matrix", *on_it, "--t-max", "6", "--out", str(folder / "s.csv")],
+            ["run", "--mode", "matrix", *on_it, "--seed", "3", "--out", str(folder / "m.json")],
+            ["run", "--mode", "circuit", *on_it, "--seed", "3", "--out", str(folder / "c.json")],
+        ]
+
+    def test_one_process_writes_what_fresh_processes_write(self, tmp_path):
+        one, fresh = tmp_path / "one", tmp_path / "fresh"
+        one.mkdir()
+        fresh.mkdir()
+        for argv in self.pipeline(one):
+            assert main(argv) == EXIT_OK
+        for argv in self.pipeline(fresh):
+            run_fresh(argv)
+        for name in ("p4.json", "s.csv", "m.json", "c.json"):
+            assert (one / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_a_hit_neither_parses_nor_validates(self, tmp_path, monkeypatch):
+        dataset = tmp_path / "p.json"
+        assert main(["gen", "--n", "4", "--seed", "5", "--out", str(dataset)]) == EXIT_OK
+        calls = []
+        loads, validate = json.loads, PhaseAssignment.__post_init__
+        monkeypatch.setattr(json, "loads", lambda *args, **kwargs: calls.append("loads") or loads(*args, **kwargs))
+        monkeypatch.setattr(PhaseAssignment, "__post_init__", lambda self: calls.append("validate") or validate(self))
+        on_it = ["--n", "4", "--mode", "matrix", "--dataset", str(dataset)]
+        assert main(["sweep", *on_it, "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert main(["run", *on_it, "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert calls == []
+        assert list(cli._last_dataset) == [dataset.read_text(encoding="utf-8")]
+
+    def test_one_dataset_is_kept(self, tmp_path):
+        paths = [tmp_path / f"p{seed}.json" for seed in range(3)]
+        for seed, path in enumerate(paths):
+            assert main(["gen", "--n", "3", "--seed", str(seed), "--out", str(path)]) == EXIT_OK
+            assert list(cli._last_dataset) == [path.read_text(encoding="utf-8")]
+        for path in paths + paths[::-1]:
+            assert main(["run", "--n", "3", "--dataset", str(path), "--out", str(tmp_path / "r.json")]) == EXIT_OK
+            assert list(cli._last_dataset) == [path.read_text(encoding="utf-8")]
+        # The builtin dataset is no file, so it leaves the kept one in place.
+        assert main(["run", "--n", "3", "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert list(cli._last_dataset) == [paths[0].read_text(encoding="utf-8")]
+
+    @pytest.mark.parametrize("rewrite", ["gen", "library"])
+    def test_a_rewritten_file_is_read_again(self, rewrite, tmp_path, monkeypatch):
+        dataset, out = tmp_path / "p.json", tmp_path / "r.json"
+        argv = ["run", "--n", "4", "--mode", "matrix", "--dataset", str(dataset), "--out", str(out)]
+        assert main(["gen", "--n", "4", "--seed", "1", "--out", str(dataset)]) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        first = out.read_bytes()
+        if rewrite == "gen":
+            assert main(["gen", "--n", "4", "--seed", "2", "--out", str(dataset)]) == EXIT_OK
+        else:
+            dataset.write_text(phases_to_json(gen_gaussian_phases(4, math.pi, 0.5, 2)), encoding="utf-8")
+        parsed = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *args, **kwargs: parsed.append(1) or loads(*args, **kwargs))
+        assert main(argv) == EXIT_OK
+        # `gen` keeps what it wrote; a file written by anything else is parsed.
+        assert len(parsed) == (rewrite == "library")
+        psi = state_at(gen_gaussian_phases(4, math.pi, 0.5, 2), 2)
+        histogram = json.loads(out.read_text())["histogram"]
+        assert [row["probability"] for row in histogram] == [abs(a) ** 2 for a in psi.tolist()]
+        assert out.read_bytes() != first
+
+    @pytest.mark.parametrize(
+        ("content", "message"),
+        [
+            (b"{not json", "error: malformed phase dataset: "),
+            (b"\xff\xfe" + '{"n": 3}'.encode("utf-16-le"), "error: phase dataset is not UTF-8 text: "),
+        ],
+    )
+    def test_bad_files_after_a_hit_are_still_data_errors(self, content, message, tmp_path, capsys, monkeypatch):
+        dataset, out = tmp_path / "p.json", tmp_path / "r.json"
+        argv = ["run", "--n", "3", "--dataset", str(dataset), "--out", str(out)]
+        assert main(["gen", "--n", "3", "--out", str(dataset)]) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        out.unlink()
+        dataset.write_bytes(content)
+        errors = []
+        for kept in (cli._last_dataset, {}):
+            monkeypatch.setattr(cli, "_last_dataset", kept)
+            capsys.readouterr()
+            assert main(argv) == EXIT_DATA
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith(message)
+        assert errors[0] == errors[1]
+        assert not out.exists()
+
+    def test_a_kept_dataset_for_another_n_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        dataset, out = tmp_path / "p3.json", tmp_path / "r.json"
+        assert main(["gen", "--n", "3", "--out", str(dataset)]) == EXIT_OK
+        errors = []
+        for kept in (cli._last_dataset, {}):
+            monkeypatch.setattr(cli, "_last_dataset", kept)
+            assert main(["run", "--n", "4", "--dataset", str(dataset), "--out", str(out)]) == EXIT_DATA
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: dataset is for n=3, requested n=4\n"] * 2
+        assert not out.exists()
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -523,16 +642,8 @@ class TestUsageErrors:
         assert exc.value.code == 2
         argv = ["run", "--n", "3", "--mode", "circuit"]
         assert main(argv + ["--out", str(tmp_path / "same.json")]) == EXIT_OK
-
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import sys; from tsp_qsearch.cli import main; sys.exit(main(sys.argv[1:]))"
-        fresh = tmp_path / "fresh.json"
-        result = subprocess.run(
-            [sys.executable, "-c", code, *argv, "--out", str(fresh)], env=env, capture_output=True, timeout=60
-        )
-        assert result.returncode == EXIT_OK, result.stderr
-        assert (tmp_path / "same.json").read_bytes() == fresh.read_bytes()
+        run_fresh(argv + ["--out", str(tmp_path / "fresh.json")])
+        assert (tmp_path / "same.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
 
 class TestRunReportRoundTrip:

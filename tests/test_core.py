@@ -405,6 +405,22 @@ class TestPhaseJson:
             a.hex() == b.hex() for a, b in zip(again.phases.values(), phases.phases.values())
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        seed=st.integers(0, 2**64 - 1),
+        mu=st.floats(PHASE_MIN, PHASE_MAX),
+        sigma=st.floats(1e-3, 4.0),
+    )
+    def test_generated_datasets_read_back_as_themselves(self, n, seed, mu, sigma):
+        # `gen` keeps the phases it wrote in place of the ones parsing its text would give.
+        phases = gen_gaussian_phases(n, mu, sigma, seed)
+        again = phases_from_json(phases_to_json(phases))
+        assert again == phases
+        assert list(again.phases) == list(phases.phases)
+        assert np.array_equal(again.angles, phases.angles)
+        assert (again.min_index, again.max_index) == (phases.min_index, phases.max_index)
+
     def test_text_is_one_line_with_sorted_keys(self):
         text = phases_to_json(gen_gaussian_phases(4, PI, 0.5, 11))
         assert text.endswith("}\n") and text.count("\n") == 1
