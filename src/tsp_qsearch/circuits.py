@@ -20,7 +20,8 @@ Builder overview for an n-city layout:
   slot pair, the marking gate, then the inverse of those sub-oracles.
 * ``build_diffusion_d1`` reflects the main register about the uniform
   superposition: Hadamard layer, zero reflection, Hadamard layer.  The
-  zero reflection is the phase oracle of pi on the all-zeros bitstring.
+  zero reflection is one multi-controlled phase of pi across the main
+  register, NOT-conjugated to fire on the all-zeros bitstring.
 * ``build_g1`` is one first-stage iteration, R1 + D1.  It depends on
   the layout only and is built once per layout: every builder below
   repeats that same object.
@@ -363,8 +364,10 @@ def _h_layer(layout: HoboLayout) -> Circuit:
 
 @cache
 def _zero_reflection(layout: HoboLayout) -> Circuit:
-    # Phase -1 on the all-zeros main register.
-    return PhaseOracle(layout, {"0" * layout.main_qubits: math.pi})
+    # Phase -1 on the all-zeros main register: a plain leaf, which a live
+    # plan compiles with the H layers around it into one reflection step.
+    main = _main(layout)
+    return Circuit(layout, _fires_on(mcp(main[:-1], main[-1], math.pi), main, "0" * layout.main_qubits))
 
 
 def build_validity_suboracle(layout: HoboLayout) -> Circuit:

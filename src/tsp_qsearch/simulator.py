@@ -42,14 +42,10 @@ each feasibility oracle R1 computes and uncomputes its ancillas into
 one move, which flips the marker of each feasible tour.  An H that
 names an ancilla, or a move that leaves one set, needs a qubit the
 live state does not hold, and `run` refuses the circuit.  The live
-plan differs from the full-width one in two step kinds and in how it
-reads a `PhaseOracle`, a leaf held as its {bitstring: phase} table.
-Such a leaf is its table's phase step (see `_oracle_steps`), wherever
-it sits, so a live run builds none of its gates.  The gates before it
-end in their move, which, as before an H, may leave no ancilla set.
-The other leaves compile exactly, as on a full-width state.  A cost
-oracle R2 is one step with a factor per position instead of n! of
-them.  D1 and the
+plan differs from the full-width one in two step kinds and in reading
+each `PhaseOracle` leaf, such as a cost oracle R2, as its table's one
+phase step (see `_oracle_steps`), so a live run builds none of its
+gates.  D1 and the
 centre of every D2 are each an H layer on the main register, a phase
 -1 on its all-zeros state and the same H layer; each such sandwich
 becomes one `_reflect` step, the reflection I + (f - 1)|s><s| about
@@ -58,10 +54,11 @@ of one per qubit in each layer.  D2 is then inv(A), that reflection
 and A, for A = G1 * q1 after the H layer; with U = G1^q1 it is
 U R U^-1 = I + (f - 1) sum_j |psi_j><psi_j|, psi_j = U(|s> (x) |j>) for
 the two marker states j.  So each D2 becomes one `_project` step on
-those two rows instead of 2 * q1 runs of G1's plan (see
-`_fold_projection`); a reflection whose conjugate would have more than
-two rows stays as it is.  The rows are kept on the layout's one G1 by
-q1, 2 * 2**(nk+1) amplitudes (16 KiB at n=4, 16 MiB at n=6), so each
+those two rows instead of 2 * q1 runs of G1's plan, and inv(G1) is
+never compiled (see `_fold_projection`); a reflection whose conjugate
+would have more than two rows stays as it is.  The rows are kept on
+the layout's one G1 by q1, 2 * 2**(nk+1) amplitudes (16 KiB at n=4,
+16 MiB at n=6), so each
 layout and q1 computes them once per process.  The projection sums
 with ufuncs, not np.vdot or a matmul: those call BLAS, whose default
 threads wait on a busy core.  On a 2-vCPU host with the other core
@@ -76,16 +73,14 @@ agree to within 1e-12 each (at most 1.7e-14 measured at n=2 to 4
 with q1, q2 <= 4), and the norm drifts less.
 
 What is compiled is kept for as long as what it was compiled from: a
-plan on its circuit, by width; the steps of a run of leaves between
-repeated parts on the run's first leaf, while the run's other leaves
-live (see `_leaf_steps`); a projection's rows on G1.  Every leaf of
-the two-step circuit but R2 is built once per layout (see `circuits`).
-From q1 = 2, where R2 is a run of its own, a run on a new dataset
-compiles nothing but binds R2: the marker preparation with the opening
-H layer, G1, D2's centre and its projection rows are reused, and R2's
-one phase step takes positions kept per set of tours and one new
-factor array.  Below q1 = 2 R2 shares a run with D2's leaves, which
-compiles again for each dataset.
+plan on its circuit, by width; the steps of a run of leaves on the
+run's first leaf, while the run's other leaves live (see
+`_leaf_steps`); a projection's rows on G1.  Every leaf of the two-step
+circuit but R2 is built once per layout (see `circuits`), and a live
+plan's runs of leaves stop at R2.  So a live run on a new dataset
+compiles nothing but binds R2: its runs of leaves and the projection
+rows are reused, and R2's one phase step takes positions kept per set
+of tours and one new factor array.
 
 `apply_gate` compiles nothing: it swaps, butterflies or multiplies
 strided views of the state in place.  A swap or butterfly allocates a
@@ -293,8 +288,7 @@ def _fold(steps: list, width: int) -> list:
 
 
 def _is_sandwich(first: tuple, middle: tuple, last: tuple, width: int) -> bool:
-    # A table's step of two or more entries has a factor per position, whatever its positions.
-    if (first[0], middle[0], last[0]) != (_hadamards, _phase, _hadamards) or np.ndim(middle[2]):
+    if (first[0], middle[0], last[0]) != (_hadamards, _phase, _hadamards):
         return False
     m = first[2]
     leading = set(range(m))
@@ -384,51 +378,55 @@ def circuit_plan(circuit: Circuit, live: bool) -> tuple | None:
     """The circuit's compiled steps for a live or a full-width state, built on first use.
 
     A full-width plan is exact over all the layout's qubits.  A live
-    plan runs on `_live_qubits`, reads each `PhaseOracle` from its
-    table, folds reflection sandwiches and folds
+    plan runs on `_live_qubits`, reads each `PhaseOracle` leaf from its
+    table (see `_oracle_steps`), folds reflection sandwiches and folds
     each reflection that a repeated part and its inverse conjugate (see
     `_fold_projection`); it is None if the circuit needs an ancilla.  A
     part repeated more than once becomes the step ``(_repeat, plan of
-    the part, times)``; the leaves between such parts compile together
-    (see `_leaf_steps`).  Plans are kept on their circuit, by width, so
-    they are freed with it and a shared part compiles once.
+    the part, times)``, and the leaves between such parts, and on a live
+    view between tables, compile together (see `_leaf_steps`).  A part
+    is compiled only once the plan is otherwise complete, so a part
+    folded away is never compiled.  Plans are kept on their circuit, by
+    width, so they are freed with it and a shared part compiles once.
     """
     plans = vars(circuit).setdefault("_plans", {})  # Circuit is frozen
     if live not in plans:
         layout = circuit.layout
         qubits = _live_qubits(layout) if live else tuple(range(layout.width))
-        plan, owners = [], []  # owners[i]: the part that plan[i] repeats, else None
+        plan = []
         try:
-            for repeated, units in itertools.groupby(_units(circuit), key=lambda unit: unit[1] > 1):
-                if repeated:
-                    for part, times in units:
-                        plan.append((_repeat, _unit_plan(part, live), times))
-                        owners.append(part)
-                        _fold_projection(plan, owners, len(qubits))
-                else:
-                    steps = _leaf_steps([leaf for leaf, _ in units], qubits, live)
-                    plan += steps
-                    owners += [None] * len(steps)
+            # A repeated part, or a table on a live view, is a unit of its own.
+            for joined, units in itertools.groupby(
+                _units(circuit), key=lambda unit: unit[1] == 1 and not (live and isinstance(unit[0], PhaseOracle))
+            ):
+                if joined:
+                    plan += _leaf_steps([leaf for leaf, _ in units], qubits, live)
+                    continue
+                for part, times in units:
+                    if times > 1:
+                        plan.append((_repeat, part, times))
+                        _fold_projection(plan, len(qubits))
+                    else:
+                        plan += _oracle_steps(part.table, len(qubits) - layout.main_qubits)
+            plans[live] = tuple(
+                (_repeat, _unit_plan(part, live), times) if kernel is _repeat else (kernel, part, times)
+                for kernel, part, times in plan
+            )
         except _Woken:
             plans[live] = None
-        else:
-            plans[live] = tuple(plan)
     return plans[live]
 
 
 def _leaf_steps(leaves: list, qubits: tuple[int, ...], live: bool) -> tuple:
     """The steps of a run of leaves, compiled once while its leaves live.
 
-    On a live view each `PhaseOracle` leaf is its table's phase step
-    (see `_oracle_steps`) and each stretch of other leaves between them
-    is `_compile` of its gates; the joined steps are then folded (see
-    `_fold`).  A full-width view compiles every leaf's gates.  The steps
-    are kept on the run's first leaf, keyed by the identities of the
-    other leaves, which the entry holds weakly: it goes once one of them
-    has died, so it keeps no dataset's leaf alive and a reused id never
-    matches it.  The runs of the layout's dataset-free leaves, the
-    marker preparation with the H layer and D2's centre, so compile
-    once per process.
+    The run's gates compile together (see `_compile`), and a live run's
+    steps are then folded (see `_fold`).  The steps are kept on the
+    run's first leaf, keyed by the identities of the other leaves, which
+    the entry holds weakly: it goes once one of them has died, so a
+    reused id never matches it.  A live run holds no table, so the runs
+    of the two-step circuit's live plan are of leaves kept per layout
+    and compile once per process.
     """
     first, rest = leaves[0], leaves[1:]
     runs = vars(first).setdefault("_runs", {})  # Circuit is frozen
@@ -436,13 +434,7 @@ def _leaf_steps(leaves: list, qubits: tuple[int, ...], live: bool) -> tuple:
         del runs[stale]
     key = (live, *map(id, rest))
     if key not in runs:
-        steps = []
-        for oracles, stretch in itertools.groupby(leaves, key=lambda leaf: live and isinstance(leaf, PhaseOracle)):
-            if oracles:
-                for oracle in stretch:
-                    steps += _oracle_steps(oracle.table, len(qubits) - oracle.layout.main_qubits)
-            else:
-                steps += _compile(itertools.chain.from_iterable(leaf.leaf for leaf in stretch), qubits)
+        steps = _compile(itertools.chain.from_iterable(leaf.leaf for leaf in leaves), qubits)
         runs[key] = (tuple(_fold(steps, len(qubits)) if live else steps), [weakref.ref(leaf) for leaf in rest])
     return runs[key][0]
 
@@ -453,14 +445,13 @@ def _oracle_steps(table: dict[str, float], spare: int) -> tuple:
     Each bitstring fires on its 2**spare positions, one per state of the
     `spare` qubits below the main register (the marker), with its factor
     e^{iw}: the positions of the exact compile of its gates, one step
-    per entry, joined in table order.  A single entry is a step with a
-    scalar factor, so that a zero reflection still folds; more are one
-    step with a factor per position, so that an R2 is one step instead
-    of n! of them.  Multiplying by an array, not a scalar, may move an
-    amplitude in the last bit, which a live plan allows.
+    per entry, joined in table order into one step with a factor per
+    position, so that an R2 is one step instead of n! of them.  An empty
+    table is no step.  Multiplying by an array, not a scalar, may move
+    an amplitude in the last bit, which a live plan allows.
     """
-    if len(table) < 2:
-        return tuple((_phase, _tour_positions((bits,), spare), cmath.exp(1j * w)) for bits, w in table.items())
+    if not table:
+        return ()
     factors = np.repeat([cmath.exp(1j * w) for w in table.values()], 2**spare)
     return ((_phase, _tour_positions(tuple(table), spare), factors),)
 
@@ -475,31 +466,33 @@ def _tour_positions(keys: tuple[str, ...], spare: int) -> np.ndarray:
     return positions
 
 
-def _fold_projection(plan: list, owners: list, width: int) -> None:
+def _fold_projection(plan: list, width: int) -> None:
     """Fold the last three steps into one `_project` step if a part and its inverse conjugate a reflection.
 
-    The steps are P^-1 * t, the `_reflect` step R = I + (f - 1)|s><s| (x) I
-    on the view's first width - 1 axes and P * t, with P^-1 the inverse
-    that P keeps.  With U = P^t, U R U^-1 = I + (f - 1) sum_j |psi_j><psi_j|
+    The steps are ``(_repeat, P^-1, t)``, the `_reflect` step
+    R = I + (f - 1)|s><s| (x) I on the view's first width - 1 axes and
+    ``(_repeat, P, t)``, with P^-1 the inverse that P keeps, neither yet
+    compiled.  With U = P^t, U R U^-1 = I + (f - 1) sum_j |psi_j><psi_j|
     for psi_j = U(|s> (x) |j>), j = 0, 1 on the last axis: one step of a
-    few passes over the view instead of 2t runs of P.  A reflection on
-    fewer axes has more rows and stays as it is.  Only a live plan holds `_reflect`
-    steps, so only a live plan folds.
+    few passes over the view instead of 2t runs of P, and P^-1 is never
+    compiled.  Computing the rows compiles P, which refuses a P that
+    needs an ancilla; a P that keeps the live view keeps it under P^-1
+    too.  A reflection on fewer axes has more rows and stays as it is.
+    Only a live plan holds `_reflect` steps, so only a live plan folds.
     """
     if len(plan) < 3:
         return
-    (first, _, count), (middle, m, factor), (last, part_plan, times) = plan[-3:]
+    (first, inverse, count), (middle, m, factor), (last, part, times) = plan[-3:]
     if (
         (first, middle, last) == (_repeat, _reflect, _repeat)
         and count == times
         and m == width - 1
-        and owners[-1]._inverse is owners[-3]
+        and part._inverse is inverse
     ):
-        plan[-3:] = [(_project, _projection_rows(owners[-1], part_plan, times, width), factor)]
-        owners[-3:] = [None]
+        plan[-3:] = [(_project, _projection_rows(part, times, width), factor)]
 
 
-def _projection_rows(part: Circuit, part_plan: tuple, times: int, width: int) -> np.ndarray:
+def _projection_rows(part: Circuit, times: int, width: int) -> np.ndarray:
     """The rows psi_j of `_fold_projection`, for the live plan of `part` repeated `times`.
 
     Kept on the part by repeat count, next to its plans: the layout's
@@ -508,6 +501,7 @@ def _projection_rows(part: Circuit, part_plan: tuple, times: int, width: int) ->
     """
     rows_by_times = vars(part).setdefault("_projections", {})
     if times not in rows_by_times:
+        part_plan = _unit_plan(part, True)
         rows = np.zeros((2, 2**width), dtype=np.complex128)
         rows[0, 0::2] = rows[1, 1::2] = 1 / math.sqrt(2 ** (width - 1))
         for row in rows:

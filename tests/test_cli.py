@@ -305,14 +305,21 @@ class TestRun:
         clear_builder_caches()
         flags = ["run", "--n", "4", "--dataset", "builtin", "--mode", "circuit", "--out", str(tmp_path / "r.json")]
         assert main(flags) == EXIT_OK
-        # The marker preparation with the H layer, G1 and D2's centre H·Z·H
-        # leaves, whose zero reflection splits each into the stretches
-        # before and after it, and G1's inverse; the zero reflection and
-        # R2 are each built from their table.
-        assert len(calls) == 6
+        # Three runs of leaves: the marker preparation with the opening H
+        # layer, G1's leaves, and D2's centre (inverse H layer, zero
+        # reflection, H layer).  R2 is read from its table, and each D2
+        # folds into one projection whose rows run G1's plan, so G1's
+        # inverse is never compiled.
+        assert len(calls) == 3
+        layout = HoboLayout.for_cities(4)
+        inverse = circuits.invert_circuit(circuits.build_g1(layout))
+        assert True not in vars(inverse).get("_plans", {})
         assert main(flags) == EXIT_OK
         # Each of those is kept per layout, so the second run compiles nothing.
-        assert len(calls) == 6
+        assert len(calls) == 3
+        # A full-width run has no projection: it runs, and so compiles, the inverse.
+        run(build_two_step(layout, builtin_phases(4), Schedule(2, 2)), new_state(layout.width))
+        assert vars(inverse)["_plans"][False] is not None and True not in vars(inverse)["_plans"]
 
 
 class TestSweep:

@@ -774,7 +774,8 @@ class TestFold:
     def test_a_fused_phase_step_never_folds(self):
         # A two-entry table splits qubit 0 = 0 by qubit 1 into one step on
         # live positions 0 to 3, where a one-axis sandwich's phase fires, but
-        # with two factors.  It is the only source of such a step.
+        # with two factors.  A table is a step of its own, outside the runs
+        # of leaves that fold.
         layout = HoboLayout.for_cities(2)
         oracle = PhaseOracle(layout, {"00": 0.5, "01": 1.5})
         hadamard = Circuit(layout, (h(0),))
@@ -917,6 +918,16 @@ class TestDiagonalRuns:
         _assert_bit_identical(got, _gate_by_gate(circuit, StateVector(width, amps.copy())))
 
 
+@st.composite
+def _tour_tables(draw) -> tuple:
+    """A layout of 2 to 4 cities and a table of some of its tours, each with an angle."""
+    n = draw(st.integers(2, 4), label="n")
+    tours = enumerate_feasible(n)
+    keys = draw(st.lists(st.sampled_from(tours), min_size=1, max_size=len(tours), unique=True), label="tours")
+    angles = st.floats(0.0, 2 * math.pi, exclude_min=True, exclude_max=True)
+    return HoboLayout.for_cities(n), {bits: draw(angles) for bits in keys}
+
+
 def _per_layout_sizes(layout: HoboLayout) -> list:
     """The sizes of the builder caches, and of what each per-layout circuit keeps on itself."""
     h_layer, g1 = circuits._h_layer(layout), build_g1(layout)
@@ -936,32 +947,32 @@ class TestBoundOracle:
     """A live run binds only R2's table: every other block compiles once per layout."""
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_a_tables_live_step_is_the_compile_of_its_gates(self, data):
-        n = data.draw(st.integers(2, 4), label="n")
-        layout = HoboLayout.for_cities(n)
-        tours = enumerate_feasible(n)
-        keys = data.draw(st.lists(st.sampled_from(tours), min_size=1, max_size=len(tours), unique=True), label="tours")
-        angles = st.floats(0.0, 2 * math.pi, exclude_min=True, exclude_max=True)
-        oracle = PhaseOracle(layout, {bits: data.draw(angles) for bits in keys})
+    @given(layout_and_table=_tour_tables())
+    @example(layout_and_table=(HoboLayout.for_cities(3), {}))
+    def test_a_tables_live_step_is_the_compile_of_its_gates(self, layout_and_table):
+        layout, table = layout_and_table
+        oracle = PhaseOracle(layout, table)
         direct = circuit_plan(oracle, True)
         assert "leaf" not in vars(oracle)  # the step came from the table, not from gates
         # The exact compile is one step per entry, in table order, none of which moves a label.
         compiled = _compile(oracle.gates, _live_qubits(layout))
-        assert len(direct) == 1 and [step[0] for step in compiled] == [_phase] * len(keys)
-        (kernel, positions, factor), want_factors = direct[0], [step[2] for step in compiled]
-        assert kernel is _phase
-        want_positions = np.concatenate([step[1] for step in compiled])
-        assert positions.dtype == want_positions.dtype and np.array_equal(positions, want_positions)
-        # One entry is a scalar step, as the zero reflection needs to fold; more are one factor per position.
-        if len(keys) == 1:
-            assert type(factor) is type(want_factors[0]) and factor == want_factors[0]
-        else:
+        assert [step[0] for step in compiled] == [_phase] * len(table)
+        # An empty table is no step; any other is one step with a factor per position.
+        assert len(direct) == min(len(table), 1)
+        if direct:
+            (kernel, positions, factor), want_factors = direct[0], [step[2] for step in compiled]
+            assert kernel is _phase
+            want_positions = np.concatenate([step[1] for step in compiled])
+            assert positions.dtype == want_positions.dtype and np.array_equal(positions, want_positions)
             want = np.repeat(want_factors, [step[1].size for step in compiled])
             assert factor.dtype == want.dtype and np.array_equal(factor, want)
 
-    @pytest.mark.parametrize("schedule", [Schedule(2, 2), Schedule(1, 1), Schedule(0, 3)], ids=str)
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize(
+        "n, schedule",
+        [(n, schedule) for n in (3, 4) for schedule in (Schedule(2, 2), Schedule(1, 1), Schedule(0, 3))]
+        + [(5, Schedule(1, 2))],
+        ids=str,
+    )
     def test_a_second_dataset_compiles_and_builds_no_gate(self, n, schedule, monkeypatch):
         layout = HoboLayout.for_cities(n)
         first = build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, 1), schedule)
@@ -977,12 +988,9 @@ class TestBoundOracle:
         phases = gen_gaussian_phases(n, math.pi, 0.5, 2)
         second = build_two_step(layout, phases, schedule)
         warm = circuit_plan(second, True)
-        # R2's steps come from its table.  From q1 = 2 R2 is a run of its
-        # own; below, it shares a run with D2's leaves, which compiles again.
-        if schedule.q1 >= 2:
-            assert calls == Counter()
-        else:
-            assert calls["mcp"] == 0 and calls["_compile"] > 0
+        # R2's step comes from its table, and every run of leaves around it
+        # is kept per layout, at every q1.
+        assert calls == Counter()
         monkeypatch.undo()
         # Each R2 step holds both marker values of each tour, in table
         # order, each with its tour's factor e^{iw}; every other phase folds.
@@ -1013,7 +1021,7 @@ class TestBoundOracle:
             sizes = sizes or _per_layout_sizes(layout)
         gc.collect()
         assert all(ref() is None for ref in freed)
-        # A run whose leaves include a dataset's R2 (from q1 <= 1) is kept only while R2 lives.
+        # No run of leaves is kept on a dataset's R2 or keyed by it.
         assert _per_layout_sizes(layout) == sizes
 
 
