@@ -41,9 +41,9 @@ Hadamard layer and the zero reflection are each built once per layout,
 and every builder reuses those objects.  So a new dataset builds no
 gate: its R2 is its table, and D2, G2 and the two-step circuit are new
 sequences of kept parts, whose compiled steps the simulator keeps on
-those parts as well.  R2's gate counts and depth come from its key set,
-the layout's tours, so its metrics build no gate either; only its text
-dump does.
+those parts as well.  R2's gate counts, depth and dump lines come from
+its key set, the layout's tours, so its metrics and its text dump build
+no gate either.
 
 A ``Circuit`` keeps the structure these builders give it: a leaf holds
 gates, and ``+`` and ``*`` give a sequence of (part, repeat count)
@@ -302,12 +302,13 @@ class PhaseOracle(Circuit):
 
     Its gates, one MCP across the main register NOT-conjugated to fire
     on each bitstring, in table order, are built on first use of
-    ``leaf``, and so of ``gates``, ``==``, ``hash``, the text dump and
-    the inverse.  A live plan reads the table instead, so a live run of
-    a cost oracle builds no gate.  Nor do ``len`` and ``metrics``: the
+    ``leaf``, and so of ``gates``, ``==``, ``hash`` and the inverse.  A
+    live plan reads the table instead, so a live run of a cost oracle
+    builds no gate.  Nor do ``len``, ``metrics`` and the text dump: the
     gates' kinds and qubits follow from the keys alone, so the gate
-    counts and path matrix are kept per key set, and every table of the
-    same keys, such as each dataset's cost oracle, reads that one entry.
+    counts, path matrix and each key's NOT lines are kept per key set,
+    and every table of the same keys, such as each dataset's cost
+    oracle, reads that one entry.
     The table is copied, and each entry is checked as its gates would
     be: a bitstring of the main register, a phase in (-2*pi, 2*pi].
     """
@@ -344,17 +345,28 @@ class PhaseOracle(Circuit):
     def _paths(self) -> np.ndarray:
         return _key_shape(self.layout, tuple(self.table))[1]
 
+    @cached_property
+    def _text(self) -> str:
+        # Each key's NOT lines, its MCP line with the key's phase, the NOT lines again.
+        _, _, nots, head = _key_shape(self.layout, tuple(self.table))
+        return "".join([f"{flips}{_phase_line(head, w)}{flips}" for flips, w in zip(nots, self.table.values())])
+
 
 @lru_cache(maxsize=16)
-def _key_shape(layout: HoboLayout, keys: tuple[str, ...]) -> tuple[Counter, np.ndarray]:
-    # The gate counts and path matrix of a phase oracle with these keys, in
-    # this order, whatever its phases.  A cost oracle's keys are the layout's
-    # n! tours, so one entry serves every dataset; it keeps no gate.  The
-    # gates are walked as a plain leaf, whose counts and paths are Circuit's.
-    leaf = Circuit(layout, PhaseOracle(layout, dict.fromkeys(keys, 0.0)).leaf)
+def _key_shape(layout: HoboLayout, keys: tuple[str, ...]) -> tuple[Counter, np.ndarray, tuple[str, ...], str]:
+    # What a phase oracle with these keys, in this order, has whatever its
+    # phases: its gate counts, its path matrix, each key's NOT lines and its
+    # MCP lines' head.  A cost oracle's keys are the layout's n! tours, so
+    # one entry serves every dataset; it keeps no gate.  The gates are walked
+    # as a plain leaf, whose counts and paths are Circuit's.
+    main = _main(layout)
+    gate = mcp(main[:-1], main[-1], 0.0)
+    blocks = [_fires_on(gate, main, bits) for bits in keys]
+    leaf = Circuit(layout, chain.from_iterable(blocks))
     paths = leaf._paths
     paths.flags.writeable = False  # shared by every oracle with these keys
-    return leaf._counts, paths
+    nots = tuple("".join(map(_gate_line, block[: len(block) // 2])) for block in blocks)
+    return leaf._counts, paths, nots, _gate_head(gate)
 
 
 @cache
@@ -529,12 +541,19 @@ def metrics(circuit: Circuit) -> CircuitMetrics:
     )
 
 
-def _gate_line(gate: Gate) -> str:
+def _gate_head(gate: Gate) -> str:
+    # A gate's dump line up to its phase field, which only an MCP line has.
     controls = ",".join(str(c) for c in gate.controls)
-    line = f"{gate.kind.value} controls=[{controls}] target={gate.target}"
-    if gate.kind is GateKind.MCP:
-        line += f" phase={gate.phase!r}"
-    return line + "\n"
+    return f"{gate.kind.value} controls=[{controls}] target={gate.target}"
+
+
+def _phase_line(head: str, phase: float) -> str:
+    return f"{head} phase={phase!r}\n"
+
+
+def _gate_line(gate: Gate) -> str:
+    head = _gate_head(gate)
+    return _phase_line(head, gate.phase) if gate.kind is GateKind.MCP else head + "\n"
 
 
 def circuit_to_text(circuit: Circuit) -> str:
@@ -542,8 +561,9 @@ def circuit_to_text(circuit: Circuit) -> str:
 
     Each part keeps its lines once formatted, and a sequence repeats
     its parts' lines, so a part kept per layout (G1, its inverse, the
-    Hadamard layer, the zero reflection) is formatted once per process
-    and a new dataset formats only its cost oracle's gates.
+    Hadamard layer, the zero reflection) is formatted once per process.
+    A cost oracle writes its lines from its table, each phase between
+    its key's NOT lines.
     """
     layout = circuit.layout
     return f"width={layout.width} n={layout.n} k={layout.k}\n" + circuit._text

@@ -265,7 +265,10 @@ def enumerate_feasible(n: int) -> tuple[str, ...]:
     """All n! feasible tour bitstrings in lexicographic order."""
     if not 2 <= n <= MAX_ENUM_CITIES:
         raise CapacityError(f"feasible enumeration supports 2 <= n <= {MAX_ENUM_CITIES}")
-    return tuple(encode_tour(p, n) for p in permutations(range(1, n + 1)))
+    # Each city's k-bit code, joined in every order: encode_tour without a Tour per permutation.
+    k = bits_per_city(n)
+    codes = [format(c, f"0{k}b") for c in range(n)]
+    return tuple(map("".join, permutations(codes)))
 
 
 @lru_cache(maxsize=None)

@@ -137,7 +137,9 @@ class StateVector:
             raise ValueError(f"amplitudes must be complex128, got {self.amplitudes.dtype}")
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        # The squares of the real and imaginary parts, without a square root
+        # per amplitude; a strided array is copied, as the float view needs.
+        return float(np.square(np.ascontiguousarray(self.amplitudes).view(np.float64)).sum())
 
 
 def new_state(width: int) -> StateVector:

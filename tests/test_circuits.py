@@ -481,6 +481,7 @@ class TestPhaseOracle:
         oracle = PhaseOracle(layout, gen_gaussian_phases(n, math.pi, 0.5, 11).phases)
         eager = _eager_phase_leaf(layout, oracle.table)
         assert (len(oracle), metrics(oracle)) == (len(eager), metrics(eager))
+        assert circuit_to_text(oracle) == circuit_to_text(eager)
         assert "leaf" not in vars(oracle)
 
     @settings(max_examples=150, deadline=None)
@@ -488,6 +489,7 @@ class TestPhaseOracle:
     @example(layout_and_table=_zero_reflection_table(2))
     @example(layout_and_table=_zero_reflection_table(3))
     @example(layout_and_table=_zero_reflection_table(4))
+    @example(layout_and_table=(HoboLayout.for_cities(3), {}))
     def test_counts_and_depth_from_the_key_set_are_those_of_its_gates(self, layout_and_table):
         layout, table = layout_and_table
         oracle, eager = PhaseOracle(layout, table), _eager_phase_leaf(layout, table)
@@ -518,11 +520,13 @@ class TestPhaseOracle:
         eager = _eager_phase_leaf(layout, dict.fromkeys(keys, 1.0))  # also interns the X gates
         circuits._key_shape.cache_clear()
         before = _live_gates_and_circuits()
-        counts, paths = circuits._key_shape(layout, keys)
+        counts, paths, nots, head = circuits._key_shape(layout, keys)
         assert _live_gates_and_circuits() == before
         assert all(type(kind) is GateKind and type(count) is int for kind, count in counts.items())
         assert counts == Counter(g.kind for g in eager.gates)
         assert type(paths) is np.ndarray and paths.dtype == np.float64 and paths.base is None
+        assert type(nots) is tuple and len(nots) == len(keys) and all(type(lines) is str for lines in nots)
+        assert type(head) is str
 
     def test_an_unread_table_equals_its_gates(self):
         layout = HoboLayout.for_cities(3)

@@ -20,7 +20,6 @@ from tsp_qsearch import (
     HoboLayout,
     PhaseAssignment,
     Schedule,
-    build_cost_oracle_r2,
     build_two_step,
     builtin_phases,
     gen_gaussian_phases,
@@ -456,13 +455,14 @@ class TestInspect:
     def test_a_second_dump_formats_only_the_cost_oracle(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "dump.txt"
         assert main(["inspect", "--n", "4", "--out", str(out)]) == EXIT_OK
-        formatted = []
-        gate_line = circuits._gate_line
-        monkeypatch.setattr(circuits, "_gate_line", lambda gate: formatted.append(gate) or gate_line(gate))
+        calls = []
+        gate_line, mcp = circuits._gate_line, circuits.mcp
+        monkeypatch.setattr(circuits, "_gate_line", lambda gate: calls.append("_gate_line") or gate_line(gate))
+        monkeypatch.setattr(circuits, "mcp", lambda *args: calls.append("mcp") or mcp(*args))
         assert main(["inspect", "--n", "4", "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
-        r2 = build_cost_oracle_r2(HoboLayout.for_cities(4), builtin_phases(4))
-        assert len(formatted) == 216 and formatted == list(r2.gates)
+        # The cost oracle's lines come from its table and its key set's entry.
+        assert calls == []
         assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_SHA256[4]
 
     def test_alternating_dumps_keep_their_bytes(self, tmp_path, capsys):

@@ -29,7 +29,7 @@ from tsp_qsearch import (
     phases_from_json,
     phases_to_json,
 )
-from tsp_qsearch.core import PHASE_MAX, PHASE_MIN, _BUILTIN_VALUES
+from tsp_qsearch.core import MAX_ENUM_CITIES, PHASE_MAX, PHASE_MIN, _BUILTIN_VALUES
 from tsp_qsearch.matrix_model import oracle_angles
 
 from helpers import onehot_expansion, reference_phase_dict
@@ -160,6 +160,10 @@ class TestEnumeration:
         assert list(feasible) == sorted(feasible)
         decoded = {decode_bitstring(b, n).order for b in feasible}
         assert len(decoded) == math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(2, MAX_ENUM_CITIES + 1))
+    def test_each_bitstring_encodes_its_permutation(self, n):
+        assert enumerate_feasible(n) == tuple(encode_tour(p, n) for p in permutations(range(1, n + 1)))
 
     @pytest.mark.parametrize("n", [1, 7])
     def test_capacity_limits(self, n):
