@@ -303,12 +303,12 @@ class PhaseOracle(Circuit):
     Its gates, one MCP across the main register NOT-conjugated to fire
     on each bitstring, in table order, are built on first use of
     ``leaf``, and so of ``gates``, ``==``, ``hash`` and the inverse.  A
-    live plan reads the table instead, so a live run of a cost oracle
-    builds no gate.  Nor do ``len``, ``metrics`` and the text dump: the
-    gates' kinds and qubits follow from the keys alone, so the gate
-    counts, path matrix and each key's NOT lines are kept per key set,
-    and every table of the same keys, such as each dataset's cost
-    oracle, reads that one entry.
+    plan on a live or main-register state reads the table instead, so
+    such a run of a cost oracle builds no gate.  Nor do ``len``,
+    ``metrics`` and the text dump: the gates' kinds and qubits follow
+    from the keys alone, so the gate counts, path matrix and each key's
+    NOT lines are kept per key set, and every table of the same keys,
+    such as each dataset's cost oracle, reads that one entry.
     The table is copied, and each entry is checked as its gates would
     be: a bitstring of the main register, a phase in (-2*pi, 2*pi].
     """
@@ -376,7 +376,7 @@ def _h_layer(layout: HoboLayout) -> Circuit:
 
 @cache
 def _zero_reflection(layout: HoboLayout) -> Circuit:
-    # Phase -1 on the all-zeros main register: a plain leaf, which a live
+    # Phase -1 on the all-zeros main register: a plain leaf, which a folded
     # plan compiles with the H layers around it into one reflection step.
     main = _main(layout)
     return Circuit(layout, _fires_on(mcp(main[:-1], main[-1], math.pi), main, "0" * layout.main_qubits))

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 
-from .circuits import build_two_step, circuit_to_text, metrics
+from .circuits import Circuit, build_two_step, circuit_to_text, metrics
 from .core import (
     MAX_ENUM_CITIES,
     CapacityError,
@@ -148,16 +148,26 @@ def _main_bitstrings(main_qubits: int) -> tuple[str, ...]:
     return tuple(format(i, spec) for i in range(2**main_qubits))
 
 
+def _after_marker_prep(circuit: Circuit) -> Circuit:
+    """The two-step circuit without its first part, the marker's preparation in |->.
+
+    A state of the main register alone holds the marker prepared, and
+    `run` refuses a circuit that prepares it again.
+    """
+    return Circuit(circuit.layout, parts=circuit.parts[1:])
+
+
 def cmd_run(args) -> int:
     phases = _load_dataset(args.dataset, args.n)
     layout = HoboLayout.for_cities(args.n)
-    # The simulator refuses a state wider than it holds before any circuit is built.
-    state = new_state(layout.live_width) if args.mode == "circuit" else None
+    # The main register alone, its marker held in |->: the simulator refuses
+    # a state wider than it holds before any circuit is built.
+    state = new_state(layout.main_qubits) if args.mode == "circuit" else None
     rescale = _resolve_rescale(args.cost_angles, args.mode, args.n)
     schedule = _schedule(args.n, args.q1, args.q2)
 
     if args.mode == "circuit":
-        circuit = build_two_step(layout, phases, schedule)
+        circuit = _after_marker_prep(build_two_step(layout, phases, schedule))
         # `sample` draws from the array; the report writes its Python floats.
         drawn = main_probabilities(run(circuit, state), layout)
         probabilities = drawn.tolist()
@@ -190,16 +200,16 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     phases = _load_dataset(args.dataset, args.n)
     layout = HoboLayout.for_cities(args.n)
-    # The simulator refuses a state wider than it holds before any circuit is built.
-    state = new_state(layout.live_width) if args.mode == "circuit" else None
+    # As in `cmd_run`, the main register alone.
+    state = new_state(layout.main_qubits) if args.mode == "circuit" else None
     rescale = _resolve_rescale(args.cost_angles, args.mode, args.n)
 
     if args.mode == "matrix":
         series = evolve(phases, args.t_max, rescale_costs=rescale)
     else:
-        # Marker prep, Hadamard layer and q1 first-stage rounds; its last
-        # part is G2, repeated zero times.
-        prefix = build_two_step(layout, phases, _schedule(args.n, args.q1, 0))
+        # Hadamard layer and q1 first-stage rounds; its last part is G2,
+        # repeated zero times.
+        prefix = _after_marker_prep(build_two_step(layout, phases, _schedule(args.n, args.q1, 0)))
         state = run(prefix, state)
         one_g2, _ = prefix.parts[-1]
         extremes = [int(phases.min_key, 2), int(phases.max_key, 2)]

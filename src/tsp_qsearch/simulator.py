@@ -6,15 +6,18 @@ a printed basis index reads exactly like the layout's bitstring (visit
 slot 1 leftmost).  Gates act in place through strided views and index
 arrays; nothing is ever promoted to a dense matrix.
 
-A state holds either all of a layout's qubits or only its live ones,
-the main register and the marker (`HoboLayout.live_width`).  Every
-ancilla of the paper's circuits is uncomputed, so the live state holds
-the whole result in 2**(nk+1) amplitudes.  That brings the 5- and
-6-city circuits (41 and 46 qubits in full, 16 and 19 live) within
-`MAX_WIDTH`.
+A state holds one of three views of a layout: all its qubits; its live
+ones, the main register and the marker (`HoboLayout.live_width`); or
+the main register alone, with the marker held in |-> as a sign.  Every
+ancilla of the paper's circuits is uncomputed, and after the marker's
+preparation no gate reads it or puts an H on it, so its 1 column stays
+minus its 0 column: the main register alone holds the whole result in
+2**(nk) amplitudes, sqrt(2) times the live state's 0 column.  That
+brings the 5- and 6-city circuits (41 and 46 qubits in full) within
+`MAX_WIDTH` on 15 and 18 qubits.
 
 `run` compiles a circuit into one plan per state width, of four kinds
-of kernel step (see `_compile`) and two more on a live state (see
+of kernel step (see `_compile`) and two more on a narrower view (see
 below).  Apart from H, every gate is classical: X, CX and MCX permute
 basis states and MCP multiplies some of them by a phase.  So the
 compiler keeps, for each position of the state it runs on, a label:
@@ -35,52 +38,58 @@ H layer does a lone H's arithmetic, qubit by qubit in gate order.  At
 n=4 the 2048 gates become 4 steps (marker move, one H layer on 9
 qubits, G1 * q1 and G2 * q2) that unroll to 96.
 
-A live state runs the plan compiled over the live qubits alone, with
-every ancilla bit 0: 512 of the 32,768 amplitudes at n=4.  A label may
-set an ancilla bit between moves, and an MCP may read it there, so
-each feasibility oracle R1 computes and uncomputes its ancillas into
-one move, which flips the marker of each feasible tour.  An H that
-names an ancilla, or a move that leaves one set, needs a qubit the
-live state does not hold, and `run` refuses the circuit.  The live
-plan differs from the full-width one in two step kinds and in reading
-each `PhaseOracle` leaf, such as a cost oracle R2, as its table's one
-phase step (see `_oracle_steps`), so a live run builds none of its
-gates.  D1 and the
-centre of every D2 are each an H layer on the main register, a phase
--1 on its all-zeros state and the same H layer; each such sandwich
-becomes one `_reflect` step, the reflection I + (f - 1)|s><s| about
-the register's uniform state |s>, in two passes over the state instead
-of one per qubit in each layer.  D2 is then inv(A), that reflection
-and A, for A = G1 * q1 after the H layer; with U = G1^q1 it is
-U R U^-1 = I + (f - 1) sum_j |psi_j><psi_j|, psi_j = U(|s> (x) |j>) for
-the two marker states j.  So each D2 becomes one `_project` step on
-those two rows instead of 2 * q1 runs of G1's plan, and inv(G1) is
-never compiled (see `_fold_projection`); a reflection whose conjugate
-would have more than two rows stays as it is.  The rows are kept on
-the layout's one G1 by q1, 2 * 2**(nk+1) amplitudes (16 KiB at n=4,
-16 MiB at n=6), so each
-layout and q1 computes them once per process.  The projection sums
-with ufuncs, not np.vdot or a matmul: those call BLAS, whose default
-threads wait on a busy core.  On a 2-vCPU host with the other core
-busy, np.vdot made a projection at n=5 take 16 ms, against about
-0.5 ms for ufuncs.  With q1 = 0 D2 is its centre reflection, and
-with q1 = 1 its G1 is compiled with its other leaves, so neither
-projects.  From q1 = 2 the live plan unrolls to one H
-layer, the opening one, q1 reflection steps, and q2 phase and q2
-projection steps: 2, 2 and 2 at n=4.  Its amplitudes are not
-bit-identical to the exact plan's: they
-agree to within 1e-12 each (at most 1.7e-14 measured at n=2 to 4
-with q1, q2 <= 4), and the norm drifts less.
+A narrower state runs the plan compiled over the qubits it holds, with
+every ancilla bit 0: 512 (live) or 256 of the 32,768 amplitudes at
+n=4.  A label may set an ancilla bit between moves, and an MCP may read
+it there, so each feasibility oracle R1 computes and uncomputes its
+ancillas into one relabelling.  On the main register alone the marker
+gets a label bit too, which X, CX and MCX may flip; a position whose
+label ends with it set holds the marker's 1 column, minus its 0 column,
+so R1's flip of the marker of each feasible tour is one phase step of
+-1 on the tours, and no move.  An H that names an ancilla or the held
+marker, a gate that reads the held marker, or a move that leaves an
+ancilla set needs a qubit the state does not hold, and `run` refuses
+the circuit.  So a state of the main register alone, which holds the
+marker already prepared, refuses a circuit that prepares it: the
+caller runs the circuit after its preparation.  A narrower plan
+differs from the full-width one in two step kinds and in reading each
+`PhaseOracle` leaf, such as a cost oracle R2, as its table's one phase
+step (see `_oracle_steps`), so it builds none of its gates.  D1 and
+the centre of every D2 are each an H layer on the main register, a
+phase -1 on its all-zeros state and the same H layer; each such
+sandwich becomes one `_reflect` step, the reflection I + (f - 1)|s><s|
+about the register's uniform state |s>, in two passes over the state
+instead of one per qubit in each layer.  D2 is then inv(A), that
+reflection and A, for A = G1 * q1 after the H layer; with U = G1^q1 it
+is U R U^-1 = I + (f - 1) sum_j |psi_j><psi_j|, psi_j = U(|s> (x) |j>)
+for each state j of the axes after the main register's: the two marker
+states on a live view, and one row, U|s>, on the main register alone.
+So each D2 becomes one `_project` step on those rows instead of
+2 * q1 runs of G1's plan, and inv(G1) is never compiled (see
+`_fold_projection`); a reflection whose conjugate would have more than
+two rows stays as it is.  The rows are kept on the layout's one G1 by
+q1 and width, 2**(nk) amplitudes on the main register alone (4 KiB at
+n=4, 4 MiB at n=6), so each layout and q1 computes them once per
+process.  The projection sums with ufuncs, not np.vdot or a matmul:
+those call BLAS, whose default threads wait on a busy core.  On a
+2-vCPU host with the other core busy, np.vdot made a projection at n=5
+take 16 ms, against about 0.5 ms for ufuncs.  With q1 = 0 D2 is its
+centre reflection, and with q1 = 1 its G1 is compiled with its other
+leaves, so neither projects.  A narrower plan's amplitudes are not
+bit-identical to the exact plan's: they agree to within 1e-12 each (at
+most 2.3e-14 on the main register alone, against sqrt(2) times the
+exact marker-0 column, at n=2 to 4 with q1, q2 <= 4), and the norm
+drifts less.
 
 What is compiled is kept for as long as what it was compiled from: a
 plan on its circuit, by width; the steps of a run of leaves on the
 run's first leaf, while the run's other leaves live (see
 `_leaf_steps`); a projection's rows on G1.  Every leaf of the two-step
-circuit but R2 is built once per layout (see `circuits`), and a live
-plan's runs of leaves stop at R2.  So a live run on a new dataset
-compiles nothing but binds R2: its runs of leaves and the projection
-rows are reused, and R2's one phase step takes positions kept per set
-of tours and one new factor array.
+circuit but R2 is built once per layout (see `circuits`), and a
+narrower plan's runs of leaves stop at R2.  So a narrower run on a new
+dataset compiles nothing but binds R2: its runs of leaves and the
+projection rows are reused, and R2's one phase step takes positions
+kept per set of tours and one new factor array.
 
 `apply_gate` compiles nothing: it swaps, butterflies or multiplies
 strided views of the state in place.  A swap or butterfly allocates a
@@ -125,6 +134,8 @@ class NormError(ValueError):
 
 @dataclass
 class StateVector:
+    """The amplitudes of `width` qubits: all of a layout's, its live ones or its main register's."""
+
     width: int
     amplitudes: np.ndarray
 
@@ -239,7 +250,7 @@ class _Woken(Exception):
     """A step needs a qubit outside the view it is compiled for."""
 
 
-def _compile(gates, qubits: tuple[int, ...]) -> list:
+def _compile(gates, qubits: tuple[int, ...], sign: int | None = None) -> list:
     """Kernel steps equal to `gates` applied one by one on the view whose axis i is qubits[i].
 
     Each step is (kernel, first, second), run as ``kernel(view, first,
@@ -247,9 +258,10 @@ def _compile(gates, qubits: tuple[int, ...]) -> list:
     and at most one move (see `_relabel`).  Each H joins the current H
     layer, which such a step or a second H on one of its qubits closes;
     a lone H is a layer of one.  The steps do exactly the arithmetic of
-    the gates; a live plan folds them afterwards (see `_leaf_steps`).
-    Raises `_Woken` if an H names a qubit outside the view or a move
-    leaves a label outside it.
+    the gates; a narrower plan folds them afterwards (see `_leaf_steps`).
+    `sign` is the marker of a view that holds it as a sign, if any.
+    Raises `_Woken` if an H names a qubit outside the view, a gate reads
+    `sign` or a move leaves a label outside the view.
     """
     width = len(qubits)
     axes = {qubit: axis for axis, qubit in enumerate(qubits)}
@@ -264,7 +276,7 @@ def _compile(gates, qubits: tuple[int, ...]) -> list:
                     steps += _layer(layer, width)
                     layer = []
                 layer.append(axes[gate.target])
-        elif classical := _relabel(run, qubits):
+        elif classical := _relabel(run, qubits, sign):
             steps += _layer(layer, width) + classical
             layer = []
     return steps + _layer(layer, width)
@@ -300,7 +312,7 @@ def _is_sandwich(first: tuple, middle: tuple, last: tuple, width: int) -> bool:
     return np.array_equal(middle[1], np.arange(2 ** (width - m)))
 
 
-def _relabel(gates, qubits: tuple[int, ...]) -> list:
+def _relabel(gates, qubits: tuple[int, ...], sign: int | None = None) -> list:
     """The phase steps and the move of X, CX, MCX and MCP gates on the view of `qubits`.
 
     labels[p] is the basis state that view position p stands for: bit
@@ -309,12 +321,22 @@ def _relabel(gates, qubits: tuple[int, ...]) -> list:
     toggles `flip`, applied to every label).  An MCP is one phase step
     on the positions whose label fires, found without a scan while no
     label has moved (see `_positions_with`); an MCP that fires on no
-    position of the view, as one controlled on an ancilla of a live
+    position of the view, as one controlled on an ancilla of a narrower
     view, is no step.  The move takes the amplitude at each position p
     to labels[p] ^ flip, if any moves.
+
+    The `sign` qubit, a marker held in |-> outside the view, gets the
+    first bit above the view.  X, CX and MCX may flip it, which a gate
+    that reads it would tell apart, so such a gate raises `_Woken`.  A
+    position whose label ends with it set holds the marker's 1 column,
+    minus its 0 column: one phase step of -1 on those positions, before
+    the move.
     """
     width = len(qubits)
     bits = {qubit: 1 << (width - 1 - axis) for axis, qubit in enumerate(qubits)}
+    sign_bit = 0 if sign is None else 1 << width
+    if sign_bit:
+        bits[sign] = sign_bit
     positions = np.arange(2**width, dtype=np.int64)
     labels, flip, steps = positions, 0, []
     masks = {}  # the mask of each (kind, controls, target) met, the target's bit included for an MCP
@@ -333,6 +355,8 @@ def _relabel(gates, qubits: tuple[int, ...]) -> list:
             on = sum(bits.setdefault(qubit, 1 << len(bits)) for qubit in gate.controls)
             if kind is MCP:
                 on |= target
+            if on & sign_bit:  # reads the sign qubit, which no label holds
+                raise _Woken
             masks[key] = on
         value = on & ~flip
         if kind is not MCP:  # CX and MCX
@@ -345,6 +369,11 @@ def _relabel(gates, qubits: tuple[int, ...]) -> list:
         if fired.size:
             steps.append((_phase, fired, cmath.exp(1j * gate.phase)))
     dest = labels ^ flip
+    if sign_bit:
+        signed = np.flatnonzero(dest & sign_bit)
+        if signed.size:
+            steps.append((_phase, signed, -1.0))
+        dest &= ~sign_bit
     if np.any(dest >= positions.size):  # a label has a bit outside the view set
         raise _Woken
     source = np.flatnonzero(dest != positions)
@@ -376,81 +405,110 @@ def _live_qubits(layout: HoboLayout) -> tuple[int, ...]:
     return (*range(layout.main_qubits), *range(layout.width - layout.marker_qubits, layout.width))
 
 
-def circuit_plan(circuit: Circuit, live: bool) -> tuple | None:
-    """The circuit's compiled steps for a live or a full-width state, built on first use.
+def _view(layout: HoboLayout, width: int) -> tuple[tuple[int, ...], int | None]:
+    """The qubits a state of `width` qubits holds, and the marker it holds as a sign, if any.
 
-    A full-width plan is exact over all the layout's qubits.  A live
-    plan runs on `_live_qubits`, reads each `PhaseOracle` leaf from its
+    All the layout's qubits, the live ones (`_live_qubits`), or the main
+    register with the marker held in |-> (see `_relabel`).
+    """
+    if width == layout.width:
+        return tuple(range(width)), None
+    if width == layout.live_width:
+        return _live_qubits(layout), None
+    return tuple(range(layout.main_qubits)), layout.marker
+
+
+def circuit_plan(circuit: Circuit, live: bool) -> tuple | None:
+    """The circuit's plan for a live or a full-width state, or None if that state cannot run it."""
+    layout = circuit.layout
+    try:
+        return _unit_plan(circuit, layout.live_width if live else layout.width)
+    except _Woken:
+        return None
+
+
+def _unit_plan(circuit: Circuit, width: int) -> tuple:
+    """The circuit's compiled steps for a state of `width` qubits, built on first use.
+
+    A full-width plan is exact over all the layout's qubits.  A plan on
+    a narrower view (see `_view`) reads each `PhaseOracle` leaf from its
     table (see `_oracle_steps`), folds reflection sandwiches and folds
     each reflection that a repeated part and its inverse conjugate (see
-    `_fold_projection`); it is None if the circuit needs an ancilla.  A
-    part repeated more than once becomes the step ``(_repeat, plan of
-    the part, times)``, and the leaves between such parts, and on a live
-    view between tables, compile together (see `_leaf_steps`).  A part
-    is compiled only once the plan is otherwise complete, so a part
-    folded away is never compiled.  Plans are kept on their circuit, by
-    width, so they are freed with it and a shared part compiles once.
+    `_fold_projection`).  A part repeated more than once becomes the
+    step ``(_repeat, plan of the part, times)``, and the leaves between
+    such parts, and on a narrower view between tables, compile together
+    (see `_leaf_steps`).  A part is compiled only once the plan is
+    otherwise complete, so a part folded away is never compiled.  Plans
+    are kept on their circuit, by width, so they are freed with it and a
+    shared part compiles once.  Raises `_Woken` if the view cannot run
+    the circuit.
     """
     plans = vars(circuit).setdefault("_plans", {})  # Circuit is frozen
-    if live not in plans:
+    if width not in plans:
         layout = circuit.layout
-        qubits = _live_qubits(layout) if live else tuple(range(layout.width))
+        exact = width == layout.width
         plan = []
         try:
-            # A repeated part, or a table on a live view, is a unit of its own.
+            # A repeated part, or a table on a narrower view, is a unit of its own.
             for joined, units in itertools.groupby(
-                _units(circuit), key=lambda unit: unit[1] == 1 and not (live and isinstance(unit[0], PhaseOracle))
+                _units(circuit), key=lambda unit: unit[1] == 1 and (exact or not isinstance(unit[0], PhaseOracle))
             ):
                 if joined:
-                    plan += _leaf_steps([leaf for leaf, _ in units], qubits, live)
+                    plan += _leaf_steps([leaf for leaf, _ in units], width)
                     continue
                 for part, times in units:
                     if times > 1:
                         plan.append((_repeat, part, times))
-                        _fold_projection(plan, len(qubits))
+                        _fold_projection(plan, width)
                     else:
-                        plan += _oracle_steps(part.table, len(qubits) - layout.main_qubits)
-            plans[live] = tuple(
-                (_repeat, _unit_plan(part, live), times) if kernel is _repeat else (kernel, part, times)
+                        plan += _oracle_steps(part.table, width - layout.main_qubits)
+            plans[width] = tuple(
+                (_repeat, _unit_plan(part, width), times) if kernel is _repeat else (kernel, part, times)
                 for kernel, part, times in plan
             )
         except _Woken:
-            plans[live] = None
-    return plans[live]
+            plans[width] = None
+    if plans[width] is None:
+        raise _Woken
+    return plans[width]
 
 
-def _leaf_steps(leaves: list, qubits: tuple[int, ...], live: bool) -> tuple:
-    """The steps of a run of leaves, compiled once while its leaves live.
+def _leaf_steps(leaves: list, width: int) -> tuple:
+    """The steps of a run of leaves on a state of `width` qubits, compiled once while its leaves live.
 
-    The run's gates compile together (see `_compile`), and a live run's
-    steps are then folded (see `_fold`).  The steps are kept on the
-    run's first leaf, keyed by the identities of the other leaves, which
-    the entry holds weakly: it goes once one of them has died, so a
-    reused id never matches it.  A live run holds no table, so the runs
-    of the two-step circuit's live plan are of leaves kept per layout
-    and compile once per process.
+    The run's gates compile together (see `_compile`), and the steps of
+    a run on a narrower view than all qubits are then folded (see
+    `_fold`).  The steps are kept on the run's first leaf, keyed by the
+    width and the identities of the other leaves, which the entry holds
+    weakly: it goes once one of them has died, so a reused id never
+    matches it.  A run on a narrower view holds no table, so the runs of
+    the two-step circuit's plans there are of leaves kept per layout and
+    compile once per process.
     """
     first, rest = leaves[0], leaves[1:]
     runs = vars(first).setdefault("_runs", {})  # Circuit is frozen
     for stale in [key for key, (_, refs) in runs.items() if any(ref() is None for ref in refs)]:
         del runs[stale]
-    key = (live, *map(id, rest))
+    key = (width, *map(id, rest))
     if key not in runs:
-        steps = _compile(itertools.chain.from_iterable(leaf.leaf for leaf in leaves), qubits)
-        runs[key] = (tuple(_fold(steps, len(qubits)) if live else steps), [weakref.ref(leaf) for leaf in rest])
+        layout = first.layout
+        steps = _compile(itertools.chain.from_iterable(leaf.leaf for leaf in leaves), *_view(layout, width))
+        folded = steps if width == layout.width else _fold(steps, width)
+        runs[key] = (tuple(folded), [weakref.ref(leaf) for leaf in rest])
     return runs[key][0]
 
 
 def _oracle_steps(table: dict[str, float], spare: int) -> tuple:
-    """The live phase step of a `PhaseOracle` with `table`, without building its gates.
+    """The phase step of a `PhaseOracle` with `table` on a narrower view, without building its gates.
 
     Each bitstring fires on its 2**spare positions, one per state of the
-    `spare` qubits below the main register (the marker), with its factor
-    e^{iw}: the positions of the exact compile of its gates, one step
-    per entry, joined in table order into one step with a factor per
-    position, so that an R2 is one step instead of n! of them.  An empty
-    table is no step.  Multiplying by an array, not a scalar, may move
-    an amplitude in the last bit, which a live plan allows.
+    `spare` qubits below the main register (the marker of a live view,
+    none without it), with its factor e^{iw}: the positions of the
+    exact compile of its gates, one step per entry, joined in table
+    order into one step with a factor per position, so that an R2 is one
+    step instead of n! of them.  An empty table is no step.  Multiplying
+    by an array, not a scalar, may move an amplitude in the last bit,
+    which a folded plan allows.
     """
     if not table:
         return ()
@@ -472,15 +530,16 @@ def _fold_projection(plan: list, width: int) -> None:
     """Fold the last three steps into one `_project` step if a part and its inverse conjugate a reflection.
 
     The steps are ``(_repeat, P^-1, t)``, the `_reflect` step
-    R = I + (f - 1)|s><s| (x) I on the view's first width - 1 axes and
+    R = I + (f - 1)|s><s| (x) I on the view's first m axes and
     ``(_repeat, P, t)``, with P^-1 the inverse that P keeps, neither yet
     compiled.  With U = P^t, U R U^-1 = I + (f - 1) sum_j |psi_j><psi_j|
-    for psi_j = U(|s> (x) |j>), j = 0, 1 on the last axis: one step of a
-    few passes over the view instead of 2t runs of P, and P^-1 is never
-    compiled.  Computing the rows compiles P, which refuses a P that
-    needs an ancilla; a P that keeps the live view keeps it under P^-1
-    too.  A reflection on fewer axes has more rows and stays as it is.
-    Only a live plan holds `_reflect` steps, so only a live plan folds.
+    for psi_j = U(|s> (x) |j>), j a state of the width - m axes left: one
+    step of a few passes over the view instead of 2t runs of P, and P^-1
+    is never compiled.  Computing the rows compiles P, which refuses a P
+    that the view cannot run; a P that the view runs, it runs under P^-1
+    too.  A reflection that leaves more than one axis has more than two
+    rows and stays as it is.  Only a folded plan holds `_reflect` steps,
+    so only a folded plan folds.
     """
     if len(plan) < 3:
         return
@@ -488,35 +547,32 @@ def _fold_projection(plan: list, width: int) -> None:
     if (
         (first, middle, last) == (_repeat, _reflect, _repeat)
         and count == times
-        and m == width - 1
+        and m >= width - 1
         and part._inverse is inverse
     ):
-        plan[-3:] = [(_project, _projection_rows(part, times, width), factor)]
+        plan[-3:] = [(_project, _projection_rows(part, times, width, m), factor)]
 
 
-def _projection_rows(part: Circuit, times: int, width: int) -> np.ndarray:
-    """The rows psi_j of `_fold_projection`, for the live plan of `part` repeated `times`.
+def _projection_rows(part: Circuit, times: int, width: int, m: int) -> np.ndarray:
+    """The rows psi_j of `_fold_projection`, for the plan of `part` on `width` qubits repeated `times`.
 
-    Kept on the part by repeat count, next to its plans: the layout's
-    one G1 computes them once per q1, and every D2 that repeats it
-    shares them.  They cost 2 * 2**width amplitudes.
+    One row per state of the width - m axes after the reflection's: two
+    on a live view, one on the main register alone.  Kept on the part by
+    repeat count and view, next to its plans: the layout's one G1
+    computes them once per q1 and width, and every D2 that repeats it
+    shares them.  They cost 2**(width - m) * 2**width amplitudes.
     """
-    rows_by_times = vars(part).setdefault("_projections", {})
-    if times not in rows_by_times:
-        part_plan = _unit_plan(part, True)
-        rows = np.zeros((2, 2**width), dtype=np.complex128)
-        rows[0, 0::2] = rows[1, 1::2] = 1 / math.sqrt(2 ** (width - 1))
-        for row in rows:
+    rows_by_key = vars(part).setdefault("_projections", {})
+    key = (times, width, m)
+    if key not in rows_by_key:
+        part_plan = _unit_plan(part, width)
+        count = 2 ** (width - m)
+        rows = np.zeros((count, 2**width), dtype=np.complex128)
+        for j, row in enumerate(rows):
+            row[j::count] = 1 / math.sqrt(2**m)
             _repeat(row.reshape((2,) * width), part_plan, times)
-        rows_by_times[times] = rows
-    return rows_by_times[times]
-
-
-def _unit_plan(circuit: Circuit, live: bool) -> tuple:
-    plan = circuit_plan(circuit, live)
-    if plan is None:
-        raise _Woken
-    return plan
+        rows_by_key[key] = rows
+    return rows_by_key[key]
 
 
 def _units(circuit: Circuit):
@@ -557,32 +613,35 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def _check_width(state: StateVector, layout: HoboLayout) -> None:
-    if state.width not in (layout.width, layout.live_width):
+    if state.width not in (layout.width, layout.live_width, layout.main_qubits):
         raise ValueError(
-            f"state width {state.width} is neither the layout's width {layout.width} "
-            f"nor its live width {layout.live_width}"
+            f"state width {state.width} is neither the layout's width {layout.width}, its live width "
+            f"{layout.live_width} nor its main register's width {layout.main_qubits}"
         )
 
 
 def run(circuit: Circuit, state: StateVector) -> StateVector:
     """Apply the circuit in place through its compiled plan.
 
-    A full-width state runs the exact plan, and a live one
-    (`HoboLayout.live_width`) the plan that folds each H·S0·H sandwich
-    into one reflection step and each D2 into one projection step (see
-    the module docstring).  Raises CapacityError if a live state would
-    need an ancilla, and NormError if the state's squared norm is not 1
-    afterwards, so an input that was not normalised or a drifting kernel
-    is reported.
+    A full-width state runs the exact plan.  A live state
+    (`HoboLayout.live_width`) and a state of the main register alone,
+    whose marker is held in |-> (see the module docstring), run the plan
+    that folds each H·S0·H sandwich into one reflection step and each D2
+    into one projection step.  Raises CapacityError if the state does
+    not hold a qubit the circuit needs: an ancilla it sets, or on the
+    main register alone a marker it prepares or reads.  Raises NormError
+    if the state's squared norm is not 1 afterwards, so an input that
+    was not normalised or a drifting kernel is reported.
     """
     layout = circuit.layout
     _check_width(state, layout)
-    plan = circuit_plan(circuit, state.width != layout.width)
-    if plan is None:
+    try:
+        plan = _unit_plan(circuit, state.width)
+    except _Woken:
         raise CapacityError(
-            f"the circuit sets an ancilla, which a live state of {state.width} qubits does not hold; "
-            f"this state needs {layout.width}"
-        )
+            f"the circuit sets an ancilla, or prepares or reads the marker, which a state of {state.width} "
+            f"qubits may not hold; a full-width state needs {layout.width}"
+        ) from None
     _execute(plan, state.amplitudes)
     drift = abs(state.norm_sq() - 1.0)
     if not drift < NORM_TOLERANCE:
@@ -594,6 +653,8 @@ def main_probabilities(state: StateVector, layout: HoboLayout) -> np.ndarray:
     """Marginal probabilities of the main register over all other qubits, by basis index."""
     _check_width(state, layout)
     probs = np.abs(state.amplitudes) ** 2
+    if state.width == layout.main_qubits:  # one amplitude per main-register state
+        return probs
     return probs.reshape(2**layout.main_qubits, -1).sum(axis=1)
 
 

@@ -153,9 +153,9 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize(("n", "width"), [(5, 16), (6, 19)])
+    @pytest.mark.parametrize(("n", "width"), [(5, 15), (6, 18)])
     def test_circuit_mode_capacity(self, command, n, width, tmp_path, capsys, monkeypatch):
-        # The simulator refuses the live state before any circuit is built.
+        # The simulator refuses the main-register state before any circuit is built.
         def unreachable(*args, **kwargs):
             raise AssertionError("build_two_step called for an oversized circuit run")
 
@@ -172,7 +172,7 @@ class TestRun:
         assert not out.exists()
 
     def test_five_city_circuit_report(self, tmp_path):
-        # The paper's five-city run at gate level, on the 16-qubit live register.
+        # The paper's five-city run at gate level, on the 15-qubit main register.
         dataset, out = tmp_path / "p5.json", tmp_path / "c5.json"
         assert main(["gen", "--n", "5", "--seed", "42", "--out", str(dataset)]) == EXIT_OK
         assert main(["run", "--n", "5", "--dataset", str(dataset), "--mode", "circuit", "--out", str(out)]) == EXIT_OK
@@ -304,21 +304,22 @@ class TestRun:
         clear_builder_caches()
         flags = ["run", "--n", "4", "--dataset", "builtin", "--mode", "circuit", "--out", str(tmp_path / "r.json")]
         assert main(flags) == EXIT_OK
-        # Three runs of leaves: the marker preparation with the opening H
-        # layer, G1's leaves, and D2's centre (inverse H layer, zero
-        # reflection, H layer).  R2 is read from its table, and each D2
-        # folds into one projection whose rows run G1's plan, so G1's
-        # inverse is never compiled.
+        # Three runs of leaves: the opening H layer, G1's leaves, and D2's
+        # centre (inverse H layer, zero reflection, H layer).  R2 is read
+        # from its table, and each D2 folds into one projection whose row
+        # runs G1's plan, so G1's inverse is never compiled.
         assert len(calls) == 3
         layout = HoboLayout.for_cities(4)
         inverse = circuits.invert_circuit(circuits.build_g1(layout))
-        assert True not in vars(inverse).get("_plans", {})
+        # Plans are kept by the width of the state they run on.
+        assert layout.main_qubits not in vars(inverse).get("_plans", {})
         assert main(flags) == EXIT_OK
         # Each of those is kept per layout, so the second run compiles nothing.
         assert len(calls) == 3
         # A full-width run has no projection: it runs, and so compiles, the inverse.
         run(build_two_step(layout, builtin_phases(4), Schedule(2, 2)), new_state(layout.width))
-        assert vars(inverse)["_plans"][False] is not None and True not in vars(inverse)["_plans"]
+        plans = vars(inverse)["_plans"]
+        assert plans[layout.width] is not None and layout.main_qubits not in plans
 
 
 class TestSweep:
@@ -726,8 +727,10 @@ class TestRunReportRoundTrip:
         layout = HoboLayout.for_cities(n)
         if mode == "circuit":
             circuit = build_two_step(layout, phases, Schedule(report["q1"], report["q2"]))
-            # On a live state, as the CLI runs it.
-            dist = main_distribution(run(circuit, new_state(layout.live_width)), layout)
+            # As the CLI runs it: on the main register, whose state holds the
+            # marker prepared, without the circuit's marker preparation.
+            circuit = Circuit(layout, parts=circuit.parts[1:])
+            dist = main_distribution(run(circuit, new_state(layout.main_qubits)), layout)
         else:
             psi = state_at(phases, report["q2"], rescale_costs=True)
             dist = {b: float(abs(a) ** 2) for b, a in zip(phases.phases, psi)}

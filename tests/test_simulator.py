@@ -2,6 +2,7 @@ import cmath
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -52,6 +53,7 @@ from tsp_qsearch.simulator import (
     _reflect,
     _repeat,
     _live_qubits,
+    _unit_plan,
     circuit_plan,
 )
 
@@ -222,10 +224,10 @@ class TestRun:
         run(invert_circuit(circuit), run(circuit, state))
         assert np.max(np.abs(state.amplitudes - reference)) < 1e-10
 
-    @pytest.mark.parametrize("width", [4, 6, 8, 14])  # n=3: live width 7, full width 13
+    @pytest.mark.parametrize("width", [4, 12, 8, 14])  # n=3: main register 6, live width 7, full width 13
     def test_width_mismatch(self, width):
         layout = HoboLayout.for_cities(3)
-        with pytest.raises(ValueError, match="neither"):
+        with pytest.raises(ValueError, match="neither .* nor its main register's width 6"):
             run(Circuit(layout, ()), new_state(width))
 
     def test_unnormalised_state_raises(self):
@@ -272,6 +274,13 @@ def _bare_layout(width: int) -> HoboLayout:
     """A layout that is only a register of `width` qubits."""
     return HoboLayout(
         n=1, k=1, main_qubits=width, valid_ancillas=0, unique_ancillas=0, marker_qubits=0, width=width
+    )
+
+
+def _marked_layout(width: int) -> HoboLayout:
+    """A register of `width` qubits and a marker, whose state of `width` qubits folds its plan."""
+    return HoboLayout(
+        n=1, k=1, main_qubits=width, valid_ancillas=0, unique_ancillas=0, marker_qubits=1, width=width + 1
     )
 
 
@@ -713,6 +722,102 @@ class TestViews:
         assert probs[int(phases.max_key, 2)] == pytest.approx(0.0017467341, abs=1e-9)
 
 
+def _after_marker_prep(circuit: Circuit) -> Circuit:
+    """The two-step circuit without its marker preparation, as a main-register state runs it."""
+    return Circuit(circuit.layout, parts=circuit.parts[1:])
+
+
+class TestMarkerFree:
+    """A state of the main register alone, its marker held in |-> as a sign."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), q1=st.integers(0, 3), q2=st.integers(0, 3))
+    @example(n=4, seed=42, q1=2, q2=2)
+    @example(n=3, seed=1, q1=1, q2=2)  # G1 * 1 joins D2's leaves: no projection
+    @example(n=3, seed=1, q1=0, q2=2)  # D2 is its centre reflection alone
+    def test_matches_the_exact_run(self, n, seed, q1, q2):
+        layout = HoboLayout.for_cities(n)
+        circuit = build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, seed), Schedule(q1, q2))
+        full = run(circuit, new_state(layout.width))
+        state = run(_after_marker_prep(circuit), new_state(layout.main_qubits))
+        assert np.abs(main_probabilities(state, layout) - main_probabilities(full, layout)).max() <= 1e-12
+        # The state is the main register's marker-0 column, times sqrt(2).
+        live, _ = _by_view(full.amplitudes, layout)
+        assert np.abs(state.amplitudes - math.sqrt(2) * live[:, 0]).max() <= FOLD_TOLERANCE
+
+    @pytest.mark.parametrize(("n", "schedule"), [(5, Schedule(12, 6)), (6, Schedule(14, 14))], ids=["5", "6"])
+    def test_matches_the_live_run(self, n, schedule):
+        # The paper's schedules at n=5 and 6, whose full states are too wide.
+        layout = HoboLayout.for_cities(n)
+        circuit = build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, 42), schedule)
+        live = run(circuit, new_state(layout.live_width))
+        state = run(_after_marker_prep(circuit), new_state(layout.main_qubits))
+        assert np.abs(main_probabilities(state, layout) - main_probabilities(live, layout)).max() <= 1e-12
+
+    def test_four_city_plan(self):
+        layout = HoboLayout.for_cities(4)
+        circuit = _after_marker_prep(build_two_step(layout, builtin_phases(4), Schedule(2, 2)))
+        plan = _unit_plan(circuit, layout.main_qubits)
+        assert _permute not in {step[0] for step in _unrolled(plan)}
+        assert [step[0] for step in plan] == [_hadamards, _repeat, _repeat]
+        g1_plan, g2_plan = plan[1][1], plan[2][1]
+        # R1 flips the marker of each feasible tour and moves no amplitude:
+        # one phase -1 on the 24 tours, then D1's reflection.
+        assert [step[0] for step in g1_plan] == [_phase, _reflect]
+        assert np.array_equal(g1_plan[0][1], [int(bits, 2) for bits in enumerate_feasible(4)])
+        assert g1_plan[0][2] == -1
+        # G2 is R2's table and D2's projection onto the one row G1^2 |s>.
+        assert [step[0] for step in g2_plan] == [_phase, _project]
+        rows = g2_plan[1][1]
+        assert rows.shape == (1, 2**8)
+        uniform = np.full(2**8, 1 / 16, dtype=np.complex128)
+        _execute(((_repeat, g1_plan, 2),), uniform)
+        _assert_bit_identical(rows[0], uniform)
+
+    @pytest.mark.parametrize("reads", ["prep", "cx control", "mcp target", "mcp control"])
+    def test_a_circuit_that_prepares_or_reads_the_marker_is_refused(self, reads):
+        layout = HoboLayout.for_cities(3)
+        marker = layout.marker
+        circuit = {
+            "prep": build_two_step(layout, builtin_phases(3), Schedule(2, 2)),
+            "cx control": Circuit(layout, (h(0), cx(marker, 0), h(0))),
+            "mcp target": Circuit(layout, (h(0), mcp((0,), marker, 0.5), h(0))),
+            "mcp control": Circuit(layout, (h(0), mcp((marker,), 0, 0.5), h(0))),
+        }[reads]
+        state = new_state(layout.main_qubits)
+        message = (
+            "the circuit sets an ancilla, or prepares or reads the marker, which a state of 6 qubits "
+            "may not hold; a full-width state needs 13"
+        )
+        with pytest.raises(CapacityError, match=re.escape(message)):
+            run(circuit, state)
+        assert np.array_equal(state.amplitudes, new_state(layout.main_qubits).amplitudes)
+        # A live state holds the marker, and runs each of them.
+        run(circuit, new_state(layout.live_width))
+
+    def test_an_ancilla_is_refused_with_the_same_message(self):
+        layout = HoboLayout.for_cities(3)
+        circuit = Circuit(layout, (h(0), cx(0, layout.main_qubits), h(0)))
+        for width in (layout.live_width, layout.main_qubits):
+            message = (
+                f"the circuit sets an ancilla, or prepares or reads the marker, which a state of {width} "
+                "qubits may not hold; a full-width state needs 13"
+            )
+            with pytest.raises(CapacityError, match=re.escape(message)):
+                run(circuit, new_state(width))
+
+    def test_a_flip_of_the_marker_is_a_sign(self):
+        # CX and MCX onto the marker, and X on it, which negates every amplitude.
+        layout = HoboLayout.for_cities(3)
+        marker = layout.marker
+        gates = (h(0), h(1), cx(0, marker), mcx((0, 1), marker), x(marker), x(2), h(2))
+        circuit = Circuit(layout, gates)
+        got = run(circuit, new_state(layout.main_qubits)).amplitudes
+        full = _gate_by_gate(Circuit(layout, (x(marker), h(marker), *gates)), new_state(layout.width))
+        live, _ = _by_view(full, layout)
+        assert np.abs(got - math.sqrt(2) * live[:, 0]).max() <= FOLD_TOLERANCE
+
+
 def _sandwich(qubits: tuple, zeros: tuple) -> list:
     """H on `qubits`, phase -1 where all of `zeros` are 0, H on `qubits` in reverse."""
     flips = [x(q) for q in zeros]
@@ -754,9 +859,10 @@ class TestFold:
         ids=["two leading axes", "four leading axes", "inner axes", "gapped axes", "phase on other axes"],
     )
     def test_only_a_sandwich_on_the_leading_axes_folds(self, qubits, zeros, folds):
-        layout = _bare_layout(6)
+        # On the main register of a layout with a marker, a view that folds.
+        layout = _marked_layout(6)
         circuit = Circuit(layout, tuple(_sandwich(qubits, zeros)))
-        plan = circuit_plan(circuit, True)
+        plan = _unit_plan(circuit, 6)
         rng = np.random.default_rng(7)
         amps = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
         amps /= np.linalg.norm(amps)
@@ -902,10 +1008,11 @@ class TestDiagonalRuns:
     @example(circuit=Circuit(_bare_layout(3), (mcp((0,), 1, 0.5), x(2), mcp((1,), 2, 0.7))), seed=3)
     def test_a_diagonal_run_is_exact_on_a_live_view(self, circuit, seed):
         width = circuit.layout.width
-        exact, live = circuit_plan(circuit, False), circuit_plan(circuit, True)
-        # A live plan over a bare register holds all its qubits and compiles
-        # as the exact plan does: a step for each MCP, with a scalar
-        # factor, and at most one move.
+        exact = circuit_plan(circuit, False)
+        # The same gates on the main register of a layout with a marker, a
+        # view that folds, compile as the exact plan does: a step for each
+        # MCP, with a scalar factor, and at most one move.
+        live = _unit_plan(Circuit(_marked_layout(width), circuit.gates), width)
         mcps = sum(gate.kind.value == "MCP" for gate in circuit.gates)
         assert [step[0] for step in live] == [_phase] * mcps + [_permute] * (len(live) - mcps)
         assert len(live) <= mcps + 1 and all(np.ndim(step[2]) == 0 for step in live[:mcps])
@@ -1153,10 +1260,10 @@ class TestMainDistribution:
         infeasible = 1.0 - success_probability(dist, enumerate_feasible(3))
         assert infeasible < 0.01
 
-    @pytest.mark.parametrize("width", [5, 6, 8, 14])  # n=3: live width 7, full width 13
+    @pytest.mark.parametrize("width", [5, 12, 8, 14])  # n=3: main register 6, live width 7, full width 13
     def test_width_mismatch(self, width):
         layout = HoboLayout.for_cities(3)
-        with pytest.raises(ValueError, match="neither"):
+        with pytest.raises(ValueError, match="neither .* nor its main register's width 6"):
             main_distribution(new_state(width), layout)
 
 
