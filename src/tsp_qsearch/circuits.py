@@ -303,8 +303,8 @@ class PhaseOracle(Circuit):
     Its gates, one MCP across the main register NOT-conjugated to fire
     on each bitstring, in table order, are built on first use of
     ``leaf``, and so of ``gates``, ``==``, ``hash`` and the inverse.  A
-    plan on a live or main-register state reads the table instead, so
-    such a run of a cost oracle builds no gate.  Nor do ``len``,
+    plan on a main-register state reads the table instead, so such a
+    run of a cost oracle builds no gate.  Nor do ``len``,
     ``metrics`` and the text dump: the gates' kinds and qubits follow
     from the keys alone, so the gate counts, path matrix and each key's
     NOT lines are kept per key set, and every table of the same keys,

@@ -155,11 +155,6 @@ class HoboLayout:
     def marker(self) -> int:
         return self.width - 1
 
-    @property
-    def live_width(self) -> int:
-        """Qubits of a state whose ancillas are all zero: the main register and the marker."""
-        return self.main_qubits + self.marker_qubits
-
 
 @dataclass(frozen=True)
 class PhaseAssignment:

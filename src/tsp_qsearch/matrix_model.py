@@ -6,8 +6,8 @@ operator and the reflection about the uniform feasible superposition.
 `evolve` and `state_at` take the dataset and the cost convention.  It
 is the cross-check oracle for the circuit path and its fast stand-in:
 at 6 cities it evolves 720 tour amplitudes, where the gate simulator
-runs the circuit on its 19-qubit live register (46 qubits in full,
-2**19 amplitudes).  This is the ideal form of the search: its
+runs the circuit on its 18-qubit main register (46 qubits in full,
+2**18 amplitudes).  This is the ideal form of the search: its
 diffusion reflects about the exact feasible superposition, while the
 circuit's D2 reflects about the stage-1 state, which keeps a small
 infeasible remainder.

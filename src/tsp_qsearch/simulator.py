@@ -6,18 +6,17 @@ a printed basis index reads exactly like the layout's bitstring (visit
 slot 1 leftmost).  Gates act in place through strided views and index
 arrays; nothing is ever promoted to a dense matrix.
 
-A state holds one of three views of a layout: all its qubits; its live
-ones, the main register and the marker (`HoboLayout.live_width`); or
-the main register alone, with the marker held in |-> as a sign.  Every
+A state holds one of two views of a layout: all its qubits, or the
+main register alone, with the marker held in |-> as a sign.  Every
 ancilla of the paper's circuits is uncomputed, and after the marker's
 preparation no gate reads it or puts an H on it, so its 1 column stays
 minus its 0 column: the main register alone holds the whole result in
-2**(nk) amplitudes, sqrt(2) times the live state's 0 column.  That
-brings the 5- and 6-city circuits (41 and 46 qubits in full) within
-`MAX_WIDTH` on 15 and 18 qubits.
+2**(nk) amplitudes, sqrt(2) times the full state's marker-0 column
+with every ancilla 0.  That brings the 5- and 6-city circuits (41 and
+46 qubits in full) within `MAX_WIDTH` on 15 and 18 qubits.
 
 `run` compiles a circuit into one plan per state width, of four kinds
-of kernel step (see `_compile`) and two more on a narrower view (see
+of kernel step (see `_compile`) and two more on the main register (see
 below).  Apart from H, every gate is classical: X, CX and MCX permute
 basis states and MCP multiplies some of them by a phase.  So the
 compiler keeps, for each position of the state it runs on, a label:
@@ -38,21 +37,20 @@ H layer does a lone H's arithmetic, qubit by qubit in gate order.  At
 n=4 the 2048 gates become 4 steps (marker move, one H layer on 9
 qubits, G1 * q1 and G2 * q2) that unroll to 96.
 
-A narrower state runs the plan compiled over the qubits it holds, with
-every ancilla bit 0: 512 (live) or 256 of the 32,768 amplitudes at
-n=4.  A label may set an ancilla bit between moves, and an MCP may read
-it there, so each feasibility oracle R1 computes and uncomputes its
-ancillas into one relabelling.  On the main register alone the marker
-gets a label bit too, which X, CX and MCX may flip; a position whose
-label ends with it set holds the marker's 1 column, minus its 0 column,
-so R1's flip of the marker of each feasible tour is one phase step of
--1 on the tours, and no move.  An H that names an ancilla or the held
-marker, a gate that reads the held marker, or a move that leaves an
-ancilla set needs a qubit the state does not hold, and `run` refuses
-the circuit.  So a state of the main register alone, which holds the
-marker already prepared, refuses a circuit that prepares it: the
-caller runs the circuit after its preparation.  A narrower plan
-differs from the full-width one in two step kinds and in reading each
+A state of the main register alone runs the plan compiled over its
+qubits, with every ancilla bit 0: 256 of the 32,768 amplitudes at n=4.
+A label may set an ancilla bit between moves, and an MCP may read it
+there, so each feasibility oracle R1 computes and uncomputes its
+ancillas into one relabelling.  The marker gets a label bit too, which
+X, CX and MCX may flip; a position whose label ends with it set holds
+the marker's 1 column, minus its 0 column, so R1's flip of the marker
+of each feasible tour is one phase step of -1 on the tours, and no
+move.  An H that names an ancilla or the marker, a gate that reads the
+marker, or a move that leaves an ancilla set needs a qubit the state
+does not hold, and `run` refuses the circuit.  So the state, which
+holds the marker already prepared, refuses a circuit that prepares it:
+the caller runs the circuit after its preparation.  This plan differs
+from the full-width one in two step kinds and in reading each
 `PhaseOracle` leaf, such as a cost oracle R2, as its table's one phase
 step (see `_oracle_steps`), so it builds none of its gates.  D1 and
 the centre of every D2 are each an H layer on the main register, a
@@ -61,35 +59,30 @@ sandwich becomes one `_reflect` step, the reflection I + (f - 1)|s><s|
 about the register's uniform state |s>, in two passes over the state
 instead of one per qubit in each layer.  D2 is then inv(A), that
 reflection and A, for A = G1 * q1 after the H layer; with U = G1^q1 it
-is U R U^-1 = I + (f - 1) sum_j |psi_j><psi_j|, psi_j = U(|s> (x) |j>)
-for each state j of the axes after the main register's: the two marker
-states on a live view, and one row, U|s>, on the main register alone.
-So each D2 becomes one `_project` step on those rows instead of
-2 * q1 runs of G1's plan, and inv(G1) is never compiled (see
-`_fold_projection`); a reflection whose conjugate would have more than
-two rows stays as it is.  The rows are kept on the layout's one G1 by
-q1 and width, 2**(nk) amplitudes on the main register alone (4 KiB at
-n=4, 4 MiB at n=6), so each layout and q1 computes them once per
+is U R U^-1 = I + (f - 1)|psi><psi|, psi = U|s>.  So each D2 becomes
+one `_project` step on that row instead of 2 * q1 runs of G1's plan,
+and inv(G1) is never compiled (see `_fold_projection`).  The row is
+kept on the layout's one G1 by q1 and width, 2**(nk) amplitudes (4 KiB
+at n=4, 4 MiB at n=6), so each layout and q1 computes it once per
 process.  The projection sums with ufuncs, not np.vdot or a matmul:
 those call BLAS, whose default threads wait on a busy core.  On a
 2-vCPU host with the other core busy, np.vdot made a projection at n=5
 take 16 ms, against about 0.5 ms for ufuncs.  With q1 = 0 D2 is its
 centre reflection, and with q1 = 1 its G1 is compiled with its other
-leaves, so neither projects.  A narrower plan's amplitudes are not
-bit-identical to the exact plan's: they agree to within 1e-12 each (at
-most 2.3e-14 on the main register alone, against sqrt(2) times the
-exact marker-0 column, at n=2 to 4 with q1, q2 <= 4), and the norm
-drifts less.
+leaves, so neither projects.  The main register's amplitudes are not
+bit-identical to the exact plan's: they agree with sqrt(2) times the
+exact marker-0 column to within 1e-12 each (at most 2.3e-14 at n=2 to
+4 with q1, q2 <= 4), and the norm drifts less.
 
 What is compiled is kept for as long as what it was compiled from: a
 plan on its circuit, by width; the steps of a run of leaves on the
 run's first leaf, while the run's other leaves live (see
-`_leaf_steps`); a projection's rows on G1.  Every leaf of the two-step
+`_leaf_steps`); a projection's row on G1.  Every leaf of the two-step
 circuit but R2 is built once per layout (see `circuits`), and a
-narrower plan's runs of leaves stop at R2.  So a narrower run on a new
-dataset compiles nothing but binds R2: its runs of leaves and the
-projection rows are reused, and R2's one phase step takes positions
-kept per set of tours and one new factor array.
+main-register plan's runs of leaves stop at R2.  So a main-register
+run on a new dataset compiles nothing but binds R2: its runs of leaves
+and the projection row are reused, and R2's one phase step takes
+positions kept per set of tours and one new factor array.
 
 `apply_gate` compiles nothing: it swaps, butterflies or multiplies
 strided views of the state in place.  A swap or butterfly allocates a
@@ -118,7 +111,7 @@ from .circuits import Circuit, Gate, GateKind, PhaseOracle
 from .core import CapacityError, HoboLayout
 
 # 2**22 complex128 amplitudes = 64 MiB; enough for the 4-city layout
-# (width 15) and for the live 6-city register (19 qubits), and still
+# (width 15) and for the 6-city main register (18 qubits), and still
 # desk scale.
 MAX_WIDTH = 22
 
@@ -134,7 +127,7 @@ class NormError(ValueError):
 
 @dataclass
 class StateVector:
-    """The amplitudes of `width` qubits: all of a layout's, its live ones or its main register's."""
+    """The amplitudes of `width` qubits: all of a layout's, or its main register's."""
 
     width: int
     amplitudes: np.ndarray
@@ -213,37 +206,31 @@ def _permute(view: np.ndarray, dest: np.ndarray, source: np.ndarray) -> None:
     flat[dest] = flat[source]
 
 
-def _reflect(view: np.ndarray, m: int, factor: complex) -> None:
-    # I + (factor - 1)|s><s| on the first m axes, |s> their uniform state:
-    # each column over the other axes gets (factor - 1) * its mean.
+def _reflect(view: np.ndarray, _: None, factor: complex) -> None:
+    # I + (factor - 1)|s><s|, |s> the view's uniform state: every amplitude
+    # gets (factor - 1) * their mean.  A step is (kernel, first, second),
+    # and a reflection needs no first: its step holds None there.
     if not view.flags.c_contiguous:
         raise ValueError("a reflection step reshapes its view in place, which needs it C-contiguous")
-    scale = (factor - 1) / 2**m
-    # One 1-D sum per column: a live view has two, and numpy sums a
-    # strided column 8 to 12 times faster than axis 0 of the tall
-    # two-column array at n=5 and 6.
-    for column in view.reshape(2**m, -1).T:
-        column += scale * column.sum()
+    flat = view.reshape(-1)
+    flat += (factor - 1) / flat.size * flat.sum()
 
 
-def _project(view: np.ndarray, rows: np.ndarray, factor: complex) -> None:
-    # I + (factor - 1) * sum_j |psi_j><psi_j|, psi_j the orthonormal rows.
+def _project(view: np.ndarray, row: np.ndarray, factor: complex) -> None:
+    # I + (factor - 1)|psi><psi|, psi the unit row.
     if not view.flags.c_contiguous:
         raise ValueError("a projection step reshapes its view in place, which needs it C-contiguous")
     flat = view.reshape(-1)
-    # <psi_j|flat> is the conjugate of sum(psi_j * conj(flat)).  A ufunc
-    # sum adds pairwise; np.vdot or a matmul would call BLAS, whose default
+    # <psi|flat> is the conjugate of sum(psi * conj(flat)).  A ufunc sum
+    # adds pairwise; np.vdot or a matmul would call BLAS, whose default
     # threads can make each projection many times slower, and einsum adds
     # in one running sum, which drifted the norm 100 times more at n=5.
-    # Every product goes to one scratch buffer: a fresh temporary for each
+    # Both products go to one scratch buffer: a fresh temporary for each
     # doubled the step's time at n=5.
     scratch = np.empty_like(flat)
-    overlaps = []
-    for row in rows:
-        np.multiply(np.conjugate(flat, out=scratch), row, out=scratch)
-        overlaps.append(np.conj(scratch.sum()))
-    for row, overlap in zip(rows, overlaps):
-        flat += np.multiply(row, (factor - 1) * overlap, out=scratch)
+    np.multiply(np.conjugate(flat, out=scratch), row, out=scratch)
+    overlap = np.conj(scratch.sum())
+    flat += np.multiply(row, (factor - 1) * overlap, out=scratch)
 
 
 class _Woken(Exception):
@@ -258,7 +245,8 @@ def _compile(gates, qubits: tuple[int, ...], sign: int | None = None) -> list:
     and at most one move (see `_relabel`).  Each H joins the current H
     layer, which such a step or a second H on one of its qubits closes;
     a lone H is a layer of one.  The steps do exactly the arithmetic of
-    the gates; a narrower plan folds them afterwards (see `_leaf_steps`).
+    the gates; a main-register plan folds them afterwards (see
+    `_leaf_steps`).
     `sign` is the marker of a view that holds it as a sign, if any.
     Raises `_Woken` if an H names a qubit outside the view, a gate reads
     `sign` or a move leaves a label outside the view.
@@ -285,31 +273,29 @@ def _compile(gates, qubits: tuple[int, ...], sign: int | None = None) -> list:
 def _fold(steps: list, width: int) -> list:
     """`steps` with each reflection sandwich as one `_reflect` step.
 
-    A sandwich is an H layer on the view's first m axes, one phase step
-    that fires exactly where those axes are all 0, and an H layer on the
-    same axes, in any order (the inverse of a layer reverses it).  By
+    A sandwich is an H layer on all the view's m axes, one phase step
+    that fires on its all-zeros position alone and an H layer on all its
+    axes again, in any order (the inverse of a layer reverses it).  By
     H^m (I + (f - 1)|0><0|) H^m = I + (f - 1)|s><s| it is a reflection
-    about their uniform state |s>, two passes over the view instead of
-    2m.  A sandwich on other axes stays as it is.
+    about the view's uniform state |s>, two passes over the view instead
+    of 2m.  A sandwich on fewer axes stays as it is.
     """
     folded: list = []
     for step in steps:
         folded.append(step)
         if len(folded) >= 3 and _is_sandwich(*folded[-3:], width):
-            (_, _, m), (_, _, factor), _ = folded[-3:]
-            folded[-3:] = [(_reflect, m, factor)]
+            _, _, factor = folded[-2]
+            folded[-3:] = [(_reflect, None, factor)]
     return folded
 
 
 def _is_sandwich(first: tuple, middle: tuple, last: tuple, width: int) -> bool:
-    if (first[0], middle[0], last[0]) != (_hadamards, _phase, _hadamards):
-        return False
-    m = first[2]
-    leading = set(range(m))
-    if set(first[1][0][:m]) != leading or set(last[1][0][: last[2]]) != leading:
-        return False
-    # The positions whose first m axes, the top m bits, are all 0.
-    return np.array_equal(middle[1], np.arange(2 ** (width - m)))
+    # A layer's axes are distinct, so a layer of `width` passes covers them all.
+    return (
+        (first[0], middle[0], last[0]) == (_hadamards, _phase, _hadamards)
+        and first[2] == last[2] == width
+        and np.array_equal(middle[1], [0])
+    )
 
 
 def _relabel(gates, qubits: tuple[int, ...], sign: int | None = None) -> list:
@@ -321,9 +307,9 @@ def _relabel(gates, qubits: tuple[int, ...], sign: int | None = None) -> list:
     toggles `flip`, applied to every label).  An MCP is one phase step
     on the positions whose label fires, found without a scan while no
     label has moved (see `_positions_with`); an MCP that fires on no
-    position of the view, as one controlled on an ancilla of a narrower
-    view, is no step.  The move takes the amplitude at each position p
-    to labels[p] ^ flip, if any moves.
+    position of the view, as one controlled on an ancilla that the main
+    register's view holds at 0, is no step.  The move takes the
+    amplitude at each position p to labels[p] ^ flip, if any moves.
 
     The `sign` qubit, a marker held in |-> outside the view, gets the
     first bit above the view.  X, CX and MCX may flip it, which a gate
@@ -400,47 +386,31 @@ def _layer(axes: list[int], width: int) -> list:
     return [(_hadamards, ((*axes, *rest), tuple(np.argsort(rest + axes))), len(axes))]
 
 
-def _live_qubits(layout: HoboLayout) -> tuple[int, ...]:
-    """The main register and the marker, the qubits every ancilla sits between."""
-    return (*range(layout.main_qubits), *range(layout.width - layout.marker_qubits, layout.width))
-
-
 def _view(layout: HoboLayout, width: int) -> tuple[tuple[int, ...], int | None]:
     """The qubits a state of `width` qubits holds, and the marker it holds as a sign, if any.
 
-    All the layout's qubits, the live ones (`_live_qubits`), or the main
-    register with the marker held in |-> (see `_relabel`).
+    All the layout's qubits, or the main register with the marker held
+    in |-> (see `_relabel`).
     """
     if width == layout.width:
         return tuple(range(width)), None
-    if width == layout.live_width:
-        return _live_qubits(layout), None
     return tuple(range(layout.main_qubits)), layout.marker
-
-
-def circuit_plan(circuit: Circuit, live: bool) -> tuple | None:
-    """The circuit's plan for a live or a full-width state, or None if that state cannot run it."""
-    layout = circuit.layout
-    try:
-        return _unit_plan(circuit, layout.live_width if live else layout.width)
-    except _Woken:
-        return None
 
 
 def _unit_plan(circuit: Circuit, width: int) -> tuple:
     """The circuit's compiled steps for a state of `width` qubits, built on first use.
 
     A full-width plan is exact over all the layout's qubits.  A plan on
-    a narrower view (see `_view`) reads each `PhaseOracle` leaf from its
-    table (see `_oracle_steps`), folds reflection sandwiches and folds
-    each reflection that a repeated part and its inverse conjugate (see
-    `_fold_projection`).  A part repeated more than once becomes the
+    the main register (see `_view`) reads each `PhaseOracle` leaf from
+    its table (see `_oracle_steps`), folds reflection sandwiches and
+    folds each reflection that a repeated part and its inverse conjugate
+    (see `_fold_projection`).  A part repeated more than once becomes the
     step ``(_repeat, plan of the part, times)``, and the leaves between
-    such parts, and on a narrower view between tables, compile together
-    (see `_leaf_steps`).  A part is compiled only once the plan is
-    otherwise complete, so a part folded away is never compiled.  Plans
-    are kept on their circuit, by width, so they are freed with it and a
-    shared part compiles once.  Raises `_Woken` if the view cannot run
+    such parts, and on the main register between tables, compile
+    together (see `_leaf_steps`).  A part is compiled only once the plan
+    is otherwise complete, so a part folded away is never compiled.
+    Plans are kept on their circuit, by width, so they are freed with it
+    and a shared part compiles once.  Raises `_Woken` if the view cannot run
     the circuit.
     """
     plans = vars(circuit).setdefault("_plans", {})  # Circuit is frozen
@@ -449,7 +419,7 @@ def _unit_plan(circuit: Circuit, width: int) -> tuple:
         exact = width == layout.width
         plan = []
         try:
-            # A repeated part, or a table on a narrower view, is a unit of its own.
+            # A repeated part, or a table on the main register, is a unit of its own.
             for joined, units in itertools.groupby(
                 _units(circuit), key=lambda unit: unit[1] == 1 and (exact or not isinstance(unit[0], PhaseOracle))
             ):
@@ -461,7 +431,7 @@ def _unit_plan(circuit: Circuit, width: int) -> tuple:
                         plan.append((_repeat, part, times))
                         _fold_projection(plan, width)
                     else:
-                        plan += _oracle_steps(part.table, width - layout.main_qubits)
+                        plan += _oracle_steps(part.table)
             plans[width] = tuple(
                 (_repeat, _unit_plan(part, width), times) if kernel is _repeat else (kernel, part, times)
                 for kernel, part, times in plan
@@ -477,13 +447,13 @@ def _leaf_steps(leaves: list, width: int) -> tuple:
     """The steps of a run of leaves on a state of `width` qubits, compiled once while its leaves live.
 
     The run's gates compile together (see `_compile`), and the steps of
-    a run on a narrower view than all qubits are then folded (see
-    `_fold`).  The steps are kept on the run's first leaf, keyed by the
-    width and the identities of the other leaves, which the entry holds
-    weakly: it goes once one of them has died, so a reused id never
-    matches it.  A run on a narrower view holds no table, so the runs of
-    the two-step circuit's plans there are of leaves kept per layout and
-    compile once per process.
+    a run on the main register are then folded (see `_fold`).  The steps
+    are kept on the run's first leaf, keyed by the width and the
+    identities of the other leaves, which the entry holds weakly: it
+    goes once one of them has died, so a reused id never matches it.  A
+    run on the main register holds no table, so the runs of the two-step
+    circuit's plans there are of leaves kept per layout and compile once
+    per process.
     """
     first, rest = leaves[0], leaves[1:]
     runs = vars(first).setdefault("_runs", {})  # Circuit is frozen
@@ -498,30 +468,27 @@ def _leaf_steps(leaves: list, width: int) -> tuple:
     return runs[key][0]
 
 
-def _oracle_steps(table: dict[str, float], spare: int) -> tuple:
-    """The phase step of a `PhaseOracle` with `table` on a narrower view, without building its gates.
+def _oracle_steps(table: dict[str, float]) -> tuple:
+    """The phase step of a `PhaseOracle` with `table` on the main register, without building its gates.
 
-    Each bitstring fires on its 2**spare positions, one per state of the
-    `spare` qubits below the main register (the marker of a live view,
-    none without it), with its factor e^{iw}: the positions of the
-    exact compile of its gates, one step per entry, joined in table
-    order into one step with a factor per position, so that an R2 is one
-    step instead of n! of them.  An empty table is no step.  Multiplying
-    by an array, not a scalar, may move an amplitude in the last bit,
-    which a folded plan allows.
+    Each bitstring fires on its one position with its factor e^{iw}: the
+    positions of the exact compile of its gates, one step per entry,
+    joined in table order into one step with a factor per position, so
+    that an R2 is one step instead of n! of them.  An empty table is no
+    step.  Multiplying by an array, not a scalar, may move an amplitude
+    in the last bit, which a folded plan allows.
     """
     if not table:
         return ()
-    factors = np.repeat([cmath.exp(1j * w) for w in table.values()], 2**spare)
-    return ((_phase, _tour_positions(tuple(table), spare), factors),)
+    factors = np.array([cmath.exp(1j * w) for w in table.values()])
+    return ((_phase, _tour_positions(tuple(table)), factors),)
 
 
 @lru_cache(maxsize=16)
-def _tour_positions(keys: tuple[str, ...], spare: int) -> np.ndarray:
-    # Each bitstring's positions, in key order.  A cost oracle's keys are the
+def _tour_positions(keys: tuple[str, ...]) -> np.ndarray:
+    # Each bitstring's position, in key order.  A cost oracle's keys are the
     # layout's n! tours, whatever the dataset, so its entry is made once.
-    tours = np.array([int(bits, 2) for bits in keys], dtype=np.int64) << spare
-    positions = (tours[:, None] | np.arange(2**spare, dtype=np.int64)).ravel()
+    positions = np.array([int(bits, 2) for bits in keys], dtype=np.int64)
     positions.flags.writeable = False  # shared by every plan that reads the table's keys
     return positions
 
@@ -530,49 +497,36 @@ def _fold_projection(plan: list, width: int) -> None:
     """Fold the last three steps into one `_project` step if a part and its inverse conjugate a reflection.
 
     The steps are ``(_repeat, P^-1, t)``, the `_reflect` step
-    R = I + (f - 1)|s><s| (x) I on the view's first m axes and
-    ``(_repeat, P, t)``, with P^-1 the inverse that P keeps, neither yet
-    compiled.  With U = P^t, U R U^-1 = I + (f - 1) sum_j |psi_j><psi_j|
-    for psi_j = U(|s> (x) |j>), j a state of the width - m axes left: one
-    step of a few passes over the view instead of 2t runs of P, and P^-1
-    is never compiled.  Computing the rows compiles P, which refuses a P
-    that the view cannot run; a P that the view runs, it runs under P^-1
-    too.  A reflection that leaves more than one axis has more than two
-    rows and stays as it is.  Only a folded plan holds `_reflect` steps,
-    so only a folded plan folds.
+    R = I + (f - 1)|s><s| and ``(_repeat, P, t)``, with P^-1 the inverse
+    that P keeps, neither yet compiled.  With U = P^t,
+    U R U^-1 = I + (f - 1)|psi><psi| for psi = U|s>: one step of a few
+    passes over the view instead of 2t runs of P, and P^-1 is never
+    compiled.  Computing the row compiles P, which refuses a P that the
+    view cannot run; a P that the view runs, it runs under P^-1 too.
+    Only a folded plan holds `_reflect` steps, so only a folded plan
+    folds.
     """
     if len(plan) < 3:
         return
-    (first, inverse, count), (middle, m, factor), (last, part, times) = plan[-3:]
-    if (
-        (first, middle, last) == (_repeat, _reflect, _repeat)
-        and count == times
-        and m >= width - 1
-        and part._inverse is inverse
-    ):
-        plan[-3:] = [(_project, _projection_rows(part, times, width, m), factor)]
+    (first, inverse, count), (middle, _, factor), (last, part, times) = plan[-3:]
+    if (first, middle, last) == (_repeat, _reflect, _repeat) and count == times and part._inverse is inverse:
+        plan[-3:] = [(_project, _projection_row(part, times, width), factor)]
 
 
-def _projection_rows(part: Circuit, times: int, width: int, m: int) -> np.ndarray:
-    """The rows psi_j of `_fold_projection`, for the plan of `part` on `width` qubits repeated `times`.
+def _projection_row(part: Circuit, times: int, width: int) -> np.ndarray:
+    """The row psi of `_fold_projection`, for the plan of `part` on `width` qubits repeated `times`.
 
-    One row per state of the width - m axes after the reflection's: two
-    on a live view, one on the main register alone.  Kept on the part by
-    repeat count and view, next to its plans: the layout's one G1
-    computes them once per q1 and width, and every D2 that repeats it
-    shares them.  They cost 2**(width - m) * 2**width amplitudes.
+    Kept on the part by repeat count and width, next to its plans: the
+    layout's one G1 computes it once per q1 and width, and every D2 that
+    repeats it shares it.  It costs 2**width amplitudes.
     """
-    rows_by_key = vars(part).setdefault("_projections", {})
-    key = (times, width, m)
-    if key not in rows_by_key:
-        part_plan = _unit_plan(part, width)
-        count = 2 ** (width - m)
-        rows = np.zeros((count, 2**width), dtype=np.complex128)
-        for j, row in enumerate(rows):
-            row[j::count] = 1 / math.sqrt(2**m)
-            _repeat(row.reshape((2,) * width), part_plan, times)
-        rows_by_key[key] = rows
-    return rows_by_key[key]
+    rows = vars(part).setdefault("_projections", {})
+    key = (times, width)
+    if key not in rows:
+        row = np.full(2**width, 1 / math.sqrt(2**width), dtype=np.complex128)
+        _repeat(row.reshape((2,) * width), _unit_plan(part, width), times)
+        rows[key] = row
+    return rows[key]
 
 
 def _units(circuit: Circuit):
@@ -613,23 +567,22 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def _check_width(state: StateVector, layout: HoboLayout) -> None:
-    if state.width not in (layout.width, layout.live_width, layout.main_qubits):
+    if state.width not in (layout.width, layout.main_qubits):
         raise ValueError(
-            f"state width {state.width} is neither the layout's width {layout.width}, its live width "
-            f"{layout.live_width} nor its main register's width {layout.main_qubits}"
+            f"state width {state.width} is neither the layout's width {layout.width} "
+            f"nor its main register's width {layout.main_qubits}"
         )
 
 
 def run(circuit: Circuit, state: StateVector) -> StateVector:
     """Apply the circuit in place through its compiled plan.
 
-    A full-width state runs the exact plan.  A live state
-    (`HoboLayout.live_width`) and a state of the main register alone,
-    whose marker is held in |-> (see the module docstring), run the plan
-    that folds each H·S0·H sandwich into one reflection step and each D2
-    into one projection step.  Raises CapacityError if the state does
-    not hold a qubit the circuit needs: an ancilla it sets, or on the
-    main register alone a marker it prepares or reads.  Raises NormError
+    A full-width state runs the exact plan.  A state of the main
+    register alone, whose marker is held in |-> (see the module
+    docstring), runs the plan that folds each H·S0·H sandwich into one
+    reflection step and each D2 into one projection step.  Raises
+    CapacityError if the state does not hold a qubit the circuit needs:
+    an ancilla it sets, or a marker it prepares or reads.  Raises NormError
     if the state's squared norm is not 1 afterwards, so an input that
     was not normalised or a drifting kernel is reported.
     """

@@ -1,4 +1,4 @@
-"""Shared test utilities: basis-state preparation and dense assembly."""
+"""Shared test utilities: basis-state preparation, dense assembly and a reference model of the search."""
 
 import math
 
@@ -74,6 +74,32 @@ def off_workspace_mass(state: StateVector, layout: HoboLayout) -> float:
     mask[0] = False  # anc zero, marker 0
     mask[1] = False  # anc zero, marker 1
     return float(block[:, mask].max())
+
+
+def two_step_reference(phases: dict[str, float], q1: int, q2: int) -> np.ndarray:
+    """The main-register amplitudes of the two-step search, from a model of n! + 1 coordinates.
+
+    The M tours of `phases` keep one coordinate each; the N - M other
+    states of the register, which no block tells apart, share one, their
+    uniform superposition.  The search starts from the uniform state s.
+    Stage 1 is q1 rounds of R1 (-1 on the tours) and D1 = I - 2|s><s|,
+    which leave psi1; stage 2 is q2 rounds of R2 (e^{iw} on each tour)
+    and D2 = I - 2|psi1><psi1|.  Numpy only: no gate, circuit or plan.
+    """
+    size, m = 2 ** len(next(iter(phases))), len(phases)
+    s = np.append(np.ones(m), math.sqrt(size - m)) / math.sqrt(size)
+    v = s.astype(complex)
+    for _ in range(q1):
+        v[:m] *= -1
+        v -= 2 * s * np.vdot(s, v)
+    psi1 = v.copy()
+    factors = np.exp(1j * np.array(list(phases.values())))
+    for _ in range(q2):
+        v[:m] *= factors
+        v -= 2 * psi1 * np.vdot(psi1, v)
+    amplitudes = np.full(size, v[m] / math.sqrt(size - m))
+    amplitudes[[int(bits, 2) for bits in phases]] = v[:m]
+    return amplitudes
 
 
 def gates_unitary(gates, width: int) -> np.ndarray:

@@ -52,17 +52,18 @@ from tsp_qsearch.simulator import (
     _project,
     _reflect,
     _repeat,
-    _live_qubits,
     _unit_plan,
-    circuit_plan,
+    _view,
+    _Woken,
 )
+from tsp_qsearch.cli import _after_marker_prep
 
-from helpers import BUILDER_CACHES, clear_builder_caches, prepare_main_basis
+from helpers import BUILDER_CACHES, clear_builder_caches, prepare_main_basis, two_step_reference
 
-# Largest per-amplitude gap allowed between a live run, whose plan folds
-# each H·S0·H sandwich into one `_reflect` step and each D2 into one
-# `_project` step, and the exact plan; the gap measured on the two-step
-# circuits at n=2 to 4 with q1, q2 <= 4 is at most 1.7e-14.
+# Largest per-amplitude gap allowed between a main-register run, whose
+# plan folds each H·S0·H sandwich into one `_reflect` step and each D2
+# into one `_project` step, and the exact plan; the gap measured on the
+# two-step circuits at n=2 to 4 with q1, q2 <= 4 is at most 2.3e-14.
 FOLD_TOLERANCE = 1e-12
 
 
@@ -170,11 +171,11 @@ class TestApplyGate:
             apply_gate(state, gate)
         assert np.array_equal(state.amplitudes, new_state(3).amplitudes)
 
-    def test_the_marker_of_a_live_state_is_outside_its_width(self):
+    def test_the_marker_is_outside_a_main_register_state(self):
         # apply_gate indexes a state's own qubits; the layout's marker is past them.
         layout = HoboLayout.for_cities(3)
-        with pytest.raises(ValueError, match=f"outside width {layout.live_width}"):
-            apply_gate(new_state(layout.live_width), x(layout.marker))
+        with pytest.raises(ValueError, match=f"outside width {layout.main_qubits}"):
+            apply_gate(new_state(layout.main_qubits), x(layout.marker))
 
     @pytest.mark.parametrize("gate, half", [(x(3), 2**14), (cx(2, 9), 2**13)], ids=["x", "cx"])
     def test_one_gate_allocates_only_two_halves_of_its_region(self, gate, half):
@@ -224,11 +225,15 @@ class TestRun:
         run(invert_circuit(circuit), run(circuit, state))
         assert np.max(np.abs(state.amplitudes - reference)) < 1e-10
 
-    @pytest.mark.parametrize("width", [4, 12, 8, 14])  # n=3: main register 6, live width 7, full width 13
+    # n=3: main register 6, full width 13; 7 is the main register and the marker.
+    @pytest.mark.parametrize("width", [4, 12, 8, 14, 7])
     def test_width_mismatch(self, width):
         layout = HoboLayout.for_cities(3)
-        with pytest.raises(ValueError, match="neither .* nor its main register's width 6"):
-            run(Circuit(layout, ()), new_state(width))
+        state = new_state(width)
+        message = f"state width {width} is neither the layout's width 13 nor its main register's width 6"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(Circuit(layout, (h(0),)), state)
+        assert np.array_equal(state.amplitudes, new_state(width).amplitudes)
 
     def test_unnormalised_state_raises(self):
         layout = HoboLayout.for_cities(3)
@@ -494,12 +499,12 @@ class TestCompiledPlan:
 
         # A new step starts only where a qubit repeats, so a distinct run
         # is one step; each step is an H layer, a lone H one of one pass.
-        plan = circuit_plan(circuit, False)
+        plan = _unit_plan(circuit, width)
         layers = [_h_qubits(step) for step in plan]
         assert [q for layer in layers for q in layer] == targets
         assert len(plan) == 1 + (len(set(targets)) < len(targets))
         assert all(step[0] is _hadamards and len(set(layer)) == len(layer) for step, layer in zip(plan, layers))
-        lone = circuit_plan(Circuit(circuit.layout, (h(targets[0]),)), False)
+        lone = _unit_plan(Circuit(circuit.layout, (h(targets[0]),)), width)
         assert [(step[0], step[2]) for step in lone] == [(_hadamards, 1)]
 
         # Sparse, purely real or imaginary states, so zeros of both signs appear.
@@ -517,47 +522,33 @@ class TestCompiledPlan:
     def test_two_step_plan_swaps_only_the_marker_not(self, n):
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
-        full, plan = (_unrolled(circuit_plan(circuit, live)) for live in (False, True))
+        full = _unrolled(_unit_plan(circuit, layout.width))
 
         kinds = Counter(kernel.__name__ for kernel, _, _ in full)
         assert kinds == {"_permute": 11, "_hadamards": 25, "_phase": {3: 24, 4: 60}[n]}
-        # The live plan folds each D1 into one reflection and each D2, with
-        # the R1 move and D1 sandwich of each of its four G1 runs, into one
-        # projection, and reads each R2 as one phase step from its table.
-        kinds = Counter(kernel.__name__ for kernel, _, _ in plan)
-        assert kinds == {"_permute": 3, "_hadamards": 1, "_reflect": 2, "_project": 2, "_phase": 2}
 
-        # The marker's NOT, which an H follows, is the first step of both: a
-        # move of every position p to p ^ 1, the marker being the last axis.
-        for steps, width in ((full, layout.width), (plan, layout.live_width)):
-            positions = np.arange(2**width)
-            assert steps[0][0] is _permute
-            assert np.array_equal(steps[0][2], positions) and np.array_equal(steps[0][1], positions ^ 1)
+        # The marker's NOT, which an H follows, is the first step: a move of
+        # every position p to p ^ 1, the marker being the last axis.
+        positions = np.arange(2**layout.width)
+        assert full[0][0] is _permute
+        assert np.array_equal(full[0][2], positions) and np.array_equal(full[0][1], positions ^ 1)
 
-        # Each R1 block left in the live plan, the first stage's two, is one
-        # equal move; its ancillas end at zero, so it moves only the
-        # amplitudes whose marker it flips: both marker values of each
-        # feasible tour.
-        moves = [step for step in plan if step[0] is _permute]
-        assert len(moves[1][2]) == 2 * math.factorial(n)
-        assert all(np.array_equal(step[1], moves[1][1]) and np.array_equal(step[2], moves[1][2])
-                   for step in moves[1:])
-
-    @pytest.mark.parametrize("live", [False, True], ids=["full", "live"])
-    def test_plan_is_compiled_once_per_circuit(self, live):
+    @pytest.mark.parametrize("main", [False, True], ids=["full", "main"])
+    def test_plan_is_compiled_once_per_circuit(self, main):
         # D2 is built anew on each call, from leaves kept per layout: G1, the
         # H layer, their inverses and the zero reflection.
         layout = HoboLayout.for_cities(3)
+        width, other = (layout.main_qubits, layout.width) if main else (layout.width, layout.main_qubits)
         circuit = build_d2(layout, 2)
-        assert circuit_plan(circuit, live) is circuit_plan(circuit, live)
-        assert circuit_plan(circuit, live) is not circuit_plan(circuit, not live)
-        assert circuit_plan(Circuit(layout, circuit.gates), live) is not circuit_plan(circuit, live)
+        assert _unit_plan(circuit, width) is _unit_plan(circuit, width)
+        assert _unit_plan(circuit, width) is not _unit_plan(circuit, other)
+        assert _unit_plan(Circuit(layout, circuit.gates), width) is not _unit_plan(circuit, width)
         # A second D2 is another circuit with a plan of its own, made of the
-        # steps compiled for the first: G1's plans, its projection rows and
+        # steps compiled for the first: G1's plans, its projection row and
         # the centre's steps are compiled once per layout.
         again = build_d2(layout, 2)
-        assert again is not circuit and circuit_plan(again, live) is not circuit_plan(circuit, live)
-        assert all(a[1] is b[1] for a, b in zip(circuit_plan(again, live), circuit_plan(circuit, live), strict=True))
+        assert again is not circuit and _unit_plan(again, width) is not _unit_plan(circuit, width)
+        assert all(a[1] is b[1] for a, b in zip(_unit_plan(again, width), _unit_plan(circuit, width), strict=True))
         # Nothing outside the circuit holds it, so its plan dies with it.
         freed = weakref.ref(circuit)
         del circuit
@@ -568,24 +559,24 @@ class TestCompiledPlan:
         # Only the compile: running the plan stays linear in q1.
         layout = HoboLayout.for_cities(3)
         clear_builder_caches()  # a cold compile, G1's plan included
-        plan, peak = _traced_compile(build_two_step(layout, builtin_phases(3), Schedule(10**5, 0)))
+        plan, peak = _traced_compile(_after_marker_prep(build_two_step(layout, builtin_phases(3), Schedule(10**5, 0))))
         assert [step[0] for step in plan].count(_repeat) == 1
         assert peak < 2**20
 
     def test_compile_allocates_only_the_view(self):
-        # The permutations are built on the 2**9 view positions, not the
+        # The permutations are built on the 2**8 view positions, not the
         # 2**15 basis states of the n=4 layout.
         layout = HoboLayout.for_cities(4)
         clear_builder_caches()  # a cold compile, G1's plan included
-        _, peak = _traced_compile(build_two_step(layout, builtin_phases(4), Schedule(2, 2)))
+        _, peak = _traced_compile(_after_marker_prep(build_two_step(layout, builtin_phases(4), Schedule(2, 2))))
         assert peak < 64 * 2**10
 
 
 def _traced_compile(circuit: Circuit) -> tuple:
-    """The circuit's live plan and the compile's `tracemalloc` peak."""
+    """The circuit's main-register plan and the compile's `tracemalloc` peak."""
     tracemalloc.start()
     try:
-        plan = circuit_plan(circuit, True)
+        plan = _unit_plan(circuit, circuit.layout.main_qubits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -599,7 +590,7 @@ def _gate_by_gate(circuit: Circuit, state: StateVector) -> np.ndarray:
 
 
 def _by_view(amps: np.ndarray, layout: HoboLayout) -> tuple:
-    """The amplitudes with every ancilla bit 0, and the rest."""
+    """The amplitudes with every ancilla bit 0, by main-register state and marker, and the rest."""
     blocks = amps.reshape(2**layout.main_qubits, -1, 2**layout.marker_qubits)
     return blocks[:, 0].copy(), blocks[:, 1:]
 
@@ -611,17 +602,11 @@ class TestViews:
         layout = HoboLayout.for_cities(n)
         phases = gen_gaussian_phases(2, math.pi, 0.5, 0) if n == 2 else builtin_phases(n)
         circuit = build_two_step(layout, phases, schedule)
-        assert circuit_plan(circuit, True) is not None
-        # The whole state, zero signs outside the live qubits included.
+        # The whole state, zero signs outside the main register and the marker included.
         full = run(circuit, new_state(layout.width))
         _assert_bit_identical(full.amplitudes, _gate_by_gate(circuit, new_state(layout.width)))
-        live, rest = _by_view(full.amplitudes, layout)
+        _, rest = _by_view(full.amplitudes, layout)
         assert not rest.any()
-        # A live state holds exactly the view, with every H·S0·H sandwich
-        # folded into one reflection step: equal to a stated tolerance.
-        live_state = run(circuit, new_state(layout.live_width))
-        assert np.abs(live_state.amplitudes - live.reshape(-1)).max() <= FOLD_TOLERANCE
-        assert np.abs(main_probabilities(live_state, layout) - main_probabilities(full, layout)).max() <= FOLD_TOLERANCE
 
     def test_ancilla_mass_runs_on_all_qubits(self):
         layout = HoboLayout.for_cities(3)
@@ -642,68 +627,70 @@ class TestViews:
             "cx run": [h(0), cx(0, ancilla), cx(0, ancilla + 1), h(0)],  # one permutation
         }[wake]
         circuit = Circuit(layout, tuple(gates))
-        assert circuit_plan(circuit, True) is None
         got = run(circuit, new_state(layout.width)).amplitudes
         expected = _gate_by_gate(circuit, new_state(layout.width))
         assert np.abs(_by_view(expected, layout)[1]).max() > 0.1
         _assert_bit_identical(got, expected)
-        # A live state has no ancilla to wake: refused, and left as it was.
-        live = new_state(layout.live_width)
+        # A state of the main register has no ancilla to wake: its plan and
+        # the run are refused, and the state is left as it was.
+        with pytest.raises(_Woken):
+            _unit_plan(circuit, layout.main_qubits)
+        main = new_state(layout.main_qubits)
         with pytest.raises(CapacityError, match=f"needs {layout.width}"):
-            run(circuit, live)
-        assert np.array_equal(live.amplitudes, new_state(layout.live_width).amplitudes)
+            run(circuit, main)
+        assert np.array_equal(main.amplitudes, new_state(layout.main_qubits).amplitudes)
 
-    def test_a_phase_on_an_ancilla_that_the_relabelling_clears_stays_live(self):
+    def test_a_phase_on_an_ancilla_that_the_relabelling_clears_stays_on_the_main_register(self):
         # The MCP reads the ancilla while a label has it set; the second CX
-        # clears it before the next H, so no move leaves the live qubits.
-        # No sandwich folds, so the live run is exact.
+        # clears it before the next H, so no move leaves the main register.
+        # No sandwich folds, so the run is exact: the full state's marker-0
+        # column, which the circuit leaves alone.
         layout = HoboLayout.for_cities(3)
         ancilla = layout.main_qubits
         gates = (h(0), h(1), cx(0, ancilla), mcp((ancilla,), 1, 0.7), cx(0, ancilla), h(0))
         circuit = Circuit(layout, gates)
-        assert circuit_plan(circuit, True) is not None
-        live = run(circuit, new_state(layout.live_width)).amplitudes
-        expected_live, expected_rest = _by_view(_gate_by_gate(circuit, new_state(layout.width)), layout)
-        _assert_bit_identical(live, expected_live.reshape(-1))
-        assert not expected_rest.any()
+        main = run(circuit, new_state(layout.main_qubits)).amplitudes
+        expected_main, expected_rest = _by_view(_gate_by_gate(circuit, new_state(layout.width)), layout)
+        _assert_bit_identical(main, expected_main[:, 0].copy())
+        assert not expected_rest.any() and not expected_main[:, 1].any()
 
-    @pytest.mark.parametrize("ancilla_mcps, live_mcps", [(1, 0), (2, 0), (2, 2)], ids=["lone", "0", "2"])
-    def test_phases_on_an_ancilla_before_any_move_are_no_live_step(self, ancilla_mcps, live_mcps):
-        # A live state holds only ancilla bit 0, so an MCP controlled on an
-        # ancilla fires nowhere there and is no step, alone or among others.
+    @pytest.mark.parametrize("ancilla_mcps, main_mcps", [(1, 0), (2, 0), (2, 2)], ids=["lone", "0", "2"])
+    def test_phases_on_an_ancilla_before_any_move_are_no_main_register_step(self, ancilla_mcps, main_mcps):
+        # A state of the main register holds only ancilla bit 0, so an MCP
+        # controlled on an ancilla fires nowhere there and is no step, alone
+        # or among others.
         layout = HoboLayout.for_cities(3)
         ancilla = layout.main_qubits
         on_ancilla = [mcp((ancilla,), 0, 0.3), mcp((ancilla,), 1, 0.4)][:ancilla_mcps]
-        splits = [x(1), mcp((0,), 1, 0.5), x(1), mcp((0,), 1, 0.6)][: 2 * live_mcps]
+        splits = [x(1), mcp((0,), 1, 0.5), x(1), mcp((0,), 1, 0.6)][: 2 * main_mcps]
         gates = (h(0), *[h(1)][: ancilla_mcps - 1], *on_ancilla, *splits, h(0))
         circuit = Circuit(layout, gates)
-        phases = [step for step in circuit_plan(circuit, True) if step[0] is _phase]
-        # Each live MCP fires where qubit 0 is 1 and qubit 1 is 0, or 1.
-        assert [step[1].size for step in phases] == [2 ** (layout.live_width - 2)] * live_mcps
-        # No sandwich folds, so the live run is exact.
-        live = run(circuit, new_state(layout.live_width)).amplitudes
+        phases = [step for step in _unit_plan(circuit, layout.main_qubits) if step[0] is _phase]
+        # Each other MCP fires where qubit 0 is 1 and qubit 1 is 0, or 1.
+        assert [step[1].size for step in phases] == [2 ** (layout.main_qubits - 2)] * main_mcps
+        # No sandwich folds, so the run is exact.
+        main = run(circuit, new_state(layout.main_qubits)).amplitudes
         expected, _ = _by_view(_gate_by_gate(circuit, new_state(layout.width)), layout)
-        _assert_bit_identical(live, expected.reshape(-1))
+        _assert_bit_identical(main, expected[:, 0].copy())
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_oracle_r1_negates_exactly_the_feasible_rows(self, n):
-        # Too wide for the full state (41 and 46 qubits), so run on the live
-        # state: a uniform main register times a minus marker.
+        # Too wide for the full state (41 and 46 qubits), so run on a uniform
+        # main register, its marker held in |->: R1 is exactly -1 on the n! tours.
         layout = HoboLayout.for_cities(n)
-        live = np.empty((2**layout.main_qubits, 2), dtype=complex)
-        live[:] = (1, -1)
-        live /= math.sqrt(2**layout.live_width)
-        expected = live.copy()
+        main = np.full(2**layout.main_qubits, 1 / math.sqrt(2**layout.main_qubits), dtype=complex)
+        expected = main.copy()
         expected[[int(bits, 2) for bits in enumerate_feasible(n)]] *= -1
-        run(build_oracle_r1(layout), StateVector(layout.live_width, live.reshape(-1)))
-        assert np.array_equal(live, expected)
+        run(build_oracle_r1(layout), StateVector(layout.main_qubits, main))
+        assert np.array_equal(main, expected)
 
     def test_paper_run_at_five_cities(self):
         # The paper's five-city run at gate level: raw angles, the default
-        # schedule, and the live state, since the full state needs 41 qubits.
+        # schedule, and the main register, since the full state needs 41 qubits.
         layout = HoboLayout.for_cities(5)
         phases = gen_gaussian_phases(5, math.pi, 0.5, 42)
-        state = run(build_two_step(layout, phases, Schedule(12, 6)), new_state(layout.live_width))
+        circuit = _after_marker_prep(build_two_step(layout, phases, Schedule(12, 6)))
+        state = run(circuit, new_state(layout.main_qubits))
         probs = main_probabilities(state, layout)
         assert abs(probs.sum() - 1) < 1e-10
         assert probs[[int(bits, 2) for bits in enumerate_feasible(5)]].sum() == pytest.approx(0.5905797642, abs=1e-9)
@@ -711,20 +698,16 @@ class TestViews:
         assert probs[int(phases.max_key, 2)] == pytest.approx(0.0295140642, abs=1e-9)
 
     def test_paper_run_at_six_cities(self):
-        # The six-city run of the paper's setup, on its 19-qubit live state.
+        # The six-city run of the paper's setup, on its 18-qubit main register.
         layout = HoboLayout.for_cities(6)
         phases = gen_gaussian_phases(6, math.pi, 0.5, 42)
-        state = run(build_two_step(layout, phases, Schedule(14, 14)), new_state(layout.live_width))
+        circuit = _after_marker_prep(build_two_step(layout, phases, Schedule(14, 14)))
+        state = run(circuit, new_state(layout.main_qubits))
         probs = main_probabilities(state, layout)
         assert abs(probs.sum() - 1) < 1e-10
         assert probs[[int(bits, 2) for bits in enumerate_feasible(6)]].sum() == pytest.approx(0.0985704912, abs=1e-9)
         assert probs[int(phases.min_key, 2)] == pytest.approx(0.0011405121, abs=1e-9)
         assert probs[int(phases.max_key, 2)] == pytest.approx(0.0017467341, abs=1e-9)
-
-
-def _after_marker_prep(circuit: Circuit) -> Circuit:
-    """The two-step circuit without its marker preparation, as a main-register state runs it."""
-    return Circuit(circuit.layout, parts=circuit.parts[1:])
 
 
 class TestMarkerFree:
@@ -742,17 +725,20 @@ class TestMarkerFree:
         state = run(_after_marker_prep(circuit), new_state(layout.main_qubits))
         assert np.abs(main_probabilities(state, layout) - main_probabilities(full, layout)).max() <= 1e-12
         # The state is the main register's marker-0 column, times sqrt(2).
-        live, _ = _by_view(full.amplitudes, layout)
-        assert np.abs(state.amplitudes - math.sqrt(2) * live[:, 0]).max() <= FOLD_TOLERANCE
+        columns, _ = _by_view(full.amplitudes, layout)
+        assert np.abs(state.amplitudes - math.sqrt(2) * columns[:, 0]).max() <= FOLD_TOLERANCE
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), q1=st.integers(0, 3), q2=st.integers(0, 3))
+    @example(n=3, seed=1, q1=1, q2=2)  # G1 * 1 joins D2's leaves: no projection
+    @example(n=3, seed=1, q1=0, q2=2)  # D2 is its centre reflection alone
+    def test_matches_the_reference_model(self, n, seed, q1, q2):
+        _assert_matches_the_reference(n, gen_gaussian_phases(n, math.pi, 0.5, seed), Schedule(q1, q2))
 
     @pytest.mark.parametrize(("n", "schedule"), [(5, Schedule(12, 6)), (6, Schedule(14, 14))], ids=["5", "6"])
-    def test_matches_the_live_run(self, n, schedule):
+    def test_matches_the_reference_model_at_the_papers_schedules(self, n, schedule):
         # The paper's schedules at n=5 and 6, whose full states are too wide.
-        layout = HoboLayout.for_cities(n)
-        circuit = build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, 42), schedule)
-        live = run(circuit, new_state(layout.live_width))
-        state = run(_after_marker_prep(circuit), new_state(layout.main_qubits))
-        assert np.abs(main_probabilities(state, layout) - main_probabilities(live, layout)).max() <= 1e-12
+        _assert_matches_the_reference(n, gen_gaussian_phases(n, math.pi, 0.5, 42), schedule)
 
     def test_four_city_plan(self):
         layout = HoboLayout.for_cities(4)
@@ -768,11 +754,11 @@ class TestMarkerFree:
         assert g1_plan[0][2] == -1
         # G2 is R2's table and D2's projection onto the one row G1^2 |s>.
         assert [step[0] for step in g2_plan] == [_phase, _project]
-        rows = g2_plan[1][1]
-        assert rows.shape == (1, 2**8)
+        row = g2_plan[1][1]
+        assert row.shape == (2**8,)
         uniform = np.full(2**8, 1 / 16, dtype=np.complex128)
         _execute(((_repeat, g1_plan, 2),), uniform)
-        _assert_bit_identical(rows[0], uniform)
+        _assert_bit_identical(row, uniform)
 
     @pytest.mark.parametrize("reads", ["prep", "cx control", "mcp target", "mcp control"])
     def test_a_circuit_that_prepares_or_reads_the_marker_is_refused(self, reads):
@@ -792,19 +778,18 @@ class TestMarkerFree:
         with pytest.raises(CapacityError, match=re.escape(message)):
             run(circuit, state)
         assert np.array_equal(state.amplitudes, new_state(layout.main_qubits).amplitudes)
-        # A live state holds the marker, and runs each of them.
-        run(circuit, new_state(layout.live_width))
+        # A full-width state holds the marker, and runs each of them.
+        run(circuit, new_state(layout.width))
 
     def test_an_ancilla_is_refused_with_the_same_message(self):
         layout = HoboLayout.for_cities(3)
         circuit = Circuit(layout, (h(0), cx(0, layout.main_qubits), h(0)))
-        for width in (layout.live_width, layout.main_qubits):
-            message = (
-                f"the circuit sets an ancilla, or prepares or reads the marker, which a state of {width} "
-                "qubits may not hold; a full-width state needs 13"
-            )
-            with pytest.raises(CapacityError, match=re.escape(message)):
-                run(circuit, new_state(width))
+        message = (
+            "the circuit sets an ancilla, or prepares or reads the marker, which a state of 6 "
+            "qubits may not hold; a full-width state needs 13"
+        )
+        with pytest.raises(CapacityError, match=re.escape(message)):
+            run(circuit, new_state(layout.main_qubits))
 
     def test_a_flip_of_the_marker_is_a_sign(self):
         # CX and MCX onto the marker, and X on it, which negates every amplitude.
@@ -814,8 +799,17 @@ class TestMarkerFree:
         circuit = Circuit(layout, gates)
         got = run(circuit, new_state(layout.main_qubits)).amplitudes
         full = _gate_by_gate(Circuit(layout, (x(marker), h(marker), *gates)), new_state(layout.width))
-        live, _ = _by_view(full, layout)
-        assert np.abs(got - math.sqrt(2) * live[:, 0]).max() <= FOLD_TOLERANCE
+        columns, _ = _by_view(full, layout)
+        assert np.abs(got - math.sqrt(2) * columns[:, 0]).max() <= FOLD_TOLERANCE
+
+
+def _assert_matches_the_reference(n: int, phases, schedule: Schedule) -> None:
+    """The main-register run equals `two_step_reference` per amplitude, tours and the rest alike."""
+    layout = HoboLayout.for_cities(n)
+    circuit = _after_marker_prep(build_two_step(layout, phases, schedule))
+    state = run(circuit, new_state(layout.main_qubits))
+    expected = two_step_reference(phases.phases, schedule.q1, schedule.q2)
+    assert np.abs(state.amplitudes - expected).max() <= 1e-13
 
 
 def _sandwich(qubits: tuple, zeros: tuple) -> list:
@@ -831,34 +825,47 @@ class TestFold:
     @example(n=4, seed=42, q1=2, q2=2)
     @example(n=3, seed=1, q1=1, q2=2)  # G1 * 1 joins D2's leaves: no projection
     @example(n=3, seed=1, q1=0, q2=2)  # D2 is its centre sandwich alone
-    def test_live_run_folds_every_sandwich_and_matches_the_exact_run(self, n, seed, q1, q2):
+    def test_main_register_run_folds_every_sandwich_and_matches_the_exact_run(self, n, seed, q1, q2):
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, seed), Schedule(q1, q2))
+        main = _after_marker_prep(circuit)
         # Each D1 is a sandwich, and each D2 holds 2 * q1 of them and its centre;
-        # only the opening H layer, on the main register and the marker, is left.
-        # From q1 = 2 each D2 is one step that projects onto the first stage's output.
-        kinds = Counter(step[0] for step in _unrolled(circuit_plan(circuit, True)))
+        # only the opening H layer, on the main register, is left.  From
+        # q1 = 2 each D2 is one step that projects onto the first stage's output.
+        kinds = Counter(step[0] for step in _unrolled(_unit_plan(main, layout.main_qubits)))
         assert kinds[_hadamards] == 1
         if q1 >= 2:
             assert (kinds[_reflect], kinds[_project]) == (q1, q2)
         else:
             assert (kinds[_reflect], kinds[_project]) == (q1 + q2 * (2 * q1 + 1), 0)
         exact, _ = _by_view(run(circuit, new_state(layout.width)).amplitudes, layout)
-        folded = run(circuit, new_state(layout.live_width)).amplitudes
-        assert np.abs(folded - exact.reshape(-1)).max() <= FOLD_TOLERANCE
+        folded = run(main, new_state(layout.main_qubits)).amplitudes
+        assert np.abs(folded - math.sqrt(2) * exact[:, 0]).max() <= FOLD_TOLERANCE
 
     @pytest.mark.parametrize(
         "qubits, zeros, folds",
         [
-            ((0, 1), (0, 1), True),
-            ((3, 2, 1, 0), (0, 1, 2, 3), True),
+            ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), True),
+            ((5, 3, 1, 0, 2, 4), (2, 0, 5, 1, 3, 4), True),
+            ((0, 1), (0, 1), False),
+            ((3, 2, 1, 0), (0, 1, 2, 3), False),
+            ((0, 1, 2, 3, 4, 5), (0, 1), False),
             ((2, 1), (2, 1), False),
             ((0, 2), (0, 2), False),
             ((1, 2), (0, 1), False),
         ],
-        ids=["two leading axes", "four leading axes", "inner axes", "gapped axes", "phase on other axes"],
+        ids=[
+            "all axes",
+            "all axes in any order",
+            "two leading axes",
+            "four leading axes",
+            "phase on fewer axes",
+            "inner axes",
+            "gapped axes",
+            "phase on other axes",
+        ],
     )
-    def test_only_a_sandwich_on_the_leading_axes_folds(self, qubits, zeros, folds):
+    def test_only_a_sandwich_on_all_axes_folds(self, qubits, zeros, folds):
         # On the main register of a layout with a marker, a view that folds.
         layout = _marked_layout(6)
         circuit = Circuit(layout, tuple(_sandwich(qubits, zeros)))
@@ -870,7 +877,7 @@ class TestFold:
         _execute(plan, got)
         expected = _gate_by_gate(circuit, StateVector(6, amps.copy()))
         if folds:
-            assert [step[:2] for step in plan] == [(_reflect, len(qubits))]
+            assert [step[:2] for step in plan] == [(_reflect, None)]
             assert plan[0][2] == cmath.exp(1j * math.pi)
             assert np.abs(got - expected).max() <= FOLD_TOLERANCE
         else:
@@ -878,95 +885,93 @@ class TestFold:
             _assert_bit_identical(got, expected)
 
     def test_a_fused_phase_step_never_folds(self):
-        # A two-entry table splits qubit 0 = 0 by qubit 1 into one step on
-        # live positions 0 to 3, where a one-axis sandwich's phase fires, but
-        # with two factors.  A table is a step of its own, outside the runs
-        # of leaves that fold.
+        # A one-entry table is one step on position 0 alone, where a
+        # sandwich's phase fires, but with a factor array.  A table is a
+        # step of its own, outside the runs of leaves that fold.
         layout = HoboLayout.for_cities(2)
-        oracle = PhaseOracle(layout, {"00": 0.5, "01": 1.5})
-        hadamard = Circuit(layout, (h(0),))
-        circuit = hadamard + oracle + hadamard
-        plan = circuit_plan(circuit, True)
+        oracle = PhaseOracle(layout, {"00": 0.5})
+        hadamards = Circuit(layout, (h(0), h(1)))
+        circuit = hadamards + oracle + hadamards
+        plan = _unit_plan(circuit, layout.main_qubits)
         assert "leaf" not in vars(oracle)
         assert [step[0] for step in plan] == [_hadamards, _phase, _hadamards]
-        assert np.array_equal(plan[1][1], np.arange(4)) and plan[1][2].shape == (4,)
+        assert np.array_equal(plan[1][1], [0]) and plan[1][2].shape == (1,)
         rng = np.random.default_rng(5)
-        amps = rng.normal(size=2**layout.live_width) + 1j * rng.normal(size=2**layout.live_width)
+        amps = rng.normal(size=2**layout.main_qubits) + 1j * rng.normal(size=2**layout.main_qubits)
         amps /= np.linalg.norm(amps)
         got = amps.copy()
         _execute(plan, got)
         full = np.zeros(2**layout.width, dtype=np.complex128)
-        full.reshape(2**layout.main_qubits, -1, 2**layout.marker_qubits)[:, 0] = amps.reshape(2**layout.main_qubits, -1)
+        full.reshape(2**layout.main_qubits, -1)[:, 0] = amps
         expected, _ = _by_view(_gate_by_gate(circuit, StateVector(layout.width, full)), layout)
-        assert np.abs(got - expected.reshape(-1)).max() <= FOLD_TOLERANCE
+        assert np.abs(got - expected[:, 0]).max() <= FOLD_TOLERANCE
 
     def test_reflection_refuses_a_view_it_cannot_reshape_in_place(self):
         strided = np.zeros(16, dtype=np.complex128)[::2].reshape((2,) * 3)
         with pytest.raises(ValueError, match="C-contiguous"):
-            _reflect(strided, 1, -1)
+            _reflect(strided, None, -1)
 
     def test_the_first_stage_folds_once_for_the_prefix_and_every_d2(self):
         layout = HoboLayout.for_cities(4)
-        circuit = build_two_step(layout, builtin_phases(4), Schedule(2, 2))
-        plan = circuit_plan(circuit, True)
-        assert [step[0] for step in plan] == [_permute, _hadamards, _repeat, _repeat]
+        circuit = _after_marker_prep(build_two_step(layout, builtin_phases(4), Schedule(2, 2)))
+        plan = _unit_plan(circuit, layout.main_qubits)
+        assert [step[0] for step in plan] == [_hadamards, _repeat, _repeat]
         g1_plan, g2_plan = plan[-2][1], plan[-1][1]
-        assert [step[0] for step in g1_plan] == [_permute, _reflect]
-        assert g1_plan is circuit_plan(build_g1(layout), True)
-        # D2 is one projection onto the rows psi_j = G1^2 (|s> (x) |j>), j the
-        # marker, which the prefix's G1 plan computes.
+        assert [step[0] for step in g1_plan] == [_phase, _reflect]
+        assert g1_plan is _unit_plan(build_g1(layout), layout.main_qubits)
+        # D2 is one projection onto the row psi = G1^2 |s>, which the
+        # prefix's G1 plan computes.
         assert g2_plan[-1][0] is _project and g2_plan[-1][2] == cmath.exp(1j * math.pi)
-        rows = g2_plan[-1][1]
-        uniform = np.zeros((2, 2**layout.live_width), dtype=np.complex128)
-        uniform[0, 0::2] = uniform[1, 1::2] = 1 / math.sqrt(2**layout.main_qubits)
-        for row, start in zip(rows, uniform):
-            _execute(((_repeat, g1_plan, 2),), start)
-            _assert_bit_identical(row, start)
-        # The marker is prepared in |->, so the prefix leaves (psi_0 - psi_1) / sqrt(2).
-        prefix = run(build_two_step(layout, builtin_phases(4), Schedule(2, 0)), new_state(layout.live_width))
-        assert np.abs(prefix.amplitudes - (rows[0] - rows[1]) / math.sqrt(2)).max() <= FOLD_TOLERANCE
+        row = g2_plan[-1][1]
+        uniform = np.full(2**layout.main_qubits, 1 / math.sqrt(2**layout.main_qubits), dtype=np.complex128)
+        _execute(((_repeat, g1_plan, 2),), uniform)
+        _assert_bit_identical(row, uniform)
+        # The prefix leaves psi itself.
+        prefix = _after_marker_prep(build_two_step(layout, builtin_phases(4), Schedule(2, 0)))
+        assert np.abs(run(prefix, new_state(layout.main_qubits)).amplitudes - row).max() <= FOLD_TOLERANCE
 
     def test_every_d2_of_a_layout_and_q1_shares_one_projection(self):
         layout = HoboLayout.for_cities(3)
 
-        def projection_rows(q1: int, seed: int) -> np.ndarray:
+        def projection_row(q1: int, seed: int) -> np.ndarray:
             circuit = build_two_step(layout, gen_gaussian_phases(3, math.pi, 0.5, seed), Schedule(q1, 2))
             # The last step of G2's plan, itself the plan's last step.
-            kernel, rows, _ = circuit_plan(circuit, True)[-1][1][-1]
+            kernel, row, _ = _unit_plan(_after_marker_prep(circuit), layout.main_qubits)[-1][1][-1]
             assert kernel is _project
-            return rows
+            return row
 
-        assert projection_rows(2, 0) is projection_rows(2, 1)
-        assert projection_rows(3, 0) is not projection_rows(2, 0)
-        assert projection_rows(3, 0).shape == projection_rows(2, 0).shape == (2, 2**layout.live_width)
+        assert projection_row(2, 0) is projection_row(2, 1)
+        assert projection_row(3, 0) is not projection_row(2, 0)
+        assert projection_row(3, 0).shape == projection_row(2, 0).shape == (2**layout.main_qubits,)
 
     @pytest.mark.parametrize("factor", [-1, cmath.exp(0.7j)], ids=["reflection", "phase 0.7"])
-    @pytest.mark.parametrize("count", [1, 2, 3])
-    def test_projection_is_the_dense_operator(self, count, factor):
-        rng = np.random.default_rng(count)
-        basis, _ = np.linalg.qr(rng.normal(size=(2**5, count)) + 1j * rng.normal(size=(2**5, count)))
-        rows = np.ascontiguousarray(basis.T)  # orthonormal rows psi_j
+    def test_projection_is_the_dense_operator(self, factor):
+        rng = np.random.default_rng(1)
+        row = rng.normal(size=2**5) + 1j * rng.normal(size=2**5)
+        row /= np.linalg.norm(row)
         amps = rng.normal(size=2**5) + 1j * rng.normal(size=2**5)
         amps /= np.linalg.norm(amps)
-        # sum_j |psi_j><psi_j| as a matrix is rows^T conj(rows).
-        expected = (np.eye(2**5) + (factor - 1) * rows.T @ rows.conj()) @ amps
+        expected = (np.eye(2**5) + (factor - 1) * np.outer(row, row.conj())) @ amps
         got = amps.copy()
-        _project(got.reshape((2,) * 5), rows, factor)
+        _project(got.reshape((2,) * 5), row, factor)
         assert np.abs(got - expected).max() <= 1e-12
 
     def test_projection_refuses_a_view_it_cannot_reshape_in_place(self):
         strided = np.zeros(16, dtype=np.complex128)[::2].reshape((2,) * 3)
         with pytest.raises(ValueError, match="C-contiguous"):
-            _project(strided, np.zeros((2, 8), dtype=np.complex128), -1)
+            _project(strided, np.zeros(8, dtype=np.complex128), -1)
 
-    def test_a_full_width_state_keeps_the_exact_plan_after_a_live_run(self):
-        # Each width has its own plan: the folded plan is compiled first
-        # here, and the full-width run stays exact.
+    def test_a_full_width_state_keeps_the_exact_plan_after_a_main_register_run(self):
+        # Each width has its own plan, and the runs of leaves that a plan is
+        # made of are kept by width: the folded steps are compiled first
+        # here, and the full-width runs stay exact.
         layout = HoboLayout.for_cities(3)
         circuit = build_two_step(layout, builtin_phases(3), Schedule(2, 2))
-        run(circuit, new_state(layout.live_width))
-        got = run(circuit, new_state(layout.width)).amplitudes
-        _assert_bit_identical(got, _gate_by_gate(circuit, new_state(layout.width)))
+        main = _after_marker_prep(circuit)
+        run(main, new_state(layout.main_qubits))
+        for exact in (circuit, main):
+            got = run(exact, new_state(layout.width)).amplitudes
+            _assert_bit_identical(got, _gate_by_gate(exact, new_state(layout.width)))
 
 
 class TestDirectPhaseIndexing:
@@ -982,15 +987,17 @@ class TestDirectPhaseIndexing:
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("live", [False, True], ids=["full", "live"])
+    @pytest.mark.parametrize("main", [False, True], ids=["full", "main"])
     @pytest.mark.parametrize("n", [3, 4])
-    def test_two_step_plan_matches_the_scanning_compile(self, n, live, monkeypatch):
+    def test_two_step_plan_matches_the_scanning_compile(self, n, main, monkeypatch):
         layout = HoboLayout.for_cities(n)
 
         def plan():
             clear_builder_caches()  # so that no part brings a plan compiled before
             circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
-            return _unrolled(circuit_plan(circuit, live))
+            if main:
+                return _unrolled(_unit_plan(_after_marker_prep(circuit), layout.main_qubits))
+            return _unrolled(_unit_plan(circuit, layout.width))
 
         def scan(positions, width, mask, value):
             return np.flatnonzero((positions & mask) == value)
@@ -1006,22 +1013,22 @@ class TestDiagonalRuns:
     # The same MCP twice, and two MCPs whose masks overlap.
     @example(circuit=Circuit(_bare_layout(3), (x(0), mcp((0,), 1, 0.5), mcp((0,), 1, 0.7), x(0))), seed=3)
     @example(circuit=Circuit(_bare_layout(3), (mcp((0,), 1, 0.5), x(2), mcp((1,), 2, 0.7))), seed=3)
-    def test_a_diagonal_run_is_exact_on_a_live_view(self, circuit, seed):
+    def test_a_diagonal_run_is_exact_on_the_main_register(self, circuit, seed):
         width = circuit.layout.width
-        exact = circuit_plan(circuit, False)
+        exact = _unit_plan(circuit, width)
         # The same gates on the main register of a layout with a marker, a
         # view that folds, compile as the exact plan does: a step for each
         # MCP, with a scalar factor, and at most one move.
-        live = _unit_plan(Circuit(_marked_layout(width), circuit.gates), width)
+        main = _unit_plan(Circuit(_marked_layout(width), circuit.gates), width)
         mcps = sum(gate.kind.value == "MCP" for gate in circuit.gates)
-        assert [step[0] for step in live] == [_phase] * mcps + [_permute] * (len(live) - mcps)
-        assert len(live) <= mcps + 1 and all(np.ndim(step[2]) == 0 for step in live[:mcps])
-        _assert_same_steps(live, exact)
+        assert [step[0] for step in main] == [_phase] * mcps + [_permute] * (len(main) - mcps)
+        assert len(main) <= mcps + 1 and all(np.ndim(step[2]) == 0 for step in main[:mcps])
+        _assert_same_steps(main, exact)
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
         amps /= np.linalg.norm(amps)
         got = amps.copy()
-        _execute(live, got)
+        _execute(main, got)
         _assert_bit_identical(got, _gate_by_gate(circuit, StateVector(width, amps.copy())))
 
 
@@ -1051,18 +1058,18 @@ def _per_layout_sizes(layout: HoboLayout) -> list:
 
 
 class TestBoundOracle:
-    """A live run binds only R2's table: every other block compiles once per layout."""
+    """A main-register run binds only R2's table: every other block compiles once per layout."""
 
     @settings(max_examples=100, deadline=None)
     @given(layout_and_table=_tour_tables())
     @example(layout_and_table=(HoboLayout.for_cities(3), {}))
-    def test_a_tables_live_step_is_the_compile_of_its_gates(self, layout_and_table):
+    def test_a_tables_step_is_the_compile_of_its_gates(self, layout_and_table):
         layout, table = layout_and_table
         oracle = PhaseOracle(layout, table)
-        direct = circuit_plan(oracle, True)
+        direct = _unit_plan(oracle, layout.main_qubits)
         assert "leaf" not in vars(oracle)  # the step came from the table, not from gates
         # The exact compile is one step per entry, in table order, none of which moves a label.
-        compiled = _compile(oracle.gates, _live_qubits(layout))
+        compiled = _compile(oracle.gates, *_view(layout, layout.main_qubits))
         assert [step[0] for step in compiled] == [_phase] * len(table)
         # An empty table is no step; any other is one step with a factor per position.
         assert len(direct) == min(len(table), 1)
@@ -1082,8 +1089,11 @@ class TestBoundOracle:
     )
     def test_a_second_dataset_compiles_and_builds_no_gate(self, n, schedule, monkeypatch):
         layout = HoboLayout.for_cities(n)
-        first = build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, 1), schedule)
-        circuit_plan(first, True)
+
+        def main_plan(phases) -> tuple:
+            return _unit_plan(_after_marker_prep(build_two_step(layout, phases, schedule)), layout.main_qubits)
+
+        main_plan(gen_gaussian_phases(n, math.pi, 0.5, 1))
         calls = Counter()
 
         def counted(name, fn):
@@ -1093,25 +1103,24 @@ class TestBoundOracle:
             monkeypatch.setattr(simulator, name, counted(name, getattr(simulator, name)))
         monkeypatch.setattr(circuits, "mcp", counted("mcp", circuits.mcp))
         phases = gen_gaussian_phases(n, math.pi, 0.5, 2)
-        second = build_two_step(layout, phases, schedule)
-        warm = circuit_plan(second, True)
+        warm = main_plan(phases)
         # R2's step comes from its table, and every run of leaves around it
         # is kept per layout, at every q1.
         assert calls == Counter()
         monkeypatch.undo()
-        # Each R2 step holds both marker values of each tour, in table
-        # order, each with its tour's factor e^{iw}; every other phase folds.
-        tours = np.array([int(bits, 2) for bits in phases.phases])
-        positions = ((tours << 1)[:, None] | [0, 1]).ravel()
-        factors = np.repeat([cmath.exp(1j * w) for w in phases.phases.values()], 2)
-        r2_steps = [step for step in _unrolled(warm) if step[0] is _phase]
+        # Each R2 step holds one position per tour, in table order, each
+        # with its tour's factor e^{iw}.  Every other phase step is R1's -1
+        # on the tours, or folds.
+        positions = [int(bits, 2) for bits in phases.phases]
+        factors = [cmath.exp(1j * w) for w in phases.phases.values()]
+        r2_steps = [step for step in _unrolled(warm) if step[0] is _phase and np.ndim(step[2])]
         assert len(r2_steps) == schedule.q2
         for _, fired, fused in r2_steps:
             assert np.array_equal(fired, positions) and np.array_equal(fused, factors)
         # The plan bound to the second dataset runs as one compiled cold.
         clear_builder_caches()
-        cold = circuit_plan(build_two_step(layout, phases, schedule), True)
-        got, expected = new_state(layout.live_width).amplitudes, new_state(layout.live_width).amplitudes
+        cold = main_plan(phases)
+        got, expected = new_state(layout.main_qubits).amplitudes, new_state(layout.main_qubits).amplitudes
         _execute(warm, got)
         _execute(cold, expected)
         _assert_bit_identical(got, expected)
@@ -1122,7 +1131,7 @@ class TestBoundOracle:
         freed, sizes = [], None
         for seed in range(20):
             circuit = build_two_step(layout, gen_gaussian_phases(3, math.pi, 0.5, seed), schedule)
-            run(circuit, new_state(layout.live_width))
+            run(_after_marker_prep(circuit), new_state(layout.main_qubits))
             freed.append(weakref.ref(circuit))
             del circuit
             sizes = sizes or _per_layout_sizes(layout)
@@ -1159,8 +1168,8 @@ class TestBlockStructure:
     def test_two_step_plan_is_the_flat_gate_list_plan(self, n):
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
-        plan = circuit_plan(circuit, False)
-        flat_plan = circuit_plan(Circuit(layout, circuit.gates), False)
+        plan = _unit_plan(circuit, layout.width)
+        flat_plan = _unit_plan(Circuit(layout, circuit.gates), layout.width)
         # Marker prep and one H layer on every main qubit and the marker,
         # then G1 * q1 and G2 * q2, whose D2 ends in the same G1 * q1: G1
         # is compiled once.
@@ -1260,11 +1269,16 @@ class TestMainDistribution:
         infeasible = 1.0 - success_probability(dist, enumerate_feasible(3))
         assert infeasible < 0.01
 
-    @pytest.mark.parametrize("width", [5, 12, 8, 14])  # n=3: main register 6, live width 7, full width 13
+    # n=3: main register 6, full width 13; 7 is the main register and the marker.
+    @pytest.mark.parametrize("width", [5, 12, 8, 14, 7])
     def test_width_mismatch(self, width):
         layout = HoboLayout.for_cities(3)
-        with pytest.raises(ValueError, match="neither .* nor its main register's width 6"):
-            main_distribution(new_state(width), layout)
+        state = new_state(width)
+        message = f"state width {width} is neither the layout's width 13 nor its main register's width 6"
+        for readout in (main_probabilities, main_distribution):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                readout(state, layout)
+        assert np.array_equal(state.amplitudes, new_state(width).amplitudes)
 
 
 def _two_step_probabilities() -> np.ndarray:
