@@ -60,6 +60,7 @@ from .simulator import (
     run,
     sample,
     success_probability,
+    uniform_state,
 )
 from .matrix_model import (
     ProbabilitySeries,
@@ -87,6 +88,7 @@ __all__ = [
     # simulator
     "NormError", "StateVector", "apply_gate", "main_distribution",
     "main_probabilities", "new_state", "run", "sample", "success_probability",
+    "uniform_state",
     # matrix model
     "ProbabilitySeries", "appendix_experiment", "evolve", "first_peak",
     "oracle_angles", "series_to_csv", "state_at",

@@ -41,7 +41,7 @@ from .core import (
     save_phases,
 )
 from .matrix_model import ProbabilitySeries, evolve, series_to_csv, state_at
-from .simulator import NormError, main_probabilities, new_state, run, sample
+from .simulator import NormError, main_probabilities, run, sample, uniform_state
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -148,26 +148,27 @@ def _main_bitstrings(main_qubits: int) -> tuple[str, ...]:
     return tuple(format(i, spec) for i in range(2**main_qubits))
 
 
-def _after_marker_prep(circuit: Circuit) -> Circuit:
-    """The two-step circuit without its first part, the marker's preparation in |->.
+def _after_state_prep(circuit: Circuit) -> Circuit:
+    """The two-step circuit without its first two parts, the marker's preparation in |-> and the H layer.
 
     A state of the main register alone holds the marker prepared, and
-    `run` refuses a circuit that prepares it again.
+    `run` refuses a circuit that prepares it again; `uniform_state` is
+    the H layer's output, without its passes over the state.
     """
-    return Circuit(circuit.layout, parts=circuit.parts[1:])
+    return Circuit(circuit.layout, parts=circuit.parts[2:])
 
 
 def cmd_run(args) -> int:
     phases = _load_dataset(args.dataset, args.n)
     layout = HoboLayout.for_cities(args.n)
-    # The main register alone, its marker held in |->: the simulator refuses
-    # a state wider than it holds before any circuit is built.
-    state = new_state(layout.main_qubits) if args.mode == "circuit" else None
+    # The main register alone in |s>, its marker held in |->: the simulator
+    # refuses a state wider than it holds before any circuit is built.
+    state = uniform_state(layout.main_qubits) if args.mode == "circuit" else None
     rescale = _resolve_rescale(args.cost_angles, args.mode, args.n)
     schedule = _schedule(args.n, args.q1, args.q2)
 
     if args.mode == "circuit":
-        circuit = _after_marker_prep(build_two_step(layout, phases, schedule))
+        circuit = _after_state_prep(build_two_step(layout, phases, schedule))
         # `sample` draws from the array; the report writes its Python floats.
         drawn = main_probabilities(run(circuit, state), layout)
         probabilities = drawn.tolist()
@@ -200,16 +201,15 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     phases = _load_dataset(args.dataset, args.n)
     layout = HoboLayout.for_cities(args.n)
-    # As in `cmd_run`, the main register alone.
-    state = new_state(layout.main_qubits) if args.mode == "circuit" else None
+    # As in `cmd_run`, the main register alone in |s>.
+    state = uniform_state(layout.main_qubits) if args.mode == "circuit" else None
     rescale = _resolve_rescale(args.cost_angles, args.mode, args.n)
 
     if args.mode == "matrix":
         series = evolve(phases, args.t_max, rescale_costs=rescale)
     else:
-        # Hadamard layer and q1 first-stage rounds; its last part is G2,
-        # repeated zero times.
-        prefix = _after_marker_prep(build_two_step(layout, phases, _schedule(args.n, args.q1, 0)))
+        # q1 first-stage rounds; its last part is G2, repeated zero times.
+        prefix = _after_state_prep(build_two_step(layout, phases, _schedule(args.n, args.q1, 0)))
         state = run(prefix, state)
         one_g2, _ = prefix.parts[-1]
         extremes = [int(phases.min_key, 2), int(phases.max_key, 2)]

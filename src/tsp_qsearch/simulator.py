@@ -16,7 +16,7 @@ with every ancilla 0.  That brings the 5- and 6-city circuits (41 and
 46 qubits in full) within `MAX_WIDTH` on 15 and 18 qubits.
 
 `run` compiles a circuit into one plan per state width, of four kinds
-of kernel step (see `_compile`) and two more on the main register (see
+of kernel step (see `_compile`) and one more on the main register (see
 below).  Apart from H, every gate is classical: X, CX and MCX permute
 basis states and MCP multiplies some of them by a phase.  So the
 compiler keeps, for each position of the state it runs on, a label:
@@ -49,40 +49,43 @@ move.  An H that names an ancilla or the marker, a gate that reads the
 marker, or a move that leaves an ancilla set needs a qubit the state
 does not hold, and `run` refuses the circuit.  So the state, which
 holds the marker already prepared, refuses a circuit that prepares it:
-the caller runs the circuit after its preparation.  This plan differs
-from the full-width one in two step kinds and in reading each
+the caller runs the circuit after its preparation, and may start it
+from `uniform_state`, after the opening H layer too.  This plan differs
+from the full-width one in one step kind and in reading each
 `PhaseOracle` leaf, such as a cost oracle R2, as its table's one phase
-step (see `_oracle_steps`), so it builds none of its gates.  D1 and
-the centre of every D2 are each an H layer on the main register, a
-phase -1 on its all-zeros state and the same H layer; each such
-sandwich becomes one `_reflect` step, the reflection I + (f - 1)|s><s|
-about the register's uniform state |s>, in two passes over the state
-instead of one per qubit in each layer.  D2 is then inv(A), that
-reflection and A, for A = G1 * q1 after the H layer; with U = G1^q1 it
-is U R U^-1 = I + (f - 1)|psi><psi|, psi = U|s>.  So each D2 becomes
-one `_project` step on that row instead of 2 * q1 runs of G1's plan,
-and inv(G1) is never compiled (see `_fold_projection`).  The row is
-kept on the layout's one G1 by q1 and width, 2**(nk) amplitudes (4 KiB
-at n=4, 4 MiB at n=6), so each layout and q1 computes it once per
-process.  The projection sums with ufuncs, not np.vdot or a matmul:
-those call BLAS, whose default threads wait on a busy core.  On a
-2-vCPU host with the other core busy, np.vdot made a projection at n=5
-take 16 ms, against about 0.5 ms for ufuncs.  With q1 = 0 D2 is its
-centre reflection, and with q1 = 1 its G1 is compiled with its other
-leaves, so neither projects.  The main register's amplitudes are not
-bit-identical to the exact plan's: they agree with sqrt(2) times the
-exact marker-0 column to within 1e-12 each (at most 2.3e-14 at n=2 to
-4 with q1, q2 <= 4), and the norm drifts less.
+step (see `_oracle_steps`), so it builds none of its gates.
+
+That step kind, `_reflect`, is I + (f - 1)|psi><psi| for a unit psi
+that takes one value a on some positions and another, b, on the rest:
+two sums over the state and the positions, one add to every amplitude
+and one more on the positions.  D1 and the centre of every D2 are each
+an H layer on the main register, a phase -1 on its all-zeros state and
+the same H layer; each such sandwich is the reflection about the
+register's uniform state |s>, psi with no positions, in two passes
+over the state instead of one per qubit in each layer (see `_fold`).
+D2 is then inv(A), that reflection and A, for A = G1 * q1 after the H
+layer; with U = G1^q1 it is U R U^-1 = I + (f - 1)|psi><psi|, psi =
+U|s>.  R1 is -1 on the n! tours and D1 reflects about |s>, so psi
+stays in the span of |s> and the tours: one value on the tours and one
+off them.  So each D2 becomes one `_reflect` step on the tours instead
+of 2 * q1 runs of G1's plan, and inv(G1) is never compiled (see
+`_fold_projection`).  psi is computed once per layout, q1 and width,
+and only its n! positions and two values are kept on the layout's one
+G1.  With q1 = 0 D2 is its centre reflection, and with q1 = 1 its G1
+is compiled with its other leaves.  The main register's amplitudes are
+not bit-identical to the exact plan's: they agree with sqrt(2) times
+the exact marker-0 column to within 1e-12 each (at most 2.3e-14 at n=2
+to 4 with q1, q2 <= 4), and the norm drifts less.
 
 What is compiled is kept for as long as what it was compiled from: a
 plan on its circuit, by width; the steps of a run of leaves on the
 run's first leaf, while the run's other leaves live (see
-`_leaf_steps`); a projection's row on G1.  Every leaf of the two-step
-circuit but R2 is built once per layout (see `circuits`), and a
-main-register plan's runs of leaves stop at R2.  So a main-register
-run on a new dataset compiles nothing but binds R2: its runs of leaves
-and the projection row are reused, and R2's one phase step takes
-positions kept per set of tours and one new factor array.
+`_leaf_steps`); the positions and values of D2's psi on G1.  Every
+leaf of the two-step circuit but R2 is built once per layout (see
+`circuits`), and a main-register plan's runs of leaves stop at R2.  So
+a main-register run on a new dataset compiles nothing but binds R2:
+its runs of leaves and D2's reflection are reused, and R2's one phase
+step takes positions kept per set of tours and one new factor array.
 
 `apply_gate` compiles nothing: it swaps, butterflies or multiplies
 strided views of the state in place.  A swap or butterfly allocates a
@@ -91,9 +94,8 @@ operands too when the two halves' memory bounds overlap, so the peak
 is one to two and a half such halves: on 15 qubits, under
 `tracemalloc`, X(0) peaks at 264 KB, X(3) at 526 KB and H(3) at 658
 KB.  A phase allocates nothing.  An H layer step allocates two
-state-sized buffers, a reflection step none, a projection step one,
-and a move or phase step holds index arrays only as large as the
-amplitudes it touches.
+state-sized buffers; a reflection, move or phase step allocates and
+holds arrays only as large as the positions it names.
 """
 
 from __future__ import annotations
@@ -155,6 +157,13 @@ def new_state(width: int) -> StateVector:
     return StateVector(width, amps)
 
 
+def uniform_state(width: int) -> StateVector:
+    """The uniform superposition |s> on `width` qubits: an H on each qubit of `new_state(width)`."""
+    state = new_state(width)
+    state.amplitudes[:] = 1 / math.sqrt(2**width)
+    return state
+
+
 def _axis_index(assignments: dict[int, int]) -> tuple:
     # The trailing Ellipsis stands for the remaining full axes and makes
     # the result a writable view even when every axis is fixed.
@@ -206,31 +215,22 @@ def _permute(view: np.ndarray, dest: np.ndarray, source: np.ndarray) -> None:
     flat[dest] = flat[source]
 
 
-def _reflect(view: np.ndarray, _: None, factor: complex) -> None:
-    # I + (factor - 1)|s><s|, |s> the view's uniform state: every amplitude
-    # gets (factor - 1) * their mean.  A step is (kernel, first, second),
-    # and a reflection needs no first: its step holds None there.
+def _reflect(view: np.ndarray, members: tuple, factor: complex) -> None:
+    # I + (factor - 1)|psi><psi|, psi the unit vector that is a on `positions`
+    # and b everywhere else: <psi|flat> is two sums, the whole view's and
+    # the positions', and the update one add to every amplitude and one
+    # more on the positions.  The sums are ufuncs, which add pairwise;
+    # np.vdot or a matmul would call BLAS, whose default threads wait on a
+    # busy core (np.vdot made a dense projection at n=5 take 16 ms, against
+    # about 0.5 ms for ufuncs), and einsum adds in one running sum, which
+    # drifted the norm 100 times more at n=5.
     if not view.flags.c_contiguous:
         raise ValueError("a reflection step reshapes its view in place, which needs it C-contiguous")
+    positions, a, b = members
     flat = view.reshape(-1)
-    flat += (factor - 1) / flat.size * flat.sum()
-
-
-def _project(view: np.ndarray, row: np.ndarray, factor: complex) -> None:
-    # I + (factor - 1)|psi><psi|, psi the unit row.
-    if not view.flags.c_contiguous:
-        raise ValueError("a projection step reshapes its view in place, which needs it C-contiguous")
-    flat = view.reshape(-1)
-    # <psi|flat> is the conjugate of sum(psi * conj(flat)).  A ufunc sum
-    # adds pairwise; np.vdot or a matmul would call BLAS, whose default
-    # threads can make each projection many times slower, and einsum adds
-    # in one running sum, which drifted the norm 100 times more at n=5.
-    # Both products go to one scratch buffer: a fresh temporary for each
-    # doubled the step's time at n=5.
-    scratch = np.empty_like(flat)
-    np.multiply(np.conjugate(flat, out=scratch), row, out=scratch)
-    overlap = np.conj(scratch.sum())
-    flat += np.multiply(row, (factor - 1) * overlap, out=scratch)
+    scale = (factor - 1) * (b.conjugate() * flat.sum() + (a - b).conjugate() * flat[positions].sum())
+    flat += scale * b
+    flat[positions] += scale * (a - b)
 
 
 class _Woken(Exception):
@@ -277,15 +277,18 @@ def _fold(steps: list, width: int) -> list:
     that fires on its all-zeros position alone and an H layer on all its
     axes again, in any order (the inverse of a layer reverses it).  By
     H^m (I + (f - 1)|0><0|) H^m = I + (f - 1)|s><s| it is a reflection
-    about the view's uniform state |s>, two passes over the view instead
-    of 2m.  A sandwich on fewer axes stays as it is.
+    about the view's uniform state |s>, the class of no positions and
+    a = b = 2^(-m/2): two passes over the view instead of 2m.  A
+    sandwich on fewer axes stays as it is.
     """
+    amplitude = 1 / math.sqrt(2**width)
+    uniform = (np.empty(0, dtype=np.int64), amplitude, amplitude)
     folded: list = []
     for step in steps:
         folded.append(step)
         if len(folded) >= 3 and _is_sandwich(*folded[-3:], width):
             _, _, factor = folded[-2]
-            folded[-3:] = [(_reflect, None, factor)]
+            folded[-3:] = [(_reflect, uniform, factor)]
     return folded
 
 
@@ -305,8 +308,7 @@ def _relabel(gates, qubits: tuple[int, ...], sign: int | None = None) -> list:
     width-1-i is axis i, and qubits outside the view get bits above
     those, in order of first use.  X, CX and MCX only relabel (an X
     toggles `flip`, applied to every label).  An MCP is one phase step
-    on the positions whose label fires, found without a scan while no
-    label has moved (see `_positions_with`); an MCP that fires on no
+    on the positions whose label fires; an MCP that fires on no
     position of the view, as one controlled on an ancilla that the main
     register's view holds at 0, is no step.  The move takes the
     amplitude at each position p to labels[p] ^ flip, if any moves.
@@ -325,7 +327,6 @@ def _relabel(gates, qubits: tuple[int, ...], sign: int | None = None) -> list:
         bits[sign] = sign_bit
     positions = np.arange(2**width, dtype=np.int64)
     labels, flip, steps = positions, 0, []
-    masks = {}  # the mask of each (kind, controls, target) met, the target's bit included for an MCP
     # Enum members bound once: on Python 3.11 each GateKind.X is a class
     # attribute lookup that costs about as much as the rest of an X's work.
     X, MCP = GateKind.X, GateKind.MCP
@@ -335,23 +336,16 @@ def _relabel(gates, qubits: tuple[int, ...], sign: int | None = None) -> list:
         if kind is X:
             flip ^= target
             continue
-        key = (kind, gate.controls, gate.target)
-        on = masks.get(key)
-        if on is None:  # a cost oracle's n! MCPs share one mask
-            on = sum(bits.setdefault(qubit, 1 << len(bits)) for qubit in gate.controls)
-            if kind is MCP:
-                on |= target
-            if on & sign_bit:  # reads the sign qubit, which no label holds
-                raise _Woken
-            masks[key] = on
+        on = sum(bits.setdefault(qubit, 1 << len(bits)) for qubit in gate.controls)
+        if kind is MCP:
+            on |= target
+        if on & sign_bit:  # reads the sign qubit, which no label holds
+            raise _Woken
         value = on & ~flip
         if kind is not MCP:  # CX and MCX
             labels = np.where((labels & on) == value, labels ^ target, labels)
             continue
-        if labels is positions:  # no label has moved yet
-            fired = _positions_with(positions, width, on, value)
-        else:
-            fired = np.flatnonzero((labels & on) == value)
+        fired = np.flatnonzero((labels & on) == value)
         if fired.size:
             steps.append((_phase, fired, cmath.exp(1j * gate.phase)))
     dest = labels ^ flip
@@ -364,18 +358,6 @@ def _relabel(gates, qubits: tuple[int, ...], sign: int | None = None) -> list:
         raise _Woken
     source = np.flatnonzero(dest != positions)
     return steps + [(_permute, dest[source], source)] if source.size else steps
-
-
-def _positions_with(positions: np.ndarray, width: int, mask: int, value: int) -> np.ndarray:
-    """The positions p, in order, with p & mask == value, enumerated without a scan.
-
-    A bit above the view (qubits outside it) is 0 at every position.
-    """
-    if value >> width:
-        return positions[:0]
-    shifts = range(width - 1, -1, -1)  # axis i holds bit width-1-i
-    index = [value >> shift & 1 if mask >> shift & 1 else slice(None) for shift in shifts]
-    return positions.reshape((2,) * width)[(*index, ...)].ravel()
 
 
 def _layer(axes: list[int], width: int) -> list:
@@ -494,39 +476,51 @@ def _tour_positions(keys: tuple[str, ...]) -> np.ndarray:
 
 
 def _fold_projection(plan: list, width: int) -> None:
-    """Fold the last three steps into one `_project` step if a part and its inverse conjugate a reflection.
+    """Fold the last three steps into one `_reflect` step if a part and its inverse conjugate a reflection about |s>.
 
-    The steps are ``(_repeat, P^-1, t)``, the `_reflect` step
-    R = I + (f - 1)|s><s| and ``(_repeat, P, t)``, with P^-1 the inverse
+    The steps are ``(_repeat, P^-1, t)``, a `_reflect` step
+    R = I + (f - 1)|s><s| about the view's uniform state, with no
+    positions (a centre with positions, itself a folded D2, reflects
+    about another psi), and ``(_repeat, P, t)``, with P^-1 the inverse
     that P keeps, neither yet compiled.  With U = P^t,
     U R U^-1 = I + (f - 1)|psi><psi| for psi = U|s>: one step of a few
     passes over the view instead of 2t runs of P, and P^-1 is never
-    compiled.  Computing the row compiles P, which refuses a P that the
-    view cannot run; a P that the view runs, it runs under P^-1 too.
-    Only a folded plan holds `_reflect` steps, so only a folded plan
-    folds.
+    compiled.  The step needs psi to take at most two values (see
+    `_projection_class`); otherwise the three steps stay, and run P^-1
+    and P.  Computing psi compiles P, which refuses a P that the view
+    cannot run; a P that the view runs, it runs under P^-1 too.  Only a
+    folded plan holds `_reflect` steps, so only a folded plan folds.
     """
     if len(plan) < 3:
         return
-    (first, inverse, count), (middle, _, factor), (last, part, times) = plan[-3:]
-    if (first, middle, last) == (_repeat, _reflect, _repeat) and count == times and part._inverse is inverse:
-        plan[-3:] = [(_project, _projection_row(part, times, width), factor)]
+    (first, inverse, count), (middle, centre, factor), (last, part, times) = plan[-3:]
+    if (first, middle, last) != (_repeat, _reflect, _repeat) or centre[0].size or count != times:
+        return
+    if part._inverse is inverse and (members := _projection_class(part, times, width)):
+        plan[-3:] = [(_reflect, members, factor)]
 
 
-def _projection_row(part: Circuit, times: int, width: int) -> np.ndarray:
-    """The row psi of `_fold_projection`, for the plan of `part` on `width` qubits repeated `times`.
+def _projection_class(part: Circuit, times: int, width: int) -> tuple | None:
+    """psi = P^t|s> of `_fold_projection` as (positions, a, b), or None if it takes three values or more.
 
-    Kept on the part by repeat count and width, next to its plans: the
-    layout's one G1 computes it once per q1 and width, and every D2 that
-    repeats it shares it.  It costs 2**width amplitudes.
+    P is the plan of `part` on `width` qubits.  psi is a on `positions`
+    and b = psi[0] everywhere else, compared exactly.  The two-step
+    circuit's psi = G1^q1|s> passes at every q1: R1 multiplies by -1.0
+    and D1 adds one scalar to every amplitude, so psi is one value on
+    the n! tours and one off them.  Kept on the part by repeat count and
+    width, next to its plans: the layout's one G1 computes it once per q1
+    and width, and every D2 that repeats it shares it.  It holds the
+    positions, n! of them for G1, not the 2**width amplitudes of psi.
     """
-    rows = vars(part).setdefault("_projections", {})
+    classes = vars(part).setdefault("_projections", {})
     key = (times, width)
-    if key not in rows:
-        row = np.full(2**width, 1 / math.sqrt(2**width), dtype=np.complex128)
-        _repeat(row.reshape((2,) * width), _unit_plan(part, width), times)
-        rows[key] = row
-    return rows[key]
+    if key not in classes:
+        psi = uniform_state(width).amplitudes
+        _repeat(psi.reshape((2,) * width), _unit_plan(part, width), times)
+        positions = np.flatnonzero(psi != psi[0])
+        a, b = psi[positions[0] if positions.size else 0], psi[0]
+        classes[key] = None if np.any(psi[positions] != a) else (positions, complex(a), complex(b))
+    return classes[key]
 
 
 def _units(circuit: Circuit):
@@ -579,8 +573,8 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
 
     A full-width state runs the exact plan.  A state of the main
     register alone, whose marker is held in |-> (see the module
-    docstring), runs the plan that folds each H·S0·H sandwich into one
-    reflection step and each D2 into one projection step.  Raises
+    docstring), runs the plan that folds each H·S0·H sandwich, and each
+    D2, into one reflection step.  Raises
     CapacityError if the state does not hold a qubit the circuit needs:
     an ancilla it sets, or a marker it prepares or reads.  Raises NormError
     if the state's squared norm is not 1 afterwards, so an input that

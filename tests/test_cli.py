@@ -30,6 +30,7 @@ from tsp_qsearch import (
     run,
     sample,
     state_at,
+    uniform_state,
 )
 from tsp_qsearch import circuits, cli, simulator
 from tsp_qsearch.cli import EXIT_CAPACITY, EXIT_DATA, EXIT_IO, EXIT_OK, main
@@ -304,19 +305,20 @@ class TestRun:
         clear_builder_caches()
         flags = ["run", "--n", "4", "--dataset", "builtin", "--mode", "circuit", "--out", str(tmp_path / "r.json")]
         assert main(flags) == EXIT_OK
-        # Three runs of leaves: the opening H layer, G1's leaves, and D2's
-        # centre (inverse H layer, zero reflection, H layer).  R2 is read
-        # from its table, and each D2 folds into one projection whose row
-        # runs G1's plan, so G1's inverse is never compiled.
-        assert len(calls) == 3
+        # Two runs of leaves: G1's leaves, and D2's centre (inverse H layer,
+        # zero reflection, H layer).  The run starts in |s>, after the
+        # opening H layer; R2 is read from its table, and each D2 folds into
+        # one reflection whose class runs G1's plan, so G1's inverse is
+        # never compiled.
+        assert len(calls) == 2
         layout = HoboLayout.for_cities(4)
         inverse = circuits.invert_circuit(circuits.build_g1(layout))
         # Plans are kept by the width of the state they run on.
         assert layout.main_qubits not in vars(inverse).get("_plans", {})
         assert main(flags) == EXIT_OK
         # Each of those is kept per layout, so the second run compiles nothing.
-        assert len(calls) == 3
-        # A full-width run has no projection: it runs, and so compiles, the inverse.
+        assert len(calls) == 2
+        # A full-width run does not fold D2: it runs, and so compiles, the inverse.
         run(build_two_step(layout, builtin_phases(4), Schedule(2, 2)), new_state(layout.width))
         plans = vars(inverse)["_plans"]
         assert plans[layout.width] is not None and layout.main_qubits not in plans
@@ -727,10 +729,11 @@ class TestRunReportRoundTrip:
         layout = HoboLayout.for_cities(n)
         if mode == "circuit":
             circuit = build_two_step(layout, phases, Schedule(report["q1"], report["q2"]))
-            # As the CLI runs it: on the main register, whose state holds the
-            # marker prepared, without the circuit's marker preparation.
-            circuit = Circuit(layout, parts=circuit.parts[1:])
-            dist = main_distribution(run(circuit, new_state(layout.main_qubits)), layout)
+            # As the CLI runs it: on the main register in |s>, whose state holds
+            # the marker prepared, without the circuit's marker preparation
+            # and H layer.
+            circuit = Circuit(layout, parts=circuit.parts[2:])
+            dist = main_distribution(run(circuit, uniform_state(layout.main_qubits)), layout)
         else:
             psi = state_at(phases, report["q2"], rescale_costs=True)
             dist = {b: float(abs(a) ** 2) for b, a in zip(phases.phases, psi)}

@@ -38,6 +38,7 @@ from tsp_qsearch import (
     run,
     sample,
     success_probability,
+    uniform_state,
 )
 from tsp_qsearch import PhaseOracle, circuits, simulator
 from tsp_qsearch.circuits import Circuit, CircuitMetrics, cx, h, mcp, mcx, x
@@ -48,21 +49,19 @@ from tsp_qsearch.simulator import (
     _hadamards,
     _permute,
     _phase,
-    _positions_with,
-    _project,
     _reflect,
     _repeat,
     _unit_plan,
     _view,
     _Woken,
 )
-from tsp_qsearch.cli import _after_marker_prep
+from tsp_qsearch.cli import _after_state_prep
 
 from helpers import BUILDER_CACHES, clear_builder_caches, prepare_main_basis, two_step_reference
 
 # Largest per-amplitude gap allowed between a main-register run, whose
-# plan folds each H·S0·H sandwich into one `_reflect` step and each D2
-# into one `_project` step, and the exact plan; the gap measured on the
+# plan folds each H·S0·H sandwich and each D2 into one `_reflect` step,
+# and the exact plan; the gap measured on the
 # two-step circuits at n=2 to 4 with q1, q2 <= 4 is at most 2.3e-14.
 FOLD_TOLERANCE = 1e-12
 
@@ -103,8 +102,16 @@ class TestNewState:
         assert new_state(16).width == 16
 
     def test_over_capacity(self):
-        with pytest.raises(CapacityError):
-            new_state(MAX_WIDTH + 1)
+        for make in (new_state, uniform_state):
+            with pytest.raises(CapacityError, match=f"needs {MAX_WIDTH + 1}"):
+                make(MAX_WIDTH + 1)
+
+    @pytest.mark.parametrize("width", [1, 6, 15])
+    def test_uniform_state_is_the_h_layer_on_the_all_zeros_state(self, width):
+        hadamards = Circuit(_bare_layout(width), tuple(h(q) for q in range(width)))
+        expected = run(hadamards, new_state(width)).amplitudes
+        got = uniform_state(width)
+        assert got.width == width and np.abs(got.amplitudes - expected).max() <= 1e-16
 
     @pytest.mark.parametrize("amps", [np.zeros(2**12, complex), np.zeros((2**6, 2**7), complex)])
     def test_amplitudes_must_match_the_width(self, amps):
@@ -544,8 +551,8 @@ class TestCompiledPlan:
         assert _unit_plan(circuit, width) is not _unit_plan(circuit, other)
         assert _unit_plan(Circuit(layout, circuit.gates), width) is not _unit_plan(circuit, width)
         # A second D2 is another circuit with a plan of its own, made of the
-        # steps compiled for the first: G1's plans, its projection row and
-        # the centre's steps are compiled once per layout.
+        # steps compiled for the first: G1's plans, the class of its
+        # reflection and the centre's steps are compiled once per layout.
         again = build_d2(layout, 2)
         assert again is not circuit and _unit_plan(again, width) is not _unit_plan(circuit, width)
         assert all(a[1] is b[1] for a, b in zip(_unit_plan(again, width), _unit_plan(circuit, width), strict=True))
@@ -559,7 +566,7 @@ class TestCompiledPlan:
         # Only the compile: running the plan stays linear in q1.
         layout = HoboLayout.for_cities(3)
         clear_builder_caches()  # a cold compile, G1's plan included
-        plan, peak = _traced_compile(_after_marker_prep(build_two_step(layout, builtin_phases(3), Schedule(10**5, 0))))
+        plan, peak = _traced_compile(_after_state_prep(build_two_step(layout, builtin_phases(3), Schedule(10**5, 0))))
         assert [step[0] for step in plan].count(_repeat) == 1
         assert peak < 2**20
 
@@ -568,7 +575,7 @@ class TestCompiledPlan:
         # 2**15 basis states of the n=4 layout.
         layout = HoboLayout.for_cities(4)
         clear_builder_caches()  # a cold compile, G1's plan included
-        _, peak = _traced_compile(_after_marker_prep(build_two_step(layout, builtin_phases(4), Schedule(2, 2))))
+        _, peak = _traced_compile(_after_state_prep(build_two_step(layout, builtin_phases(4), Schedule(2, 2))))
         assert peak < 64 * 2**10
 
 
@@ -689,8 +696,8 @@ class TestViews:
         # schedule, and the main register, since the full state needs 41 qubits.
         layout = HoboLayout.for_cities(5)
         phases = gen_gaussian_phases(5, math.pi, 0.5, 42)
-        circuit = _after_marker_prep(build_two_step(layout, phases, Schedule(12, 6)))
-        state = run(circuit, new_state(layout.main_qubits))
+        circuit = _after_state_prep(build_two_step(layout, phases, Schedule(12, 6)))
+        state = run(circuit, uniform_state(layout.main_qubits))
         probs = main_probabilities(state, layout)
         assert abs(probs.sum() - 1) < 1e-10
         assert probs[[int(bits, 2) for bits in enumerate_feasible(5)]].sum() == pytest.approx(0.5905797642, abs=1e-9)
@@ -701,8 +708,8 @@ class TestViews:
         # The six-city run of the paper's setup, on its 18-qubit main register.
         layout = HoboLayout.for_cities(6)
         phases = gen_gaussian_phases(6, math.pi, 0.5, 42)
-        circuit = _after_marker_prep(build_two_step(layout, phases, Schedule(14, 14)))
-        state = run(circuit, new_state(layout.main_qubits))
+        circuit = _after_state_prep(build_two_step(layout, phases, Schedule(14, 14)))
+        state = run(circuit, uniform_state(layout.main_qubits))
         probs = main_probabilities(state, layout)
         assert abs(probs.sum() - 1) < 1e-10
         assert probs[[int(bits, 2) for bits in enumerate_feasible(6)]].sum() == pytest.approx(0.0985704912, abs=1e-9)
@@ -716,13 +723,13 @@ class TestMarkerFree:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), q1=st.integers(0, 3), q2=st.integers(0, 3))
     @example(n=4, seed=42, q1=2, q2=2)
-    @example(n=3, seed=1, q1=1, q2=2)  # G1 * 1 joins D2's leaves: no projection
+    @example(n=3, seed=1, q1=1, q2=2)  # G1 * 1 joins D2's leaves: D2 does not fold
     @example(n=3, seed=1, q1=0, q2=2)  # D2 is its centre reflection alone
     def test_matches_the_exact_run(self, n, seed, q1, q2):
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, seed), Schedule(q1, q2))
         full = run(circuit, new_state(layout.width))
-        state = run(_after_marker_prep(circuit), new_state(layout.main_qubits))
+        state = run(_after_state_prep(circuit), uniform_state(layout.main_qubits))
         assert np.abs(main_probabilities(state, layout) - main_probabilities(full, layout)).max() <= 1e-12
         # The state is the main register's marker-0 column, times sqrt(2).
         columns, _ = _by_view(full.amplitudes, layout)
@@ -730,7 +737,7 @@ class TestMarkerFree:
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), q1=st.integers(0, 3), q2=st.integers(0, 3))
-    @example(n=3, seed=1, q1=1, q2=2)  # G1 * 1 joins D2's leaves: no projection
+    @example(n=3, seed=1, q1=1, q2=2)  # G1 * 1 joins D2's leaves: D2 does not fold
     @example(n=3, seed=1, q1=0, q2=2)  # D2 is its centre reflection alone
     def test_matches_the_reference_model(self, n, seed, q1, q2):
         _assert_matches_the_reference(n, gen_gaussian_phases(n, math.pi, 0.5, seed), Schedule(q1, q2))
@@ -742,23 +749,29 @@ class TestMarkerFree:
 
     def test_four_city_plan(self):
         layout = HoboLayout.for_cities(4)
-        circuit = _after_marker_prep(build_two_step(layout, builtin_phases(4), Schedule(2, 2)))
+        circuit = _after_state_prep(build_two_step(layout, builtin_phases(4), Schedule(2, 2)))
         plan = _unit_plan(circuit, layout.main_qubits)
         assert _permute not in {step[0] for step in _unrolled(plan)}
-        assert [step[0] for step in plan] == [_hadamards, _repeat, _repeat]
-        g1_plan, g2_plan = plan[1][1], plan[2][1]
+        assert [step[0] for step in plan] == [_repeat, _repeat]
+        g1_plan, g2_plan = plan[0][1], plan[1][1]
         # R1 flips the marker of each feasible tour and moves no amplitude:
-        # one phase -1 on the 24 tours, then D1's reflection.
+        # one phase -1 on the 24 tours, then D1's reflection about |s>.
+        tours = [int(bits, 2) for bits in enumerate_feasible(4)]
         assert [step[0] for step in g1_plan] == [_phase, _reflect]
-        assert np.array_equal(g1_plan[0][1], [int(bits, 2) for bits in enumerate_feasible(4)])
+        assert np.array_equal(g1_plan[0][1], tours)
         assert g1_plan[0][2] == -1
-        # G2 is R2's table and D2's projection onto the one row G1^2 |s>.
-        assert [step[0] for step in g2_plan] == [_phase, _project]
-        row = g2_plan[1][1]
-        assert row.shape == (2**8,)
-        uniform = np.full(2**8, 1 / 16, dtype=np.complex128)
-        _execute(((_repeat, g1_plan, 2),), uniform)
-        _assert_bit_identical(row, uniform)
+        positions, a, b = g1_plan[1][1]
+        assert positions.size == 0 and a == b == 1 / 16
+        # G2 is R2's table and D2's reflection about G1^2 |s>, which is one
+        # value on the 24 tours and another off them.
+        assert [step[0] for step in g2_plan] == [_phase, _reflect]
+        positions, a, b = g2_plan[1][1]
+        assert np.array_equal(positions, tours)
+        psi = uniform_state(layout.main_qubits).amplitudes
+        _execute(((_repeat, g1_plan, 2),), psi)
+        expected = np.full(2**8, b)
+        expected[tours] = a
+        _assert_bit_identical(psi, expected)
 
     @pytest.mark.parametrize("reads", ["prep", "cx control", "mcp target", "mcp control"])
     def test_a_circuit_that_prepares_or_reads_the_marker_is_refused(self, reads):
@@ -806,8 +819,8 @@ class TestMarkerFree:
 def _assert_matches_the_reference(n: int, phases, schedule: Schedule) -> None:
     """The main-register run equals `two_step_reference` per amplitude, tours and the rest alike."""
     layout = HoboLayout.for_cities(n)
-    circuit = _after_marker_prep(build_two_step(layout, phases, schedule))
-    state = run(circuit, new_state(layout.main_qubits))
+    circuit = _after_state_prep(build_two_step(layout, phases, schedule))
+    state = run(circuit, uniform_state(layout.main_qubits))
     expected = two_step_reference(phases.phases, schedule.q1, schedule.q2)
     assert np.abs(state.amplitudes - expected).max() <= 1e-13
 
@@ -821,25 +834,24 @@ def _sandwich(qubits: tuple, zeros: tuple) -> list:
 class TestFold:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), q1=st.integers(0, 3), q2=st.integers(0, 3))
-    @example(n=3, seed=42, q1=2, q2=10)  # the benchmark's sweep: 10 projection steps
+    @example(n=3, seed=42, q1=2, q2=10)  # the benchmark's sweep: 10 folded D2s
     @example(n=4, seed=42, q1=2, q2=2)
-    @example(n=3, seed=1, q1=1, q2=2)  # G1 * 1 joins D2's leaves: no projection
+    @example(n=2, seed=0, q1=2, q2=2)  # psi is one value: a D2 class of no positions
+    @example(n=3, seed=1, q1=1, q2=2)  # G1 * 1 joins D2's leaves: D2 does not fold
     @example(n=3, seed=1, q1=0, q2=2)  # D2 is its centre sandwich alone
     def test_main_register_run_folds_every_sandwich_and_matches_the_exact_run(self, n, seed, q1, q2):
         layout = HoboLayout.for_cities(n)
         circuit = build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, seed), Schedule(q1, q2))
-        main = _after_marker_prep(circuit)
-        # Each D1 is a sandwich, and each D2 holds 2 * q1 of them and its centre;
-        # only the opening H layer, on the main register, is left.  From
-        # q1 = 2 each D2 is one step that projects onto the first stage's output.
+        main = _after_state_prep(circuit)
+        # Each D1 is a sandwich, and each D2 holds 2 * q1 of them and its
+        # centre; the opening H layer is the uniform start state, so no H is
+        # left.  From q1 = 2 each D2 is one reflection about the first
+        # stage's output, which takes two values at most.
         kinds = Counter(step[0] for step in _unrolled(_unit_plan(main, layout.main_qubits)))
-        assert kinds[_hadamards] == 1
-        if q1 >= 2:
-            assert (kinds[_reflect], kinds[_project]) == (q1, q2)
-        else:
-            assert (kinds[_reflect], kinds[_project]) == (q1 + q2 * (2 * q1 + 1), 0)
+        assert kinds[_hadamards] == 0
+        assert kinds[_reflect] == (q1 + q2 if q1 >= 2 else q1 + q2 * (2 * q1 + 1))
         exact, _ = _by_view(run(circuit, new_state(layout.width)).amplitudes, layout)
-        folded = run(main, new_state(layout.main_qubits)).amplitudes
+        folded = run(main, uniform_state(layout.main_qubits)).amplitudes
         assert np.abs(folded - math.sqrt(2) * exact[:, 0]).max() <= FOLD_TOLERANCE
 
     @pytest.mark.parametrize(
@@ -877,8 +889,9 @@ class TestFold:
         _execute(plan, got)
         expected = _gate_by_gate(circuit, StateVector(6, amps.copy()))
         if folds:
-            assert [step[:2] for step in plan] == [(_reflect, None)]
-            assert plan[0][2] == cmath.exp(1j * math.pi)
+            [(kernel, (positions, a, b), factor)] = plan
+            assert kernel is _reflect and positions.size == 0 and a == b == 1 / 8
+            assert factor == cmath.exp(1j * math.pi)
             assert np.abs(got - expected).max() <= FOLD_TOLERANCE
         else:
             assert [step[0] for step in plan] == [_hadamards, _phase, _hadamards]
@@ -906,60 +919,114 @@ class TestFold:
         expected, _ = _by_view(_gate_by_gate(circuit, StateVector(layout.width, full)), layout)
         assert np.abs(got - expected[:, 0]).max() <= FOLD_TOLERANCE
 
+    @pytest.mark.parametrize("factor", [-1, cmath.exp(0.7j)], ids=["reflection", "phase 0.7"])
+    @settings(max_examples=50, deadline=None)
+    @given(width=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_reflection_is_the_dense_operator(self, factor, width, data, seed):
+        # Position sets from empty to all positions, and unit psi of any a and b.
+        size = 2**width
+        some = st.lists(st.integers(0, size - 1), unique=True).map(sorted)
+        drawn = data.draw(st.one_of(st.just([]), st.just(list(range(size))), some), label="positions")
+        positions = np.array(drawn, dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        norm = math.sqrt(abs(a) ** 2 * positions.size + abs(b) ** 2 * (size - positions.size))
+        a, b = complex(a / norm), complex(b / norm)
+        psi = np.full(size, b)
+        psi[positions] = a
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        amps /= np.linalg.norm(amps)
+        expected = (np.eye(size) + (factor - 1) * np.outer(psi, psi.conj())) @ amps
+        got = amps.copy()
+        _reflect(got.reshape((2,) * width), (positions, a, b), factor)
+        assert np.abs(got - expected).max() <= 1e-12
+
     def test_reflection_refuses_a_view_it_cannot_reshape_in_place(self):
         strided = np.zeros(16, dtype=np.complex128)[::2].reshape((2,) * 3)
         with pytest.raises(ValueError, match="C-contiguous"):
-            _reflect(strided, None, -1)
+            _reflect(strided, (np.empty(0, dtype=np.int64), 1 / math.sqrt(8), 1 / math.sqrt(8)), -1)
+
+    @pytest.mark.parametrize("case", ["three-valued psi", "centre already folded"])
+    def test_a_conjugated_reflection_that_cannot_fold_runs_its_parts(self, case):
+        # Three values: P's two MCPs fire on disjoint positions with different
+        # phases, so psi = P^2 |s> takes three.  Folded centre: P's one MCP
+        # makes a two-valued psi, so the inner P^-1 * 2, R and P * 2 fold, but
+        # the outer pair conjugates a reflection about psi, not about |s>.
+        # Either way P^-1 * 2, the centre and P * 2 stay three steps.
+        layout = _marked_layout(4)
+        centre = Circuit(layout, tuple(_sandwich((0, 1, 2, 3), (0, 1, 2, 3))))
+        if case == "three-valued psi":
+            part = Circuit(layout, (mcp((0, 1), 2, 0.3), x(0), mcp((0, 1), 3, 0.5), x(0)))
+        else:
+            part = Circuit(layout, (mcp((0, 1), 2, 0.3),))
+            centre = invert_circuit(part) * 2 + centre + part * 2
+        circuit = invert_circuit(part) * 2 + centre + part * 2
+        plan = _unit_plan(circuit, 4)
+        assert [step[0] for step in plan] == [_repeat, _reflect, _repeat]
+        assert plan[0][1] is _unit_plan(invert_circuit(part), 4)
+        assert plan[1][1][0].size == (0 if case == "three-valued psi" else 2)
+        rng = np.random.default_rng(11)
+        amps = rng.normal(size=2**4) + 1j * rng.normal(size=2**4)
+        amps /= np.linalg.norm(amps)
+        got = amps.copy()
+        _execute(plan, got)
+        expected = _gate_by_gate(circuit, StateVector(4, amps.copy()))
+        assert np.abs(got - expected).max() <= FOLD_TOLERANCE
 
     def test_the_first_stage_folds_once_for_the_prefix_and_every_d2(self):
         layout = HoboLayout.for_cities(4)
-        circuit = _after_marker_prep(build_two_step(layout, builtin_phases(4), Schedule(2, 2)))
+        circuit = _after_state_prep(build_two_step(layout, builtin_phases(4), Schedule(2, 2)))
         plan = _unit_plan(circuit, layout.main_qubits)
-        assert [step[0] for step in plan] == [_hadamards, _repeat, _repeat]
+        assert [step[0] for step in plan] == [_repeat, _repeat]
         g1_plan, g2_plan = plan[-2][1], plan[-1][1]
         assert [step[0] for step in g1_plan] == [_phase, _reflect]
         assert g1_plan is _unit_plan(build_g1(layout), layout.main_qubits)
-        # D2 is one projection onto the row psi = G1^2 |s>, which the
-        # prefix's G1 plan computes.
-        assert g2_plan[-1][0] is _project and g2_plan[-1][2] == cmath.exp(1j * math.pi)
-        row = g2_plan[-1][1]
-        uniform = np.full(2**layout.main_qubits, 1 / math.sqrt(2**layout.main_qubits), dtype=np.complex128)
-        _execute(((_repeat, g1_plan, 2),), uniform)
-        _assert_bit_identical(row, uniform)
+        # D2 is one reflection about psi = G1^2 |s>, which the prefix's G1
+        # plan computes: a on the tours and b off them.
+        assert g2_plan[-1][0] is _reflect and g2_plan[-1][2] == cmath.exp(1j * math.pi)
+        positions, a, b = g2_plan[-1][1]
+        psi = np.full(2**layout.main_qubits, b)
+        psi[positions] = a
         # The prefix leaves psi itself.
-        prefix = _after_marker_prep(build_two_step(layout, builtin_phases(4), Schedule(2, 0)))
-        assert np.abs(run(prefix, new_state(layout.main_qubits)).amplitudes - row).max() <= FOLD_TOLERANCE
+        prefix = _after_state_prep(build_two_step(layout, builtin_phases(4), Schedule(2, 0)))
+        _assert_bit_identical(run(prefix, uniform_state(layout.main_qubits)).amplitudes, psi)
 
-    def test_every_d2_of_a_layout_and_q1_shares_one_projection(self):
+    def test_every_d2_of_a_layout_and_q1_shares_one_class(self):
         layout = HoboLayout.for_cities(3)
 
-        def projection_row(q1: int, seed: int) -> np.ndarray:
+        def d2_class(q1: int, seed: int) -> tuple:
             circuit = build_two_step(layout, gen_gaussian_phases(3, math.pi, 0.5, seed), Schedule(q1, 2))
             # The last step of G2's plan, itself the plan's last step.
-            kernel, row, _ = _unit_plan(_after_marker_prep(circuit), layout.main_qubits)[-1][1][-1]
-            assert kernel is _project
-            return row
+            kernel, members, _ = _unit_plan(_after_state_prep(circuit), layout.main_qubits)[-1][1][-1]
+            assert kernel is _reflect
+            return members
 
-        assert projection_row(2, 0) is projection_row(2, 1)
-        assert projection_row(3, 0) is not projection_row(2, 0)
-        assert projection_row(3, 0).shape == projection_row(2, 0).shape == (2**layout.main_qubits,)
+        assert d2_class(2, 0) is d2_class(2, 1)
+        assert d2_class(3, 0) is not d2_class(2, 0)
+        tours = [int(bits, 2) for bits in enumerate_feasible(3)]
+        assert np.array_equal(d2_class(3, 0)[0], tours) and np.array_equal(d2_class(2, 0)[0], tours)
 
-    @pytest.mark.parametrize("factor", [-1, cmath.exp(0.7j)], ids=["reflection", "phase 0.7"])
-    def test_projection_is_the_dense_operator(self, factor):
-        rng = np.random.default_rng(1)
-        row = rng.normal(size=2**5) + 1j * rng.normal(size=2**5)
-        row /= np.linalg.norm(row)
-        amps = rng.normal(size=2**5) + 1j * rng.normal(size=2**5)
-        amps /= np.linalg.norm(amps)
-        expected = (np.eye(2**5) + (factor - 1) * np.outer(row, row.conj())) @ amps
-        got = amps.copy()
-        _project(got.reshape((2,) * 5), row, factor)
-        assert np.abs(got - expected).max() <= 1e-12
+    def test_nothing_kept_on_g1_outgrows_the_tours(self):
+        # After a paper-schedule run at n=5, every array that G1 keeps (its
+        # plans' steps and D2's class) holds at most the n! = 120 tours, not
+        # the 2**15 amplitudes of the main register.
+        layout = HoboLayout.for_cities(5)
+        circuit = build_two_step(layout, gen_gaussian_phases(5, math.pi, 0.5, 42), Schedule(12, 6))
+        run(_after_state_prep(circuit), uniform_state(layout.main_qubits))
+        kept = vars(build_g1(layout))
+        assert kept["_projections"][12, layout.main_qubits] is not None
 
-    def test_projection_refuses_a_view_it_cannot_reshape_in_place(self):
-        strided = np.zeros(16, dtype=np.complex128)[::2].reshape((2,) * 3)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            _project(strided, np.zeros(8, dtype=np.complex128), -1)
+        def sizes(value) -> list:
+            if isinstance(value, np.ndarray):
+                return [value.size]
+            if isinstance(value, (tuple, list)):
+                return [size for item in value for size in sizes(item)]
+            if isinstance(value, dict):
+                return sizes(list(value.values()))
+            return []
+
+        found = sizes(list(kept.values()))
+        assert found and max(found) <= math.factorial(5)
 
     def test_a_full_width_state_keeps_the_exact_plan_after_a_main_register_run(self):
         # Each width has its own plan, and the runs of leaves that a plan is
@@ -967,44 +1034,11 @@ class TestFold:
         # here, and the full-width runs stay exact.
         layout = HoboLayout.for_cities(3)
         circuit = build_two_step(layout, builtin_phases(3), Schedule(2, 2))
-        main = _after_marker_prep(circuit)
-        run(main, new_state(layout.main_qubits))
+        main = _after_state_prep(circuit)
+        run(main, uniform_state(layout.main_qubits))
         for exact in (circuit, main):
             got = run(exact, new_state(layout.width)).amplitudes
             _assert_bit_identical(got, _gate_by_gate(exact, new_state(layout.width)))
-
-
-class TestDirectPhaseIndexing:
-    @given(st.data())
-    def test_positions_match_a_scan_of_every_label(self, data):
-        width = data.draw(st.integers(1, 8))
-        # Bits from `width` up stand for qubits outside the view.
-        mask = data.draw(st.integers(0, 2 ** (width + 2) - 1))
-        value = mask & data.draw(st.integers(0, 2 ** (width + 2) - 1))
-        positions = np.arange(2**width, dtype=np.int64)
-        got = _positions_with(positions, width, mask, value)
-        expected = np.flatnonzero((positions & mask) == value)
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
-
-    @pytest.mark.parametrize("main", [False, True], ids=["full", "main"])
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_two_step_plan_matches_the_scanning_compile(self, n, main, monkeypatch):
-        layout = HoboLayout.for_cities(n)
-
-        def plan():
-            clear_builder_caches()  # so that no part brings a plan compiled before
-            circuit = build_two_step(layout, builtin_phases(n), Schedule(2, 2))
-            if main:
-                return _unrolled(_unit_plan(_after_marker_prep(circuit), layout.main_qubits))
-            return _unrolled(_unit_plan(circuit, layout.width))
-
-        def scan(positions, width, mask, value):
-            return np.flatnonzero((positions & mask) == value)
-
-        direct = plan()
-        monkeypatch.setattr(simulator, "_positions_with", scan)
-        _assert_same_steps(direct, plan())
 
 
 class TestDiagonalRuns:
@@ -1091,7 +1125,7 @@ class TestBoundOracle:
         layout = HoboLayout.for_cities(n)
 
         def main_plan(phases) -> tuple:
-            return _unit_plan(_after_marker_prep(build_two_step(layout, phases, schedule)), layout.main_qubits)
+            return _unit_plan(_after_state_prep(build_two_step(layout, phases, schedule)), layout.main_qubits)
 
         main_plan(gen_gaussian_phases(n, math.pi, 0.5, 1))
         calls = Counter()
@@ -1120,7 +1154,7 @@ class TestBoundOracle:
         # The plan bound to the second dataset runs as one compiled cold.
         clear_builder_caches()
         cold = main_plan(phases)
-        got, expected = new_state(layout.main_qubits).amplitudes, new_state(layout.main_qubits).amplitudes
+        got, expected = uniform_state(layout.main_qubits).amplitudes, uniform_state(layout.main_qubits).amplitudes
         _execute(warm, got)
         _execute(cold, expected)
         _assert_bit_identical(got, expected)
@@ -1131,7 +1165,7 @@ class TestBoundOracle:
         freed, sizes = [], None
         for seed in range(20):
             circuit = build_two_step(layout, gen_gaussian_phases(3, math.pi, 0.5, seed), schedule)
-            run(_after_marker_prep(circuit), new_state(layout.main_qubits))
+            run(_after_state_prep(circuit), uniform_state(layout.main_qubits))
             freed.append(weakref.ref(circuit))
             del circuit
             sizes = sizes or _per_layout_sizes(layout)
