@@ -53,6 +53,7 @@ from .circuits import (
 from .simulator import (
     NormError,
     StateVector,
+    TourState,
     apply_gate,
     main_distribution,
     main_probabilities,
@@ -60,6 +61,8 @@ from .simulator import (
     run,
     sample,
     success_probability,
+    tour_probabilities,
+    tour_state,
     uniform_state,
 )
 from .matrix_model import (
@@ -86,9 +89,9 @@ __all__ = [
     "build_two_step", "build_uniqueness_suboracle", "build_validity_suboracle",
     "circuit_to_text", "invert_circuit", "metrics",
     # simulator
-    "NormError", "StateVector", "apply_gate", "main_distribution",
+    "NormError", "StateVector", "TourState", "apply_gate", "main_distribution",
     "main_probabilities", "new_state", "run", "sample", "success_probability",
-    "uniform_state",
+    "tour_probabilities", "tour_state", "uniform_state",
     # matrix model
     "ProbabilitySeries", "appendix_experiment", "evolve", "first_peak",
     "oracle_angles", "series_to_csv", "state_at",

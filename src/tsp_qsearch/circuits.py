@@ -309,19 +309,26 @@ class PhaseOracle(Circuit):
     from the keys alone, so the gate counts, path matrix and each key's
     NOT lines are kept per key set, and every table of the same keys,
     such as each dataset's cost oracle, reads that one entry.
-    The table is copied, and each entry is checked as its gates would
-    be: a bitstring of the main register, a phase in (-2*pi, 2*pi].
+    The table is copied.  A dict's entries are each checked as its gates
+    would be: a bitstring of the main register, a phase in (-2*pi, 2*pi].
+    A `PhaseAssignment` of the layout's n is not: its validation checked
+    that its keys are the n! tours and its phases in (0, 2*pi).
     """
 
     # Not a dataclass of its own: `dataclass` would add about 0.5 ms to
     # each import of this module.  `table` is read-only as a property.
-    def __init__(self, layout: HoboLayout, table: dict[str, float]) -> None:
-        table = dict(table)
-        for bits, w in table.items():
-            if len(bits) != layout.main_qubits or bits.strip("01"):
-                raise ValueError(f"{bits!r} is not a bitstring of the {layout.main_qubits}-qubit main register")
-            if not -2 * math.pi < w <= 2 * math.pi:
-                raise ValueError(f"phase {w} outside (-2*pi, 2*pi]")
+    def __init__(self, layout: HoboLayout, table: dict[str, float] | PhaseAssignment) -> None:
+        if isinstance(table, PhaseAssignment):
+            if table.n != layout.n:
+                raise ValueError(f"phase dataset is for n={table.n}, layout is n={layout.n}")
+            table = dict(table.phases)
+        else:
+            table = dict(table)
+            for bits, w in table.items():
+                if len(bits) != layout.main_qubits or bits.strip("01"):
+                    raise ValueError(f"{bits!r} is not a bitstring of the {layout.main_qubits}-qubit main register")
+                if not -2 * math.pi < w <= 2 * math.pi:
+                    raise ValueError(f"phase {w} outside (-2*pi, 2*pi]")
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "_table", table)
 
@@ -459,10 +466,10 @@ def build_cost_oracle_r2(layout: HoboLayout, phases: PhaseAssignment) -> Circuit
     Each tour bitstring gets one multi-controlled phase gate across the
     main register, NOT-conjugated on the tour's zero bits so the gate
     fires on exactly that basis state.  Infeasible states are untouched.
+    The oracle takes the dataset itself, whose entries validation has
+    checked, so it checks only that the dataset is for the layout's n.
     """
-    if phases.n != layout.n:
-        raise ValueError(f"phase dataset is for n={phases.n}, layout is n={layout.n}")
-    return PhaseOracle(layout, phases.phases)
+    return PhaseOracle(layout, phases)
 
 
 def _inverse_gate(gate: Gate) -> Gate:
@@ -488,10 +495,12 @@ def build_d2(layout: HoboLayout, q1: int) -> Circuit:
     With A the first-stage preparation (Hadamard layer plus q1 repeats
     of the layout's one G1), emits invert(A), a zero reflection on the
     main register, then A, realizing 2|psi><psi| - I for psi = A|0> up
-    to global phase.
+    to global phase.  It is one sequence of A's parts and their inverses,
+    all kept per layout, built without A itself.
     """
-    prepare = _h_layer(layout) + build_g1(layout) * q1
-    return invert_circuit(prepare) + _zero_reflection(layout) + prepare
+    prepare = ((_h_layer(layout), 1), (build_g1(layout), q1))
+    inverse = tuple((invert_circuit(part), times) for part, times in reversed(prepare))
+    return Circuit(layout, parts=inverse + ((_zero_reflection(layout), 1),) + prepare)
 
 
 def build_g2(layout: HoboLayout, phases: PhaseAssignment, q1: int) -> Circuit:

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 
-from .circuits import Circuit, build_two_step, circuit_to_text, metrics
+from .circuits import Circuit, build_g1, build_g2, build_two_step, circuit_to_text, metrics
 from .core import (
     MAX_ENUM_CITIES,
     CapacityError,
@@ -41,7 +41,7 @@ from .core import (
     save_phases,
 )
 from .matrix_model import ProbabilitySeries, evolve, series_to_csv, state_at
-from .simulator import NormError, main_probabilities, run, sample, uniform_state
+from .simulator import NormError, main_probabilities, run, sample, tour_probabilities, tour_state
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -152,8 +152,9 @@ def _after_state_prep(circuit: Circuit) -> Circuit:
     """The two-step circuit without its first two parts, the marker's preparation in |-> and the H layer.
 
     A state of the main register alone holds the marker prepared, and
-    `run` refuses a circuit that prepares it again; `uniform_state` is
-    the H layer's output, without its passes over the state.
+    `run` refuses a circuit that prepares it again; `tour_state` and
+    `uniform_state` are the H layer's output, without its passes over
+    the state.
     """
     return Circuit(circuit.layout, parts=circuit.parts[2:])
 
@@ -161,15 +162,17 @@ def _after_state_prep(circuit: Circuit) -> Circuit:
 def cmd_run(args) -> int:
     phases = _load_dataset(args.dataset, args.n)
     layout = HoboLayout.for_cities(args.n)
-    # The main register alone in |s>, its marker held in |->: the simulator
-    # refuses a state wider than it holds before any circuit is built.
-    state = uniform_state(layout.main_qubits) if args.mode == "circuit" else None
+    # The main register alone in |s>, its marker held in |->, as its n! tours
+    # and one value off them: the simulator refuses a register wider than it
+    # holds before any circuit is built.
+    state = tour_state(layout) if args.mode == "circuit" else None
     rescale = _resolve_rescale(args.cost_angles, args.mode, args.n)
     schedule = _schedule(args.n, args.q1, args.q2)
 
     if args.mode == "circuit":
         circuit = _after_state_prep(build_two_step(layout, phases, schedule))
-        # `sample` draws from the array; the report writes its Python floats.
+        # `sample` draws from the array, over every main-register state; the
+        # report writes its Python floats.
         drawn = main_probabilities(run(circuit, state), layout)
         probabilities = drawn.tolist()
         bitstrings = _main_bitstrings(layout.main_qubits)
@@ -201,25 +204,25 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     phases = _load_dataset(args.dataset, args.n)
     layout = HoboLayout.for_cities(args.n)
-    # As in `cmd_run`, the main register alone in |s>.
-    state = uniform_state(layout.main_qubits) if args.mode == "circuit" else None
+    # As in `cmd_run`, the main register's tours and one value off them, in |s>.
+    state = tour_state(layout) if args.mode == "circuit" else None
     rescale = _resolve_rescale(args.cost_angles, args.mode, args.n)
 
     if args.mode == "matrix":
         series = evolve(phases, args.t_max, rescale_costs=rescale)
     else:
-        # q1 first-stage rounds; its last part is G2, repeated zero times.
-        prefix = _after_state_prep(build_two_step(layout, phases, _schedule(args.n, args.q1, 0)))
-        state = run(prefix, state)
-        one_g2, _ = prefix.parts[-1]
-        extremes = [int(phases.min_key, 2), int(phases.max_key, 2)]
+        # The two-step circuit's parts after the state preparation: q1 first-stage rounds, then one G2 per row.
+        q1 = _schedule(args.n, args.q1, 0).q1
+        state = run(build_g1(layout) * q1, state)
+        one_g2 = build_g2(layout, phases, q1)
         p_min, p_max = [], []
         for t in range(args.t_max + 1):
             if t > 0:
                 run(one_g2, state)
-            low, high = main_probabilities(state, layout)[extremes].tolist()
-            p_min.append(low)
-            p_max.append(high)
+            # The probabilities a run's report reads, bit for bit; the tours are in the dataset's key order.
+            probabilities = tour_probabilities(state)
+            p_min.append(probabilities.item(phases.min_index))
+            p_max.append(probabilities.item(phases.max_index))
         series = ProbabilitySeries(tuple(p_min), tuple(p_max))
 
     with open(args.out, "w", encoding="utf-8") as fh:

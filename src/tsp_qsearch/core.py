@@ -115,7 +115,10 @@ class HoboLayout:
     width: int
 
     @classmethod
+    @lru_cache(maxsize=16)
     def for_cities(cls, n: int) -> HoboLayout:
+        # One instance per n, so the per-layout caches of the circuit
+        # builders and the simulator find it by identity, not field by field.
         k = bits_per_city(n)
         main = n * k
         valid = (2**k - n) * n

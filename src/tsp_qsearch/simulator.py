@@ -6,8 +6,9 @@ a printed basis index reads exactly like the layout's bitstring (visit
 slot 1 leftmost).  Gates act in place through strided views and index
 arrays; nothing is ever promoted to a dense matrix.
 
-A state holds one of two views of a layout: all its qubits, or the
-main register alone, with the marker held in |-> as a sign.  Every
+A dense state holds one of two views of a layout: all its qubits, or
+the main register alone, with the marker held in |-> as a sign; a
+`TourState` holds that main register in n! + 1 numbers (see below).  Every
 ancilla of the paper's circuits is uncomputed, and after the marker's
 preparation no gate reads it or puts an H on it, so its 1 column stays
 minus its 0 column: the main register alone holds the whole result in
@@ -77,8 +78,34 @@ not bit-identical to the exact plan's: they agree with sqrt(2) times
 the exact marker-0 column to within 1e-12 each (at most 2.3e-14 at n=2
 to 4 with q1, q2 <= 4), and the norm drifts less.
 
+No step of the two-step circuit's main-register plan tells apart two
+states off the tours: R1 is -1 on the tours, R2 a phase on each tour,
+and D1 and D2 reflect about vectors that are one value on the tours
+and one off them.  From |s> the state stays in the span of the n! tours and the
+uniform superposition of the 2**(nk) - n! other states, amplitude
+amplification's subspace (Brassard, Hoyer, Mosca, Tapp,
+quant-ph/0005055).  A `TourState` holds exactly that: the n! tour
+amplitudes in basis order (`enumerate_feasible`) and, last, the
+coordinate on that superposition, the background; 721 numbers at n=6
+instead of 262,144, whose norm is the plain sum of their |v|^2.  It
+runs the main register's plan, compiled as for a dense state of it,
+with each step mapped (see `_on_tours`): a phase on tour positions puts
+its factors on their coordinates, a slice for R1's -1 and every R2, and
+a reflection whose class has no positions, or exactly the tours, is
+one sum over the tours, one scalar for the background and one add on
+the tours (see `_reflect_tours`).  Any other step has no image there:
+an H layer the fold left, a move, a phase off the tours or a class on
+only some tours, so `run` refuses such a circuit with CapacityError, as
+it refuses a circuit that a view cannot run.  Its capacity rule is the
+main register's, as the compile walks 2**(nk) labels.  `main_probabilities`
+spreads the background's probability evenly over the rows off the
+tours; `tour_probabilities` gives the tours' and the background's.  The
+dense main-register state stays for circuits whose plans keep an H
+layer, a move or a phase off the tours, and as the tour state's
+reference in the tests.
+
 What is compiled is kept for as long as what it was compiled from: a
-plan on its circuit, by width; the steps of a run of leaves on the
+plan on its circuit, by the width of its state; the steps of a run of leaves on the
 run's first leaf, while the run's other leaves live (see
 `_leaf_steps`); the positions and values of D2's psi on G1.  Every
 leaf of the two-step circuit but R2 is built once per layout (see
@@ -86,6 +113,11 @@ leaf of the two-step circuit but R2 is built once per layout (see
 a main-register run on a new dataset compiles nothing but binds R2:
 its runs of leaves and D2's reflection are reused, and R2's one phase
 step takes positions kept per set of tours and one new factor array.
+A tour state's plans are kept beside them, under their own key: a
+circuit's with its plans, a run of leaves' mapped steps on its first
+leaf, and D2's mapped class with its class on G1.  So a tour state's run
+on a new dataset maps R2's one step and nothing else, and that step's
+positions are the layout's tour positions themselves: the whole slice.
 
 `apply_gate` compiles nothing: it swaps, butterflies or multiplies
 strided views of the state in place.  A swap or butterfly allocates a
@@ -95,7 +127,8 @@ is one to two and a half such halves: on 15 qubits, under
 `tracemalloc`, X(0) peaks at 264 KB, X(3) at 526 KB and H(3) at 658
 KB.  A phase allocates nothing.  An H layer step allocates two
 state-sized buffers; a reflection, move or phase step allocates and
-holds arrays only as large as the positions it names.
+holds arrays only as large as the positions it names, and a tour
+state's steps no more than its n! + 1 numbers.
 """
 
 from __future__ import annotations
@@ -110,7 +143,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import Circuit, Gate, GateKind, PhaseOracle
-from .core import CapacityError, HoboLayout
+from .core import CapacityError, HoboLayout, enumerate_feasible
 
 # 2**22 complex128 amplitudes = 64 MiB; enough for the 4-city layout
 # (width 15) and for the 6-city main register (18 qubits), and still
@@ -121,6 +154,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # Largest |norm^2 - 1| that `run` accepts.
 NORM_TOLERANCE = 1e-10
+
+# The key of a tour state's plans, next to the widths of the dense states' plans.
+_TOURS = "tours"
 
 
 class NormError(ValueError):
@@ -145,13 +181,38 @@ class StateVector:
     def norm_sq(self) -> float:
         # The squares of the real and imaginary parts, without a square root
         # per amplitude; a strided array is copied, as the float view needs.
-        return float(np.square(np.ascontiguousarray(self.amplitudes).view(np.float64)).sum())
+        # np.add.reduce is ndarray.sum without its Python wrapper.
+        return float(np.add.reduce(np.square(np.ascontiguousarray(self.amplitudes).view(np.float64))))
+
+
+class TourState:
+    """The main register of `layout` as its n! tour amplitudes and one amplitude off the tours.
+
+    amplitudes[:n!] are the tours' in basis order (`enumerate_feasible`);
+    amplitudes[n!] is the coordinate on the normalised uniform
+    superposition of the other 2**(nk) - n! basis states.
+    """
+
+    # Not a dataclass: `dataclass` would add about 0.4 ms to each import of this module.
+    def __init__(self, layout: HoboLayout, amplitudes: np.ndarray) -> None:
+        size = math.factorial(layout.n) + 1
+        if amplitudes.shape != (size,):
+            raise ValueError(f"n={layout.n} needs {size} amplitudes, the tours and one more, got {amplitudes.shape}")
+        if amplitudes.dtype != np.complex128:
+            raise ValueError(f"amplitudes must be complex128, got {amplitudes.dtype}")
+        self.layout, self.amplitudes = layout, amplitudes
+
+    norm_sq = StateVector.norm_sq  # reads only `amplitudes`
+
+
+def _check_capacity(width: int) -> None:
+    if not 1 <= width <= MAX_WIDTH:
+        raise CapacityError(f"the simulator holds 1 to {MAX_WIDTH} qubits; this state needs {width}")
 
 
 def new_state(width: int) -> StateVector:
     """The all-zeros basis state on `width` qubits."""
-    if not 1 <= width <= MAX_WIDTH:
-        raise CapacityError(f"the simulator holds 1 to {MAX_WIDTH} qubits; this state needs {width}")
+    _check_capacity(width)
     amps = np.zeros(2**width, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(width, amps)
@@ -162,6 +223,21 @@ def uniform_state(width: int) -> StateVector:
     state = new_state(width)
     state.amplitudes[:] = 1 / math.sqrt(2**width)
     return state
+
+
+def tour_state(layout: HoboLayout) -> TourState:
+    """`uniform_state` of the layout's main register as a `TourState`.
+
+    Each tour holds 2**(-nk/2), and the background sqrt(2**(nk) - n!)
+    times that.  The main register must fit `MAX_WIDTH`, as for a dense
+    state, since a circuit's plan is compiled on it.
+    """
+    _check_capacity(layout.main_qubits)
+    size, tours = 2**layout.main_qubits, math.factorial(layout.n)
+    amplitude = 1 / math.sqrt(size)
+    amps = np.full(tours + 1, amplitude, dtype=np.complex128)
+    amps[-1] = amplitude * math.sqrt(size - tours)
+    return TourState(layout, amps)
 
 
 def _axis_index(assignments: dict[int, int]) -> tuple:
@@ -228,9 +304,24 @@ def _reflect(view: np.ndarray, members: tuple, factor: complex) -> None:
         raise ValueError("a reflection step reshapes its view in place, which needs it C-contiguous")
     positions, a, b = members
     flat = view.reshape(-1)
+    if not positions.size:  # about the view's uniform state: no gather, no scatter
+        flat += (factor - 1) * (b.conjugate() * flat.sum()) * b
+        return
     scale = (factor - 1) * (b.conjugate() * flat.sum() + (a - b).conjugate() * flat[positions].sum())
     flat += scale * b
     flat[positions] += scale * (a - b)
+
+
+def _reflect_tours(view: np.ndarray, members: tuple, factor: complex) -> None:
+    # `_reflect` on a tour state, whose last coordinate is the background:
+    # psi is c on every tour and d on the background (see `_tour_class`), so
+    # <psi|view> is one sum over the tours and one product, and the update
+    # one add on the tours and one on the background.
+    _, c, d = members
+    tours = view[:-1]
+    scale = (factor - 1) * (c.conjugate() * tours.sum() + d.conjugate() * view[-1])
+    tours += scale * c
+    view[-1] += scale * d
 
 
 class _Woken(Exception):
@@ -379,26 +470,29 @@ def _view(layout: HoboLayout, width: int) -> tuple[tuple[int, ...], int | None]:
     return tuple(range(layout.main_qubits)), layout.marker
 
 
-def _unit_plan(circuit: Circuit, width: int) -> tuple:
-    """The circuit's compiled steps for a state of `width` qubits, built on first use.
+def _unit_plan(circuit: Circuit, form: int | str) -> tuple:
+    """The circuit's compiled steps for a state of `form`, built on first use.
 
-    A full-width plan is exact over all the layout's qubits.  A plan on
+    `form` is a dense state's width, or `_TOURS` for a `TourState`.  A
+    full-width plan is exact over all the layout's qubits.  A plan on
     the main register (see `_view`) reads each `PhaseOracle` leaf from
     its table (see `_oracle_steps`), folds reflection sandwiches and
     folds each reflection that a repeated part and its inverse conjugate
-    (see `_fold_projection`).  A part repeated more than once becomes the
+    (see `_fold_projection`).  A tour state's plan is the main register's,
+    with each of its steps mapped onto the tours (see `_on_tours`).  A part
+    repeated more than once becomes the
     step ``(_repeat, plan of the part, times)``, and the leaves between
     such parts, and on the main register between tables, compile
     together (see `_leaf_steps`).  A part is compiled only once the plan
     is otherwise complete, so a part folded away is never compiled.
-    Plans are kept on their circuit, by width, so they are freed with it
-    and a shared part compiles once.  Raises `_Woken` if the view cannot run
-    the circuit.
+    Plans are kept on their circuit, by form, so they are freed with it
+    and a shared part compiles, and maps, once.  Raises `_Woken` if the
+    state cannot run the circuit.
     """
     plans = vars(circuit).setdefault("_plans", {})  # Circuit is frozen
-    if width not in plans:
+    if form not in plans:
         layout = circuit.layout
-        exact = width == layout.width
+        exact = form == layout.width
         plan = []
         try:
             # A repeated part, or a table on the main register, is a unit of its own.
@@ -406,31 +500,33 @@ def _unit_plan(circuit: Circuit, width: int) -> tuple:
                 _units(circuit), key=lambda unit: unit[1] == 1 and (exact or not isinstance(unit[0], PhaseOracle))
             ):
                 if joined:
-                    plan += _leaf_steps([leaf for leaf, _ in units], width)
+                    plan += _leaf_steps([leaf for leaf, _ in units], form)
                     continue
                 for part, times in units:
                     if times > 1:
                         plan.append((_repeat, part, times))
-                        _fold_projection(plan, width)
+                        _fold_projection(plan, form)
                     else:
-                        plan += _oracle_steps(part.table)
-            plans[width] = tuple(
-                (_repeat, _unit_plan(part, width), times) if kernel is _repeat else (kernel, part, times)
+                        steps = _oracle_steps(part.table)
+                        plan += _on_tours(steps, layout) if form == _TOURS else steps
+            plans[form] = tuple(
+                (_repeat, _unit_plan(part, form), times) if kernel is _repeat else (kernel, part, times)
                 for kernel, part, times in plan
             )
         except _Woken:
-            plans[width] = None
-    if plans[width] is None:
+            plans[form] = None
+    if plans[form] is None:
         raise _Woken
-    return plans[width]
+    return plans[form]
 
 
-def _leaf_steps(leaves: list, width: int) -> tuple:
-    """The steps of a run of leaves on a state of `width` qubits, compiled once while its leaves live.
+def _leaf_steps(leaves: list, form: int | str) -> tuple:
+    """The steps of a run of leaves on a state of `form` (see `_unit_plan`), compiled once while its leaves live.
 
     The run's gates compile together (see `_compile`), and the steps of
-    a run on the main register are then folded (see `_fold`).  The steps
-    are kept on the run's first leaf, keyed by the width and the
+    a run on the main register are then folded (see `_fold`); on a tour
+    state they are the main register's, mapped (see `_on_tours`).  The
+    steps are kept on the run's first leaf, keyed by the form and the
     identities of the other leaves, which the entry holds weakly: it
     goes once one of them has died, so a reused id never matches it.  A
     run on the main register holds no table, so the runs of the two-step
@@ -441,12 +537,15 @@ def _leaf_steps(leaves: list, width: int) -> tuple:
     runs = vars(first).setdefault("_runs", {})  # Circuit is frozen
     for stale in [key for key, (_, refs) in runs.items() if any(ref() is None for ref in refs)]:
         del runs[stale]
-    key = (width, *map(id, rest))
+    key = (form, *map(id, rest))
     if key not in runs:
         layout = first.layout
-        steps = _compile(itertools.chain.from_iterable(leaf.leaf for leaf in leaves), *_view(layout, width))
-        folded = steps if width == layout.width else _fold(steps, width)
-        runs[key] = (tuple(folded), [weakref.ref(leaf) for leaf in rest])
+        if form == _TOURS:
+            steps = _on_tours(_leaf_steps(leaves, layout.main_qubits), layout)
+        else:
+            steps = _compile(itertools.chain.from_iterable(leaf.leaf for leaf in leaves), *_view(layout, form))
+            steps = steps if form == layout.width else _fold(steps, form)
+        runs[key] = (tuple(steps), [weakref.ref(leaf) for leaf in rest])
     return runs[key][0]
 
 
@@ -475,51 +574,111 @@ def _tour_positions(keys: tuple[str, ...]) -> np.ndarray:
     return positions
 
 
-def _fold_projection(plan: list, width: int) -> None:
-    """Fold the last three steps into one `_reflect` step if a part and its inverse conjugate a reflection about |s>.
+def _on_tours(steps, layout: HoboLayout) -> tuple:
+    """Main-register `steps` as the steps of a `TourState` of `layout`.
 
-    The steps are ``(_repeat, P^-1, t)``, a `_reflect` step
-    R = I + (f - 1)|s><s| about the view's uniform state, with no
+    A `_phase` on tour positions puts its factors on their coordinates:
+    a slice for every tour in basis order, as R1's -1 and each cost
+    oracle R2, else their indices.  A `_reflect` whose class has no
+    positions, or exactly the tours, becomes `_reflect_tours` (see
+    `_tour_class`).  Any other step raises `_Woken`: an H layer, a move,
+    a phase off the tours or a class on only some of them takes the
+    state out of the tours and one uniform value off them.
+    """
+    tours = _layout_tours(layout)
+    mapped = []
+    for kernel, first, second in steps:
+        if kernel is _phase:
+            mapped.append((_phase, _tour_index(first, tours), second))
+        elif kernel is _reflect:
+            mapped.append((_reflect_tours, _tour_class(first, layout), second))
+        else:
+            raise _Woken
+    return tuple(mapped)
+
+
+def _layout_tours(layout: HoboLayout) -> np.ndarray:
+    # The tours' positions in basis order: a cost oracle's, so the same array.
+    return _tour_positions(enumerate_feasible(layout.n))
+
+
+def _tour_index(positions: np.ndarray, tours: np.ndarray):
+    """The coordinates of a tour state that `positions` name, in their order; `_Woken` if one is no tour."""
+    if positions is tours or np.array_equal(positions, tours):  # a cost oracle's positions are `tours` itself
+        return slice(0, tours.size)
+    index = np.searchsorted(tours, positions)
+    if not (np.all(index < tours.size) and np.array_equal(tours[index], positions)):
+        raise _Woken
+    return index
+
+
+def _tour_class(members: tuple, layout: HoboLayout) -> tuple:
+    """A `_reflect` class (positions, a, b) as `_reflect_tours`'s (positions, c, d).
+
+    Its psi is a on its positions, none or every tour, and b on the
+    2**(nk) - n! others: c = a, or b with no positions, on each tour,
+    and d = b * sqrt(2**(nk) - n!) on the background.  A class on only
+    some tours, or off them, raises `_Woken`.
+    """
+    positions, a, b = members
+    tours = _layout_tours(layout)
+    if positions.size and not np.array_equal(positions, tours):
+        raise _Woken
+    return positions, a if positions.size else b, b * math.sqrt(2**layout.main_qubits - tours.size)
+
+
+def _fold_projection(plan: list, form: int | str) -> None:
+    """Fold the last three steps into one reflection step if a part and its inverse conjugate a reflection about |s>.
+
+    The steps are ``(_repeat, P^-1, t)``, a reflection step
+    R = I + (f - 1)|s><s| about the register's uniform state, with no
     positions (a centre with positions, itself a folded D2, reflects
     about another psi), and ``(_repeat, P, t)``, with P^-1 the inverse
     that P keeps, neither yet compiled.  With U = P^t,
     U R U^-1 = I + (f - 1)|psi><psi| for psi = U|s>: one step of a few
-    passes over the view instead of 2t runs of P, and P^-1 is never
+    passes over the state instead of 2t runs of P, and P^-1 is never
     compiled.  The step needs psi to take at most two values (see
     `_projection_class`); otherwise the three steps stay, and run P^-1
     and P.  Computing psi compiles P, which refuses a P that the view
     cannot run; a P that the view runs, it runs under P^-1 too.  Only a
-    folded plan holds `_reflect` steps, so only a folded plan folds.
+    folded plan, on the main register or a tour state, holds reflection
+    steps, so only a folded plan folds.
     """
     if len(plan) < 3:
         return
     (first, inverse, count), (middle, centre, factor), (last, part, times) = plan[-3:]
-    if (first, middle, last) != (_repeat, _reflect, _repeat) or centre[0].size or count != times:
+    if (first, last) != (_repeat, _repeat) or middle not in (_reflect, _reflect_tours) or centre[0].size:
         return
-    if part._inverse is inverse and (members := _projection_class(part, times, width)):
-        plan[-3:] = [(_reflect, members, factor)]
+    if count == times and part._inverse is inverse and (members := _projection_class(part, times, form)):
+        plan[-3:] = [(middle, members, factor)]
 
 
-def _projection_class(part: Circuit, times: int, width: int) -> tuple | None:
+def _projection_class(part: Circuit, times: int, form: int | str) -> tuple | None:
     """psi = P^t|s> of `_fold_projection` as (positions, a, b), or None if it takes three values or more.
 
-    P is the plan of `part` on `width` qubits.  psi is a on `positions`
-    and b = psi[0] everywhere else, compared exactly.  The two-step
-    circuit's psi = G1^q1|s> passes at every q1: R1 multiplies by -1.0
-    and D1 adds one scalar to every amplitude, so psi is one value on
-    the n! tours and one off them.  Kept on the part by repeat count and
-    width, next to its plans: the layout's one G1 computes it once per q1
-    and width, and every D2 that repeats it shares it.  It holds the
-    positions, n! of them for G1, not the 2**width amplitudes of psi.
+    P is the plan of `part` on a main register of `form` qubits.  psi
+    is a on `positions` and b = psi[0] everywhere else, compared
+    exactly.  The two-step circuit's psi = G1^q1|s> passes at every q1:
+    R1 multiplies by -1.0 and D1 adds one scalar to every amplitude, so
+    psi is one value on the n! tours and one off them.  For a tour state
+    it is that class mapped (see `_tour_class`).  Kept on the part by
+    repeat count and form, next to its plans: the layout's one G1
+    computes it once per q1 and form, and every D2 that repeats it
+    shares it.  It holds the positions, n! of them for G1, not the
+    2**width amplitudes of psi.
     """
     classes = vars(part).setdefault("_projections", {})
-    key = (times, width)
+    key = (times, form)
     if key not in classes:
-        psi = uniform_state(width).amplitudes
-        _repeat(psi.reshape((2,) * width), _unit_plan(part, width), times)
-        positions = np.flatnonzero(psi != psi[0])
-        a, b = psi[positions[0] if positions.size else 0], psi[0]
-        classes[key] = None if np.any(psi[positions] != a) else (positions, complex(a), complex(b))
+        if form == _TOURS:
+            members = _projection_class(part, times, part.layout.main_qubits)
+            classes[key] = members and _tour_class(members, part.layout)
+        else:
+            psi = uniform_state(form).amplitudes
+            _repeat(psi.reshape((2,) * form), _unit_plan(part, form), times)
+            positions = np.flatnonzero(psi != psi[0])
+            a, b = psi[positions[0] if positions.size else 0], psi[0]
+            classes[key] = None if np.any(psi[positions] != a) else (positions, complex(a), complex(b))
     return classes[key]
 
 
@@ -529,7 +688,7 @@ def _units(circuit: Circuit):
         yield circuit, 1
     for part, times in circuit.parts:
         if times == 1:
-            yield from _units(part)
+            yield from _units(part) if part.parts else ((part, 1),)
         elif times:
             yield part, times
 
@@ -560,45 +719,76 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return state
 
 
-def _check_width(state: StateVector, layout: HoboLayout) -> None:
+def _form(state: StateVector | TourState, layout: HoboLayout) -> int | str:
+    """The key of the plans that `state` runs (see `_unit_plan`); ValueError if it is not a state of `layout`."""
+    if isinstance(state, TourState):
+        if state.layout is not layout and state.layout != layout:
+            raise ValueError(f"the tour state's layout {state.layout} is not the layout {layout}")
+        return _TOURS
     if state.width not in (layout.width, layout.main_qubits):
         raise ValueError(
             f"state width {state.width} is neither the layout's width {layout.width} "
             f"nor its main register's width {layout.main_qubits}"
         )
+    return state.width
 
 
-def run(circuit: Circuit, state: StateVector) -> StateVector:
+def run(circuit: Circuit, state: StateVector | TourState) -> StateVector | TourState:
     """Apply the circuit in place through its compiled plan.
 
     A full-width state runs the exact plan.  A state of the main
     register alone, whose marker is held in |-> (see the module
     docstring), runs the plan that folds each H·S0·H sandwich, and each
-    D2, into one reflection step.  Raises
-    CapacityError if the state does not hold a qubit the circuit needs:
-    an ancilla it sets, or a marker it prepares or reads.  Raises NormError
+    D2, into one reflection step, and a `TourState` that plan mapped
+    onto its tours.  Raises CapacityError if the state does not hold a
+    qubit the circuit needs: an ancilla it sets, or a marker it prepares
+    or reads; or, for a tour state, if a step leaves the tours and one
+    uniform value off them.  Raises NormError
     if the state's squared norm is not 1 afterwards, so an input that
     was not normalised or a drifting kernel is reported.
     """
     layout = circuit.layout
-    _check_width(state, layout)
+    form = _form(state, layout)
     try:
-        plan = _unit_plan(circuit, state.width)
+        plan = _unit_plan(circuit, form)
     except _Woken:
+        if form == _TOURS:
+            raise CapacityError(
+                f"the circuit takes the main register out of its {state.amplitudes.size - 1} tours and one uniform "
+                f"value off them, which a tour state holds; a state of the main register's {layout.main_qubits} "
+                f"qubits or of all {layout.width} may run it"
+            ) from None
         raise CapacityError(
             f"the circuit sets an ancilla, or prepares or reads the marker, which a state of {state.width} "
             f"qubits may not hold; a full-width state needs {layout.width}"
         ) from None
-    _execute(plan, state.amplitudes)
+    if form == _TOURS:
+        _repeat(state.amplitudes, plan, 1)
+    else:
+        _execute(plan, state.amplitudes)
     drift = abs(state.norm_sq() - 1.0)
     if not drift < NORM_TOLERANCE:
         raise NormError(f"state norm drifted: |norm^2 - 1| = {drift:.3g}")
     return state
 
 
-def main_probabilities(state: StateVector, layout: HoboLayout) -> np.ndarray:
-    """Marginal probabilities of the main register over all other qubits, by basis index."""
-    _check_width(state, layout)
+def tour_probabilities(state: TourState) -> np.ndarray:
+    """The n! tour probabilities in basis order, then the probability off the tours."""
+    return np.abs(state.amplitudes) ** 2
+
+
+def main_probabilities(state: StateVector | TourState, layout: HoboLayout) -> np.ndarray:
+    """Marginal probabilities of the main register over all other qubits, by basis index.
+
+    A tour state's background share is spread evenly over the
+    2**(nk) - n! basis states off the tours.
+    """
+    if _form(state, layout) == _TOURS:
+        probs = tour_probabilities(state)
+        tours = _layout_tours(layout)
+        spread = np.full(2**layout.main_qubits, probs[-1] / (2**layout.main_qubits - tours.size))
+        spread[tours] = probs[:-1]
+        return spread
     probs = np.abs(state.amplitudes) ** 2
     if state.width == layout.main_qubits:  # one amplitude per main-register state
         return probs

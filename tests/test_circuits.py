@@ -228,6 +228,28 @@ class TestSharedG1:
         # G2 ends in its D2, whose last part is G1 * q1 of A = H layer + G1 * q1.
         assert g2.parts[-1][0] is g1 and g2.parts[-1][1] == q1
 
+    @pytest.mark.parametrize("q1", [0, 1, 2])
+    def test_d2_is_one_sequence_of_the_layouts_parts(self, q1):
+        # inv(G1) * q1, inv(H layer), zero reflection, H layer, G1 * q1, with no
+        # circuit for A = H layer + G1 * q1 itself: no A and inv(A) pair, which
+        # keep each other, is left for the cyclic collector.
+        layout = HoboLayout.for_cities(3)
+        g1, hadamards = build_g1(layout), circuits._h_layer(layout)
+        d2 = build_d2(layout, q1)
+        expected = [(invert_circuit(g1), q1), (invert_circuit(hadamards), 1), (circuits._zero_reflection(layout), 1),
+                    (hadamards, 1), (g1, q1)]
+        assert [(part, times) for part, times in d2.parts] == expected
+        assert all(part is want for (part, _), (want, _) in zip(d2.parts, expected))
+        prepare = hadamards + g1 * q1
+        assert d2.gates == (invert_circuit(prepare) + circuits._zero_reflection(layout) + prepare).gates
+        gc.collect()
+        gc.disable()
+        try:
+            build_d2(layout, q1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_one_g1_per_layout(self):
         three, four = HoboLayout.for_cities(3), HoboLayout.for_cities(4)
         assert build_g1(three) is build_g1(HoboLayout.for_cities(3))
@@ -543,6 +565,17 @@ class TestPhaseOracle:
         assert "000110" in oracle.table and oracle.table["000110"] != 1.0
         with pytest.raises(AttributeError):
             oracle.table = table
+
+    def test_a_dataset_is_copied_and_checked_only_for_its_city_count(self):
+        # Validation checked each entry of a PhaseAssignment: the n! tours of its n, phases in (0, 2*pi).
+        layout = HoboLayout.for_cities(4)
+        phases = gen_gaussian_phases(4, math.pi, 0.5, 3)
+        oracle = PhaseOracle(layout, phases)
+        assert oracle.table == phases.phases and oracle.table is not phases.phases
+        assert list(oracle.table) == list(phases.phases)
+        assert build_cost_oracle_r2(layout, phases).table == oracle.table
+        with pytest.raises(ValueError, match="phase dataset is for n=3, layout is n=4"):
+            PhaseOracle(layout, builtin_phases(3))
 
     @pytest.mark.parametrize(
         "table, match",

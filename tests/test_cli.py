@@ -30,7 +30,7 @@ from tsp_qsearch import (
     run,
     sample,
     state_at,
-    uniform_state,
+    tour_state,
 )
 from tsp_qsearch import circuits, cli, simulator
 from tsp_qsearch.cli import EXIT_CAPACITY, EXIT_DATA, EXIT_IO, EXIT_OK, main
@@ -307,14 +307,16 @@ class TestRun:
         assert main(flags) == EXIT_OK
         # Two runs of leaves: G1's leaves, and D2's centre (inverse H layer,
         # zero reflection, H layer).  The run starts in |s>, after the
-        # opening H layer; R2 is read from its table, and each D2 folds into
-        # one reflection whose class runs G1's plan, so G1's inverse is
-        # never compiled.
+        # opening H layer, on the tours and one value off them, whose plan
+        # maps the main register's; R2 is read from its table, and each D2
+        # folds into one reflection whose class runs G1's plan, so G1's
+        # inverse is never compiled.
         assert len(calls) == 2
         layout = HoboLayout.for_cities(4)
         inverse = circuits.invert_circuit(circuits.build_g1(layout))
-        # Plans are kept by the width of the state they run on.
-        assert layout.main_qubits not in vars(inverse).get("_plans", {})
+        # Plans are kept by the form of the state they run on.
+        assert not {layout.main_qubits, simulator._TOURS} & vars(inverse).get("_plans", {}).keys()
+        assert vars(circuits.build_g1(layout))["_plans"][simulator._TOURS] is not None
         assert main(flags) == EXIT_OK
         # Each of those is kept per layout, so the second run compiles nothing.
         assert len(calls) == 2
@@ -729,11 +731,11 @@ class TestRunReportRoundTrip:
         layout = HoboLayout.for_cities(n)
         if mode == "circuit":
             circuit = build_two_step(layout, phases, Schedule(report["q1"], report["q2"]))
-            # As the CLI runs it: on the main register in |s>, whose state holds
-            # the marker prepared, without the circuit's marker preparation
-            # and H layer.
+            # As the CLI runs it: on the main register's tours and one value
+            # off them in |s>, whose state holds the marker prepared, without
+            # the circuit's marker preparation and H layer.
             circuit = Circuit(layout, parts=circuit.parts[2:])
-            dist = main_distribution(run(circuit, uniform_state(layout.main_qubits)), layout)
+            dist = main_distribution(run(circuit, tour_state(layout)), layout)
         else:
             psi = state_at(phases, report["q2"], rescale_costs=True)
             dist = {b: float(abs(a) ** 2) for b, a in zip(phases.phases, psi)}

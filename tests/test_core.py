@@ -80,6 +80,13 @@ class TestLayout:
         pairs = [layout.pair_ancilla(a, b) for a in range(5) for b in range(a + 1, 5)]
         assert pairs == list(range(30, 40))
 
+    def test_one_layout_per_city_count(self):
+        # The per-layout caches of the builders and the simulator then hit by identity.
+        assert HoboLayout.for_cities(4) is HoboLayout.for_cities(4)
+        assert HoboLayout.for_cities(4) is not HoboLayout.for_cities(3)
+        with pytest.raises(CapacityError):
+            HoboLayout.for_cities(1)
+
     def test_validity_ancilla_rejects_in_range_code(self):
         layout = HoboLayout.for_cities(3)
         with pytest.raises(ValueError):

@@ -21,8 +21,10 @@ from tsp_qsearch import (
     NormError,
     Schedule,
     StateVector,
+    TourState,
     apply_gate,
     build_d2,
+    build_diffusion_d1,
     build_g1,
     build_oracle_r1,
     build_two_step,
@@ -35,9 +37,13 @@ from tsp_qsearch import (
     main_probabilities,
     metrics,
     new_state,
+    optimal_q1,
+    optimal_q2,
     run,
     sample,
     success_probability,
+    tour_probabilities,
+    tour_state,
     uniform_state,
 )
 from tsp_qsearch import PhaseOracle, circuits, simulator
@@ -50,7 +56,9 @@ from tsp_qsearch.simulator import (
     _permute,
     _phase,
     _reflect,
+    _reflect_tours,
     _repeat,
+    _TOURS,
     _unit_plan,
     _view,
     _Woken,
@@ -814,6 +822,179 @@ class TestMarkerFree:
         full = _gate_by_gate(Circuit(layout, (x(marker), h(marker), *gates)), new_state(layout.width))
         columns, _ = _by_view(full, layout)
         assert np.abs(got - math.sqrt(2) * columns[:, 0]).max() <= FOLD_TOLERANCE
+
+
+def _spread(state: TourState) -> np.ndarray:
+    """A tour state's 2**(nk) main-register amplitudes: the background's coordinate spread evenly off the tours."""
+    layout = state.layout
+    tours = [int(bits, 2) for bits in enumerate_feasible(layout.n)]
+    off = 2**layout.main_qubits - len(tours)
+    amplitudes = np.full(2**layout.main_qubits, state.amplitudes[-1] / math.sqrt(off))
+    amplitudes[tours] = state.amplitudes[:-1]
+    return amplitudes
+
+
+def _some_tours_class_circuit(layout: HoboLayout) -> Circuit:
+    """inv(P) * 2, D1, P * 2 for P = (-1 on the first tour) + D1: a D2 whose psi is one value on that tour alone."""
+    part = PhaseOracle(layout, {enumerate_feasible(layout.n)[0]: math.pi}) + build_diffusion_d1(layout)
+    return invert_circuit(part * 2) + build_diffusion_d1(layout) + part * 2
+
+
+class TestTourState:
+    """The main register as its n! tours and one amplitude on the uniform superposition of the rest."""
+
+    @pytest.mark.parametrize("q1", [0, 1, 2, 3, None], ids=lambda q1: "default" if q1 is None else f"q1={q1}")
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_the_dense_run_and_the_reference_model(self, n, q1):
+        layout = HoboLayout.for_cities(n)
+        phases = gen_gaussian_phases(n, math.pi, 0.5, 42)
+        schedule = Schedule(optimal_q1(n) if q1 is None else q1, max(optimal_q2(n, 2), 2))
+        circuit = _after_state_prep(build_two_step(layout, phases, schedule))
+        state = run(circuit, tour_state(layout))
+        dense = run(circuit, uniform_state(layout.main_qubits)).amplitudes
+        expected = two_step_reference(phases.phases, schedule.q1, schedule.q2)
+        assert np.abs(_spread(state) - dense).max() <= 1e-13
+        assert np.abs(_spread(state) - expected).max() <= 1e-13
+        probabilities = main_probabilities(state, layout)
+        assert np.abs(probabilities - np.abs(dense) ** 2).max() <= 1e-13
+        # The report's rows hold the tour probabilities themselves.
+        tours = [int(bits, 2) for bits in phases.phases]
+        _assert_bit_identical(probabilities[tours], tour_probabilities(state)[:-1])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_a_tour_state_starts_in_the_uniform_state(self, n):
+        layout = HoboLayout.for_cities(n)
+        state = tour_state(layout)
+        assert state.amplitudes.shape == (math.factorial(n) + 1,)
+        assert np.abs(_spread(state) - uniform_state(layout.main_qubits).amplitudes).max() <= 1e-16
+        assert abs(state.norm_sq() - 1) <= 1e-15
+        assert abs(tour_probabilities(state).sum() - 1) <= 1e-15
+
+    def test_the_plan_is_two_kinds_of_step_on_slices(self):
+        layout = HoboLayout.for_cities(4)
+        circuit = _after_state_prep(build_two_step(layout, builtin_phases(4), Schedule(2, 2)))
+        plan = _unit_plan(circuit, _TOURS)
+        assert [step[0] for step in plan] == [_repeat, _repeat]
+        g1_plan, g2_plan = plan[0][1], plan[1][1]
+        # R1's -1 and R2's factors each on the slice of the 24 tours; D1
+        # reflects about |s>, D2 about G1^2|s>: c on every tour, d on the background.
+        assert [step[0] for step in g1_plan] == [_phase, _reflect_tours]
+        assert [step[0] for step in g2_plan] == [_phase, _reflect_tours]
+        assert g1_plan[0][1] == g2_plan[0][1] == slice(0, 24)
+        assert g1_plan[0][2] == -1
+        _, c, d = g1_plan[1][1]
+        assert c == 1 / 16 and d == math.sqrt(256 - 24) / 16
+        (_, psi, _), (_, dense_class, _) = g2_plan[1], _unit_plan(circuit, layout.main_qubits)[1][1][1]
+        positions, a, b = dense_class
+        assert psi[0] is positions and psi[1:] == (a, b * math.sqrt(256 - 24))
+
+    def test_a_phase_on_some_tours_is_on_their_coordinates(self):
+        layout = HoboLayout.for_cities(3)
+        tours = enumerate_feasible(3)
+        table = {tours[4]: 0.3, tours[1]: 1.1, tours[2]: 2.0}
+        circuit = Circuit(layout, parts=((build_g1(layout), 2), (PhaseOracle(layout, table), 1), (build_g1(layout), 1)))
+        # The table's step, between G1 * 2 and the last G1's leaves, whose R1 is a slice.
+        (kernel, index, factors), = [step for step in _unit_plan(circuit, _TOURS) if np.ndim(step[2])]
+        assert kernel is _phase and index.tolist() == [4, 1, 2]
+        assert np.array_equal(factors, [cmath.exp(1j * w) for w in table.values()])
+        state = run(circuit, tour_state(layout))
+        dense = run(circuit, uniform_state(layout.main_qubits)).amplitudes
+        assert np.abs(_spread(state) - dense).max() <= 1e-15
+
+    @pytest.mark.parametrize("step", ["h layer", "move", "phase off the tours", "class on some tours"])
+    def test_a_step_off_the_tours_is_refused(self, step):
+        layout = HoboLayout.for_cities(3)
+        circuit = {
+            "h layer": Circuit(layout, (h(0), h(1))),
+            "move": Circuit(layout, (x(0),)),
+            "phase off the tours": PhaseOracle(layout, {"000000": 0.5}),
+            "class on some tours": _some_tours_class_circuit(layout),
+        }[step]
+        if step == "class on some tours":
+            # The main register folds it into one reflection about psi, which is a
+            # on the first tour and b on every other state, tours included.
+            (kernel, (positions, _, _), _), = _unit_plan(circuit, layout.main_qubits)
+            assert kernel is _reflect and positions.tolist() == [int(enumerate_feasible(3)[0], 2)]
+        state = tour_state(layout)
+        message = (
+            "the circuit takes the main register out of its 6 tours and one uniform value off them, which a "
+            "tour state holds; a state of the main register's 6 qubits or of all 13 may run it"
+        )
+        with pytest.raises(CapacityError, match=re.escape(message)):
+            run(circuit, state)
+        assert np.array_equal(state.amplitudes, tour_state(layout).amplitudes)
+        # The main register's state runs each of them.
+        run(circuit, uniform_state(layout.main_qubits))
+
+    def test_a_circuit_the_main_register_refuses_is_refused(self):
+        layout = HoboLayout.for_cities(3)
+        with pytest.raises(CapacityError, match="out of its 6 tours"):
+            run(build_two_step(layout, builtin_phases(3), Schedule(2, 1)), tour_state(layout))
+
+    def test_a_drifting_input_raises(self):
+        layout = HoboLayout.for_cities(3)
+        state = TourState(layout, 1.001 * tour_state(layout).amplitudes)
+        with pytest.raises(NormError, match="state norm drifted"):
+            run(build_g1(layout) * 2, state)
+
+    def test_a_state_of_another_layout_is_refused(self):
+        state = tour_state(HoboLayout.for_cities(4))
+        for call in (lambda: run(build_g1(HoboLayout.for_cities(3)), state),
+                     lambda: main_probabilities(state, HoboLayout.for_cities(3))):
+            with pytest.raises(ValueError, match="is not the layout"):
+                call()
+        assert np.array_equal(state.amplitudes, tour_state(HoboLayout.for_cities(4)).amplitudes)
+
+    @pytest.mark.parametrize("amps", [np.zeros(6, complex), np.zeros(7, np.float64), np.zeros((7, 1), complex)])
+    def test_amplitudes_must_be_the_tours_and_one_more_in_complex128(self, amps):
+        with pytest.raises(ValueError):
+            TourState(HoboLayout.for_cities(3), amps)
+
+    def test_over_capacity(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_WIDTH", 5)
+        with pytest.raises(CapacityError, match="this state needs 6"):
+            tour_state(HoboLayout.for_cities(3))
+
+    @pytest.mark.parametrize(
+        "n, schedule",
+        [(n, schedule) for n in (3, 4) for schedule in (Schedule(2, 2), Schedule(1, 1), Schedule(0, 3))]
+        + [(5, Schedule(12, 2)), (6, Schedule(14, 2))],
+        ids=str,
+    )
+    def test_a_second_dataset_maps_only_its_cost_oracle(self, n, schedule, monkeypatch):
+        layout = HoboLayout.for_cities(n)
+
+        def circuit(seed):
+            return _after_state_prep(build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, seed), schedule))
+
+        run(circuit(1), tour_state(layout))
+        mapped, classes = [], []
+        on_tours, tour_class = simulator._on_tours, simulator._tour_class
+        monkeypatch.setattr(simulator, "_on_tours", lambda steps, lay: mapped.append(steps) or on_tours(steps, lay))
+        monkeypatch.setattr(simulator, "_tour_class", lambda *args: classes.append(args) or tour_class(*args))
+        second = circuit(2)
+        run(second, tour_state(layout))
+        # G1's plan, D2's reflection and every run of leaves are mapped once per
+        # layout; the second dataset maps R2's one phase step, which is its table.
+        r2 = second.parts[-1][0].parts[0][0]
+        assert len(mapped) == 1 and len(mapped[0]) == 1 and not classes
+        (kernel, positions, factors), = mapped[0]
+        assert kernel is _phase and positions is simulator._layout_tours(layout)
+        assert np.array_equal(factors, [cmath.exp(1j * w) for w in r2.table.values()])
+
+    @pytest.mark.parametrize("schedule", [Schedule(2, 2), Schedule(1, 1), Schedule(0, 3)], ids=str)
+    def test_no_cache_grows_with_the_datasets(self, schedule):
+        layout = HoboLayout.for_cities(3)
+        freed, sizes = [], None
+        for seed in range(20):
+            circuit = _after_state_prep(build_two_step(layout, gen_gaussian_phases(3, math.pi, 0.5, seed), schedule))
+            run(circuit, tour_state(layout))
+            freed.append(weakref.ref(circuit))
+            del circuit
+            sizes = sizes or _per_layout_sizes(layout)
+        gc.collect()
+        assert all(ref() is None for ref in freed)
+        assert _per_layout_sizes(layout) == sizes
 
 
 def _assert_matches_the_reference(n: int, phases, schedule: Schedule) -> None:
