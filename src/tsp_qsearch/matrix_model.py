@@ -5,12 +5,15 @@ tours, in the phase dataset's tour order, with the diagonal cost
 operator and the reflection about the uniform feasible superposition.
 `evolve` and `state_at` take the dataset and the cost convention.  It
 is the cross-check oracle for the circuit path and its fast stand-in:
-at 6 cities it evolves 720 tour amplitudes, where the gate simulator
-runs the circuit on its 18-qubit main register (46 qubits in full,
-2**18 amplitudes).  This is the ideal form of the search: its
-diffusion reflects about the exact feasible superposition, while the
-circuit's D2 reflects about the stage-1 state, which keeps a small
-infeasible remainder.
+at 6 cities it evolves 720 tour amplitudes and needs no circuit, where
+the gate simulator compiles the circuit on its 18-qubit main register
+(46 qubits in full) and runs it on the 720 tours and one value off
+them.  This is the ideal form of the search: its diffusion reflects
+about the exact feasible superposition, while the circuit's D2
+reflects about the stage-1 state, which keeps a small infeasible
+remainder.  Its state has the circuit's tour form with a background
+of 0, so the simulator's executor runs its iteration as two tour-form
+steps (see `_ideal`).
 
 Cost values map to oracle angles in one of two conventions.  By
 default the stored value is the angle, matching the circuit's cost
@@ -25,13 +28,12 @@ the five-city reference experiment.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .core import PhaseAssignment, gen_gaussian_phases
+from .simulator import _phase, _reflect_tours, _repeat
 
 
 @dataclass(frozen=True)
@@ -63,30 +65,31 @@ def oracle_angles(phases: PhaseAssignment, rescale_costs: bool = False) -> np.nd
     return 2 * math.pi * (angles - lo) / (hi - lo)
 
 
-def _iterates(phases: PhaseAssignment, rescale_costs: bool) -> Iterator[np.ndarray]:
-    """psi_0, psi_1, ...: the uniform tour state, then diffusion(cost(psi)) per step.
+def _ideal(phases: PhaseAssignment, rescale_costs: bool) -> tuple[np.ndarray, tuple]:
+    """psi_0 as a tour vector, and one search iteration as the simulator's tour-form steps.
 
-    The cost operator is the diagonal e^{i w} per tour.  The diffusion
-    is the rank-1 reflection D v = 2 psi0 <psi0|v> - v about the
-    uniform superposition of the tours.
+    psi_0 is the uniform superposition of the tours, 1/sqrt(n!) each,
+    with a background coordinate of 0 (see `simulator.TourState`).  An
+    iteration is the cost operator, e^{i w} per tour, then the diffusion
+    D v = 2 psi_0 <psi_0|v> - v: a phase step on the tour slice and a
+    reflection step about psi_0 (c = 1/sqrt(n!) on the tours, d = 0),
+    which `simulator._repeat` runs.  The reflection step is I - 2
+    |psi_0><psi_0| = -D, so the phase step carries the -1: -e^{i w}.
     """
-    cost_diag = np.exp(1j * oracle_angles(phases, rescale_costs))
-    ones = np.ones(len(cost_diag), dtype=complex)
-    psi0 = ones / np.linalg.norm(ones)
-    two_psi0 = 2.0 * psi0
-    psi = psi0
-    while True:
-        yield psi
-        psi = cost_diag * psi
-        psi = two_psi0 * np.vdot(psi0, psi) - psi
+    factors = -np.exp(1j * oracle_angles(phases, rescale_costs))
+    c = 1 / math.sqrt(factors.size)
+    psi = np.append(np.full(factors.size, c, dtype=complex), 0)
+    return psi, ((_phase, slice(0, factors.size), factors), (_reflect_tours, (None, c, 0.0), -1.0))
 
 
 def evolve(phases: PhaseAssignment, t_max: int, rescale_costs: bool = False) -> ProbabilitySeries:
     """Iterate diffusion(cost(state)); record the extreme-tour mass for t = 0 .. t_max."""
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
+    psi, plan = _ideal(phases, rescale_costs)
     p_min, p_max = [], []
-    for psi in islice(_iterates(phases, rescale_costs), t_max + 1):
+    for t in range(t_max + 1):
+        _repeat(psi, plan, min(t, 1))  # psi_0, then one iteration per t
         p_min.append(float(np.abs(psi[phases.min_index]) ** 2))
         p_max.append(float(np.abs(psi[phases.max_index]) ** 2))
     return ProbabilitySeries(tuple(p_min), tuple(p_max))
@@ -107,7 +110,9 @@ def state_at(phases: PhaseAssignment, t: int, rescale_costs: bool = False) -> np
     """State vector over the dataset's tours, in its order, after t search iterations."""
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
-    return next(islice(_iterates(phases, rescale_costs), t, None))
+    psi, plan = _ideal(phases, rescale_costs)
+    _repeat(psi, plan, t)
+    return psi[:-1]
 
 
 def appendix_experiment(

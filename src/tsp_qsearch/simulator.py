@@ -70,10 +70,11 @@ U|s>.  R1 is -1 on the n! tours and D1 reflects about |s>, so psi
 stays in the span of |s> and the tours: one value on the tours and one
 off them.  So each D2 becomes one `_reflect` step on the tours instead
 of 2 * q1 runs of G1's plan, and inv(G1) is never compiled (see
-`_fold_projection`).  psi is computed once per layout, q1 and width,
-and only its n! positions and two values are kept on the layout's one
-G1.  With q1 = 0 D2 is its centre reflection, and with q1 = 1 its G1
-is compiled with its other leaves.  The main register's amplitudes are
+`_fold_projection`).  psi is computed once per layout, q1 and state
+form, a tour state's on its n! + 1 numbers, and only its n! positions
+and two values are kept on the layout's one G1.  With q1 = 0 D2 is its
+centre reflection, and with q1 = 1 its G1 is compiled with its other
+leaves.  The main register's amplitudes are
 not bit-identical to the exact plan's: they agree with sqrt(2) times
 the exact marker-0 column to within 1e-12 each (at most 2.3e-14 at n=2
 to 4 with q1, q2 <= 4), and the norm drifts less.
@@ -115,9 +116,15 @@ its runs of leaves and D2's reflection are reused, and R2's one phase
 step takes positions kept per set of tours and one new factor array.
 A tour state's plans are kept beside them, under their own key: a
 circuit's with its plans, a run of leaves' mapped steps on its first
-leaf, and D2's mapped class with its class on G1.  So a tour state's run
-on a new dataset maps R2's one step and nothing else, and that step's
-positions are the layout's tour positions themselves: the whole slice.
+leaf, and D2's tour class, computed on a tour state, with its class on
+G1.  So a tour state's run on a new dataset maps R2's one step and
+nothing else, and that step's positions are the layout's tour positions
+themselves: the whole slice.
+
+`_repeat` is the one executor of every plan, dense or on the tours.
+`matrix_model` runs the ideal model through it too: the tours of a
+dataset and a background of 0, one phase step and one `_reflect_tours`
+step per iteration.
 
 `apply_gate` compiles nothing: it swaps, butterflies or multiplies
 strided views of the state in place.  A swap or butterfly allocates a
@@ -190,7 +197,10 @@ class TourState:
 
     amplitudes[:n!] are the tours' in basis order (`enumerate_feasible`);
     amplitudes[n!] is the coordinate on the normalised uniform
-    superposition of the other 2**(nk) - n! basis states.
+    superposition of the other 2**(nk) - n! basis states, the
+    background.  The background may be 0: the ideal model
+    (`matrix_model`) runs its tour-form steps on n! + 1 numbers of this
+    form whose background stays 0, as no step of it leaves the tours.
     """
 
     # Not a dataclass: `dataclass` would add about 0.4 ms to each import of this module.
@@ -661,7 +671,10 @@ def _projection_class(part: Circuit, times: int, form: int | str) -> tuple | Non
     exactly.  The two-step circuit's psi = G1^q1|s> passes at every q1:
     R1 multiplies by -1.0 and D1 adds one scalar to every amplitude, so
     psi is one value on the n! tours and one off them.  For a tour state
-    it is that class mapped (see `_tour_class`).  Kept on the part by
+    psi is P's tour plan run on `tour_state`, n! + 1 numbers, and its
+    class is (the tours, c, d) of `_tour_class`, c compared exactly on
+    every tour; a psi that is not one value on the tours has no such
+    class and raises `_Woken`.  Kept on the part by
     repeat count and form, next to its plans: the layout's one G1
     computes it once per q1 and form, and every D2 that repeats it
     shares it.  It holds the positions, n! of them for G1, not the
@@ -671,8 +684,11 @@ def _projection_class(part: Circuit, times: int, form: int | str) -> tuple | Non
     key = (times, form)
     if key not in classes:
         if form == _TOURS:
-            members = _projection_class(part, times, part.layout.main_qubits)
-            classes[key] = members and _tour_class(members, part.layout)
+            psi = tour_state(part.layout).amplitudes
+            _repeat(psi, _unit_plan(part, form), times)
+            if np.any(psi[:-1] != psi[0]):
+                raise _Woken
+            classes[key] = (_layout_tours(part.layout), complex(psi[0]), complex(psi[-1]))
         else:
             psi = uniform_state(form).amplitudes
             _repeat(psi.reshape((2,) * form), _unit_plan(part, form), times)
@@ -697,10 +713,6 @@ def _repeat(view: np.ndarray, plan: tuple, times: int) -> None:
     for _ in range(times):
         for kernel, first, second in plan:
             kernel(view, first, second)
-
-
-def _execute(plan: tuple, amplitudes: np.ndarray) -> None:
-    _repeat(amplitudes.reshape((2,) * (amplitudes.size.bit_length() - 1)), plan, 1)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -762,10 +774,7 @@ def run(circuit: Circuit, state: StateVector | TourState) -> StateVector | TourS
             f"the circuit sets an ancilla, or prepares or reads the marker, which a state of {state.width} "
             f"qubits may not hold; a full-width state needs {layout.width}"
         ) from None
-    if form == _TOURS:
-        _repeat(state.amplitudes, plan, 1)
-    else:
-        _execute(plan, state.amplitudes)
+    _repeat(state.amplitudes if form == _TOURS else state.amplitudes.reshape((2,) * form), plan, 1)
     drift = abs(state.norm_sq() - 1.0)
     if not drift < NORM_TOLERANCE:
         raise NormError(f"state norm drifted: |norm^2 - 1| = {drift:.3g}")

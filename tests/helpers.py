@@ -1,4 +1,4 @@
-"""Shared test utilities: basis-state preparation, dense assembly and a reference model of the search."""
+"""Shared test utilities: basis-state preparation, dense assembly and reference models of the search."""
 
 import math
 
@@ -36,6 +36,11 @@ def clear_builder_caches() -> None:
     """
     for cache in BUILDER_CACHES:
         cache.cache_clear()
+
+
+def execute_plan(plan: tuple, amplitudes: np.ndarray) -> None:
+    """Run a compiled plan in place on a dense state's amplitudes, 2**width of them."""
+    simulator._repeat(amplitudes.reshape((2,) * (amplitudes.size.bit_length() - 1)), plan, 1)
 
 
 def prepare_main_basis(layout: HoboLayout, main_bits: str, marker_minus: bool = True) -> StateVector:
@@ -100,6 +105,28 @@ def two_step_reference(phases: dict[str, float], q1: int, q2: int) -> np.ndarray
     amplitudes = np.full(size, v[m] / math.sqrt(size - m))
     amplitudes[[int(bits, 2) for bits in phases]] = v[:m]
     return amplitudes
+
+
+def ideal_reference(phases: dict[str, float], t: int, rescale_costs: bool = False) -> np.ndarray:
+    """The ideal model's state over the tours of `phases`, in their order, after t iterations.
+
+    psi_0 is the uniform superposition of the tours.  Each iteration is
+    the cost operator, e^{i w} per tour, then the diffusion
+    D v = 2 psi_0 <psi_0|v> - v.  With `rescale_costs` the angles map the
+    cost range affinely onto [0, 2 pi].  Numpy only: no plan or executor.
+    """
+    angles = np.array(list(phases.values()))
+    if rescale_costs:
+        lo, hi = angles.min(), angles.max()
+        angles = 2 * math.pi * (angles - lo) / (hi - lo)
+    cost_diag = np.exp(1j * angles)
+    ones = np.ones(len(cost_diag), dtype=complex)
+    psi0 = ones / np.linalg.norm(ones)
+    psi = psi0
+    for _ in range(t):
+        psi = cost_diag * psi
+        psi = 2.0 * psi0 * np.vdot(psi0, psi) - psi
+    return psi
 
 
 def gates_unitary(gates, width: int) -> np.ndarray:

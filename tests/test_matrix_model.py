@@ -27,6 +27,8 @@ from tsp_qsearch import (
 )
 from tsp_qsearch.matrix_model import ProbabilitySeries
 
+from helpers import ideal_reference
+
 PI = math.pi
 
 # Values frozen from one explicit dense 6x6 matrix-vector product:
@@ -115,6 +117,24 @@ class TestEvolve:
             evolve(phases, -1)
         with pytest.raises(ValueError, match="non-negative"):
             state_at(phases, -1)
+
+
+class TestIdealReference:
+    """`state_at` and `evolve` against a numpy model of the same iteration, with no executor."""
+
+    @pytest.mark.parametrize("rescale", [False, True], ids=["raw", "rescaled"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_amplitude_matches(self, n, rescale):
+        phases = gen_gaussian_phases(n, PI, 0.5, 42)
+        t_max = 2 * max(optimal_q2(n, 2), 1)
+        series = evolve(phases, t_max, rescale_costs=rescale)
+        for t in range(t_max + 1):
+            psi = state_at(phases, t, rescale_costs=rescale)
+            assert psi.shape == (math.factorial(n),)
+            assert np.abs(psi - ideal_reference(phases.phases, t, rescale)).max() <= 1e-13
+            # The series reads the same state as `state_at`, bit for bit.
+            assert series.p_min[t] == np.abs(psi[phases.min_index]) ** 2
+            assert series.p_max[t] == np.abs(psi[phases.max_index]) ** 2
 
 
 class TestCircuitEquivalence:

@@ -51,7 +51,6 @@ from tsp_qsearch.circuits import Circuit, CircuitMetrics, cx, h, mcp, mcx, x
 from tsp_qsearch.simulator import (
     MAX_WIDTH,
     _compile,
-    _execute,
     _hadamards,
     _permute,
     _phase,
@@ -65,7 +64,7 @@ from tsp_qsearch.simulator import (
 )
 from tsp_qsearch.cli import _after_state_prep
 
-from helpers import BUILDER_CACHES, clear_builder_caches, prepare_main_basis, two_step_reference
+from helpers import BUILDER_CACHES, clear_builder_caches, execute_plan, prepare_main_basis, two_step_reference
 
 # Largest per-amplitude gap allowed between a main-register run, whose
 # plan folds each H·S0·H sandwich and each D2 into one `_reflect` step,
@@ -776,7 +775,7 @@ class TestMarkerFree:
         positions, a, b = g2_plan[1][1]
         assert np.array_equal(positions, tours)
         psi = uniform_state(layout.main_qubits).amplitudes
-        _execute(((_repeat, g1_plan, 2),), psi)
+        execute_plan(((_repeat, g1_plan, 2),), psi)
         expected = np.full(2**8, b)
         expected[tours] = a
         _assert_bit_identical(psi, expected)
@@ -884,9 +883,51 @@ class TestTourState:
         assert g1_plan[0][2] == -1
         _, c, d = g1_plan[1][1]
         assert c == 1 / 16 and d == math.sqrt(256 - 24) / 16
+        # D2's class is G1's tour plan run on 25 numbers; its positions are the
+        # layout's tours, and c and d are the dense class's values mapped.
         (_, psi, _), (_, dense_class, _) = g2_plan[1], _unit_plan(circuit, layout.main_qubits)[1][1][1]
         positions, a, b = dense_class
-        assert psi[0] is positions and psi[1:] == (a, b * math.sqrt(256 - 24))
+        assert psi[0] is simulator._layout_tours(layout) and np.array_equal(psi[0], positions)
+        assert abs(psi[1] - a) <= 1e-15 and abs(psi[2] - b * math.sqrt(256 - 24)) <= 1e-15
+
+    @pytest.mark.parametrize("q1", [2, 3, None], ids=lambda q1: "default" if q1 is None else f"q1={q1}")
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_d2_class_is_computed_on_the_tours_alone(self, n, q1, monkeypatch):
+        layout = HoboLayout.for_cities(n)
+        q1 = optimal_q1(n) if q1 is None else q1
+        g1 = build_g1(layout)
+        _, a, b = simulator._tour_class(simulator._projection_class(g1, q1, layout.main_qubits), layout)
+        # Computed afresh with no dense state of the main register to make.
+        vars(g1)["_projections"].pop((q1, _TOURS), None)
+        monkeypatch.setattr(simulator, "uniform_state", _no_dense_state)
+        positions, c, d = simulator._projection_class(g1, q1, _TOURS)
+        assert positions is simulator._layout_tours(layout)
+        # At n=5 each form's d, near 1, is off a 40-digit model of the
+        # recurrence by up to 2.2e-15 (tours) and 1.0e-15 (dense), in
+        # opposite directions at q1=3, where the two differ by 2.1e-15.
+        assert abs(c - a) <= 1e-15 and abs(d - b) <= 4e-15
+        # A whole two-step run on the tour state makes no dense state either,
+        # and from q1 = 2, where each D2 folds, computes the same class.
+        vars(g1)["_projections"].pop((q1, _TOURS))
+        circuit = _after_state_prep(build_two_step(layout, gen_gaussian_phases(n, math.pi, 0.5, 42), Schedule(q1, 2)))
+        run(circuit, tour_state(layout))
+        if q1 >= 2:
+            assert vars(g1)["_projections"][q1, _TOURS][1:] == (c, d)
+
+    def test_d2_class_at_six_cities_allocates_no_dense_state(self):
+        # psi = G1^14|s> on 721 numbers; a 2**18 state would be 4 MiB.
+        layout = HoboLayout.for_cities(6)
+        g1 = build_g1(layout)
+        _unit_plan(g1, _TOURS)
+        for form in (_TOURS, layout.main_qubits):  # nothing kept from an earlier run
+            vars(g1).setdefault("_projections", {}).pop((14, form), None)
+        tracemalloc.start()
+        try:
+            assert simulator._projection_class(g1, 14, _TOURS) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 2**20
 
     def test_a_phase_on_some_tours_is_on_their_coordinates(self):
         layout = HoboLayout.for_cities(3)
@@ -997,6 +1038,10 @@ class TestTourState:
         assert _per_layout_sizes(layout) == sizes
 
 
+def _no_dense_state(width: int):
+    raise AssertionError(f"a dense state of {width} qubits was made")
+
+
 def _assert_matches_the_reference(n: int, phases, schedule: Schedule) -> None:
     """The main-register run equals `two_step_reference` per amplitude, tours and the rest alike."""
     layout = HoboLayout.for_cities(n)
@@ -1067,7 +1112,7 @@ class TestFold:
         amps = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
         amps /= np.linalg.norm(amps)
         got = amps.copy()
-        _execute(plan, got)
+        execute_plan(plan, got)
         expected = _gate_by_gate(circuit, StateVector(6, amps.copy()))
         if folds:
             [(kernel, (positions, a, b), factor)] = plan
@@ -1094,7 +1139,7 @@ class TestFold:
         amps = rng.normal(size=2**layout.main_qubits) + 1j * rng.normal(size=2**layout.main_qubits)
         amps /= np.linalg.norm(amps)
         got = amps.copy()
-        _execute(plan, got)
+        execute_plan(plan, got)
         full = np.zeros(2**layout.width, dtype=np.complex128)
         full.reshape(2**layout.main_qubits, -1)[:, 0] = amps
         expected, _ = _by_view(_gate_by_gate(circuit, StateVector(layout.width, full)), layout)
@@ -1150,7 +1195,7 @@ class TestFold:
         amps = rng.normal(size=2**4) + 1j * rng.normal(size=2**4)
         amps /= np.linalg.norm(amps)
         got = amps.copy()
-        _execute(plan, got)
+        execute_plan(plan, got)
         expected = _gate_by_gate(circuit, StateVector(4, amps.copy()))
         assert np.abs(got - expected).max() <= FOLD_TOLERANCE
 
@@ -1243,7 +1288,7 @@ class TestDiagonalRuns:
         amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
         amps /= np.linalg.norm(amps)
         got = amps.copy()
-        _execute(main, got)
+        execute_plan(main, got)
         _assert_bit_identical(got, _gate_by_gate(circuit, StateVector(width, amps.copy())))
 
 
@@ -1336,8 +1381,8 @@ class TestBoundOracle:
         clear_builder_caches()
         cold = main_plan(phases)
         got, expected = uniform_state(layout.main_qubits).amplitudes, uniform_state(layout.main_qubits).amplitudes
-        _execute(warm, got)
-        _execute(cold, expected)
+        execute_plan(warm, got)
+        execute_plan(cold, expected)
         _assert_bit_identical(got, expected)
 
     @pytest.mark.parametrize("schedule", [Schedule(2, 2), Schedule(2, 1), Schedule(1, 1), Schedule(0, 3)], ids=str)
@@ -1394,7 +1439,7 @@ class TestBlockStructure:
         assert g2_plan[-1][0] is _repeat and g2_plan[-1][1] is g1_plan
         assert [step[0] for step in _unrolled(plan)] == [step[0] for step in flat_plan]
         flat = new_state(layout.width).amplitudes
-        _execute(flat_plan, flat)
+        execute_plan(flat_plan, flat)
         _assert_bit_identical(run(circuit, new_state(layout.width)).amplitudes, flat)
 
 
